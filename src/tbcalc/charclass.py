@@ -5,8 +5,13 @@ resolved surface is determined by adjunction: Q a = (n_i + 2). The
 solution is required to be integral (the singularities handled here are
 numerically Gorenstein; a non-integral solution means the input graph is
 outside scope). W collects the vertices with odd coefficient; it is the
-support of the Wu class, and an independent GF(2) solve of the Wu system
-cross-checks every computation.
+support of the Wu class.
+
+The adjunction solve is this stage's one exact certificate: the solver
+re-multiplies and raises unless Q a = n + 2 holds. Mod 2 this reads
+Q a = diag Q, so a mod 2 solves the Wu system over GF(2); that solution is
+unique, and then equals a mod 2, exactly when det Q is odd. The Wu status
+is therefore the parity of det Q, an O(V) computation on the tree.
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ from .errors import (
     InconsistentAnnotation,
     NotNumericallyGorenstein,
     StructureMismatch,
-    WuMismatch,
 )
-from .graph import DecoratedGraph, intersection_matrix, solve_intersection_system
-from .numeric import GF2_INCONSISTENT, GF2_UNIQUE, solve_gf2
+from .graph import DecoratedGraph, _tree_det, solve_intersection_system
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
@@ -30,8 +33,8 @@ WU_SKIPPED_SINGULAR = "skipped-singular"
 
 @dataclass(frozen=True)
 class CharacteristicData:
-    """Integral c1 coefficients, the odd-coefficient set W, and the status
-    of the Wu-formula cross-check."""
+    """Integral c1 coefficients, the odd-coefficient set W, and the Wu
+    status (confirmed-unique exactly when det Q is odd)."""
 
     a: dict[int, int]
     w: frozenset[int]
@@ -64,33 +67,8 @@ def canonical_coefficients(cg) -> CharacteristicData:
     deck = getattr(cg, "deck", None)
     if deck and {deck[v] for v in w} != w:
         raise StructureMismatch("W is not invariant under the deck transformation")
-    wu_status = _wu_check(g, a)
+    wu_status = WU_CONFIRMED_UNIQUE if _tree_det(g) % 2 else WU_CONFIRMED_CONSISTENT
     return CharacteristicData(a=a, w=w, wu_status=wu_status)
-
-
-def _wu_check(g: DecoratedGraph, a: dict[int, int]) -> str:
-    """Cross-check W against the Wu system Q x = diag(Q) over GF(2)."""
-    ids, q = intersection_matrix(g)
-    q2 = [[entry % 2 for entry in row] for row in q]
-    rhs2 = [q[i][i] % 2 for i in range(len(ids))]
-    a2 = [a[v] % 2 for v in ids]
-    result = solve_gf2(q2, rhs2)
-    if result.status == GF2_INCONSISTENT:
-        raise WuMismatch(
-            "Wu system is inconsistent although the adjunction parity solves it"
-        )
-    if result.status == GF2_UNIQUE:
-        if list(result.solution) != a2:
-            raise WuMismatch(
-                "unique Wu solution differs from the adjunction parities"
-            )
-        return WU_CONFIRMED_UNIQUE
-    for i in range(len(ids)):
-        if sum(q2[i][j] * a2[j] for j in range(len(ids))) % 2 != rhs2[i]:
-            raise WuMismatch(
-                "adjunction parities do not satisfy the Wu system"
-            )
-    return WU_CONFIRMED_CONSISTENT
 
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:

@@ -12,9 +12,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .cover import SIGN_MINUS, SIGN_PLUS
 from .errors import InternalInvariantError, MalformedDecomposition, UserInputError
@@ -86,17 +84,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TBCALC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise UserInputError(f"TBCALC_THREADS must be an integer, got {raw!r}") from exc
-    return max(count, 1)
-
-
 def cmd_table(args) -> int:
     m_lo, m_hi = _parse_range(args.m_range)
     n_lo, n_hi = _parse_range(args.n_range)
@@ -116,12 +103,7 @@ def cmd_table(args) -> int:
                 result.value.denominator,
                 "true" if result.is_integer else "false")
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, pairs))
-    else:
-        rows = [row(pair) for pair in pairs]
+    rows = [row(pair) for pair in pairs]
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)

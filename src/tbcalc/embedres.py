@@ -7,10 +7,13 @@ state (a, b) descends by repeated subtraction, and each blow-up creates one
 exceptional curve whose multiplicity is min(a, b) plus the multiplicities
 of the exceptional curves through the center.
 
-The simulation's center tracking is double-checked by hard post-conditions
+The simulation's center tracking is pinned down by hard post-conditions
 (vertex count, terminal and rupture multiplicities, the balance law at
-every vertex, and an independent linear solve of all multiplicities), so a
-bookkeeping bug cannot produce a quietly wrong graph.
+every vertex) and one exact certificate: det Q(Gamma_f) = (-1)^t, with t
+the sum of the Euclid quotients, as for every embedded resolution of a
+plane branch (unimodular, negative definite of rank t). A nonzero det makes
+the balance law uniquely solvable, so the simulated multiplicities are its
+only solution, and a bookkeeping bug cannot produce a quietly wrong graph.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import DecoratedGraph, solve_intersection_system
+from .graph import DecoratedGraph, _tree_det, solve_intersection_system
 
 ARROW_MULT = 1
 
@@ -175,11 +178,10 @@ def _check_gamma_f(g: DecoratedGraph, trace: BlowupTrace, data: EuclidData) -> N
             f"terminal multiplicities {terminal_mults} != {{m, n}}"
         )
     check_mini(g)
-    solved = multiplicities(g)
-    simulated = {v: g.vertices[v].mult for v in g.vertex_ids()}
-    if solved != simulated:
+    det = _tree_det(g)
+    if det != (-1) ** data.t:
         raise StructureMismatch(
-            "simulated multiplicities disagree with the linear solve"
+            f"det Q(Gamma_f({m},{n})) = {det}, expected (-1)^{data.t}"
         )
 
 

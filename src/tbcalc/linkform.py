@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import MalformedDecomposition, NonPositiveM
+from .errors import InternalInvariantError, MalformedDecomposition, NonPositiveM
 from .numeric import format_rational, parse_rational
 
 KIND_TWO_SIDED_NONORIENTABLE = "two_sided_nonorientable"
@@ -260,5 +260,6 @@ def linking_form_from_decomposition(d: Decomposition) -> LinkingMatrix:
 
     for i in range(size):
         for j in range(size):
-            assert entries[i][j] == entries[j][i], "linking form must be symmetric"
+            if entries[i][j] != entries[j][i]:
+                raise InternalInvariantError("linking form must be symmetric")
     return LinkingMatrix(entries=tuple(tuple(row) for row in entries))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import SingularMatrix, ZeroDenominator
+from .errors import InternalInvariantError, SingularMatrix, ZeroDenominator
 
 Rational = Fraction
 
@@ -99,7 +99,8 @@ def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fract
     solution = [b[r] / a[r][r] for r in range(size)]
     for r in range(size):
         total = sum(Fraction(matrix[r][c]) * solution[c] for c in range(size))
-        assert total == Fraction(rhs[r]), "solver self-check failed"
+        if total != Fraction(rhs[r]):
+            raise InternalInvariantError(f"solver self-check failed in row {r}")
     return solution
 
 

@@ -33,8 +33,8 @@ from .cover import (
     has_conj_adjacent_pair,
     mark_real_structure,
 )
-from .errors import InconsistentAnnotation
-from .graph import arm_is_imaginary, arm_weight, arms, n_prime
+from .errors import InconsistentAnnotation, ZeroDenominator
+from .graph import arm_is_imaginary, arm_weight, arms
 
 EVAL_MINIMAL = "minimal"
 EVAL_LIFT = "lift"
@@ -96,12 +96,11 @@ def _assemble(
     contrib: dict[int, Fraction] = {}
     weights: dict[int, tuple[Fraction, ...]] = {}
     for e in sorted(wr):
-        contrib[e] = n_prime(g, e)
-        weights[e] = tuple(
-            arm_weight(g, e, arm)
-            for arm in arms(g, e)
-            if arm_is_imaginary(g, arm)
-        )
+        weights[e] = tuple(arm_weight(g, e, arm) for arm in arms(g, e)
+                           if arm_is_imaginary(g, arm))
+        if 0 in weights[e]:
+            raise ZeroDenominator(f"an imaginary arm of vertex {e} has weight zero")
+        contrib[e] = Fraction(g.vertices[e].self_int) - sum(1 / w for w in weights[e])
     value = Fraction(n_real - 1) + sum(contrib.values(), Fraction(0))
     return TbResult(
         value=value, n_real=n_real, wr=frozenset(wr),

@@ -75,6 +75,14 @@ class TestCanonicalCoefficients:
         assert cd.a == {ids[0]: 0, ids[1]: 0}
         assert cd.w == frozenset()
 
+    def test_wu_status_follows_determinant_parity(self):
+        # A2 has det 3: the Wu solution is unique. A single (-2) vertex has
+        # det -2: x = 0 and x = 1 both solve -2x = -2 mod 2.
+        g, _ids = make_chain([-2, -2])
+        assert canonical_coefficients(g).wu_status == WU_CONFIRMED_UNIQUE
+        g, _ids = make_chain([-2])
+        assert canonical_coefficients(g).wu_status == WU_CONFIRMED_CONSISTENT
+
 
 class TestRestrictToReal:
     def test_minus_keeps_all_of_w(self):

@@ -9,6 +9,7 @@ from tbcalc import (
     multiplicities,
     separate_odd_odd,
 )
+from tbcalc import embedres
 from tbcalc.embedres import check_mini
 
 
@@ -122,6 +123,13 @@ class TestMultiplicities:
             solved = multiplicities(g)
             for v in g.vertex_ids():
                 assert solved[v] == g.vertices[v].mult
+
+
+class TestUnimodularityCertificate:
+    def test_wrong_determinant_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(embedres, "_tree_det", lambda g: 0)
+        with pytest.raises(StructureMismatch):
+            build_gamma_f(5, 8)
 
 
 class TestC1Coefficients:

@@ -21,6 +21,7 @@ from tbcalc import (
     n_prime,
     solve_intersection_system,
 )
+from tbcalc.graph import _tree_det
 from conftest import make_chain, make_star
 
 
@@ -199,6 +200,32 @@ class TestSolveIntersectionSystem:
                 total = sum(
                     Fraction(rows[r][c]) * x[u] for c, u in enumerate(_ids))
                 assert total == rhs[v]
+
+
+class TestTreeDeterminant:
+    def test_empty_and_single_vertex(self):
+        assert _tree_det(DecoratedGraph()) == 1
+        for self_int in (-3, 0, 2):
+            g, _ids = make_chain([self_int])
+            assert _tree_det(g) == self_int
+
+    def test_matches_dense_determinant(self):
+        # Self-intersections in -4..2 give singular and indefinite forms
+        # as well as definite ones; some graphs are forests.
+        rng = random.Random(20261017)
+        seen_zero = False
+        for _ in range(300):
+            size = rng.randrange(1, 10)
+            g = DecoratedGraph()
+            ids = [g.add_vertex(rng.randrange(-4, 3)) for _ in range(size)]
+            for i in range(1, size):
+                if rng.random() < 0.9:
+                    g.add_edge(ids[rng.randrange(i)], ids[i])
+            _ids, rows = intersection_matrix(g)
+            det = _tree_det(g)
+            assert det == det_exact(rows)
+            seen_zero = seen_zero or det == 0
+        assert seen_zero
 
 
 class TestBlowDown:

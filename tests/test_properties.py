@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tbcalc import (
+    WU_CONFIRMED_UNIQUE,
     blow_down_minimize,
     build_cover,
     canonical_coefficients,
@@ -15,7 +16,9 @@ from tbcalc import (
     is_negative_definite,
     mark_real_structure,
     lift_double_cover,
+    solve_gf2,
 )
+from tbcalc.numeric import GF2_INCONSISTENT, GF2_UNIQUE
 
 
 def coprime_pairs(rng, count, m_max=12, n_max=40):
@@ -82,12 +85,25 @@ class TestIntersectionForms:
 
 class TestCharacteristicProperties:
     def test_wu_check_never_mismatches(self):
+        # Dense GF(2) elimination on the Wu system Q x = diag Q is the
+        # oracle: it must find a unique solution exactly when the status
+        # (from the parity of det Q) says so, and a mod 2 must solve it.
         rng = random.Random(62)
         for m, n in coprime_pairs(rng, 60):
             cover = build_cover(m, n)
             for cg in (cover.lift, cover.minimal):
                 cd = canonical_coefficients(cg)
-                assert cd.wu_status.startswith("confirmed"), (m, n)
+                ids, rows = intersection_matrix(cg.graph)
+                diag = [rows[i][i] for i in range(len(ids))]
+                a2 = tuple(cd.a[v] % 2 for v in ids)
+                result = solve_gf2(rows, diag)
+                assert result.status != GF2_INCONSISTENT, (m, n)
+                unique = result.status == GF2_UNIQUE
+                assert unique == (cd.wu_status == WU_CONFIRMED_UNIQUE), (m, n)
+                if unique:
+                    assert result.solution == a2, (m, n)
+                for i, row in enumerate(rows):
+                    assert sum(q * x for q, x in zip(row, a2)) % 2 == diag[i] % 2
 
     def test_w_is_conj_invariant_under_both_signs(self):
         rng = random.Random(63)

@@ -5,6 +5,7 @@ import pytest
 from tbcalc import (
     CoverGraph,
     InconsistentAnnotation,
+    ZeroDenominator,
     tb,
     tb_from_graph,
 )
@@ -141,3 +142,16 @@ class TestTbFromGraph:
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(InconsistentAnnotation):
             tb_from_graph(cg, wr=[])
+
+    def test_zero_imaginary_arm_weight_rejected(self):
+        # a real (-2) center with two conjugate imaginary (0)-arms: the
+        # arm weight 0 has no reciprocal in n'
+        g, center, ((left,), (right,)) = make_star(-2, [(0,), (0,)])
+        g.vertices[center].real = True
+        g.vertices[left].real = False
+        g.vertices[right].real = False
+        conj = {center: center, left: right, right: left}
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj=conj, sign=None)
+        with pytest.raises(ZeroDenominator):
+            tb_from_graph(cg, wr=[center])
