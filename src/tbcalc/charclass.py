@@ -28,7 +28,6 @@ from .graph import DecoratedGraph, _tree_det, solve_intersection_system
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
-WU_SKIPPED_SINGULAR = "skipped-singular"
 
 
 @dataclass(frozen=True)
@@ -41,18 +40,14 @@ class CharacteristicData:
     wu_status: str
 
 
-def _underlying_graph(cg) -> DecoratedGraph:
-    return cg.graph if hasattr(cg, "graph") else cg
-
-
 def canonical_coefficients(cg) -> CharacteristicData:
     """Solve the adjunction system and extract W.
 
-    Accepts a CoverGraph or a bare DecoratedGraph. When covering
-    provenance is available, W must be invariant under the deck
-    transformation (conjugation preserves the canonical class).
+    Accepts a CoverGraph or a bare DecoratedGraph. On a CoverGraph, W
+    must be invariant under the deck transformation (conjugation
+    preserves the canonical class).
     """
-    g = _underlying_graph(cg)
+    g, deck = (cg, None) if isinstance(cg, DecoratedGraph) else (cg.graph, cg.deck)
     rhs = {v: Fraction(g.vertices[v].self_int + 2) for v in g.vertex_ids()}
     solution = solve_intersection_system(g, rhs)
     a: dict[int, int] = {}
@@ -64,7 +59,6 @@ def canonical_coefficients(cg) -> CharacteristicData:
             )
         a[v] = int(value)
     w = frozenset(v for v, coeff in a.items() if coeff % 2 != 0)
-    deck = getattr(cg, "deck", None)
     if deck and {deck[v] for v in w} != w:
         raise StructureMismatch("W is not invariant under the deck transformation")
     wu_status = WU_CONFIRMED_UNIQUE if _tree_det(g) % 2 else WU_CONFIRMED_CONSISTENT
@@ -73,7 +67,7 @@ def canonical_coefficients(cg) -> CharacteristicData:
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
     """W_R: the members of W fixed by the real structure."""
-    g = _underlying_graph(cg)
+    g = cg if isinstance(cg, DecoratedGraph) else cg.graph
     for v in g.vertex_ids():
         if g.vertices[v].real is None:
             raise InconsistentAnnotation(
@@ -99,7 +93,7 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: DecoratedGraph) -> dic
     Returns a report dict: each check maps to {"checked": int,
     "violations": [...]}; a missing precondition marks the check skipped.
     """
-    g = _underlying_graph(cg)
+    g = cg.graph
     report: dict[str, dict] = {}
 
     odd_violations = []

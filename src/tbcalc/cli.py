@@ -19,7 +19,7 @@ from .errors import InternalInvariantError, MalformedDecomposition, UserInputErr
 from .linkform import Decomposition, linking_form_from_decomposition
 from .numeric import format_rational
 from .serialize import to_dot
-from .tb import TbResult, _evaluation, tb
+from .tb import TbResult, evaluation_graph, tb
 from .verify import SUITE_NAMES, verify_identities
 
 
@@ -52,7 +52,7 @@ def _tb_document(result: TbResult) -> dict:
 def cmd_compute(args) -> int:
     result = tb(args.m, args.n, args.sign)
     if args.dot:
-        marked, cd, _wr, _level = _evaluation(args.m, args.n, args.sign)
+        marked, cd, _level = evaluation_graph(args.m, args.n, args.sign)
         doc = to_dot(marked.graph, w=cd.w)
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(doc)
@@ -144,8 +144,9 @@ def cmd_linkform(args) -> int:
     decomposition = Decomposition.from_json(doc)
     matrix = linking_form_from_decomposition(decomposition)
     if args.json:
-        print(json.dumps({"size": matrix.size, "entries": matrix.as_strings()},
-                         indent=2))
+        print(json.dumps({"size": matrix.size,
+                          "pieces": [p.id for p in decomposition.pieces],
+                          "entries": matrix.as_strings()}, indent=2))
     else:
         rows = ",".join("[" + ",".join(row) + "]" for row in matrix.as_strings())
         print(f"[{rows}]")

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
+from .charclass import CharacteristicData, canonical_coefficients
 from .errors import (
     BadOddNeighborCount,
     OddSelfIntOnBranch,
@@ -72,6 +73,14 @@ class CoverGraph:
             downstairs=dict(self.downstairs), conj=dict(self.conj),
             sign=self.sign,
         )
+
+    @cached_property
+    def characteristic(self) -> CharacteristicData:
+        """The adjunction solution, solved on first use and kept. Marking a
+        real structure changes none of what it reads (self-intersections,
+        edges, deck), so both signs share it; like build_cover's results,
+        the graph must then be treated as immutable. copy() drops it."""
+        return canonical_coefficients(self)
 
     def lifts_of(self, down_id: int) -> tuple[int, ...]:
         return tuple(sorted(v for v, d in self.downstairs.items() if d == down_id))
@@ -259,33 +268,30 @@ def label_arms(cg: CoverGraph, gp: DecoratedGraph, m: int, n: int) -> CoverGraph
     return out
 
 
-def minimize_and_label(
-    cg: CoverGraph, gp: DecoratedGraph, rng=None
-) -> CoverGraph:
-    """Blow down to Gamma(m,n), carrying labels and provenance through.
+def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
+    """Blow the lift down to Gamma(m,n), carrying labels and provenance.
 
-    Arm labels are assigned on the lift (where the arm laws are provable)
-    and survive on the vertices that remain. The deck map must restrict to
-    the survivors; when e^0 itself gets contracted (small exponent pairs)
-    e0_lift becomes None.
+    cg must already carry label_arms' labels (the arm laws are provable on
+    the lift); they survive on the vertices that remain. The deck map must
+    restrict to the survivors; when e^0 itself gets contracted (small
+    exponent pairs) e0_lift becomes None.
     """
-    labeled = cg if _is_labeled(cg) else label_arms(cg, gp, cg.m, cg.n)
-    minimal_graph, removed = blow_down_minimize(labeled.graph, rng=rng)
+    minimal_graph, removed = blow_down_minimize(cg.graph, rng=rng)
     gone = set(removed)
     survivors = set(minimal_graph.vertices)
     deck = {}
     for v in survivors:
-        image = labeled.deck[v]
+        image = cg.deck[v]
         if image not in survivors:
             raise StructureMismatch(
                 "deck transformation does not restrict to the minimal graph"
             )
         deck[v] = image
     out = CoverGraph(
-        graph=minimal_graph, m=labeled.m, n=labeled.n,
-        e0_lift=labeled.e0_lift if labeled.e0_lift not in gone else None,
+        graph=minimal_graph, m=cg.m, n=cg.n,
+        e0_lift=cg.e0_lift if cg.e0_lift not in gone else None,
         deck=deck,
-        downstairs={v: labeled.downstairs[v] for v in survivors},
+        downstairs={v: cg.downstairs[v] for v in survivors},
     )
     if out.e0_lift is not None:
         e0_arms = arms(out.graph, out.e0_lift)
@@ -294,12 +300,6 @@ def minimize_and_label(
                 "minimized rupture vertex lost its 3-bamboo-arm shape"
             )
     return out
-
-
-def _is_labeled(cg: CoverGraph) -> bool:
-    return any(
-        data.arm_label is not None for data in cg.graph.vertices.values()
-    )
 
 
 def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
@@ -368,7 +368,7 @@ def build_cover(m: int, n: int) -> CoverData:
         gamma_f_prime.vertices[v].c1_coeff = b[v]
     raw = lift_double_cover(gamma_f_prime, trace.rupture, m, n)
     lift = label_arms(raw, gamma_f_prime, m, n)
-    minimal = minimize_and_label(lift, gamma_f_prime)
+    minimal = minimize_and_label(lift)
     return CoverData(
         m=m, n=n, euclid=euclid, gamma_f=gamma_f, trace_f=trace_f,
         gamma_f_prime=gamma_f_prime, trace=trace, lift=lift, minimal=minimal,

@@ -77,8 +77,3 @@ class BadOddNeighborCount(InternalInvariantError):
 class NotNumericallyGorenstein(InternalInvariantError):
     """The adjunction system has a non-integral solution; the canonical
     class of the resolved surface is not integral."""
-
-
-class WuMismatch(InternalInvariantError):
-    """The GF(2) Wu solution disagrees with the mod 2 reduction of the
-    canonical coefficients."""

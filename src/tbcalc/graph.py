@@ -400,6 +400,19 @@ def _tree_centers(g: DecoratedGraph) -> list[int]:
     return sorted(layer)
 
 
+def _bfs(g: DecoratedGraph, root: int) -> tuple[list[int], dict[int, Optional[int]]]:
+    """root's component in breadth-first order (reversed, children come
+    before their parents) and each vertex's parent, None at the root."""
+    parent: dict[int, Optional[int]] = {root: None}
+    order = [root]
+    for v in order:
+        for u in g._adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
 def canonical_form(g: DecoratedGraph, fields: Iterable[str] = _CANON_FIELDS):
     """A hashable canonical encoding of the decorated tree.
 
@@ -417,14 +430,23 @@ def canonical_form(g: DecoratedGraph, fields: Iterable[str] = _CANON_FIELDS):
         parts.append(("arrows", g.arrow_count(v)))
         return tuple(parts)
 
-    def encode(v: int, parent: Optional[int]):
-        subs = sorted(encode(u, v) for u in g.neighbors(v) if u != parent)
-        return (deco(v), tuple(subs))
+    # Equal subtrees are built once and shared, so comparing siblings stops
+    # at identical objects instead of descending through them.
+    shared: dict = {}
+
+    def encode(root: int):
+        order, parent = _bfs(g, root)
+        done: dict[int, tuple] = {}
+        for v in reversed(order):
+            subs = tuple(sorted(done.pop(u) for u in g.neighbors(v) if u != parent[v]))
+            key = (deco(v), tuple(map(id, subs)))
+            done[v] = shared.setdefault(key, (key[0], subs))
+        return done[root]
 
     ids = g.vertex_ids()
     if not ids:
         return ()
-    return min(encode(c, None) for c in _tree_centers(g))
+    return min(encode(c) for c in _tree_centers(g))
 
 
 def solve_intersection_system(
@@ -440,13 +462,7 @@ def solve_intersection_system(
     if not ids:
         return {}
     root = ids[0]
-    parent: dict[int, Optional[int]] = {root: None}
-    order = [root]
-    for v in order:
-        for u in g.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    order, parent = _bfs(g, root)
     if len(order) != len(ids):
         raise SingularMatrix("graph is not connected")
 
@@ -497,17 +513,12 @@ def _tree_det(g: DecoratedGraph) -> int:
     in each child c as A <- A*D_c - B*E_c, B <- B*D_c; no division occurs.
     """
     det = 1
-    parent: dict[int, int] = {}
+    seen: set[int] = set()
     for root in g.vertex_ids():
-        if root in parent:
+        if root in seen:
             continue
-        parent[root] = root
-        order = [root]
-        for v in order:
-            for u in g._adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
+        order, parent = _bfs(g, root)
+        seen.update(order)
         pair = {v: (g.vertices[v].self_int, 1) for v in order}
         for c in reversed(order[1:]):
             d_c, e_c = pair[c]

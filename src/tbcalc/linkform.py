@@ -221,6 +221,11 @@ class Decomposition:
                     )
                 circles_on[piece] += count
         for p in self.pieces:
+            if p.euler_char_closed_piece > 2:
+                raise MalformedDecomposition(f"piece {p.id}: no closed surface "
+                                             "has Euler characteristic above 2")
+            if len(set(p.boundary_ids)) != len(p.boundary_ids):
+                raise MalformedDecomposition(f"piece {p.id}: duplicate boundary ids")
             if p.boundary_ids and len(p.boundary_ids) != circles_on[p.id]:
                 raise MalformedDecomposition(
                     f"piece {p.id} lists {len(p.boundary_ids)} boundary circles "

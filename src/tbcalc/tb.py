@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from .charclass import canonical_coefficients, restrict_to_real
+from .charclass import CharacteristicData, canonical_coefficients, restrict_to_real
 from .cover import (
-    SIGN_MINUS,
     SIGN_PLUS,
     CoverGraph,
     build_cover,
@@ -66,21 +64,20 @@ class TbResult:
         return self.value.denominator == 1
 
 
-@lru_cache(maxsize=None)
-def _evaluation(m: int, n: int, sign: str):
-    """The marked graph, characteristic data, W_R and level for (m,n,sign).
-
-    Cached; the returned graph must be treated as immutable.
+def evaluation_graph(
+    m: int, n: int, sign: str
+) -> tuple[CoverGraph, CharacteristicData, str]:
+    """The marked graph tb(m, n, sign) is evaluated on, its characteristic
+    data (the unmarked graph's, shared by both signs) and its level:
+    "minimal", or "lift" for the plus fallback. Uncached.
     """
     cover = build_cover(m, n)
-    marked = mark_real_structure(cover.minimal, sign)
-    level = EVAL_MINIMAL
+    source, level = cover.minimal, EVAL_MINIMAL
+    marked = mark_real_structure(source, sign)
     if sign == SIGN_PLUS and has_conj_adjacent_pair(marked):
-        marked = mark_real_structure(cover.lift, sign)
-        level = EVAL_LIFT
-    cd = canonical_coefficients(marked)
-    wr = restrict_to_real(cd, marked)
-    return marked, cd, wr, level
+        source, level = cover.lift, EVAL_LIFT
+        marked = mark_real_structure(source, sign)
+    return marked, source.characteristic, level
 
 
 def _assemble(
@@ -111,10 +108,8 @@ def _assemble(
 
 def tb(m: int, n: int, sign: str) -> TbResult:
     """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus)."""
-    if sign not in (SIGN_PLUS, SIGN_MINUS):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    marked, _cd, wr, level = _evaluation(m, n, sign)
-    return _assemble(marked, wr, sign, m, n, level)
+    marked, cd, level = evaluation_graph(m, n, sign)
+    return _assemble(marked, restrict_to_real(cd, marked), sign, m, n, level)
 
 
 def _check_annotations(cg: CoverGraph) -> None:

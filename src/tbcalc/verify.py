@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charclass import canonical_coefficients, parity_checks
+from .charclass import parity_checks
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
 from .graph import DecoratedGraph, arms
 from .numeric import format_rational
@@ -209,8 +209,8 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("parity")
     for m, n in _pairs(m_max, n_max, result):
         cover = build_cover(m, n)
-        cd = canonical_coefficients(cover.lift)
-        report = parity_checks(cd, cover.lift, cover.gamma_f_prime)
+        report = parity_checks(cover.lift.characteristic, cover.lift,
+                               cover.gamma_f_prime)
         for check_name, data in report.items():
             result.checked += data["checked"]
             for item in data["violations"]:
@@ -304,7 +304,7 @@ def _run_structure(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                        "outside the (n)-arms",
                        m=m, n=n)
             continue
-        cd_new = canonical_coefficients(upper.minimal)
+        cd_new = upper.minimal.characteristic
         for (old_chain, _ov), (new_chain, new_vertices) in zip(
             fam_old["n_arm"], fam_new["n_arm"]
         ):

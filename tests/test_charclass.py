@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tbcalc import (
@@ -82,6 +84,26 @@ class TestCanonicalCoefficients:
         assert canonical_coefficients(g).wu_status == WU_CONFIRMED_UNIQUE
         g, _ids = make_chain([-2])
         assert canonical_coefficients(g).wu_status == WU_CONFIRMED_CONSISTENT
+
+
+class TestStoredCharacteristic:
+    def test_marking_leaves_the_solution_alone(self):
+        # The solve reads self-intersections, edges and deck; marking a
+        # real structure changes none of them.
+        for m in range(2, 10):
+            for n in range(2, 30):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                for cg in (cover.lift, cover.minimal):
+                    for sign in ("plus", "minus"):
+                        marked = mark_real_structure(cg, sign)
+                        assert canonical_coefficients(marked) == cg.characteristic
+
+    def test_solved_once_and_not_copied(self):
+        cg = build_cover(11, 6).minimal
+        assert cg.characteristic is cg.characteristic
+        assert "characteristic" not in vars(cg.copy())
 
 
 class TestRestrictToReal:

@@ -130,6 +130,7 @@ class TestLinkform:
         p = run_cli("linkform", "--decomposition", str(FIXTURE), "--json")
         doc = json.loads(p.stdout)
         assert doc["entries"] == [["3/2", "-5/2"], ["-5/2", "3/2"]]
+        assert doc["pieces"] == ["alpha", "beta"]
 
     def test_single_piece(self, tmp_path):
         doc = {

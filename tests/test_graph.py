@@ -13,6 +13,7 @@ from tbcalc import (
     arm_weight,
     arms,
     blow_down_minimize,
+    build_cover,
     canonical_form,
     det_exact,
     intersection_matrix,
@@ -300,3 +301,19 @@ class TestCanonicalForm:
         assert canonical_form(g1) != canonical_form(g2)
         assert (canonical_form(g1, fields=("self_int",))
                 == canonical_form(g2, fields=("self_int",)))
+
+    def test_deep_lift(self):
+        # Two 1250-vertex arms: deeper than the interpreter's recursion
+        # limit, and equal, so sorting them must not descend through them.
+        lift = build_cover(2, 2501).lift
+        deco, subs = canonical_form(lift.graph, fields=("self_int",))
+        assert deco == (("+", lift.graph.vertices[lift.e0_lift].self_int),
+                        ("arrows", 0))
+        lengths = []
+        for node in subs:
+            length = 0
+            while node:
+                length += 1
+                node = node[1][0] if node[1] else None
+            lengths.append(length)
+        assert lengths == [1250, 1250, 1]

@@ -147,6 +147,21 @@ class TestDecomposition:
         with pytest.raises(MalformedDecomposition):
             Decomposition.from_json(doc)
 
+    def test_rejects_euler_char_above_two(self):
+        doc = fixture_doc()
+        doc["pieces"][0]["euler_char_closed_piece"] = 2
+        Decomposition.from_json(doc)
+        doc["pieces"][0]["euler_char_closed_piece"] = 7
+        with pytest.raises(MalformedDecomposition, match="Euler characteristic above 2"):
+            Decomposition.from_json(doc)
+
+    def test_rejects_repeated_boundary_id(self):
+        # The count still matches the three circles on alpha.
+        doc = fixture_doc()
+        doc["pieces"][0]["boundary_ids"] = ["p1.alpha", "p1.alpha", "p4"]
+        with pytest.raises(MalformedDecomposition, match="duplicate boundary ids"):
+            Decomposition.from_json(doc)
+
     def test_rejects_duplicate_piece_ids(self):
         doc = fixture_doc()
         doc["pieces"][1]["id"] = "alpha"

@@ -6,9 +6,12 @@ from tbcalc import (
     CoverGraph,
     InconsistentAnnotation,
     ZeroDenominator,
+    build_cover,
+    evaluation_graph,
     tb,
     tb_from_graph,
 )
+from tbcalc import charclass
 from conftest import build_star12_graph, make_chain, make_star
 
 # Values frozen from independent evaluations of the construction: each
@@ -68,6 +71,36 @@ class TestTbValues:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             tb(3, 2, "either")
+
+
+class TestEvaluationGraph:
+    @pytest.mark.parametrize("m,n,solved", [(11, 6, ("minimal",)),
+                                            (3, 2, ("lift", "minimal"))])
+    def test_one_adjunction_solve_per_graph(self, monkeypatch, m, n, solved):
+        # Both signs, and repeated calls, share the solve of each graph
+        # they evaluate on; (3, 2) plus falls back to the lift.
+        sizes = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            sizes.append(len(g.vertices))
+            return inner(g, rhs)
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        build_cover.cache_clear()
+        for sign in ("plus", "minus", "minus"):
+            tb(m, n, sign)
+        cover = build_cover(m, n)
+        assert sizes == [len(getattr(cover, level).graph.vertices)
+                         for level in solved]
+
+    def test_marked_graph_and_shared_data(self):
+        cover = build_cover(3, 2)
+        for sign, level in (("plus", "lift"), ("minus", "minimal")):
+            marked, cd, got = evaluation_graph(3, 2, sign)
+            assert got == level == tb(3, 2, sign).level
+            assert marked.sign == sign
+            assert cd is getattr(cover, level).characteristic
 
 
 class TestTbFromGraph:
