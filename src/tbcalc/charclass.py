@@ -17,7 +17,6 @@ is therefore the parity of det Q, an O(V) computation on the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InconsistentAnnotation,
@@ -48,7 +47,7 @@ def canonical_coefficients(cg) -> CharacteristicData:
     preserves the canonical class).
     """
     g, deck = (cg, None) if isinstance(cg, DecoratedGraph) else (cg.graph, cg.deck)
-    rhs = {v: Fraction(g.vertices[v].self_int + 2) for v in g.vertex_ids()}
+    rhs = {v: data.self_int + 2 for v, data in g.vertices.items()}
     solution = solve_intersection_system(g, rhs)
     a: dict[int, int] = {}
     for v, value in solution.items():

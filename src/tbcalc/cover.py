@@ -38,7 +38,7 @@ from .embedres import (
     euclid_data,
     separate_odd_odd,
 )
-from .graph import Arm, DecoratedGraph, arms, blow_down_minimize
+from .graph import DecoratedGraph, arms, blow_down_minimize
 
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"

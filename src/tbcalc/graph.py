@@ -9,12 +9,15 @@ attachments, not vertices.
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, canonical forms for
 isomorphism checks, and O(V) exact routines on trees: a solver for
-intersection systems and the determinant of the intersection form.
+intersection systems and the determinant of the intersection form. These
+and the arm weights run one integer recurrence on subtree determinants
+and build a Fraction only for each final value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -26,7 +29,7 @@ from .errors import (
     SingularMatrix,
     ZeroDenominator,
 )
-from .numeric import cf_eval, solve_rational
+from .numeric import solve_rational
 
 
 @dataclass
@@ -114,7 +117,7 @@ class DecoratedGraph:
         return len(self._adj[v])
 
     def arrow_count(self, v: int) -> int:
-        return sum(1 for a in self.arrows if a == v)
+        return self.arrows.count(v)
 
     def vertex_ids(self) -> list[int]:
         return sorted(self.vertices)
@@ -131,8 +134,9 @@ class DecoratedGraph:
         clone = DecoratedGraph()
         clone._next_id = self._next_id
         clone.arrows = list(self.arrows)
-        for vid, data in self.vertices.items():
-            clone.vertices[vid] = replace(data)
+        for vid, d in self.vertices.items():
+            clone.vertices[vid] = VertexData(
+                d.self_int, d.genus, d.mult, d.c1_coeff, d.real, d.arm_label)
             clone._adj[vid] = set(self._adj[vid])
         return clone
 
@@ -190,52 +194,37 @@ def arms(g: DecoratedGraph, e: int) -> list[Arm]:
     if e not in g.vertices:
         raise ValueError(f"vertex {e} not in graph")
     out = []
-    for head in g.neighbors(e):
-        dist = {head: 0}
-        frontier = [head]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u != e and u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        ordered = tuple(sorted(dist, key=lambda v: (dist[v], v)))
-        bamboo = not any(is_rupture(g, v) for v in ordered)
+    for head in sorted(g._adj[e]):
+        order, parent = _bfs(g, head, e)
+        dist = {e: -1}
+        for v in order:
+            dist[v] = dist[parent[v]] + 1
+        ordered = tuple(sorted(sorted(order), key=dist.__getitem__))
+        bamboo = all(len(g._adj[v]) + g.arrows.count(v) < 3 for v in order)
         out.append(Arm(head=head, vertices=ordered, is_bamboo=bamboo))
     return out
 
 
-def _subtree_has_real(g: DecoratedGraph, start: int, banned: int) -> bool:
-    stack = [start]
-    seen = {banned, start}
-    while stack:
-        v = stack.pop()
-        if g.vertices[v].real is True:
-            return True
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return False
-
-
-def _branch_weight(g: DecoratedGraph, v: int, parent: int) -> Fraction:
-    """Recursive arm weight: fold every sub-branch into a corrected
-    self-intersection. Branches containing a vertex marked real are the
-    business of the anchor vertex, not of this arm, and are skipped."""
-    value = Fraction(g.vertices[v].self_int)
-    for u in g.neighbors(v):
-        if u == parent:
-            continue
-        if _subtree_has_real(g, u, v):
-            continue
-        w = _branch_weight(g, u, v)
-        if w == 0:
-            raise ZeroDenominator(f"arm weight through vertex {u} is zero")
-        value -= Fraction(1, 1) / w
-    return value
+def _branch_weight(
+    g: DecoratedGraph, order: list[int], parent: dict, skip_real: bool = False
+) -> Fraction:
+    """The weight of the branch at order[0], given in breadth-first order
+    with parents: D/E of _subtree_dets, on a bamboo the negative continued
+    fraction from the head. With skip_real, sub-branches holding a vertex
+    marked real are left out. Raises ZeroDenominator on a zero sub-branch."""
+    if skip_real:
+        real = {v: g.vertices[v].real is True for v in order}
+        for c in reversed(order[1:]):
+            real[parent[c]] |= real[c]
+        real[order[0]] = False
+        for v in order[1:]:
+            real[v] |= real[parent[v]]
+        order = [v for v in order if not real[v]]
+    det, rest = _subtree_dets(g, order, parent)
+    for c in order[1:]:
+        if det[c] == 0:
+            raise ZeroDenominator(f"arm weight through vertex {c} is zero")
+    return Fraction(det[order[0]], rest[order[0]])
 
 
 def arm_weight(g: DecoratedGraph, e: int, arm: Arm) -> Fraction:
@@ -243,13 +232,13 @@ def arm_weight(g: DecoratedGraph, e: int, arm: Arm) -> Fraction:
 
     On a bamboo this is the negative continued fraction of the raw
     self-intersections, nearest vertex first. On a branched arm the side
-    branches are folded in recursively through corrected self-intersections,
-    which is order-free and agrees with the continued fraction along any
-    path of the arm.
+    branches are folded in through corrected self-intersections, which is
+    order-free and agrees with the continued fraction along any path of
+    the arm. Side branches containing a vertex marked real are the
+    business of the anchor vertex, not of this arm, and are skipped.
     """
-    if arm.is_bamboo:
-        return cf_eval([g.vertices[v].self_int for v in arm.vertices])
-    return _branch_weight(g, arm.head, e)
+    order, parent = _bfs(g, arm.head, e)
+    return _branch_weight(g, order, parent, not arm.is_bamboo)
 
 
 def arm_is_imaginary(g: DecoratedGraph, arm: Arm) -> bool:
@@ -400,10 +389,13 @@ def _tree_centers(g: DecoratedGraph) -> list[int]:
     return sorted(layer)
 
 
-def _bfs(g: DecoratedGraph, root: int) -> tuple[list[int], dict[int, Optional[int]]]:
+def _bfs(
+    g: DecoratedGraph, root: int, anchor: Optional[int] = None
+) -> tuple[list[int], dict[int, Optional[int]]]:
     """root's component in breadth-first order (reversed, children come
-    before their parents) and each vertex's parent, None at the root."""
-    parent: dict[int, Optional[int]] = {root: None}
+    before their parents) and each vertex's parent, None at the root. A
+    given anchor stays out of the walk, as the root's parent."""
+    parent: dict = {anchor: None, root: anchor}
     order = [root]
     for v in order:
         for u in g._adj[v]:
@@ -454,64 +446,67 @@ def solve_intersection_system(
 ) -> dict[int, Fraction]:
     """Solve Q x = rhs exactly, where Q is the intersection form of g.
 
-    Uses O(V) elimination along the tree; falls back to dense Gaussian
-    elimination in the (never observed) case of a vanishing tree pivot.
-    Raises SingularMatrix when the form is singular.
+    Fraction-free O(V) elimination along the tree, on rhs (ints or
+    Fractions) scaled by the lcm L of its denominators. With D_v, E_v of
+    _subtree_dets, x_v = (N_v - E_v*x_parent) / D_v where, leaves to root,
+    N_v = E_v*L*rhs_v - sum over children c of N_c*(E_v/D_c), all integers.
+    Root to leaves the divisions stay in ints while they are exact,
+    Q x = L*rhs is re-multiplied as a self-check, and one Fraction is built
+    per value. Falls back to dense elimination when some D_v vanishes.
+    Raises SingularMatrix when the form is singular or g is disconnected.
     """
     ids = g.vertex_ids()
     if not ids:
         return {}
-    root = ids[0]
-    order, parent = _bfs(g, root)
+    order, parent = _bfs(g, ids[0])
     if len(order) != len(ids):
         raise SingularMatrix("graph is not connected")
-
-    alpha: dict[int, Fraction] = {}
-    beta: dict[int, Fraction] = {}
-    fallback = False
-    for v in reversed(order):
-        pivot = Fraction(g.vertices[v].self_int)
-        residual = Fraction(rhs.get(v, 0))
-        for u in g.neighbors(v):
-            if u == parent[v]:
-                continue
-            pivot += beta[u]
-            residual -= alpha[u]
-        if pivot == 0:
-            fallback = True
-            break
-        if parent[v] is None:
-            alpha[v] = residual / pivot
-            beta[v] = Fraction(0)
-        else:
-            alpha[v] = residual / pivot
-            beta[v] = Fraction(-1, 1) / pivot
-
-    if fallback:
+    det, rest = _subtree_dets(g, order, parent)
+    if 0 in det.values():
         matrix_ids, q = intersection_matrix(g)
         dense = solve_rational(q, [rhs.get(v, 0) for v in matrix_ids])
         return dict(zip(matrix_ids, dense))
 
-    x: dict[int, Fraction] = {root: alpha[root]}
-    for v in order[1:]:
-        x[v] = alpha[v] + beta[v] * x[parent[v]]
+    scale = math.lcm(*(r.denominator for r in rhs.values()))
+    target = {v: r.numerator * (scale // r.denominator) for v, r in rhs.items()}
+    num = {v: target.get(v, 0) * rest[v] for v in order}
+    for c in reversed(order[1:]):
+        num[parent[c]] -= num[c] * (rest[parent[c]] // det[c])
+    x: dict = {}
+    for v in order:
+        value = num[v] if parent[v] is None else num[v] - rest[v] * x[parent[v]]
+        x[v] = value // det[v] if value % det[v] == 0 else Fraction(value, det[v])
     for v in ids:
-        total = Fraction(g.vertices[v].self_int) * x[v]
-        total += sum(x[u] for u in g.neighbors(v))
-        if total != Fraction(rhs.get(v, 0)):
+        total = g.vertices[v].self_int * x[v]
+        for u in g._adj[v]:
+            total += x[u]
+        if total != target.get(v, 0):
             raise InternalInvariantError(
                 f"tree solver self-check failed at vertex {v}"
             )
-    return x
+    return {v: Fraction(x[v], scale) for v in order}
+
+
+def _subtree_dets(
+    g: DecoratedGraph, order: list[int], parent: dict
+) -> tuple[dict[int, int], dict[int, int]]:
+    """D_v = det Q(T_v) and E_v = det Q(T_v - v) for every subtree T_v of a
+    tree given in breadth-first order with parents, as in Eisenbud-Neumann.
+    A vertex starts from (D, E) = (n_v, 1) and folds in each child c as
+    D <- D*D_c - E*E_c, E <- E*D_c; no division occurs. D_v/E_v is the
+    weight n_v - sum E_c/D_c of the branch at v.
+    """
+    det = {v: g.vertices[v].self_int for v in order}
+    rest = dict.fromkeys(order, 1)
+    for c in reversed(order[1:]):
+        p = parent[c]
+        det[p], rest[p] = det[p] * det[c] - rest[p] * rest[c], rest[p] * det[c]
+    return det, rest
 
 
 def _tree_det(g: DecoratedGraph) -> int:
-    """det Q of a forest in O(V) integer steps, leaves to root.
-
-    Each subtree T_v carries (D_v, E_v) = (det Q(T_v), det Q(T_v - v)), as
-    in Eisenbud-Neumann. A vertex starts from (A, B) = (n_v, 1) and folds
-    in each child c as A <- A*D_c - B*E_c, B <- B*D_c; no division occurs.
-    """
+    """det Q of a forest in O(V) integer steps: the product of D at the
+    root of each tree (_subtree_dets)."""
     det = 1
     seen: set[int] = set()
     for root in g.vertex_ids():
@@ -519,10 +514,5 @@ def _tree_det(g: DecoratedGraph) -> int:
             continue
         order, parent = _bfs(g, root)
         seen.update(order)
-        pair = {v: (g.vertices[v].self_int, 1) for v in order}
-        for c in reversed(order[1:]):
-            d_c, e_c = pair[c]
-            a, b = pair[parent[c]]
-            pair[parent[c]] = (a * d_c - b * e_c, b * d_c)
-        det *= pair[root][0]
+        det *= _subtree_dets(g, order, parent)[0][root]
     return det

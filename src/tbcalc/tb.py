@@ -32,7 +32,8 @@ from .cover import (
     mark_real_structure,
 )
 from .errors import InconsistentAnnotation, ZeroDenominator
-from .graph import arm_is_imaginary, arm_weight, arms
+# arms stays bound here: the benchmark's tracer tests wrap tb.arms.
+from .graph import DecoratedGraph, _branch_weight, arms  # noqa: F401
 
 EVAL_MINIMAL = "minimal"
 EVAL_LIFT = "lift"
@@ -80,6 +81,38 @@ def evaluation_graph(
     return marked, source.characteristic, level
 
 
+def _imaginary_arm_weights(
+    g: DecoratedGraph, wr: frozenset[int]
+) -> dict[int, tuple[Fraction, ...]]:
+    """The weights of the fully imaginary arms of each e in W_R, by head id:
+    the connected sets of imaginary vertices whose one edge to a real vertex
+    goes to e. Each set is walked once; one that meets another real vertex
+    is no arm. Raises ZeroDenominator on a zero weight.
+    """
+    weights: dict[int, tuple[Fraction, ...]] = {}
+    parent: dict[int, int] = {}
+    for e in sorted(wr):
+        found = []
+        for head in sorted(g._adj[e]):
+            if g.vertices[head].real or head in parent:
+                continue
+            parent[head], order, closed = e, [head], True
+            for v in order:
+                for u in g._adj[v]:
+                    if g.vertices[u].real:
+                        closed = closed and u == parent[v]
+                    elif u != parent[v]:
+                        parent[u] = v
+                        order.append(u)
+            if closed:
+                found.append(_branch_weight(g, order, parent))
+                if found[-1] == 0:
+                    raise ZeroDenominator(
+                        f"an imaginary arm of vertex {e} has weight zero")
+        weights[e] = tuple(found)
+    return weights
+
+
 def _assemble(
     cg: CoverGraph,
     wr: frozenset[int],
@@ -89,15 +122,10 @@ def _assemble(
     level: str,
 ) -> TbResult:
     g = cg.graph
-    n_real = sum(1 for v in g.vertex_ids() if g.vertices[v].real)
-    contrib: dict[int, Fraction] = {}
-    weights: dict[int, tuple[Fraction, ...]] = {}
-    for e in sorted(wr):
-        weights[e] = tuple(arm_weight(g, e, arm) for arm in arms(g, e)
-                           if arm_is_imaginary(g, arm))
-        if 0 in weights[e]:
-            raise ZeroDenominator(f"an imaginary arm of vertex {e} has weight zero")
-        contrib[e] = Fraction(g.vertices[e].self_int) - sum(1 / w for w in weights[e])
+    n_real = sum(1 for data in g.vertices.values() if data.real)
+    weights = _imaginary_arm_weights(g, wr)
+    contrib = {e: Fraction(g.vertices[e].self_int) - sum(1 / w for w in arm_weights)
+               for e, arm_weights in weights.items()}
     value = Fraction(n_real - 1) + sum(contrib.values(), Fraction(0))
     return TbResult(
         value=value, n_real=n_real, wr=frozenset(wr),

@@ -8,6 +8,7 @@ from tbcalc import (
     InconsistentAnnotation,
     InvalidDocument,
     IsolatedMinusOne,
+    SingularMatrix,
     ZeroDenominator,
     arm_is_imaginary,
     arm_weight,
@@ -15,6 +16,7 @@ from tbcalc import (
     blow_down_minimize,
     build_cover,
     canonical_form,
+    cf_eval,
     det_exact,
     intersection_matrix,
     is_negative_definite,
@@ -22,6 +24,7 @@ from tbcalc import (
     n_prime,
     solve_intersection_system,
 )
+from tbcalc import graph, numeric
 from tbcalc.graph import _tree_det
 from conftest import make_chain, make_star
 
@@ -123,6 +126,17 @@ class TestArmWeight:
         assert not arm.is_bamboo
         assert arm_weight(g, anchor, arm) == Fraction(-2)
 
+    def test_deep_branched_arm(self):
+        # A 3000-vertex path from the head to a (-3) fork with two (-2)
+        # leaves: the fork folds to -2, so the arm weighs like a path of
+        # 3000 (-2)s. Needs no recursion.
+        g, ids = make_chain([-1] + [-2] * 2999 + [-3])
+        for _ in range(2):
+            g.add_edge(ids[-1], g.add_vertex(-2))
+        (arm,) = arms(g, ids[0])
+        assert not arm.is_bamboo
+        assert arm_weight(g, ids[0], arm) == cf_eval([-2] * 3000)
+
 
 class TestNPrime:
     def test_all_real_arms_contribute_nothing(self):
@@ -201,6 +215,50 @@ class TestSolveIntersectionSystem:
                 total = sum(
                     Fraction(rows[r][c]) * x[u] for c, u in enumerate(_ids))
                 assert total == rhs[v]
+
+    def test_indefinite_singular_and_fractional(self, monkeypatch):
+        # Self-intersections in -4..2 give indefinite and singular forms
+        # and vanishing subtree determinants; right-hand sides have
+        # non-unit denominators. Dense solve_rational is the oracle, and
+        # the solver's own fallback to it must run and agree.
+        fallbacks = []
+
+        def counting(matrix, rhs):
+            fallbacks.append(len(matrix))
+            return numeric.solve_rational(matrix, rhs)
+
+        monkeypatch.setattr(graph, "solve_rational", counting)
+        rng = random.Random(20261018)
+        singular = solved = 0
+        for _ in range(300):
+            size = rng.randrange(1, 9)
+            g = DecoratedGraph()
+            ids = [g.add_vertex(rng.randrange(-4, 3)) for _ in range(size)]
+            for i in range(1, size):
+                g.add_edge(ids[rng.randrange(i)], ids[i])
+            rhs = {v: Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                   for v in ids}
+            _ids, rows = intersection_matrix(g)
+            if det_exact(rows) == 0:
+                with pytest.raises(SingularMatrix):
+                    solve_intersection_system(g, rhs)
+                singular += 1
+                continue
+            x = solve_intersection_system(g, rhs)
+            dense = numeric.solve_rational(rows, [rhs[v] for v in _ids])
+            assert x == dict(zip(_ids, dense))
+            assert all(type(value) is Fraction for value in x.values())
+            solved += 1
+        assert singular and solved
+        # Each singular form reaches the fallback (its root has D = det Q
+        # = 0); at least one nonsingular form must reach it as well.
+        assert len(fallbacks) > singular
+
+    def test_disconnected_is_singular(self):
+        g, _ids = make_chain([-2])
+        g.add_vertex(-2)
+        with pytest.raises(SingularMatrix):
+            solve_intersection_system(g, {})
 
 
 class TestTreeDeterminant:

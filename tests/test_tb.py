@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -6,8 +7,12 @@ from tbcalc import (
     CoverGraph,
     InconsistentAnnotation,
     ZeroDenominator,
+    arm_is_imaginary,
+    arm_weight,
+    arms,
     build_cover,
     evaluation_graph,
+    n_prime,
     tb,
     tb_from_graph,
 )
@@ -103,6 +108,28 @@ class TestEvaluationGraph:
             assert cd is getattr(cover, level).characteristic
 
 
+class TestImaginaryArms:
+    def test_matches_per_vertex_arms(self):
+        # The one-pass arm walk against arms() + arm_is_imaginary() and
+        # n_prime() at each W_R vertex of every evaluation graph.
+        checked = 0
+        for m in range(2, 13):
+            for n in range(2, 81):
+                if gcd(m, n) != 1:
+                    continue
+                for sign in ("minus", "plus"):
+                    marked, _cd, _level = evaluation_graph(m, n, sign)
+                    g = marked.graph
+                    r = tb(m, n, sign)
+                    for e in r.wr:
+                        assert r.arm_weights[e] == tuple(
+                            arm_weight(g, e, a) for a in arms(g, e)
+                            if arm_is_imaginary(g, a))
+                        assert r.n_prime_contrib[e] == n_prime(g, e)
+                        checked += bool(r.arm_weights[e])
+        assert checked
+
+
 class TestTbFromGraph:
     def test_star12_minus(self, star12_minus):
         cg, _w = star12_minus
@@ -188,3 +215,40 @@ class TestTbFromGraph:
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(ZeroDenominator):
             tb_from_graph(cg, wr=[center])
+
+    def test_branched_imaginary_arms(self):
+        # Real (-2) center with a real (-3) arm and two conjugate imaginary
+        # arms, each a (-3) head with (-2) and (-3) leaves:
+        # weight -3 - (1/-2 + 1/-3) = -13/6, n' = -2 + 12/13 = -14/13,
+        # tb = N - 1 + n' = 1 - 14/13.
+        g, center, ((real_arm,), (left,), (right,)) = make_star(
+            -2, [(-3,), (-3,), (-3,)])
+        conj = {center: center, real_arm: real_arm, left: right, right: left}
+        for self_int in (-2, -3):
+            x, y = (g.add_vertex(self_int) for _ in range(2))
+            g.add_edge(left, x)
+            g.add_edge(right, y)
+            conj.update({x: y, y: x})
+        for v in g.vertex_ids():
+            g.vertices[v].real = conj[v] == v
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj=conj, sign=None)
+        r = tb_from_graph(cg, wr=[center])
+        assert r.arm_weights == {center: (Fraction(-13, 6), Fraction(-13, 6))}
+        assert r.n_prime_contrib[center] == Fraction(-14, 13) == n_prime(g, center)
+        assert r.value == Fraction(-1, 13)
+
+    def test_imaginary_set_between_real_vertices_is_no_arm(self):
+        # a - b - c with b imaginary between the real a and c, and an
+        # imaginary (-2) leaf d on a: only d is an arm (of a).
+        g, (a, b, c) = make_chain([-2, -3, -2])
+        d = g.add_vertex(-2)
+        g.add_edge(a, d)
+        for v in g.vertex_ids():
+            g.vertices[v].real = v in (a, c)
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj={}, sign=None)
+        r = tb_from_graph(cg, wr=[a, c])
+        assert r.arm_weights == {a: (Fraction(-2),), c: ()}
+        assert r.n_prime_contrib == {a: Fraction(-3, 2), c: Fraction(-2)}
+        assert r.value == Fraction(1) - Fraction(3, 2) - Fraction(2)
