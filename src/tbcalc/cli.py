@@ -136,11 +136,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_linkform(args) -> int:
-    try:
-        with open(args.decomposition, "r", encoding="utf-8") as handle:
+    with open(args.decomposition, "r", encoding="utf-8") as handle:
+        try:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise MalformedDecomposition(f"invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # JSON syntax, UTF-8 and integer digit-limit errors are ValueErrors.
+            raise MalformedDecomposition(f"invalid JSON: {exc}") from exc
     decomposition = Decomposition.from_json(doc)
     matrix = linking_form_from_decomposition(decomposition)
     if args.json:

@@ -3,7 +3,7 @@
 Lifts Gamma'_f (the odd-odd separated embedded resolution of the branch
 curve) through the double cover branched over the odd-multiplicity
 components, minimizes the result to Gamma(m,n), labels the arms of the
-rupture vertex, and marks the real structures conj_plus / conj_minus.
+rupture vertex, and gives the real loci of conj_plus / conj_minus.
 
 Lifting rules, per downstairs multiplicity:
   odd:   one curve upstairs, self-intersection halved;
@@ -32,10 +32,8 @@ from .errors import (
 from .embedres import (
     ARROW_MULT,
     BlowupTrace,
-    EuclidData,
     build_gamma_f,
     c1_coefficients,
-    euclid_data,
     separate_odd_odd,
 )
 from .graph import DecoratedGraph, arms, blow_down_minimize
@@ -76,10 +74,10 @@ class CoverGraph:
 
     @cached_property
     def characteristic(self) -> CharacteristicData:
-        """The adjunction solution, solved on first use and kept. Marking a
-        real structure changes none of what it reads (self-intersections,
-        edges, deck), so both signs share it; like build_cover's results,
-        the graph must then be treated as immutable. copy() drops it."""
+        """The adjunction solution, solved on first use and kept. A real
+        structure is a vertex set (real_locus), so both signs share it; like
+        build_cover's results, the graph must then be treated as immutable.
+        copy() drops it."""
         return canonical_coefficients(self)
 
     def lifts_of(self, down_id: int) -> tuple[int, ...]:
@@ -92,7 +90,6 @@ class CoverData:
 
     m: int
     n: int
-    euclid: EuclidData
     gamma_f: DecoratedGraph
     trace_f: BlowupTrace
     gamma_f_prime: DecoratedGraph
@@ -223,30 +220,34 @@ def _downstairs_component_labels(
 
 
 def label_arms(cg: CoverGraph, gp: DecoratedGraph, m: int, n: int) -> CoverGraph:
-    """Label the arms of e^0 on the lifted graph and assert the arm laws.
+    """Label the arms of e^0 on the fresh lift cg in place, assert the arm
+    laws, and return cg.
 
     There are gcd(m,2) arms over the (n)-arm component, gcd(n,2) over the
-    (m)-arm component, and e^0 has exactly 3 arms, each a bamboo.
+    (m)-arm component, and e^0 has exactly 3 arms, each a bamboo. With one
+    even exponent the deck-fixed curves (real_locus of conj_plus) must be
+    the rupture curve and the arm named after the even exponent.
     """
-    out = cg.copy()
-    e0 = out.e0_lift
+    e0 = cg.e0_lift
     if e0 is None:
         raise StructureMismatch("cannot label arms without the rupture lift")
-    rupture_down = out.downstairs[e0]
+    rupture_down = cg.downstairs[e0]
     family_of_down = _downstairs_component_labels(gp, rupture_down, m, n)
 
-    out.graph.vertices[e0].arm_label = RUPTURE_LABEL
+    cg.graph.vertices[e0].arm_label = RUPTURE_LABEL
     expected = {"n_arm": math.gcd(m, 2), "m_arm": math.gcd(n, 2)}
-    e0_arms = arms(out.graph, e0)
+    e0_arms = arms(cg.graph, e0)
     if len(e0_arms) != 3:
         raise StructureMismatch(
             f"e^0 has {len(e0_arms)} arms, expected 3"
         )
     counts = {"n_arm": 0, "m_arm": 0, None: 0}
+    named_real = {e0}
+    even_family = "m_arm" if m % 2 == 0 else "n_arm"
     for arm in e0_arms:
         if not arm.is_bamboo:
             raise StructureMismatch("an arm of e^0 is not a bamboo")
-        families = {family_of_down[out.downstairs[v]] for v in arm.vertices}
+        families = {family_of_down[cg.downstairs[v]] for v in arm.vertices}
         if len(families) != 1:
             raise StructureMismatch(
                 "one upstairs arm mixes downstairs arm components"
@@ -256,8 +257,10 @@ def label_arms(cg: CoverGraph, gp: DecoratedGraph, m: int, n: int) -> CoverGraph
         counts[family] += 1
         if family is None:
             continue
+        if family == even_family:
+            named_real.update(arm.vertices)
         for v in arm.vertices:
-            out.graph.vertices[v].arm_label = f"{family}({index})"
+            cg.graph.vertices[v].arm_label = f"{family}({index})"
     for family, want in expected.items():
         if counts[family] != want:
             raise StructureMismatch(
@@ -265,7 +268,11 @@ def label_arms(cg: CoverGraph, gp: DecoratedGraph, m: int, n: int) -> CoverGraph
             )
     if counts[None] != (1 if m % 2 == 1 and n % 2 == 1 else 0):
         raise StructureMismatch("unexpected branch-side arm count")
-    return out
+    if (m + n) % 2 and named_real != {v for v, w in cg.deck.items() if v == w}:
+        raise StructureMismatch(
+            "real locus by arm naming disagrees with the deck-fixed locus"
+        )
+    return cg
 
 
 def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
@@ -302,41 +309,31 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     return out
 
 
-def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
-    """Mark every curve real or imaginary for the chosen real structure.
+def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
+    """The curves fixed by the real structure of the given sign.
 
     conj_minus fixes every exceptional curve, as does either structure
-    when both exponents are odd. For conj_plus with one even exponent the
-    real locus upstairs is the rupture curve together with the arm named
-    after the even exponent; the remaining pair of arms is swapped. In
-    that case the real set must coincide with the deck-fixed vertices,
-    which is asserted.
+    when both exponents are odd. For conj_plus with one even exponent it is
+    the deck-fixed curves, which label_arms checks to be the rupture curve
+    and the arm named after the even exponent; the other two are swapped.
     """
     if sign not in (SIGN_PLUS, SIGN_MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    if sign == SIGN_MINUS or (cg.m % 2 == 1 and cg.n % 2 == 1):
+        return frozenset(cg.graph.vertices)
+    return frozenset(v for v, w in cg.deck.items() if v == w)
+
+
+def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
+    """A copy of cg marked with the real structure of the given sign: real
+    flags from real_locus, conj fixing the real curves and acting as the
+    deck transformation on the others."""
+    real = real_locus(cg, sign)
     out = cg.copy()
     out.sign = sign
-    both_odd = out.m % 2 == 1 and out.n % 2 == 1
-    if sign == SIGN_MINUS or both_odd:
-        out.conj = {v: v for v in out.graph.vertex_ids()}
-        for data in out.graph.vertices.values():
-            data.real = True
-        return out
-
-    even_family = "m_arm" if out.m % 2 == 0 else "n_arm"
-    real_set = set()
+    out.conj = {v: v if v in real else cg.deck[v] for v in out.graph.vertices}
     for v, data in out.graph.vertices.items():
-        label = data.arm_label or ""
-        if label == RUPTURE_LABEL or label.startswith(even_family):
-            real_set.add(v)
-    deck_fixed = {v for v in out.graph.vertex_ids() if out.deck[v] == v}
-    if real_set != deck_fixed:
-        raise StructureMismatch(
-            "real locus by arm naming disagrees with the deck-fixed locus"
-        )
-    out.conj = dict(out.deck)
-    for v, data in out.graph.vertices.items():
-        data.real = v in real_set
+        data.real = v in real
     return out
 
 
@@ -356,9 +353,9 @@ def build_cover(m: int, n: int) -> CoverData:
     """Run the full graph pipeline for x^m + y^n + z^2.
 
     The result is cached; callers must treat every contained graph as
-    immutable and copy before annotating.
+    immutable. tb reads the graphs without copying or marking them;
+    mark_real_structure returns a marked copy.
     """
-    euclid = euclid_data(m, n)
     gamma_f, trace_f = build_gamma_f(m, n)
     gamma_f_prime, trace = separate_odd_odd(gamma_f, trace_f)
     b = c1_coefficients(trace)
@@ -366,10 +363,10 @@ def build_cover(m: int, n: int) -> CoverData:
         gamma_f.vertices[v].c1_coeff = b[v]
     for v in gamma_f_prime.vertex_ids():
         gamma_f_prime.vertices[v].c1_coeff = b[v]
-    raw = lift_double_cover(gamma_f_prime, trace.rupture, m, n)
-    lift = label_arms(raw, gamma_f_prime, m, n)
+    lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n),
+                      gamma_f_prime, m, n)
     minimal = minimize_and_label(lift)
     return CoverData(
-        m=m, n=n, euclid=euclid, gamma_f=gamma_f, trace_f=trace_f,
+        m=m, n=n, gamma_f=gamma_f, trace_f=trace_f,
         gamma_f_prime=gamma_f_prime, trace=trace, lift=lift, minimal=minimal,
     )

@@ -35,8 +35,8 @@ class EuclidData:
 
     big and small are the exponents after normalization (big > small);
     swapped records whether the caller's (m, n) arrived in the other order.
-    quotients and remainders are stored in division order: the first
-    quotient divides big by small, the last divides by 1 exactly.
+    quotients are stored in division order: the first divides big by small,
+    the last divides by 1 exactly.
     """
 
     m: int
@@ -45,7 +45,6 @@ class EuclidData:
     small: int
     swapped: bool
     quotients: tuple[int, ...]
-    remainders: tuple[int, ...]
 
     @property
     def t(self) -> int:
@@ -55,18 +54,11 @@ class EuclidData:
 
 @dataclass(frozen=True)
 class BlowupStep:
-    """One blow-up: the curve it creates, the exceptional curves through
-    its center, and the local multiplicity of the strict transform there.
-
-    kind is "cascade" for the resolution sequence of the branch,
-    "separation" for an odd-odd edge blow-up and "arrow_separation" for a
-    blow-up at a branch-curve intersection point.
-    """
+    """One blow-up: the curve it creates and the exceptional curves through
+    its center."""
 
     vertex: int
     parents: tuple[int, ...]
-    strict_mult: int
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -94,17 +86,13 @@ def euclid_data(m: int, n: int) -> EuclidData:
         )
     big, small, swapped = (m, n, False) if m > n else (n, m, True)
     quotients = []
-    remainders = []
     a, b = big, small
     while b > 0:
         quotients.append(a // b)
-        r = a % b
-        if r > 0:
-            remainders.append(r)
-        a, b = b, r
+        a, b = b, a % b
     return EuclidData(
         m=m, n=n, big=big, small=small, swapped=swapped,
-        quotients=tuple(quotients), remainders=tuple(remainders),
+        quotients=tuple(quotients),
     )
 
 
@@ -126,16 +114,14 @@ def build_gamma_f(m: int, n: int) -> tuple[DecoratedGraph, BlowupTrace]:
     y_curve: Optional[int] = None
     while True:
         parents = tuple(v for v in (x_curve, y_curve) if v is not None)
-        strict = min(a, b)
-        mult = strict + sum(g.vertices[p].mult for p in parents)
+        mult = min(a, b) + sum(g.vertices[p].mult for p in parents)
         e = g.add_vertex(-1, mult=mult)
         for p in parents:
             g.add_edge(e, p)
             g.vertices[p].self_int -= 1
         if len(parents) == 2 and g.has_edge(parents[0], parents[1]):
             g.remove_edge(parents[0], parents[1])
-        steps.append(BlowupStep(vertex=e, parents=parents,
-                                strict_mult=strict, kind="cascade"))
+        steps.append(BlowupStep(vertex=e, parents=parents))
         if (a, b) == (1, 1):
             g.arrows.append(e)
             rupture = e
@@ -272,8 +258,7 @@ def separate_odd_odd(
             out.add_edge(v, w)
             out.vertices[u].self_int -= 1
             out.vertices[v].self_int -= 1
-            steps.append(BlowupStep(vertex=w, parents=(u, v),
-                                    strict_mult=0, kind="separation"))
+            steps.append(BlowupStep(vertex=w, parents=(u, v)))
         for u in hosts:
             w = out.add_vertex(-1, mult=out.vertices[u].mult + ARROW_MULT)
             out.add_edge(u, w)
@@ -282,9 +267,7 @@ def separate_odd_odd(
             out.arrows.append(w)
             if arrow_vertex == u:
                 arrow_vertex = w
-            steps.append(BlowupStep(vertex=w, parents=(u,),
-                                    strict_mult=ARROW_MULT,
-                                    kind="arrow_separation"))
+            steps.append(BlowupStep(vertex=w, parents=(u,)))
     check_mini(out)
     new_trace = BlowupTrace(m=trace.m, n=trace.n, steps=tuple(steps),
                             rupture=trace.rupture, arrow_vertex=arrow_vertex)

@@ -14,7 +14,6 @@ matrices bilinearly over the pieces the circles lie on.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -111,6 +110,13 @@ class ContractedPoint:
         return sum(count for _piece, count in self.incidences)
 
 
+def _integer(value) -> int:
+    """A JSON integer; floats, bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Decomposition:
     pieces: tuple[Piece, ...]
@@ -126,12 +132,14 @@ class Decomposition:
             raw_points = doc["contracted_points"]
         except (KeyError, TypeError) as exc:
             raise MalformedDecomposition(f"missing key: {exc}") from exc
+        if not isinstance(raw_pieces, list) or not isinstance(raw_points, list):
+            raise MalformedDecomposition("pieces and contracted_points must be lists")
         pieces = []
         for item in raw_pieces:
             try:
                 pieces.append(Piece(
                     id=str(item["id"]),
-                    euler_char_closed_piece=int(item["euler_char_closed_piece"]),
+                    euler_char_closed_piece=_integer(item["euler_char_closed_piece"]),
                     boundary_ids=tuple(str(b) for b in item.get("boundary_ids", ())),
                 ))
             except (KeyError, TypeError, ValueError) as exc:
@@ -142,8 +150,8 @@ class Decomposition:
                 raw_m = item["m_value"]
                 if isinstance(raw_m, str):
                     m_value = parse_rational(raw_m)
-                elif isinstance(raw_m, numbers.Integral):
-                    m_value = Fraction(int(raw_m))
+                elif isinstance(raw_m, int) and not isinstance(raw_m, bool):
+                    m_value = Fraction(raw_m)
                 else:
                     raise ValueError(
                         f"m_value must be an integer or a 'p/q' string, got {raw_m!r}"
@@ -153,7 +161,7 @@ class Decomposition:
                     m_value=m_value,
                     kind=str(item["kind"]),
                     incidences=tuple(
-                        (str(piece), int(count))
+                        (str(piece), _integer(count))
                         for piece, count in item["incidences"]
                     ),
                 ))

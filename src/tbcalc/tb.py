@@ -1,6 +1,6 @@
 """Thurston-Bennequin invariants of the real links of x^m + y^n +/- z^2.
 
-The invariant is evaluated on the marked resolution graph as
+The invariant is evaluated on a resolution graph and its real locus as
 
     tb = N - 1 + sum over e in W_R of n'_e
 
@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .charclass import CharacteristicData, canonical_coefficients, restrict_to_real
+from .charclass import CharacteristicData, canonical_coefficients
 from .cover import (
-    SIGN_PLUS,
     CoverGraph,
     build_cover,
     has_conj_adjacent_pair,
     mark_real_structure,
+    real_locus,
 )
 from .errors import InconsistentAnnotation, ZeroDenominator
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
@@ -65,41 +65,50 @@ class TbResult:
         return self.value.denominator == 1
 
 
+def _evaluation_source(
+    m: int, n: int, sign: str
+) -> tuple[CoverGraph, frozenset[int], str]:
+    """The cached graph tb(m, n, sign) reads, unmarked, its real locus and
+    its level: "minimal", or "lift" when the plus structure has imaginary
+    curves and some curve of Gamma(m,n) meets its conjugate."""
+    cover = build_cover(m, n)
+    source, level = cover.minimal, EVAL_MINIMAL
+    real = real_locus(source, sign)
+    if len(real) < len(source.graph.vertices) and has_conj_adjacent_pair(source):
+        source, level = cover.lift, EVAL_LIFT
+        real = real_locus(source, sign)
+    return source, real, level
+
+
 def evaluation_graph(
     m: int, n: int, sign: str
 ) -> tuple[CoverGraph, CharacteristicData, str]:
-    """The marked graph tb(m, n, sign) is evaluated on, its characteristic
-    data (the unmarked graph's, shared by both signs) and its level:
-    "minimal", or "lift" for the plus fallback. Uncached.
-    """
-    cover = build_cover(m, n)
-    source, level = cover.minimal, EVAL_MINIMAL
-    marked = mark_real_structure(source, sign)
-    if sign == SIGN_PLUS and has_conj_adjacent_pair(marked):
-        source, level = cover.lift, EVAL_LIFT
-        marked = mark_real_structure(source, sign)
-    return marked, source.characteristic, level
+    """A marked copy of the graph tb(m, n, sign) is evaluated on, its
+    characteristic data (the unmarked graph's, shared by both signs) and
+    its level: "minimal", or "lift" for the plus fallback."""
+    source, _real, level = _evaluation_source(m, n, sign)
+    return mark_real_structure(source, sign), source.characteristic, level
 
 
 def _imaginary_arm_weights(
-    g: DecoratedGraph, wr: frozenset[int]
+    g: DecoratedGraph, real: frozenset[int], wr: frozenset[int]
 ) -> dict[int, tuple[Fraction, ...]]:
     """The weights of the fully imaginary arms of each e in W_R, by head id:
-    the connected sets of imaginary vertices whose one edge to a real vertex
-    goes to e. Each set is walked once; one that meets another real vertex
-    is no arm. Raises ZeroDenominator on a zero weight.
+    the connected sets of vertices outside real whose one edge to a real
+    vertex goes to e. Each set is walked once; one that meets another real
+    vertex is no arm. Raises ZeroDenominator on a zero weight.
     """
     weights: dict[int, tuple[Fraction, ...]] = {}
     parent: dict[int, int] = {}
     for e in sorted(wr):
         found = []
         for head in sorted(g._adj[e]):
-            if g.vertices[head].real or head in parent:
+            if head in real or head in parent:
                 continue
             parent[head], order, closed = e, [head], True
             for v in order:
                 for u in g._adj[v]:
-                    if g.vertices[u].real:
+                    if u in real:
                         closed = closed and u == parent[v]
                     elif u != parent[v]:
                         parent[u] = v
@@ -114,21 +123,20 @@ def _imaginary_arm_weights(
 
 
 def _assemble(
-    cg: CoverGraph,
+    g: DecoratedGraph,
+    real: frozenset[int],
     wr: frozenset[int],
     sign: Optional[str],
     m: Optional[int],
     n: Optional[int],
     level: str,
 ) -> TbResult:
-    g = cg.graph
-    n_real = sum(1 for data in g.vertices.values() if data.real)
-    weights = _imaginary_arm_weights(g, wr)
+    weights = _imaginary_arm_weights(g, real, wr)
     contrib = {e: Fraction(g.vertices[e].self_int) - sum(1 / w for w in arm_weights)
                for e, arm_weights in weights.items()}
-    value = Fraction(n_real - 1) + sum(contrib.values(), Fraction(0))
+    value = Fraction(len(real) - 1) + sum(contrib.values(), Fraction(0))
     return TbResult(
-        value=value, n_real=n_real, wr=frozenset(wr),
+        value=value, n_real=len(real), wr=wr,
         n_prime_contrib=contrib, arm_weights=weights,
         sign=sign, m=m, n=n, level=level,
     )
@@ -136,8 +144,9 @@ def _assemble(
 
 def tb(m: int, n: int, sign: str) -> TbResult:
     """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus)."""
-    marked, cd, level = evaluation_graph(m, n, sign)
-    return _assemble(marked, restrict_to_real(cd, marked), sign, m, n, level)
+    source, real, level = _evaluation_source(m, n, sign)
+    wr = source.characteristic.w & real
+    return _assemble(source.graph, real, wr, sign, m, n, level)
 
 
 def _check_annotations(cg: CoverGraph) -> None:
@@ -175,16 +184,16 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     omitted it is computed from the adjunction system of the given graph.
     """
     _check_annotations(cg)
+    real = frozenset(v for v, data in cg.graph.vertices.items() if data.real)
     if wr is None:
-        cd = canonical_coefficients(cg)
-        wr = restrict_to_real(cd, cg)
+        wr = canonical_coefficients(cg).w & real
     else:
         wr = frozenset(wr)
         for v in wr:
             if v not in cg.graph.vertices:
                 raise InconsistentAnnotation(f"wr contains unknown vertex {v}")
-            if not cg.graph.vertices[v].real:
+            if v not in real:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus"
                 )
-    return _assemble(cg, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)
+    return _assemble(cg.graph, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)

@@ -5,8 +5,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "y-x5y4.json"
+
+
+# Documents that once ended in a traceback: each must exit 1 with one
+# error line. Each entry maps the fixture document to the file's contents.
+MALFORMED_LINKFORM = {
+    "pieces_not_a_list": lambda doc: json.dumps({**doc, "pieces": 5}),
+    "points_not_a_list": lambda doc: json.dumps({**doc, "contracted_points": 7}),
+    "huge_float_euler_char": lambda doc: json.dumps(doc).replace(
+        '"euler_char_closed_piece": -2', '"euler_char_closed_piece": 1e400', 1),
+    "huge_float_count": lambda doc: json.dumps(doc).replace(
+        '[["alpha", 1]]', '[["alpha", 1e400]]', 1),
+    "deep_nesting": lambda doc: "[" * 200000,
+    "not_utf8": lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
+}
 
 
 def run_cli(*args):
@@ -162,3 +178,17 @@ class TestLinkform:
     def test_missing_file_exits_one(self):
         p = run_cli("linkform", "--decomposition", "no/such/file.json")
         assert p.returncode == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_LINKFORM))
+    def test_malformed_document_exits_one(self, tmp_path, name):
+        doc = MALFORMED_LINKFORM[name](json.loads(FIXTURE.read_text()))
+        path = tmp_path / f"{name}.json"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc)
+        p = run_cli("linkform", "--decomposition", str(path))
+        assert p.returncode == 1
+        assert "Traceback" not in p.stderr
+        assert len(p.stderr.splitlines()) == 1
+        assert p.stderr.startswith("tbcalc: error: ")

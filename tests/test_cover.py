@@ -9,6 +9,7 @@ from tbcalc import (
     build_gamma_f,
     canonical_form,
     has_conj_adjacent_pair,
+    label_arms,
     lift_double_cover,
     mark_real_structure,
     separate_odd_odd,
@@ -189,6 +190,39 @@ class TestRealStructure:
         mark_real_structure(cover.minimal, "plus")
         mark_real_structure(cover.minimal, "minus")
         assert canonical_form(cover.minimal.graph) == before
+
+
+class TestArmNamingCheck:
+    @staticmethod
+    def fresh_lift(m, n):
+        cover = build_cover(m, n)
+        down = cover.gamma_f_prime
+        return lift_double_cover(down, cover.trace.rupture, m, n), down
+
+    @pytest.mark.parametrize("m,n", [(11, 6), (6, 5), (3, 2)])
+    def test_labels_the_fresh_lift_in_place(self, m, n):
+        raw, down = self.fresh_lift(m, n)
+        assert label_arms(raw, down, m, n) is raw
+        assert canonical_form(raw.graph) == canonical_form(build_cover(m, n).lift.graph)
+
+    @pytest.mark.parametrize("m,n", [(11, 6), (6, 5), (3, 2)])
+    def test_deck_disagreeing_with_arm_names_is_rejected(self, m, n):
+        # One even exponent: the deck-fixed curves must be the rupture
+        # curve and the arm named after the even exponent.
+        for tamper in ("identity", "move_rupture"):
+            raw, down = self.fresh_lift(m, n)
+            if tamper == "identity":
+                raw.deck = {v: v for v in raw.deck}
+            else:
+                other = next(v for v in raw.deck if v != raw.e0_lift)
+                raw.deck[raw.e0_lift] = other
+            with pytest.raises(StructureMismatch, match="deck-fixed"):
+                label_arms(raw, down, m, n)
+
+    def test_both_odd_has_no_naming_check(self):
+        raw, down = self.fresh_lift(3, 5)
+        raw.deck = {v: v for v in raw.deck}
+        label_arms(raw, down, 3, 5)
 
 
 class TestConjAdjacentFallback:

@@ -180,6 +180,22 @@ class TestDecomposition:
         with pytest.raises(MalformedDecomposition):
             Decomposition.from_json(doc)
 
+    @pytest.mark.parametrize("where,value", [
+        ("euler_char", 2.9), ("euler_char", -2.0), ("euler_char", True),
+        ("euler_char", "-2"), ("count", True), ("count", 1.0), ("m_value", True),
+    ])
+    def test_rejects_non_integer_numbers(self, where, value):
+        # JSON integers only: no float truncation, no bool as 0 or 1.
+        doc = fixture_doc()
+        if where == "euler_char":
+            doc["pieces"][0]["euler_char_closed_piece"] = value
+        elif where == "count":
+            doc["contracted_points"][3]["incidences"] = [["alpha", value]]
+        else:
+            doc["contracted_points"][3]["m_value"] = value
+        with pytest.raises(MalformedDecomposition):
+            Decomposition.from_json(doc)
+
     def test_accepts_rational_string_m(self):
         doc = fixture_doc()
         doc["contracted_points"][0]["m_value"] = "5/2"

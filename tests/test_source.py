@@ -1,11 +1,14 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import tbcalc
 
 SOURCES = sorted(Path(tbcalc.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def test_no_assert_statements():
@@ -39,3 +42,23 @@ def test_imports_are_used():
             dead += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name not in used and name not in exported]
     assert dead == []
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # The benchmark's tracer rebinds these names; a stage the pipeline
+    # stops calling must stay bound, or the benchmark cannot install.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{home}.{attr}" for home, attr in tracer.WRAPPED
+               if not callable(getattr(importlib.import_module(f"tbcalc.{home}"),
+                                       attr, None))]
+    for home, cls_name, attr in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"tbcalc.{home}"), cls_name, None)
+        if attr not in vars(cls or object):
+            missing.append(f"{home}.{cls_name}.{attr}")
+    assert missing == []
+    arms = importlib.import_module("tbcalc.graph").arms
+    for home in ("cover", "tb", "verify"):
+        assert importlib.import_module(f"tbcalc.{home}").arms is arms
+    assert tbcalc.arms is arms

@@ -5,6 +5,7 @@ import pytest
 
 from tbcalc import (
     CoverGraph,
+    DecoratedGraph,
     InconsistentAnnotation,
     ZeroDenominator,
     arm_is_imaginary,
@@ -98,6 +99,35 @@ class TestEvaluationGraph:
         cover = build_cover(m, n)
         assert sizes == [len(getattr(cover, level).graph.vertices)
                          for level in solved]
+
+    def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
+        # A cold build_cover copies twice (odd-odd separation, blow-down);
+        # tb then neither copies nor marks the cached graphs, on the
+        # minimal graph or the lift fallback of (3, 2).
+        copies = []
+        inner = DecoratedGraph.copy
+
+        def counting(g):
+            copies.append(len(g.vertices))
+            return inner(g)
+
+        monkeypatch.setattr(DecoratedGraph, "copy", counting)
+        build_cover.cache_clear()
+        pairs = [(11, 6), (5, 8), (3, 2)]
+        for m, n in pairs:
+            copies.clear()
+            build_cover(m, n)
+            assert len(copies) == 2
+        copies.clear()
+        for m, n in pairs:
+            for sign in ("plus", "minus"):
+                tb(m, n, sign)
+        assert copies == []
+        assert tb(3, 2, "plus").level == "lift"
+        for m, n in pairs:
+            for cg in (build_cover(m, n).lift, build_cover(m, n).minimal):
+                assert all(d.real is None for d in cg.graph.vertices.values())
+                assert cg.conj == {} and cg.sign is None
 
     def test_marked_graph_and_shared_data(self):
         cover = build_cover(3, 2)
