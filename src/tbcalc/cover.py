@@ -29,13 +29,7 @@ from .errors import (
     OddSelfIntOnBranch,
     StructureMismatch,
 )
-from .embedres import (
-    ARROW_MULT,
-    BlowupTrace,
-    build_gamma_f,
-    c1_coefficients,
-    separate_odd_odd,
-)
+from .embedres import ARROW_MULT, build_gamma_f, c1_coefficients, separate_odd_odd
 from .graph import DecoratedGraph, arms, blow_down_minimize
 
 SIGN_PLUS = "plus"
@@ -86,14 +80,19 @@ class CoverGraph:
 
 @dataclass(frozen=True)
 class CoverData:
-    """Everything the pipeline produced for one exponent pair."""
+    """What later calls read of the pipeline for one exponent pair.
+
+    rupture is the id of e_0 on gamma_f and gamma_f_prime. A stage that
+    changes nothing hands on its input: gamma_f_prime is gamma_f when
+    there is nothing to separate, and minimal is lift when nothing blows
+    down.
+    """
 
     m: int
     n: int
     gamma_f: DecoratedGraph
-    trace_f: BlowupTrace
     gamma_f_prime: DecoratedGraph
-    trace: BlowupTrace
+    rupture: int
     lift: CoverGraph
     minimal: CoverGraph
 
@@ -104,19 +103,12 @@ def _odd_incidence_count(gp: DecoratedGraph, v: int) -> int:
     return count
 
 
-def lift_double_cover(
-    gp: DecoratedGraph,
-    rupture: int,
-    m: int,
-    n: int,
-    gauge_flips: frozenset = frozenset(),
-) -> CoverGraph:
+def lift_double_cover(gp: DecoratedGraph, rupture: int, m: int, n: int) -> CoverGraph:
     """Lift the separated graph through the branched double cover.
 
-    gauge_flips may contain downstairs edges (as sorted id pairs) whose
-    copy-to-copy lifting should use the opposite deck labeling; every
-    computed invariant is independent of this choice, which the tests
-    exercise by recomputation under flips.
+    Over a downstairs edge between two doubled curves the lifts are joined
+    copy to copy; the crossed choice gives an isomorphic graph, so every
+    computed invariant is independent of it.
     """
     up = DecoratedGraph()
     lifts: dict[int, tuple[int, ...]] = {}
@@ -173,12 +165,8 @@ def lift_double_cover(
                 )
             up.add_edge(lu[0], lv[0])
         elif len(lu) == 2 and len(lv) == 2:
-            if (min(u, v), max(u, v)) in gauge_flips:
-                up.add_edge(lu[0], lv[1])
-                up.add_edge(lu[1], lv[0])
-            else:
-                up.add_edge(lu[0], lv[0])
-                up.add_edge(lu[1], lv[1])
+            up.add_edge(lu[0], lv[0])
+            up.add_edge(lu[1], lv[1])
         else:
             single = lu[0] if len(lu) == 1 else lv[0]
             for w in (lv if len(lu) == 1 else lu):
@@ -281,9 +269,12 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     cg must already carry label_arms' labels (the arm laws are provable on
     the lift); they survive on the vertices that remain. The deck map must
     restrict to the survivors; when e^0 itself gets contracted (small
-    exponent pairs) e0_lift becomes None.
+    exponent pairs) e0_lift becomes None. When nothing blows down, cg
+    itself is returned.
     """
     minimal_graph, removed = blow_down_minimize(cg.graph, rng=rng)
+    if not removed:
+        return cg
     gone = set(removed)
     survivors = set(minimal_graph.vertices)
     deck = {}
@@ -354,19 +345,19 @@ def build_cover(m: int, n: int) -> CoverData:
 
     The result is cached; callers must treat every contained graph as
     immutable. tb reads the graphs without copying or marking them;
-    mark_real_structure returns a marked copy.
+    mark_real_structure returns a marked copy. The blow-up traces are
+    dropped once the c1 coefficients are read off.
     """
     gamma_f, trace_f = build_gamma_f(m, n)
     gamma_f_prime, trace = separate_odd_odd(gamma_f, trace_f)
     b = c1_coefficients(trace)
-    for v in gamma_f.vertex_ids():
-        gamma_f.vertices[v].c1_coeff = b[v]
-    for v in gamma_f_prime.vertex_ids():
-        gamma_f_prime.vertices[v].c1_coeff = b[v]
+    for g in (gamma_f, gamma_f_prime):
+        for v in g.vertex_ids():
+            g.vertices[v].c1_coeff = b[v]
     lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n),
                       gamma_f_prime, m, n)
     minimal = minimize_and_label(lift)
     return CoverData(
-        m=m, n=n, gamma_f=gamma_f, trace_f=trace_f,
-        gamma_f_prime=gamma_f_prime, trace=trace, lift=lift, minimal=minimal,
+        m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime,
+        rupture=trace.rupture, lift=lift, minimal=minimal,
     )

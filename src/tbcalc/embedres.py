@@ -33,17 +33,12 @@ ARROW_MULT = 1
 class EuclidData:
     """The division chain of the exponent pair.
 
-    big and small are the exponents after normalization (big > small);
-    swapped records whether the caller's (m, n) arrived in the other order.
-    quotients are stored in division order: the first divides big by small,
-    the last divides by 1 exactly.
+    quotients are stored in division order: the first divides the larger
+    exponent by the smaller, the last divides by 1 exactly.
     """
 
     m: int
     n: int
-    big: int
-    small: int
-    swapped: bool
     quotients: tuple[int, ...]
 
     @property
@@ -69,7 +64,6 @@ class BlowupTrace:
     n: int
     steps: tuple[BlowupStep, ...]
     rupture: int
-    arrow_vertex: int
 
 
 def euclid_data(m: int, n: int) -> EuclidData:
@@ -84,16 +78,12 @@ def euclid_data(m: int, n: int) -> EuclidData:
             f"gcd(m,n) must be 1 for an isolated Brieskorn double point, "
             f"got gcd({m}, {n}) = {math.gcd(m, n)}"
         )
-    big, small, swapped = (m, n, False) if m > n else (n, m, True)
     quotients = []
-    a, b = big, small
+    a, b = max(m, n), min(m, n)
     while b > 0:
         quotients.append(a // b)
         a, b = b, a % b
-    return EuclidData(
-        m=m, n=n, big=big, small=small, swapped=swapped,
-        quotients=tuple(quotients),
-    )
+    return EuclidData(m=m, n=n, quotients=tuple(quotients))
 
 
 def build_gamma_f(m: int, n: int) -> tuple[DecoratedGraph, BlowupTrace]:
@@ -133,8 +123,7 @@ def build_gamma_f(m: int, n: int) -> tuple[DecoratedGraph, BlowupTrace]:
             b -= a
             y_curve = e
 
-    trace = BlowupTrace(m=m, n=n, steps=tuple(steps), rupture=rupture,
-                        arrow_vertex=rupture)
+    trace = BlowupTrace(m=m, n=n, steps=tuple(steps), rupture=rupture)
     _check_gamma_f(g, trace, data)
     return g, trace
 
@@ -240,35 +229,33 @@ def separate_odd_odd(
     branch (arrow, multiplicity 1) the new curve has multiplicity m_u + 1
     and the arrow moves onto it. Either way both incident self-intersections
     drop by 1 and the inserted curve starts at -1. Inserted multiplicities
-    are even, so one sweep cannot create new odd-odd incidences; the loop
-    guards against that all the same.
+    are even, so one sweep leaves no odd-odd incidence; a post-condition
+    checks that. With nothing to separate, (g, trace) itself is returned.
     """
+    edges = _odd_odd_edges(g)
+    hosts = _odd_arrow_hosts(g)
+    if not edges and not hosts:
+        return g, trace
     out = g.copy()
     steps = list(trace.steps)
-    arrow_vertex = trace.arrow_vertex
-    while True:
-        edges = _odd_odd_edges(out)
-        hosts = _odd_arrow_hosts(out)
-        if not edges and not hosts:
-            break
-        for u, v in edges:
-            w = out.add_vertex(-1, mult=out.vertices[u].mult + out.vertices[v].mult)
-            out.remove_edge(u, v)
-            out.add_edge(u, w)
-            out.add_edge(v, w)
-            out.vertices[u].self_int -= 1
-            out.vertices[v].self_int -= 1
-            steps.append(BlowupStep(vertex=w, parents=(u, v)))
-        for u in hosts:
-            w = out.add_vertex(-1, mult=out.vertices[u].mult + ARROW_MULT)
-            out.add_edge(u, w)
-            out.vertices[u].self_int -= 1
-            out.arrows.remove(u)
-            out.arrows.append(w)
-            if arrow_vertex == u:
-                arrow_vertex = w
-            steps.append(BlowupStep(vertex=w, parents=(u,)))
+    for u, v in edges:
+        w = out.add_vertex(-1, mult=out.vertices[u].mult + out.vertices[v].mult)
+        out.remove_edge(u, v)
+        out.add_edge(u, w)
+        out.add_edge(v, w)
+        out.vertices[u].self_int -= 1
+        out.vertices[v].self_int -= 1
+        steps.append(BlowupStep(vertex=w, parents=(u, v)))
+    for u in hosts:
+        w = out.add_vertex(-1, mult=out.vertices[u].mult + ARROW_MULT)
+        out.add_edge(u, w)
+        out.vertices[u].self_int -= 1
+        out.arrows.remove(u)
+        out.arrows.append(w)
+        steps.append(BlowupStep(vertex=w, parents=(u,)))
+    if _odd_odd_edges(out) or _odd_arrow_hosts(out):
+        raise StructureMismatch("an odd-odd incidence survived separation")
     check_mini(out)
     new_trace = BlowupTrace(m=trace.m, n=trace.n, steps=tuple(steps),
-                            rupture=trace.rupture, arrow_vertex=arrow_vertex)
+                            rupture=trace.rupture)
     return out, new_trace

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     InconsistentAnnotation,
@@ -37,13 +37,10 @@ class VertexData:
     """Decorations of one exceptional curve.
 
     self_int is always present; the rest are filled in as the pipeline
-    learns them. genus is zero for every vertex in this package (all
-    exceptional curves are spheres) and is kept only so that the blow-down
-    rules can refuse to touch anything else.
+    learns them. Every curve is a rational (genus 0) curve.
     """
 
     self_int: int
-    genus: int = 0
     mult: Optional[int] = None
     c1_coeff: Optional[int] = None
     real: Optional[bool] = None
@@ -68,7 +65,6 @@ class DecoratedGraph:
         self_int: int,
         *,
         vid: Optional[int] = None,
-        genus: int = 0,
         mult: Optional[int] = None,
         c1_coeff: Optional[int] = None,
         real: Optional[bool] = None,
@@ -79,7 +75,7 @@ class DecoratedGraph:
         if vid in self.vertices:
             raise ValueError(f"vertex id {vid} already in use")
         self.vertices[vid] = VertexData(
-            self_int=self_int, genus=genus, mult=mult, c1_coeff=c1_coeff, real=real,
+            self_int=self_int, mult=mult, c1_coeff=c1_coeff, real=real,
             arm_label=arm_label,
         )
         self._adj[vid] = set()
@@ -136,7 +132,7 @@ class DecoratedGraph:
         clone.arrows = list(self.arrows)
         for vid, d in self.vertices.items():
             clone.vertices[vid] = VertexData(
-                d.self_int, d.genus, d.mult, d.c1_coeff, d.real, d.arm_label)
+                d.self_int, d.mult, d.c1_coeff, d.real, d.arm_label)
             clone._adj[vid] = set(self._adj[vid])
         return clone
 
@@ -164,9 +160,6 @@ class DecoratedGraph:
             raise InvalidDocument("graph is not a tree (wrong edge count)")
         if not self.is_connected():
             raise InvalidDocument("graph is not connected")
-        for data in self.vertices.values():
-            if data.genus != 0:
-                raise InvalidDocument("all vertices must have genus 0")
 
 
 @dataclass(frozen=True)
@@ -246,23 +239,16 @@ def arm_is_imaginary(g: DecoratedGraph, arm: Arm) -> bool:
     return all(g.vertices[v].real is False for v in arm.vertices)
 
 
-def n_prime(
-    g: DecoratedGraph,
-    e: int,
-    arm_filter: Optional[Callable[[Arm], bool]] = None,
-) -> Fraction:
+def n_prime(g: DecoratedGraph, e: int) -> Fraction:
     """The corrected self-intersection n'_e.
 
-    n'_e = n_e - sum of 1/n^sigma over the arms sigma accepted by
-    arm_filter. The default filter keeps exactly the fully imaginary arms,
-    so on a graph with no imaginary vertices n'_e equals the raw
+    n'_e = n_e - sum of 1/n^sigma over the fully imaginary arms sigma, so
+    on a graph with no imaginary vertices n'_e equals the raw
     self-intersection. Two conjugate imaginary arms contribute separately.
     """
-    if arm_filter is None:
-        arm_filter = lambda arm: arm_is_imaginary(g, arm)
     value = Fraction(g.vertices[e].self_int)
     for arm in arms(g, e):
-        if not arm_filter(arm):
+        if not arm_is_imaginary(g, arm):
             continue
         weight = arm_weight(g, e, arm)
         if weight == 0:
@@ -321,21 +307,23 @@ def blow_down_minimize(
     rng, when given, picks the contraction order at random; the result is
     the same decorated graph up to isomorphism regardless (tested
     separately). Returns the minimized graph and the removed vertex ids in
-    contraction order.
+    contraction order; g is left alone, and returned itself when nothing
+    is removable.
     """
-    out = g.copy()
+    out = g
     removed: list[int] = []
     while True:
         eligible = [
             v
             for v in out.vertex_ids()
             if out.vertices[v].self_int == -1
-            and out.vertices[v].genus == 0
             and out.arrow_count(v) == 0
             and out.degree(v) <= 2
         ]
         if not eligible:
             return out, removed
+        if out is g:
+            out = g.copy()
         v = eligible[rng.randrange(len(eligible))] if rng is not None else eligible[0]
         nbrs = out.neighbors(v)
         if out.vertices[v].real is False and any(
@@ -362,7 +350,7 @@ def blow_down_minimize(
         removed.append(v)
 
 
-_CANON_FIELDS = ("self_int", "genus", "mult", "c1_coeff", "real", "arm_label")
+_CANON_FIELDS = ("self_int", "mult", "c1_coeff", "real", "arm_label")
 
 
 def _tree_centers(g: DecoratedGraph) -> list[int]:

@@ -117,6 +117,20 @@ def _integer(value) -> int:
     return value
 
 
+def _string(value) -> str:
+    """A JSON string; numbers and other values are refused, not coerced."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _strings(value) -> tuple[str, ...]:
+    """A JSON list of strings; a bare string is not a list of names."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(_string(item) for item in value)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     pieces: tuple[Piece, ...]
@@ -138,9 +152,9 @@ class Decomposition:
         for item in raw_pieces:
             try:
                 pieces.append(Piece(
-                    id=str(item["id"]),
+                    id=_string(item["id"]),
                     euler_char_closed_piece=_integer(item["euler_char_closed_piece"]),
-                    boundary_ids=tuple(str(b) for b in item.get("boundary_ids", ())),
+                    boundary_ids=_strings(item.get("boundary_ids", [])),
                 ))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedDecomposition(f"bad piece entry: {exc}") from exc
@@ -157,11 +171,11 @@ class Decomposition:
                         f"m_value must be an integer or a 'p/q' string, got {raw_m!r}"
                     )
                 points.append(ContractedPoint(
-                    id=str(item["id"]),
+                    id=_string(item["id"]),
                     m_value=m_value,
                     kind=str(item["kind"]),
                     incidences=tuple(
-                        (str(piece), _integer(count))
+                        (_string(piece), _integer(count))
                         for piece, count in item["incidences"]
                     ),
                 ))

@@ -40,6 +40,11 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidDocument(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bools and floats are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_document(doc: dict) -> DecoratedGraph:
     """Decode and validate a graph document."""
     _require(isinstance(doc, dict), "graph document must be an object")
@@ -50,26 +55,25 @@ def graph_from_document(doc: dict) -> DecoratedGraph:
     g = DecoratedGraph()
     for entry in doc["vertices"]:
         _require(isinstance(entry, dict), "vertex entry must be an object")
-        _require(isinstance(entry.get("id"), int) and not isinstance(entry["id"], bool),
-                 "vertex id must be an integer")
-        _require(isinstance(entry.get("self_int"), int)
-                 and not isinstance(entry["self_int"], bool),
+        _require(_is_int(entry.get("id")), "vertex id must be an integer")
+        _require(_is_int(entry.get("self_int")),
                  f"vertex {entry.get('id')} needs an integer self_int")
         vid = entry["id"]
         _require(vid not in g.vertices, f"duplicate vertex id {vid}")
         mult = entry.get("mult")
-        _require(mult is None or isinstance(mult, int), "mult must be an integer")
+        _require(mult is None or _is_int(mult), "mult must be an integer")
         real = entry.get("real")
         _require(real is None or isinstance(real, bool), "real must be a boolean")
         arm = entry.get("arm")
         _require(arm is None or isinstance(arm, str), "arm must be a string")
         c1 = entry.get("c1")
-        _require(c1 is None or isinstance(c1, int), "c1 must be an integer")
+        _require(c1 is None or _is_int(c1), "c1 must be an integer")
         g.add_vertex(entry["self_int"], vid=vid, mult=mult, real=real,
                      arm_label=arm, c1_coeff=c1)
     for pair in doc["edges"]:
         _require(isinstance(pair, list) and len(pair) == 2, "edge must be [u, v]")
         u, v = pair
+        _require(_is_int(u) and _is_int(v), f"edge {pair} must join integer ids")
         _require(u in g.vertices and v in g.vertices,
                  f"edge {pair} references an unknown vertex")
         _require(u != v, "loops are not allowed")
@@ -78,6 +82,7 @@ def graph_from_document(doc: dict) -> DecoratedGraph:
     for item in doc["arrows"]:
         _require(isinstance(item, dict) and "vertex" in item,
                  "arrow must be an object with a 'vertex' key")
+        _require(_is_int(item["vertex"]), "arrow vertex must be an integer")
         _require(item["vertex"] in g.vertices,
                  f"arrow references unknown vertex {item['vertex']}")
         g.arrows.append(item["vertex"])

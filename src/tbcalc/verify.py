@@ -262,8 +262,8 @@ def _run_structure(m_max: int, n_max: int, k_max: int) -> SuiteResult:
         partner_n = n + (2 * m if m % 2 == 1 else m)
         base = build_cover(m, n)
         grown = build_cover(m, partner_n)
-        old = _gamma_f_sides(base.gamma_f, base.trace_f.rupture, m, n)
-        new = _gamma_f_sides(grown.gamma_f, grown.trace_f.rupture, m, partner_n)
+        old = _gamma_f_sides(base.gamma_f, base.rupture, m, n)
+        new = _gamma_f_sides(grown.gamma_f, grown.rupture, m, partner_n)
         old_selfs, _old_mults = old["m"]
         new_selfs, new_mults = new["m"]
         grew_by = 2 if m % 2 == 1 else 1

@@ -11,8 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "y-x5y4.json"
 
 
-# Documents that once ended in a traceback: each must exit 1 with one
-# error line. Each entry maps the fixture document to the file's contents.
+# Documents that once ended in a traceback or were accepted: each must
+# exit 1 with one error line. Each entry maps the fixture document to the
+# file's contents.
 MALFORMED_LINKFORM = {
     "pieces_not_a_list": lambda doc: json.dumps({**doc, "pieces": 5}),
     "points_not_a_list": lambda doc: json.dumps({**doc, "contracted_points": 7}),
@@ -22,6 +23,10 @@ MALFORMED_LINKFORM = {
         '[["alpha", 1]]', '[["alpha", 1e400]]', 1),
     "deep_nesting": lambda doc: "[" * 200000,
     "not_utf8": lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
+    "boundary_ids_a_string": lambda doc: json.dumps(doc).replace(
+        '["p1.alpha", "p2.alpha", "p4"]', '"xyz"', 1),
+    "numeric_point_id": lambda doc: json.dumps(doc).replace(
+        '"id": "p1"', '"id": 1', 1),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tbcalc import (
@@ -47,7 +49,7 @@ class TestLiftRules:
         # (11,6) rupture: mult 66, neighbors of odd mult 11 and the arrow
         cover = build_cover(11, 6)
         down = cover.gamma_f_prime
-        rupture = cover.trace.rupture
+        rupture = cover.rupture
         (lifted,) = cover.lift.lifts_of(rupture)
         assert (cover.lift.graph.vertices[lifted].self_int
                 == 2 * down.vertices[rupture].self_int)
@@ -55,7 +57,7 @@ class TestLiftRules:
     def test_even_mult_no_odd_neighbors_doubles_up(self):
         cover = build_cover(11, 6)
         down = cover.gamma_f_prime
-        rupture = cover.trace.rupture
+        rupture = cover.rupture
         for v in down.vertex_ids():
             if down.vertices[v].mult % 2 == 0 and v != rupture:
                 pair = cover.lift.lifts_of(v)
@@ -197,7 +199,7 @@ class TestArmNamingCheck:
     def fresh_lift(m, n):
         cover = build_cover(m, n)
         down = cover.gamma_f_prime
-        return lift_double_cover(down, cover.trace.rupture, m, n), down
+        return lift_double_cover(down, cover.rupture, m, n), down
 
     @pytest.mark.parametrize("m,n", [(11, 6), (6, 5), (3, 2)])
     def test_labels_the_fresh_lift_in_place(self, m, n):
@@ -262,3 +264,22 @@ class TestStructuralGuards:
         g.add_edge(a, b)
         with pytest.raises((StructureMismatch, BadOddNeighborCount)):
             lift_double_cover(g, a, 3, 5)
+
+
+class TestUnchangedStages:
+    def test_stage_hands_on_its_input_exactly_when_it_changes_nothing(self):
+        for m in range(2, 13):
+            for n in range(2, 41):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                g = cover.gamma_f
+                odd = {v for v, data in g.vertices.items() if data.mult % 2}
+                nothing_to_separate = (
+                    not any(u in odd and v in odd for u, v in g.edges())
+                    and not odd.intersection(g.arrows)
+                )
+                assert (cover.gamma_f_prime is g) == nothing_to_separate, (m, n)
+                blown_down = (len(cover.minimal.graph.vertices)
+                              < len(cover.lift.graph.vertices))
+                assert (cover.minimal is cover.lift) != blown_down, (m, n)

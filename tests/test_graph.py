@@ -164,12 +164,6 @@ class TestNPrime:
         g.vertices[arm_ids[1][0]].real = True
         assert n_prime(g, center) == Fraction(-5, 2)
 
-    def test_custom_arm_filter(self):
-        g, center, arm_ids = make_star(-2, [(-2,), (-3,)])
-        picked = n_prime(g, center,
-                         arm_filter=lambda arm: arm.head == arm_ids[1][0])
-        assert picked == Fraction(-2) - Fraction(1, -3)
-
 
 class TestIntersectionMatrix:
     def test_chain_matrix(self):

@@ -196,6 +196,28 @@ class TestDecomposition:
         with pytest.raises(MalformedDecomposition):
             Decomposition.from_json(doc)
 
+    @pytest.mark.parametrize("where,value", [
+        ("boundary_ids", "xyz"), ("boundary_ids", ["p1.alpha", "p2.alpha", 4]),
+        ("piece_id", 7), ("incidence_piece", 7), ("point_id", 1),
+    ])
+    def test_rejects_names_that_are_not_strings(self, where, value):
+        # Names are JSON strings, not str() of another value: 7 does not
+        # match "7", and a string is not a list of names.
+        doc = fixture_doc()
+        alpha = doc["pieces"][0]
+        if where == "boundary_ids":
+            alpha["boundary_ids"] = value
+        elif where == "point_id":
+            doc["contracted_points"][0]["id"] = value
+        else:
+            alpha["id"], name = ((value, str(value)) if where == "piece_id"
+                                 else (str(value), value))
+            for point in doc["contracted_points"]:
+                point["incidences"] = [[name if piece == "alpha" else piece, count]
+                                       for piece, count in point["incidences"]]
+        with pytest.raises(MalformedDecomposition):
+            Decomposition.from_json(doc)
+
     def test_accepts_rational_string_m(self):
         doc = fixture_doc()
         doc["contracted_points"][0]["m_value"] = "5/2"

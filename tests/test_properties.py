@@ -15,7 +15,6 @@ from tbcalc import (
     intersection_matrix,
     is_negative_definite,
     mark_real_structure,
-    lift_double_cover,
     solve_gf2,
 )
 from tbcalc.numeric import GF2_INCONSISTENT, GF2_UNIQUE
@@ -132,19 +131,28 @@ class TestCharacteristicProperties:
 
 class TestGaugeInvariance:
     def test_lift_independent_of_edge_gauge(self):
-        # flipping the identification over any downstairs edge yields an
-        # isomorphic cover graph
+        # crossing the copy-to-copy identification over a downstairs edge
+        # between two doubled curves yields an isomorphic cover graph
         rng = random.Random(65)
+        flips = 0
         for m, n in coprime_pairs(rng, 20):
             cover = build_cover(m, n)
-            gp = cover.gamma_f_prime
-            rupture = cover.trace.rupture
-            base = lift_double_cover(gp, rupture, m, n)
-            edges = gp.edges()
-            flip = frozenset({edges[rng.randrange(len(edges))]})
-            flipped = lift_double_cover(gp, rupture, m, n, gauge_flips=flip)
-            assert (canonical_form(base.graph, fields=("self_int",))
-                    == canonical_form(flipped.graph, fields=("self_int",))), (m, n)
+            lift = cover.lift
+            doubled = [(lift.lifts_of(u), lift.lifts_of(v))
+                       for u, v in cover.gamma_f_prime.edges()
+                       if len(lift.lifts_of(u)) == len(lift.lifts_of(v)) == 2]
+            if not doubled:
+                continue
+            (a0, a1), (b0, b1) = doubled[rng.randrange(len(doubled))]
+            flipped = lift.graph.copy()
+            flipped.remove_edge(a0, b0)
+            flipped.remove_edge(a1, b1)
+            flipped.add_edge(a0, b1)
+            flipped.add_edge(a1, b0)
+            flips += 1
+            assert (canonical_form(lift.graph, fields=("self_int",))
+                    == canonical_form(flipped, fields=("self_int",))), (m, n)
+        assert flips > 0
 
 
 class TestExponentSymmetry:

@@ -91,6 +91,25 @@ class TestDocuments:
         with pytest.raises(InvalidDocument):
             graph_from_document(doc)
 
+    @pytest.mark.parametrize("where,value", [
+        ("edge", [[0], 1]), ("edge", [True, 0]), ("edge", [0, 1.0]),
+        ("arrow", {}), ("arrow", True), ("mult", True), ("c1", False),
+    ])
+    def test_rejects_values_that_are_not_integers(self, where, value):
+        # An unhashable id is no TypeError, and a bool or float is not kept
+        # to be written back as true or 1.0.
+        doc = {"format_version": FORMAT_VERSION,
+               "vertices": [{"id": 0, "self_int": -2}, {"id": 1, "self_int": -2}],
+               "edges": [[0, 1]], "arrows": [], "meta": {}}
+        if where == "edge":
+            doc["edges"] = [value]
+        elif where == "arrow":
+            doc["arrows"] = [{"vertex": value}]
+        else:
+            doc["vertices"][0][where] = value
+        with pytest.raises(InvalidDocument):
+            graph_from_document(doc)
+
 
 class TestDot:
     def test_basic_texture(self):

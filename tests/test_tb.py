@@ -101,9 +101,11 @@ class TestEvaluationGraph:
                          for level in solved]
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
-        # A cold build_cover copies twice (odd-odd separation, blow-down);
-        # tb then neither copies nor marks the cached graphs, on the
-        # minimal graph or the lift fallback of (3, 2).
+        # A cold build_cover copies once per stage that changes its graph:
+        # odd-odd separation for (5, 8) and (3, 7), blow-down for (3, 2)
+        # and (3, 7), neither for (11, 6). tb then neither copies nor marks
+        # the cached graphs, on the minimal graph or the lift fallback of
+        # (3, 2).
         copies = []
         inner = DecoratedGraph.copy
 
@@ -113,11 +115,11 @@ class TestEvaluationGraph:
 
         monkeypatch.setattr(DecoratedGraph, "copy", counting)
         build_cover.cache_clear()
-        pairs = [(11, 6), (5, 8), (3, 2)]
-        for m, n in pairs:
+        pairs = {(11, 6): 0, (5, 8): 1, (3, 2): 1, (3, 7): 2}
+        for (m, n), expected in pairs.items():
             copies.clear()
             build_cover(m, n)
-            assert len(copies) == 2
+            assert len(copies) == expected, (m, n)
         copies.clear()
         for m, n in pairs:
             for sign in ("plus", "minus"):
