@@ -11,11 +11,13 @@ The adjunction solve is this stage's one exact certificate: the solver
 re-multiplies and raises unless Q a = n + 2 holds. Mod 2 this reads
 Q a = diag Q, so a mod 2 solves the Wu system over GF(2); that solution is
 unique, and then equals a mod 2, exactly when det Q is odd. The Wu status
-is therefore the parity of det Q, an O(V) computation on the tree.
+is therefore the parity of det Q, which the solve's own pass over the tree
+returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     NotNumericallyGorenstein,
     StructureMismatch,
 )
-from .graph import DecoratedGraph, _tree_det, solve_intersection_system
+from .graph import Graph, solve_intersection_system
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
@@ -31,10 +33,10 @@ WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
 
 @dataclass(frozen=True)
 class CharacteristicData:
-    """Integral c1 coefficients, the odd-coefficient set W, and the Wu
-    status (confirmed-unique exactly when det Q is odd)."""
+    """Integral c1 coefficients by vertex id, the odd-coefficient set W, and
+    the Wu status (confirmed-unique exactly when det Q is odd)."""
 
-    a: dict[int, int]
+    a: Mapping[int, int]
     w: frozenset[int]
     wu_status: str
 
@@ -42,31 +44,30 @@ class CharacteristicData:
 def canonical_coefficients(cg) -> CharacteristicData:
     """Solve the adjunction system and extract W.
 
-    Accepts a CoverGraph or a bare DecoratedGraph. On a CoverGraph, W
-    must be invariant under the deck transformation (conjugation
-    preserves the canonical class).
+    Accepts a CoverGraph or a bare graph, a builder being frozen first. On
+    a CoverGraph, W must be invariant under the deck transformation
+    (conjugation preserves the canonical class).
     """
-    g, deck = (cg, None) if isinstance(cg, DecoratedGraph) else (cg.graph, cg.deck)
-    rhs = {v: data.self_int + 2 for v, data in g.vertices.items()}
-    solution = solve_intersection_system(g, rhs)
-    a: dict[int, int] = {}
-    for v, value in solution.items():
+    g, deck = (cg, None) if isinstance(cg, Graph) else (cg.graph, cg.deck)
+    g = g.freeze()
+    a, det = solve_intersection_system(
+        g, {v: self_int + 2 for v, self_int in zip(g.ids, g.self_int)})
+    for v, value in a.items():
         if value.denominator != 1:
             raise NotNumericallyGorenstein(
                 f"c1 coefficient of vertex {v} is {value}; the graph is not "
                 "numerically Gorenstein"
             )
-        a[v] = int(value)
     w = frozenset(v for v, coeff in a.items() if coeff % 2 != 0)
     if deck and {deck[v] for v in w} != w:
         raise StructureMismatch("W is not invariant under the deck transformation")
-    wu_status = WU_CONFIRMED_UNIQUE if _tree_det(g) % 2 else WU_CONFIRMED_CONSISTENT
+    wu_status = WU_CONFIRMED_UNIQUE if det % 2 else WU_CONFIRMED_CONSISTENT
     return CharacteristicData(a=a, w=w, wu_status=wu_status)
 
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
     """W_R: the members of W fixed by the real structure."""
-    g = cg if isinstance(cg, DecoratedGraph) else cg.graph
+    g = cg if isinstance(cg, Graph) else cg.graph
     for v in g.vertex_ids():
         if g.vertices[v].real is None:
             raise InconsistentAnnotation(
@@ -76,7 +77,7 @@ def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
     return frozenset(v for v in cd.w if g.vertices[v].real)
 
 
-def parity_checks(cd: CharacteristicData, cg, downstairs: DecoratedGraph) -> dict:
+def parity_checks(cd: CharacteristicData, cg, downstairs: Graph) -> dict:
     """Membership laws for W on the pre-minimization lift.
 
     Checks, for each lifted vertex over a downstairs curve E_j with
@@ -94,15 +95,16 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: DecoratedGraph) -> dic
     """
     g = cg.graph
     report: dict[str, dict] = {}
+    below = dict(cg.downstairs.items())
+    curves = dict(downstairs.vertices.items())
 
     odd_violations = []
     odd_checked = 0
     even_violations = []
     even_checked = 0
     for v in g.vertex_ids():
-        down = cg.downstairs[v]
-        mult = downstairs.vertices[down].mult
-        b = downstairs.vertices[down].c1_coeff
+        down = below[v]
+        mult, b = curves[down].mult, curves[down].c1_coeff
         in_w = v in cd.w
         if mult % 2 == 1:
             odd_checked += 1

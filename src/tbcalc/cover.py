@@ -19,8 +19,10 @@ z = 0 locus, so the upstairs graph carries no arrows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Optional
 
 from .charclass import CharacteristicData, canonical_coefficients
@@ -30,14 +32,15 @@ from .errors import (
     StructureMismatch,
 )
 from .embedres import ARROW_MULT, build_gamma_f, c1_coefficients, separate_odd_odd
-from .graph import DecoratedGraph, arms, blow_down_minimize
+from .graph import DecoratedGraph, Graph, VertexMap, arms, blow_down_minimize
 
+_NO_CONJ: Mapping[int, int] = MappingProxyType({})
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"
 RUPTURE_LABEL = "rupture"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoverGraph:
     """An upstairs resolution graph with covering provenance.
 
@@ -47,18 +50,23 @@ class CoverGraph:
     chooses a sign, after which real vertices are exactly its fixed
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
+
+    The fields cannot be rebound. A stage builds a cover graph on a
+    DecoratedGraph with dict maps; freeze() turns it into the read-only
+    value build_cover caches, and copy() back into a builder.
     """
 
-    graph: DecoratedGraph
+    graph: Graph
     m: int
     n: int
     e0_lift: Optional[int]
-    deck: dict[int, int]
-    downstairs: dict[int, int]
-    conj: dict[int, int] = field(default_factory=dict)
+    deck: Mapping[int, int]
+    downstairs: Mapping[int, int]
+    conj: Mapping[int, int] = field(default_factory=dict)
     sign: Optional[str] = None
 
     def copy(self) -> "CoverGraph":
+        """A builder copy: a DecoratedGraph and dict maps, free to edit."""
         return CoverGraph(
             graph=self.graph.copy(), m=self.m, n=self.n,
             e0_lift=self.e0_lift, deck=dict(self.deck),
@@ -66,11 +74,22 @@ class CoverGraph:
             sign=self.sign,
         )
 
+    def freeze(self) -> "CoverGraph":
+        """The read-only form: the graph frozen and walked from e0_lift when
+        it survives, deck and downstairs as columns of it."""
+        g = self.graph.freeze(root=self.e0_lift)
+        return CoverGraph(
+            graph=g, m=self.m, n=self.n, e0_lift=self.e0_lift,
+            deck=VertexMap(g, (self.deck[v] for v in g.ids)),
+            downstairs=VertexMap(g, (self.downstairs[v] for v in g.ids)),
+            conj=MappingProxyType(dict(self.conj)) if self.conj else _NO_CONJ,
+            sign=self.sign,
+        )
+
     @cached_property
     def characteristic(self) -> CharacteristicData:
         """The adjunction solution, solved on first use and kept. A real
-        structure is a vertex set (real_locus), so both signs share it; like
-        build_cover's results, the graph must then be treated as immutable.
+        structure is a vertex set (real_locus), so both signs share it.
         copy() drops it."""
         return canonical_coefficients(self)
 
@@ -80,7 +99,8 @@ class CoverGraph:
 
 @dataclass(frozen=True)
 class CoverData:
-    """What later calls read of the pipeline for one exponent pair.
+    """What later calls read of the pipeline for one exponent pair, as
+    frozen values.
 
     rupture is the id of e_0 on gamma_f and gamma_f_prime. A stage that
     changes nothing hands on its input: gamma_f_prime is gamma_f when
@@ -90,20 +110,20 @@ class CoverData:
 
     m: int
     n: int
-    gamma_f: DecoratedGraph
-    gamma_f_prime: DecoratedGraph
+    gamma_f: Graph
+    gamma_f_prime: Graph
     rupture: int
     lift: CoverGraph
     minimal: CoverGraph
 
 
-def _odd_incidence_count(gp: DecoratedGraph, v: int) -> int:
+def _odd_incidence_count(gp: Graph, v: int) -> int:
     count = sum(1 for u in gp.neighbors(v) if gp.vertices[u].mult % 2 == 1)
     count += gp.arrow_count(v) * (ARROW_MULT % 2)
     return count
 
 
-def lift_double_cover(gp: DecoratedGraph, rupture: int, m: int, n: int) -> CoverGraph:
+def lift_double_cover(gp: Graph, rupture: int, m: int, n: int) -> CoverGraph:
     """Lift the separated graph through the branched double cover.
 
     Over a downstairs edge between two doubled curves the lifts are joined
@@ -181,7 +201,7 @@ def lift_double_cover(gp: DecoratedGraph, rupture: int, m: int, n: int) -> Cover
 
 
 def _downstairs_component_labels(
-    gp: DecoratedGraph, rupture: int, m: int, n: int
+    gp: Graph, rupture: int, m: int, n: int
 ) -> dict[int, Optional[str]]:
     """Map each non-rupture vertex of Gamma'_f to its arm family.
 
@@ -207,7 +227,7 @@ def _downstairs_component_labels(
     return labels
 
 
-def label_arms(cg: CoverGraph, gp: DecoratedGraph, m: int, n: int) -> CoverGraph:
+def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
     """Label the arms of e^0 on the fresh lift cg in place, assert the arm
     laws, and return cg.
 
@@ -316,16 +336,15 @@ def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
 
 
 def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
-    """A copy of cg marked with the real structure of the given sign: real
-    flags from real_locus, conj fixing the real curves and acting as the
-    deck transformation on the others."""
+    """A builder copy of cg marked with the real structure of the given
+    sign: real flags from real_locus, conj fixing the real curves and
+    acting as the deck transformation on the others."""
     real = real_locus(cg, sign)
     out = cg.copy()
-    out.sign = sign
-    out.conj = {v: v if v in real else cg.deck[v] for v in out.graph.vertices}
     for v, data in out.graph.vertices.items():
         data.real = v in real
-    return out
+    return replace(out, sign=sign, conj={v: v if v in real else out.deck[v]
+                                         for v in out.graph.vertices})
 
 
 def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
@@ -335,7 +354,7 @@ def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
     on the graph no longer matches the geometric count used by the weight
     bookkeeping, so callers evaluate on the unminimized lift instead.
     """
-    conj = cg.conj or cg.deck
+    conj = dict((cg.conj or cg.deck).items())
     return any(conj.get(u) == v for u, v in cg.graph.edges())
 
 
@@ -343,10 +362,11 @@ def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
 def build_cover(m: int, n: int) -> CoverData:
     """Run the full graph pipeline for x^m + y^n + z^2.
 
-    The result is cached; callers must treat every contained graph as
-    immutable. tb reads the graphs without copying or marking them;
-    mark_real_structure returns a marked copy. The blow-up traces are
-    dropped once the c1 coefficients are read off.
+    The stages build on DecoratedGraphs; each distinct stage result is then
+    frozen once, so the cached result holds only immutable values and
+    writing to a cached graph raises. tb reads them as they are;
+    mark_real_structure returns a marked builder copy. The blow-up traces
+    are dropped once the c1 coefficients are read off.
     """
     gamma_f, trace_f = build_gamma_f(m, n)
     gamma_f_prime, trace = separate_odd_odd(gamma_f, trace_f)
@@ -357,7 +377,10 @@ def build_cover(m: int, n: int) -> CoverData:
     lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n),
                       gamma_f_prime, m, n)
     minimal = minimize_and_label(lift)
+    frozen_f, frozen_lift = gamma_f.freeze(), lift.freeze()
     return CoverData(
-        m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime,
-        rupture=trace.rupture, lift=lift, minimal=minimal,
+        m=m, n=n, gamma_f=frozen_f,
+        gamma_f_prime=frozen_f if gamma_f_prime is gamma_f else gamma_f_prime.freeze(),
+        rupture=trace.rupture, lift=frozen_lift,
+        minimal=frozen_lift if minimal is lift else minimal.freeze(),
     )

@@ -24,9 +24,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import DecoratedGraph, _tree_det, solve_intersection_system
+from .graph import DecoratedGraph, Graph, _tree_det, solve_intersection_system
 
 ARROW_MULT = 1
+
+# The largest sum of Euclid quotients (the vertex count t of Gamma_f) that
+# euclid_data accepts. The graphs of a pair hold a few times t vertices;
+# at the limit they take seconds and a few hundred MB, and a larger pair
+# is refused before anything is built.
+MAX_QUOTIENT_SUM = 200_000
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,8 @@ class BlowupTrace:
 
 
 def euclid_data(m: int, n: int) -> EuclidData:
-    """Validate the exponents and compute their division chain."""
+    """Validate the exponents and compute their division chain, refusing
+    a chain whose quotients sum past MAX_QUOTIENT_SUM."""
     if not isinstance(m, int) or not isinstance(n, int) or m < 2 or n < 2:
         raise BadExponents(
             f"exponents must be integers >= 2, got ({m}, {n}); x^m+y^n+/-z^2 "
@@ -83,6 +90,12 @@ def euclid_data(m: int, n: int) -> EuclidData:
     while b > 0:
         quotients.append(a // b)
         a, b = b, a % b
+    if sum(quotients) > MAX_QUOTIENT_SUM:
+        raise BadExponents(
+            f"({m}, {n}) needs {sum(quotients)} curves in its resolution of "
+            f"x^m+y^n (the sum of its Euclid quotients); the limit is "
+            f"{MAX_QUOTIENT_SUM}"
+        )
     return EuclidData(m=m, n=n, quotients=tuple(quotients))
 
 
@@ -170,12 +183,12 @@ def check_mini(g: DecoratedGraph) -> None:
             raise StructureMismatch(f"balance law fails at vertex {v}: {total} != 0")
 
 
-def multiplicities(g: DecoratedGraph) -> dict[int, int]:
+def multiplicities(g: Graph) -> dict[int, int]:
     """Solve the balance law for all multiplicities, independently of the
     simulation. The system is the intersection form against minus the
     arrow counts; the solution must be integral."""
     rhs = {v: Fraction(-ARROW_MULT * g.arrow_count(v)) for v in g.vertex_ids()}
-    solution = solve_intersection_system(g, rhs)
+    solution, _det = solve_intersection_system(g, rhs)
     out = {}
     for v, value in solution.items():
         if value.denominator != 1:
@@ -207,7 +220,7 @@ def c1_coefficients(trace: BlowupTrace) -> dict[int, int]:
     return b
 
 
-def _odd_odd_edges(g: DecoratedGraph) -> list[tuple[int, int]]:
+def _odd_odd_edges(g: Graph) -> list[tuple[int, int]]:
     return [
         (u, v)
         for u, v in g.edges()
@@ -215,7 +228,7 @@ def _odd_odd_edges(g: DecoratedGraph) -> list[tuple[int, int]]:
     ]
 
 
-def _odd_arrow_hosts(g: DecoratedGraph) -> list[int]:
+def _odd_arrow_hosts(g: Graph) -> list[int]:
     return sorted(v for v in g.arrows if g.vertices[v].mult % 2 == 1)
 
 

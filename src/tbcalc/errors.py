@@ -54,6 +54,11 @@ class SingularMatrix(UserInputError):
     is not the resolution of a rational homology sphere singularity."""
 
 
+class NonIntegralCanonicalClass(UserInputError):
+    """A caller-supplied graph's adjunction system has no integral
+    solution: the graph is not numerically Gorenstein."""
+
+
 class NonIntegralMultiplicity(UserInputError):
     """The balance identity has no integer multiplicity solution; the
     input graph is not an embedded resolution graph."""
@@ -76,4 +81,5 @@ class BadOddNeighborCount(InternalInvariantError):
 
 class NotNumericallyGorenstein(InternalInvariantError):
     """The adjunction system has a non-integral solution; the canonical
-    class of the resolved surface is not integral."""
+    class of the resolved surface is not integral. tb_from_graph reports
+    this for a caller's graph as NonIntegralCanonicalClass."""

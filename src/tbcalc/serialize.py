@@ -5,12 +5,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvalidDocument
-from .graph import DecoratedGraph
+from .graph import DecoratedGraph, Graph
 
 FORMAT_VERSION = "1"
 
 
-def graph_to_document(g: DecoratedGraph, meta: Optional[dict] = None) -> dict:
+def graph_to_document(g: Graph, meta: Optional[dict] = None) -> dict:
     """Encode a graph as a JSON-ready document. Optional decorations are
     omitted when unset, so documents stay minimal and round-trip exactly."""
     vertices = []
@@ -90,7 +90,7 @@ def graph_from_document(doc: dict) -> DecoratedGraph:
     return g
 
 
-def to_dot(g: DecoratedGraph, w: frozenset = frozenset()) -> str:
+def to_dot(g: Graph, w: frozenset = frozenset()) -> str:
     """Render the graph in DOT.
 
     Vertex labels read "id:self_int[:mult][R|I]". Real vertices are drawn

@@ -19,7 +19,7 @@ curve and never needs the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -31,9 +31,14 @@ from .cover import (
     mark_real_structure,
     real_locus,
 )
-from .errors import InconsistentAnnotation, ZeroDenominator
+from .errors import (
+    InconsistentAnnotation,
+    NonIntegralCanonicalClass,
+    NotNumericallyGorenstein,
+    ZeroDenominator,
+)
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
-from .graph import DecoratedGraph, _branch_weight, arms  # noqa: F401
+from .graph import FrozenGraph, _branch_weight, _branches, arms  # noqa: F401
 
 EVAL_MINIMAL = "minimal"
 EVAL_LIFT = "lift"
@@ -91,39 +96,35 @@ def evaluation_graph(
 
 
 def _imaginary_arm_weights(
-    g: DecoratedGraph, real: frozenset[int], wr: frozenset[int]
+    g: FrozenGraph, real: frozenset[int], wr: frozenset[int]
 ) -> dict[int, tuple[Fraction, ...]]:
     """The weights of the fully imaginary arms of each e in W_R, by head id:
     the connected sets of vertices outside real whose one edge to a real
-    vertex goes to e. Each set is walked once; one that meets another real
-    vertex is no arm. Raises ZeroDenominator on a zero weight.
+    vertex goes to e. With g rooted at a real vertex these are exactly the
+    subtrees below the children of e that hold no real vertex, so one pass
+    of _branches over the stored order weighs them all. Raises
+    ZeroDenominator on a zero weight.
     """
+    if not wr or len(real) == len(g.ids):
+        return {e: () for e in sorted(wr)}
+    if g.ids[g.order[0]] not in real:
+        g = g.freeze(root=min(real))
+    det, rest, holds, broken = _branches(g, [v in real for v in g.ids])
     weights: dict[int, tuple[Fraction, ...]] = {}
-    parent: dict[int, int] = {}
     for e in sorted(wr):
         found = []
-        for head in sorted(g._adj[e]):
-            if head in real or head in parent:
+        for head in g._children(g.pos(e)):
+            if holds[head]:
                 continue
-            parent[head], order, closed = e, [head], True
-            for v in order:
-                for u in g._adj[v]:
-                    if u in real:
-                        closed = closed and u == parent[v]
-                    elif u != parent[v]:
-                        parent[u] = v
-                        order.append(u)
-            if closed:
-                found.append(_branch_weight(g, order, parent))
-                if found[-1] == 0:
-                    raise ZeroDenominator(
-                        f"an imaginary arm of vertex {e} has weight zero")
+            found.append(_branch_weight(g, head, det, rest, broken, g._children(head)))
+            if found[-1] == 0:
+                raise ZeroDenominator(f"an imaginary arm of vertex {e} has weight zero")
         weights[e] = tuple(found)
     return weights
 
 
 def _assemble(
-    g: DecoratedGraph,
+    g: FrozenGraph,
     real: frozenset[int],
     wr: frozenset[int],
     sign: Optional[str],
@@ -132,9 +133,14 @@ def _assemble(
     level: str,
 ) -> TbResult:
     weights = _imaginary_arm_weights(g, real, wr)
-    contrib = {e: Fraction(g.vertices[e].self_int) - sum(1 / w for w in arm_weights)
-               for e, arm_weights in weights.items()}
-    value = Fraction(len(real) - 1) + sum(contrib.values(), Fraction(0))
+    contrib = {}
+    for e, arm_weights in weights.items():
+        # n'_e = n_e - sum of 1/w over its imaginary arms, in ints until the end.
+        num, den = g.self_int[g.pos(e)], 1
+        for w in arm_weights:
+            num, den = num * w.numerator - den * w.denominator, den * w.numerator
+        contrib[e] = Fraction(num, den)
+    value = sum(contrib.values(), Fraction(len(real) - 1))
     return TbResult(
         value=value, n_real=len(real), wr=wr,
         n_prime_contrib=contrib, arm_weights=weights,
@@ -149,15 +155,14 @@ def tb(m: int, n: int, sign: str) -> TbResult:
     return _assemble(source.graph, real, wr, sign, m, n, level)
 
 
-def _check_annotations(cg: CoverGraph) -> None:
-    g = cg.graph
+def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:
     g.validate()
-    for v in g.vertex_ids():
-        if g.vertices[v].real is None:
+    for v, real in zip(g.ids, g.real):
+        if real is None:
             raise InconsistentAnnotation(f"vertex {v} has no real flag")
     if not cg.conj:
         return
-    for v in g.vertex_ids():
+    for v in g.ids:
         if v not in cg.conj:
             raise InconsistentAnnotation(f"conj is undefined on vertex {v}")
         w = cg.conj[v]
@@ -172,28 +177,35 @@ def _check_annotations(cg: CoverGraph) -> None:
                 f"real flag of vertex {v} disagrees with the fixed points of conj"
             )
     for u, v in g.edges():
-        if not g.has_edge(cg.conj[u], cg.conj[v]):
+        if cg.conj[v] not in g.neighbors(cg.conj[u]):
             raise InconsistentAnnotation("conj is not a graph automorphism")
 
 
 def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     """Evaluate the formula on a caller-annotated graph.
 
-    Real flags must be present; a nonempty conj must be an involutive
-    automorphism whose fixed points are the real vertices. When wr is
-    omitted it is computed from the adjunction system of the given graph.
+    The graph is frozen first. Real flags must be present; a nonempty
+    conj must be an involutive automorphism whose fixed points are the
+    real vertices. When wr is omitted it is computed from the adjunction
+    system of the given graph, and a graph whose adjunction system has no
+    integral solution raises NonIntegralCanonicalClass.
     """
-    _check_annotations(cg)
-    real = frozenset(v for v, data in cg.graph.vertices.items() if data.real)
+    g = cg.graph.freeze()
+    _check_annotations(cg, g)
+    real = frozenset(v for v, flag in zip(g.ids, g.real) if flag)
     if wr is None:
-        wr = canonical_coefficients(cg).w & real
+        try:
+            w = canonical_coefficients(replace(cg, graph=g)).w
+        except NotNumericallyGorenstein as exc:
+            raise NonIntegralCanonicalClass(str(exc)) from exc
+        wr = w & real
     else:
         wr = frozenset(wr)
         for v in wr:
-            if v not in cg.graph.vertices:
+            if v not in g.vertices:
                 raise InconsistentAnnotation(f"wr contains unknown vertex {v}")
             if v not in real:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus"
                 )
-    return _assemble(cg.graph, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)
+    return _assemble(g, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)

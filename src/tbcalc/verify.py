@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .charclass import parity_checks
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
-from .graph import DecoratedGraph, arms
+from .graph import FrozenGraph, arms
 from .numeric import format_rational
 from .tb import tb
 
@@ -218,7 +218,7 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     return result
 
 
-def _gamma_f_sides(g: DecoratedGraph, rupture: int, m: int, n: int):
+def _gamma_f_sides(g: FrozenGraph, rupture: int, m: int, n: int):
     """Self-int and mult chains of the two rupture arms of Gamma_f,
     ordered away from the rupture, keyed by which exponent terminates
     them."""

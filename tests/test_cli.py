@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,17 @@ class TestCompute:
     def test_bad_sign_usage_exits_one(self):
         p = run_cli("compute", "--m", "3", "--n", "2", "--sign", "square")
         assert p.returncode == 1
+
+    def test_oversized_pair_exits_one_at_once(self):
+        # The resolution of x^2 + y^1000000001 would hold 5*10^8 curves: it
+        # is refused by the size guard instead of being built.
+        start = time.perf_counter()
+        p = run_cli("compute", "--m", "2", "--n", "1000000001", "--sign", "plus")
+        assert time.perf_counter() - start < 1.0
+        assert p.returncode == 1
+        assert "the limit is" in p.stderr
+        assert len(p.stderr.splitlines()) == 1
+        assert "Traceback" not in p.stderr
 
 
 class TestTable:

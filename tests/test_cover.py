@@ -1,10 +1,14 @@
+import gc
 import math
+from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import pytest
 
 from tbcalc import (
     BadOddNeighborCount,
     DecoratedGraph,
+    VertexData,
     OddSelfIntOnBranch,
     StructureMismatch,
     build_cover,
@@ -15,6 +19,7 @@ from tbcalc import (
     lift_double_cover,
     mark_real_structure,
     separate_odd_odd,
+    tb,
 )
 from conftest import build_star12_graph
 
@@ -70,7 +75,7 @@ class TestLiftRules:
 
     def test_no_arrows_upstairs(self):
         for m, n in [(3, 2), (5, 8), (11, 6)]:
-            assert build_cover(m, n).lift.graph.arrows == []
+            assert build_cover(m, n).lift.graph.arrows == ()
 
     def test_lift_is_tree(self):
         for m, n in [(5, 8), (11, 6), (3, 5)]:
@@ -214,7 +219,7 @@ class TestArmNamingCheck:
         for tamper in ("identity", "move_rupture"):
             raw, down = self.fresh_lift(m, n)
             if tamper == "identity":
-                raw.deck = {v: v for v in raw.deck}
+                raw = replace(raw, deck={v: v for v in raw.deck})
             else:
                 other = next(v for v in raw.deck if v != raw.e0_lift)
                 raw.deck[raw.e0_lift] = other
@@ -223,8 +228,7 @@ class TestArmNamingCheck:
 
     def test_both_odd_has_no_naming_check(self):
         raw, down = self.fresh_lift(3, 5)
-        raw.deck = {v: v for v in raw.deck}
-        label_arms(raw, down, 3, 5)
+        label_arms(replace(raw, deck={v: v for v in raw.deck}), down, 3, 5)
 
 
 class TestConjAdjacentFallback:
@@ -264,6 +268,62 @@ class TestStructuralGuards:
         g.add_edge(a, b)
         with pytest.raises((StructureMismatch, BadOddNeighborCount)):
             lift_double_cover(g, a, 3, 5)
+
+
+class TestFrozenCache:
+    WRITE_ERRORS = (FrozenInstanceError, AttributeError, TypeError)
+
+    def test_cached_graph_writes_raise(self):
+        # Decrementing a self-intersection of a cached graph once made a
+        # later tb raise, or, after the characteristic was read, use a
+        # stale W. Writes now raise, before and after that read.
+        cover = build_cover(5, 8)
+        g = cover.minimal.graph
+        v = g.vertex_ids()[0]
+        with pytest.raises(self.WRITE_ERRORS):
+            g.vertices[v].self_int -= 1
+        cover.minimal.characteristic
+        with pytest.raises(self.WRITE_ERRORS):
+            g.vertices[v].self_int -= 1
+        assert tb(5, 8, "minus").value == 3
+
+    def test_every_cached_value_is_read_only(self):
+        cover = build_cover(11, 6)
+        cg, v = cover.minimal, cover.minimal.e0_lift
+        writes = [
+            lambda: setattr(cg.graph, "self_int", ()),
+            lambda: cg.graph.arrows.append(v),
+            lambda: cg.deck.__setitem__(v, v),
+            lambda: cg.downstairs.__setitem__(v, v),
+            lambda: cg.conj.__setitem__(v, v),
+            lambda: setattr(cg, "deck", {}),
+            lambda: setattr(cover, "minimal", cover.lift),
+            lambda: setattr(cover.gamma_f.vertices[cover.rupture], "mult", 1),
+        ]
+        for write in writes:
+            with pytest.raises(self.WRITE_ERRORS):
+                write()
+        assert tb(11, 6, "plus").value == Fraction(7, 11)
+
+    def test_cache_holds_no_per_vertex_objects(self):
+        # What the cached results reach is a few flat values per graph: no
+        # VertexData and no adjacency set, and a number of containers that
+        # does not grow with the graphs.
+        covers = [build_cover(m, n) for m in range(2, 13) for n in range(2, 41)
+                  if math.gcd(m, n) == 1]
+        for cover in covers[::7]:
+            cover.minimal.characteristic
+        seen, stack, found = set(), list(covers), []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            found.append(type(obj))
+            stack.extend(gc.get_referents(obj))
+        assert VertexData not in found and set not in found
+        containers = [t for t in found if t not in (int, str, type(None))]
+        assert len(containers) < 60 * len(covers)
 
 
 class TestUnchangedStages:

@@ -56,6 +56,16 @@ class TestEuclid:
         with pytest.raises(BadExponents):
             euclid_data(3.0, 2)
 
+    def test_quotient_sum_limit(self):
+        # (2, 200001) has t = 100,002 and is accepted; a pair past the
+        # limit is refused before anything is built, naming the limit.
+        assert euclid_data(2, 200001).t == 100002
+        limit = embedres.MAX_QUOTIENT_SUM
+        assert euclid_data(2, 2 * limit - 3).t == limit
+        for m, n in [(2, 2 * limit - 1), (2, 10**9 + 1), (10**12 + 1, 3)]:
+            with pytest.raises(BadExponents, match=f"the limit is {limit}"):
+                euclid_data(m, n)
+
 
 class TestBuildGammaF:
     def test_three_two(self):

@@ -5,7 +5,9 @@ import pytest
 
 from tbcalc import (
     DecoratedGraph,
+    FrozenGraph,
     InconsistentAnnotation,
+    InternalInvariantError,
     InvalidDocument,
     IsolatedMinusOne,
     SingularMatrix,
@@ -23,6 +25,7 @@ from tbcalc import (
     is_rupture,
     n_prime,
     solve_intersection_system,
+    VertexMap,
 )
 from tbcalc import graph, numeric
 from tbcalc.graph import _tree_det
@@ -65,6 +68,73 @@ class TestGraphBasics:
         h = g.copy()
         h.vertices[ids[0]].self_int = -7
         assert g.vertices[ids[0]].self_int == -2
+
+
+class TestFrozenGraph:
+    @staticmethod
+    def random_forest(rng):
+        g = DecoratedGraph()
+        ids = [g.add_vertex(rng.randrange(-4, 0), vid=3 * i + rng.randrange(3),
+                            mult=rng.choice((None, 2, 5)),
+                            arm_label=rng.choice((None, "n_arm(0)")))
+               for i in range(rng.randrange(1, 12))]
+        for i in range(1, len(ids)):
+            if rng.random() < 0.9:
+                g.add_edge(ids[rng.randrange(i)], ids[i])
+        g.arrows.append(rng.choice(ids))
+        return g
+
+    def test_reads_match_the_builder(self):
+        rng = random.Random(20261018)
+        for _ in range(100):
+            g = self.random_forest(rng)
+            f = g.freeze()
+            assert f.freeze() is f and f.vertex_ids() == g.vertex_ids()
+            assert dict(f.vertices) == {v: tuple(vars_of(d)) for v, d in g.vertices.items()}
+            for v in g.vertex_ids():
+                assert f.neighbors(v) == g.neighbors(v)
+                assert f.degree(v) == g.degree(v)
+                assert f.arrow_count(v) == g.arrow_count(v)
+            assert f.edges() == g.edges() == sorted(g.edges())
+            assert f.arrows == tuple(g.arrows)
+            assert canonical_form(f) == canonical_form(g)
+            assert canonical_form(f.copy()) == canonical_form(g)
+            assert _tree_det(f) == _tree_det(g)
+            assert f.copy().add_vertex(-1) == g.copy().add_vertex(-1)
+
+    def test_order_walks_every_component_parents_first(self):
+        rng = random.Random(20261019)
+        for _ in range(100):
+            g = self.random_forest(rng)
+            root = rng.choice(g.vertex_ids())
+            f = g.freeze(root=root)
+            assert f.ids[f.order[0]] == root
+            assert sorted(f.order) == list(range(len(f.ids)))
+            rank = {p: i for i, p in enumerate(f.order)}
+            roots = [p for p in f.order if f.parent[p] == -1]
+            assert (len(roots) == 1) == g.is_connected()
+            for p, q in enumerate(f.parent):
+                if q >= 0:
+                    assert rank[q] < rank[p]
+                    assert f.ids[q] in g.neighbors(f.ids[p])
+            assert f.freeze(root=f.ids[0]).order == g.freeze().order
+
+    def test_vertex_map_is_a_read_only_column(self):
+        g, ids = make_chain([-2, -3, -2])
+        f = g.freeze()
+        column = VertexMap(f, ["a", "b", "c"])
+        assert column == dict(zip(ids, "abc")) and column[ids[1]] == "b"
+        assert dict(column.items()) == dict(zip(ids, "abc"))
+        with pytest.raises(KeyError):
+            column[99]
+        with pytest.raises(TypeError):
+            column[ids[0]] = "z"
+        with pytest.raises(ValueError):
+            VertexMap(f, ["a"])
+
+
+def vars_of(data):
+    return (data.self_int, data.mult, data.c1_coeff, data.real, data.arm_label)
 
 
 class TestArms:
@@ -156,6 +226,24 @@ class TestNPrime:
                 g.vertices[v].real = False
         assert n_prime(g, center) == Fraction(-4, 11)
 
+    def test_one_pass_for_all_arms(self, monkeypatch):
+        passes = []
+        inner = graph._branches
+
+        def counting(g, marked):
+            passes.append(len(marked))
+            return inner(g, marked)
+
+        monkeypatch.setattr(graph, "_branches", counting)
+        g, center, arm_ids = make_star(-2, [(-2, -3), (-3,), (-2,), (-5,)])
+        g.vertices[center].real = True
+        for ids in arm_ids:
+            for v in ids:
+                g.vertices[v].real = False
+        # n' = -2 - 1/(-5/3) - 1/(-3) - 1/(-2) - 1/(-5)
+        assert n_prime(g, center) == Fraction(-11, 30)
+        assert passes == [len(g.vertices)]
+
     def test_one_imaginary_arm(self):
         # n' = -3 - 1/(-2) = -5/2
         g, center, arm_ids = make_star(-3, [(-2,), (-2,)])
@@ -192,7 +280,7 @@ class TestSolveIntersectionSystem:
     def test_single_vertex(self):
         g = DecoratedGraph()
         v = g.add_vertex(-1)
-        assert solve_intersection_system(g, {v: Fraction(-1)}) == {v: Fraction(1)}
+        assert solve_intersection_system(g, {v: Fraction(-1)}) == ({v: 1}, -1)
 
     def test_matches_dense_solver(self):
         rng = random.Random(20260815)
@@ -203,8 +291,9 @@ class TestSolveIntersectionSystem:
             for i in range(1, size):
                 g.add_edge(ids[rng.randrange(i)], ids[i])
             rhs = {v: Fraction(rng.randrange(-5, 6)) for v in ids}
-            x = solve_intersection_system(g, rhs)
+            x, det = solve_intersection_system(g, rhs)
             _ids, rows = intersection_matrix(g)
+            assert det == det_exact(rows)
             for r, v in enumerate(_ids):
                 total = sum(
                     Fraction(rows[r][c]) * x[u] for c, u in enumerate(_ids))
@@ -238,10 +327,13 @@ class TestSolveIntersectionSystem:
                     solve_intersection_system(g, rhs)
                 singular += 1
                 continue
-            x = solve_intersection_system(g, rhs)
+            x, det = solve_intersection_system(g, rhs)
             dense = numeric.solve_rational(rows, [rhs[v] for v in _ids])
             assert x == dict(zip(_ids, dense))
-            assert all(type(value) is Fraction for value in x.values())
+            assert det == det_exact(rows)
+            # An int wherever the value is integral, else a Fraction.
+            assert all(type(value) is (int if value.denominator == 1 else Fraction)
+                       for value in x.values())
             solved += 1
         assert singular and solved
         # Each singular form reaches the fallback (its root has D = det Q
@@ -253,6 +345,16 @@ class TestSolveIntersectionSystem:
         g.add_vertex(-2)
         with pytest.raises(SingularMatrix):
             solve_intersection_system(g, {})
+
+    def test_cycle_fails_the_self_check(self):
+        # The elimination walks a spanning tree of the triangle; the
+        # re-multiplication runs over all three edges and catches it.
+        g, (a, b, c) = make_chain([-2, -2, -2])
+        g.add_edge(a, c)
+        rhs = {a: Fraction(1), b: Fraction(2), c: Fraction(3)}
+        for graph_form in (g, g.freeze()):
+            with pytest.raises(InternalInvariantError):
+                solve_intersection_system(graph_form, rhs)
 
 
 class TestTreeDeterminant:

@@ -7,6 +7,9 @@ from tbcalc import (
     CoverGraph,
     DecoratedGraph,
     InconsistentAnnotation,
+    InternalInvariantError,
+    NonIntegralCanonicalClass,
+    UserInputError,
     ZeroDenominator,
     arm_is_imaginary,
     arm_weight,
@@ -269,6 +272,39 @@ class TestTbFromGraph:
         assert r.arm_weights == {center: (Fraction(-13, 6), Fraction(-13, 6))}
         assert r.n_prime_contrib[center] == Fraction(-14, 13) == n_prime(g, center)
         assert r.value == Fraction(-1, 13)
+
+    def test_non_gorenstein_caller_graph_is_a_user_error(self):
+        # A single real (-3) curve: -3a = -1 has no integral solution. The
+        # graph came from the caller, so this is bad input, not a bug.
+        g, _ids = make_chain([-3])
+        g.vertices[0].real = True
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj={}, sign=None)
+        with pytest.raises(NonIntegralCanonicalClass) as info:
+            tb_from_graph(cg)
+        assert isinstance(info.value, UserInputError)
+        assert not isinstance(info.value, InternalInvariantError)
+
+    def test_arms_found_when_the_first_vertex_is_imaginary(self):
+        # The star12 plus graph with one imaginary arm built first, so the
+        # smallest id (the default root of the frozen walk) is imaginary.
+        g = DecoratedGraph()
+        left = [g.add_vertex(s) for s in (-2, -2, -2, -2, -3)]
+        center, short = g.add_vertex(-2), g.add_vertex(-3)
+        right = [g.add_vertex(s) for s in (-2, -2, -2, -2, -3)]
+        for arm in (left, right):
+            for a, b in zip([center] + arm, arm):
+                g.add_edge(a, b)
+        g.add_edge(center, short)
+        conj = {center: center, short: short}
+        conj.update(zip(left + right, right + left))
+        for v in g.vertex_ids():
+            g.vertices[v].real = conj[v] == v
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=center, deck={},
+                        downstairs={}, conj=conj, sign="plus")
+        r = tb_from_graph(cg)
+        assert r.value == Fraction(7, 11)
+        assert r.arm_weights == {center: (Fraction(-11, 9), Fraction(-11, 9))}
 
     def test_imaginary_set_between_real_vertices_is_no_arm(self):
         # a - b - c with b imaginary between the real a and c, and an
