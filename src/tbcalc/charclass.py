@@ -93,18 +93,16 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: Graph) -> dict:
     Returns a report dict: each check maps to {"checked": int,
     "violations": [...]}; a missing precondition marks the check skipped.
     """
-    g = cg.graph
     report: dict[str, dict] = {}
-    below = dict(cg.downstairs.items())
-    curves = dict(downstairs.vertices.items())
+    curves = downstairs.freeze()
 
     odd_violations = []
     odd_checked = 0
     even_violations = []
     even_checked = 0
-    for v in g.vertex_ids():
-        down = below[v]
-        mult, b = curves[down].mult, curves[down].c1_coeff
+    for v, down in sorted(cg.downstairs.items()):
+        p = curves.pos(down)
+        mult, b = curves.mult[p], curves.c1_coeff[p]
         in_w = v in cd.w
         if mult % 2 == 1:
             odd_checked += 1

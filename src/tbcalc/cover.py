@@ -13,7 +13,8 @@ Lifting rules, per downstairs multiplicity:
          swapped by the deck transformation.
 Any other odd-incidence count is an internal inconsistency (the balance
 law forces 0 or 2). The branch curve itself lifts to the surface's own
-z = 0 locus, so the upstairs graph carries no arrows.
+z = 0 locus, so the upstairs graph carries no arrows. The stages emit
+frozen values; only blow-down edits a builder, frozen once.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import (
     OddSelfIntOnBranch,
     StructureMismatch,
 )
-from .embedres import ARROW_MULT, build_gamma_f, c1_coefficients, separate_odd_odd
-from .graph import DecoratedGraph, Graph, VertexMap, arms, blow_down_minimize
+from .embedres import ARROW_MULT, build_gamma_f, separate_odd_odd
+from .graph import FrozenGraph, Graph, VertexMap, arms, blow_down_minimize
 
 _NO_CONJ: Mapping[int, int] = MappingProxyType({})
 SIGN_PLUS = "plus"
@@ -51,9 +52,11 @@ class CoverGraph:
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
-    The fields cannot be rebound. A stage builds a cover graph on a
-    DecoratedGraph with dict maps; freeze() turns it into the read-only
-    value build_cover caches, and copy() back into a builder.
+    The fields cannot be rebound. The stages emit read-only cover graphs:
+    a FrozenGraph with deck and downstairs as columns (VertexMap). One on
+    a DecoratedGraph with dict maps, as blow-down or a caller makes it, is
+    turned into that form by freeze(), and copy() turns either form into a
+    builder.
     """
 
     graph: Graph
@@ -117,87 +120,76 @@ class CoverData:
     minimal: CoverGraph
 
 
-def _odd_incidence_count(gp: Graph, v: int) -> int:
-    count = sum(1 for u in gp.neighbors(v) if gp.vertices[u].mult % 2 == 1)
-    count += gp.arrow_count(v) * (ARROW_MULT % 2)
-    return count
-
-
 def lift_double_cover(gp: Graph, rupture: int, m: int, n: int) -> CoverGraph:
     """Lift the separated graph through the branched double cover.
 
+    Reads gp by position (a builder is frozen first) and returns the
+    frozen lift, walked from e0_lift, with deck and downstairs as columns.
     Over a downstairs edge between two doubled curves the lifts are joined
     copy to copy; the crossed choice gives an isomorphic graph, so every
     computed invariant is independent of it.
     """
-    up = DecoratedGraph()
-    lifts: dict[int, tuple[int, ...]] = {}
-    deck: dict[int, int] = {}
-    downstairs: dict[int, int] = {}
-    for v in gp.vertex_ids():
-        mult = gp.vertices[v].mult
-        self_int = gp.vertices[v].self_int
-        if mult is None:
-            raise StructureMismatch(f"vertex {v} has no multiplicity")
-        if mult % 2 == 1:
-            if self_int % 2 != 0:
+    gp = gp.freeze()
+    ids, mult, adj, start = gp.ids, gp.mult, gp.adj, gp.adj_start
+    if None in mult:
+        raise StructureMismatch(f"vertex {ids[mult.index(None)]} has no multiplicity")
+    odd = [value % 2 == 1 for value in mult]
+    self_int, first, doubled, deck, downstairs = [], [], [], [], []
+    for p, (v, value) in enumerate(zip(ids, gp.self_int)):
+        a = len(self_int)
+        first.append(a)
+        if odd[p]:
+            if value % 2 != 0:
                 raise OddSelfIntOnBranch(
                     f"odd-multiplicity vertex {v} has odd self-intersection "
-                    f"{self_int}; the cover cannot be normalized by these rules"
+                    f"{value}; the cover cannot be normalized by these rules"
                 )
-            a = up.add_vertex(self_int // 2)
-            lifts[v] = (a,)
+            self_int.append(value // 2)
         else:
-            count = _odd_incidence_count(gp, v)
+            count = sum(map(odd.__getitem__, adj[start[p]:start[p + 1]]))
+            count += gp.arrows.count(v) * (ARROW_MULT % 2)
             if count == 2:
-                a = up.add_vertex(2 * self_int)
-                lifts[v] = (a,)
+                self_int.append(2 * value)
             elif count == 0:
-                a = up.add_vertex(self_int)
-                b = up.add_vertex(self_int)
-                lifts[v] = (a, b)
+                self_int += (value, value)
             else:
                 raise BadOddNeighborCount(
                     f"even-multiplicity vertex {v} meets {count} odd components; "
                     "the balance law forces 0 or 2"
                 )
-        for w in lifts[v]:
-            downstairs[w] = v
-        if len(lifts[v]) == 2:
-            deck[lifts[v][0]] = lifts[v][1]
-            deck[lifts[v][1]] = lifts[v][0]
-        else:
-            deck[lifts[v][0]] = lifts[v][0]
+        doubled.append(len(self_int) - a == 2)
+        deck += (a + 1, a) if doubled[p] else (a,)
+        downstairs += (v,) * (len(self_int) - a)
 
-    for u, v in gp.edges():
-        lu, lv = lifts[u], lifts[v]
-        if len(lu) == 1 and len(lv) == 1:
-            odd_u = gp.vertices[u].mult % 2 == 1
-            odd_v = gp.vertices[v].mult % 2 == 1
-            if odd_u and odd_v:
+    edges = []
+    for p, q in gp._position_edges():
+        a, b = first[p], first[q]
+        if not doubled[p] and not doubled[q]:
+            if odd[p] and odd[q]:
                 raise StructureMismatch(
-                    f"odd-odd edge {u}-{v} survived separation"
+                    f"odd-odd edge {ids[p]}-{ids[q]} survived separation"
                 )
-            if not odd_u and not odd_v:
+            if not odd[p] and not odd[q]:
                 raise StructureMismatch(
-                    f"adjacent even-multiplicity vertices {u}, {v} both lift "
-                    "connectedly; their lifts would meet twice"
+                    f"adjacent even-multiplicity vertices {ids[p]}, {ids[q]} both "
+                    "lift connectedly; their lifts would meet twice"
                 )
-            up.add_edge(lu[0], lv[0])
-        elif len(lu) == 2 and len(lv) == 2:
-            up.add_edge(lu[0], lv[0])
-            up.add_edge(lu[1], lv[1])
+            edges.append((a, b))
+        elif doubled[p] and doubled[q]:
+            edges += ((a, b), (a + 1, b + 1))
         else:
-            single = lu[0] if len(lu) == 1 else lv[0]
-            for w in (lv if len(lu) == 1 else lu):
-                up.add_edge(single, w)
+            single, pair = (b, a) if doubled[p] else (a, b)
+            edges += ((single, pair), (single, pair + 1))
 
-    if len(up.edges()) != len(up.vertices) - 1 or not up.is_connected():
+    r = gp.pos(rupture)
+    up = FrozenGraph.from_columns(self_int, edges, root=first[r])
+    if len(edges) != len(self_int) - 1 or up.parent.count(-1) > 1:
         raise StructureMismatch("lifted graph is not a tree")
-    if len(lifts[rupture]) != 1:
+    if doubled[r]:
         raise StructureMismatch("rupture vertex must have a unique lift")
-    return CoverGraph(graph=up, m=m, n=n, e0_lift=lifts[rupture][0],
-                      deck=deck, downstairs=downstairs)
+    return CoverGraph(graph=up, m=m, n=n, e0_lift=first[r],
+                      deck=VertexMap(up, deck), downstairs=VertexMap(up, downstairs),
+                      conj=_NO_CONJ)
 
 
 def _downstairs_component_labels(
@@ -211,10 +203,12 @@ def _downstairs_component_labels(
     intersection, present exactly when m and n are both odd) stays
     unlabeled.
     """
+    gp = gp.freeze()
+    start = gp.adj_start
     labels: dict[int, Optional[str]] = {}
     for arm in arms(gp, rupture):
         terminal_mults = [
-            gp.vertices[v].mult for v in arm.vertices if gp.degree(v) == 1
+            gp.mult[p] for p in map(gp.pos, arm.vertices) if start[p + 1] - start[p] == 1
         ]
         if m in terminal_mults:
             family: Optional[str] = "n_arm"
@@ -228,23 +222,27 @@ def _downstairs_component_labels(
 
 
 def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
-    """Label the arms of e^0 on the fresh lift cg in place, assert the arm
-    laws, and return cg.
+    """The fresh lift cg with the arms of e^0 labelled in its arm_label
+    column, after asserting the arm laws; cg itself is left as it is (a
+    builder cover is frozen first).
 
     There are gcd(m,2) arms over the (n)-arm component, gcd(n,2) over the
     (m)-arm component, and e^0 has exactly 3 arms, each a bamboo. With one
     even exponent the deck-fixed curves (real_locus of conj_plus) must be
     the rupture curve and the arm named after the even exponent.
     """
+    if not isinstance(cg.graph, FrozenGraph):
+        cg = cg.freeze()
+    g = cg.graph
     e0 = cg.e0_lift
     if e0 is None:
         raise StructureMismatch("cannot label arms without the rupture lift")
-    rupture_down = cg.downstairs[e0]
-    family_of_down = _downstairs_component_labels(gp, rupture_down, m, n)
+    below = dict(cg.downstairs.items())
+    family_of_down = _downstairs_component_labels(gp, below[e0], m, n)
 
-    cg.graph.vertices[e0].arm_label = RUPTURE_LABEL
+    labels = {e0: RUPTURE_LABEL}
     expected = {"n_arm": math.gcd(m, 2), "m_arm": math.gcd(n, 2)}
-    e0_arms = arms(cg.graph, e0)
+    e0_arms = arms(g, e0)
     if len(e0_arms) != 3:
         raise StructureMismatch(
             f"e^0 has {len(e0_arms)} arms, expected 3"
@@ -255,7 +253,7 @@ def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
     for arm in e0_arms:
         if not arm.is_bamboo:
             raise StructureMismatch("an arm of e^0 is not a bamboo")
-        families = {family_of_down[cg.downstairs[v]] for v in arm.vertices}
+        families = {family_of_down[below[v]] for v in arm.vertices}
         if len(families) != 1:
             raise StructureMismatch(
                 "one upstairs arm mixes downstairs arm components"
@@ -267,8 +265,7 @@ def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
             continue
         if family == even_family:
             named_real.update(arm.vertices)
-        for v in arm.vertices:
-            cg.graph.vertices[v].arm_label = f"{family}({index})"
+        labels.update(dict.fromkeys(arm.vertices, f"{family}({index})"))
     for family, want in expected.items():
         if counts[family] != want:
             raise StructureMismatch(
@@ -280,7 +277,8 @@ def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
         raise StructureMismatch(
             "real locus by arm naming disagrees with the deck-fixed locus"
         )
-    return cg
+    column = tuple(labels.get(v, label) for v, label in zip(g.ids, g.arm_label))
+    return replace(cg, graph=replace(g, arm_label=column))
 
 
 def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
@@ -290,27 +288,23 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     the lift); they survive on the vertices that remain. The deck map must
     restrict to the survivors; when e^0 itself gets contracted (small
     exponent pairs) e0_lift becomes None. When nothing blows down, cg
-    itself is returned.
+    itself is returned; otherwise the blow-down builder is frozen once and
+    the result is a frozen CoverGraph.
     """
     minimal_graph, removed = blow_down_minimize(cg.graph, rng=rng)
     if not removed:
         return cg
-    gone = set(removed)
     survivors = set(minimal_graph.vertices)
-    deck = {}
-    for v in survivors:
-        image = cg.deck[v]
-        if image not in survivors:
-            raise StructureMismatch(
-                "deck transformation does not restrict to the minimal graph"
-            )
-        deck[v] = image
+    deck = dict(cg.deck.items())
+    if any(deck[v] not in survivors for v in survivors):
+        raise StructureMismatch(
+            "deck transformation does not restrict to the minimal graph"
+        )
     out = CoverGraph(
         graph=minimal_graph, m=cg.m, n=cg.n,
-        e0_lift=cg.e0_lift if cg.e0_lift not in gone else None,
-        deck=deck,
-        downstairs={v: cg.downstairs[v] for v in survivors},
-    )
+        e0_lift=cg.e0_lift if cg.e0_lift in survivors else None,
+        deck=deck, downstairs=dict(cg.downstairs.items()),
+    ).freeze()
     if out.e0_lift is not None:
         e0_arms = arms(out.graph, out.e0_lift)
         if len(e0_arms) != 3 or not all(a.is_bamboo for a in e0_arms):
@@ -362,25 +356,16 @@ def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
 def build_cover(m: int, n: int) -> CoverData:
     """Run the full graph pipeline for x^m + y^n + z^2.
 
-    The stages build on DecoratedGraphs; each distinct stage result is then
-    frozen once, so the cached result holds only immutable values and
-    writing to a cached graph raises. tb reads them as they are;
-    mark_real_structure returns a marked builder copy. The blow-up traces
-    are dropped once the c1 coefficients are read off.
+    Every stage emits a frozen value, so the cached result holds only
+    immutable values and writing to a cached graph raises. Only blow-down
+    edits a builder, made when some curve contracts and frozen once. tb
+    reads the values as they are; mark_real_structure returns a marked
+    builder copy. The blow-up traces are dropped once the c1 coefficients
+    are read off.
     """
     gamma_f, trace_f = build_gamma_f(m, n)
     gamma_f_prime, trace = separate_odd_odd(gamma_f, trace_f)
-    b = c1_coefficients(trace)
-    for g in (gamma_f, gamma_f_prime):
-        for v in g.vertex_ids():
-            g.vertices[v].c1_coeff = b[v]
     lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n),
                       gamma_f_prime, m, n)
-    minimal = minimize_and_label(lift)
-    frozen_f, frozen_lift = gamma_f.freeze(), lift.freeze()
-    return CoverData(
-        m=m, n=n, gamma_f=frozen_f,
-        gamma_f_prime=frozen_f if gamma_f_prime is gamma_f else gamma_f_prime.freeze(),
-        rupture=trace.rupture, lift=frozen_lift,
-        minimal=frozen_lift if minimal is lift else minimal.freeze(),
-    )
+    return CoverData(m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime,
+                     rupture=trace.rupture, lift=lift, minimal=minimize_and_label(lift))

@@ -14,6 +14,7 @@ the sum of the Euclid quotients, as for every embedded resolution of a
 plane branch (unimodular, negative definite of rank t). A nonzero det makes
 the balance law uniquely solvable, so the simulated multiplicities are its
 only solution, and a bookkeeping bug cannot produce a quietly wrong graph.
+Both stages here run on flat lists and emit FrozenGraph values.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import DecoratedGraph, Graph, _tree_det, solve_intersection_system
+from .graph import FrozenGraph, Graph, _tree_det, solve_intersection_system
 
 ARROW_MULT = 1
 
@@ -99,34 +100,37 @@ def euclid_data(m: int, n: int) -> EuclidData:
     return EuclidData(m=m, n=n, quotients=tuple(quotients))
 
 
-def build_gamma_f(m: int, n: int) -> tuple[DecoratedGraph, BlowupTrace]:
+def build_gamma_f(m: int, n: int) -> tuple[FrozenGraph, BlowupTrace]:
     """Resolve x^m + y^n = 0 by the blow-up cascade.
 
-    Returns the decorated graph Gamma_f (multiplicities filled in, one
-    arrow on the rupture vertex) and the blow-up trace. The local model at
+    Returns Gamma_f as a FrozenGraph (multiplicities and c1 coefficients
+    filled in, one arrow on the rupture vertex) and the blow-up trace. The
+    cascade runs on flat lists, curve i at position i. The local model at
     the active center is x^a + y^b; the curve {x=0} there is x_curve (an
     exceptional curve or, initially, nothing) and likewise y_curve. A
     blow-up with a > b leaves the y-curve at the new center and replaces
     the x-curve by the new exceptional curve, and symmetrically.
     """
     data = euclid_data(m, n)
-    g = DecoratedGraph()
+    self_int: list[int] = []
+    mult: list[int] = []
+    edges: set[tuple[int, int]] = set()
     steps: list[BlowupStep] = []
     a, b = m, n
     x_curve: Optional[int] = None
     y_curve: Optional[int] = None
     while True:
         parents = tuple(v for v in (x_curve, y_curve) if v is not None)
-        mult = min(a, b) + sum(g.vertices[p].mult for p in parents)
-        e = g.add_vertex(-1, mult=mult)
+        e = len(self_int)
+        self_int.append(-1)
+        mult.append(min(a, b) + sum(mult[p] for p in parents))
         for p in parents:
-            g.add_edge(e, p)
-            g.vertices[p].self_int -= 1
-        if len(parents) == 2 and g.has_edge(parents[0], parents[1]):
-            g.remove_edge(parents[0], parents[1])
+            edges.add((p, e))
+            self_int[p] -= 1
+        if len(parents) == 2:
+            edges.discard((min(parents), max(parents)))
         steps.append(BlowupStep(vertex=e, parents=parents))
         if (a, b) == (1, 1):
-            g.arrows.append(e)
             rupture = e
             break
         if a > b:
@@ -137,29 +141,33 @@ def build_gamma_f(m: int, n: int) -> tuple[DecoratedGraph, BlowupTrace]:
             y_curve = e
 
     trace = BlowupTrace(m=m, n=n, steps=tuple(steps), rupture=rupture)
+    g = FrozenGraph.from_columns(self_int, edges, mult=mult,
+                                 c1_coeff=tuple(c1_coefficients(trace).values()),
+                                 arrows=(rupture,))
     _check_gamma_f(g, trace, data)
     return g, trace
 
 
-def _check_gamma_f(g: DecoratedGraph, trace: BlowupTrace, data: EuclidData) -> None:
+def _check_gamma_f(g: FrozenGraph, trace: BlowupTrace, data: EuclidData) -> None:
     """Mandatory post-conditions pinning the cascade bookkeeping down."""
     m, n = trace.m, trace.n
-    if len(g.vertices) != data.t:
+    if len(g.ids) != data.t:
         raise StructureMismatch(
-            f"Gamma_f({m},{n}) has {len(g.vertices)} vertices, expected "
+            f"Gamma_f({m},{n}) has {len(g.ids)} vertices, expected "
             f"sum of Euclid quotients {data.t}"
         )
     rupture = trace.rupture
-    if g.arrows != [rupture]:
+    if g.arrows != (rupture,):
         raise StructureMismatch("the arrow must sit on the rupture vertex")
-    if g.vertices[rupture].mult != m * n:
+    p, start = g.pos(rupture), g.adj_start
+    if g.mult[p] != m * n:
         raise StructureMismatch(
-            f"rupture multiplicity {g.vertices[rupture].mult} != m*n = {m * n}"
+            f"rupture multiplicity {g.mult[p]} != m*n = {m * n}"
         )
-    if g.degree(rupture) != 2:
+    if start[p + 1] - start[p] != 2:
         raise StructureMismatch("rupture vertex of Gamma_f must have 2 neighbors")
     terminal_mults = sorted(
-        g.vertices[v].mult for v in g.vertex_ids() if g.degree(v) == 1
+        mult for q, mult in enumerate(g.mult) if start[q + 1] - start[q] == 1
     )
     if terminal_mults != sorted((m, n)):
         raise StructureMismatch(
@@ -173,12 +181,16 @@ def _check_gamma_f(g: DecoratedGraph, trace: BlowupTrace, data: EuclidData) -> N
         )
 
 
-def check_mini(g: DecoratedGraph) -> None:
-    """Assert the balance law n_k m_k + sum of adjacent mults + arrows = 0."""
-    for v in g.vertex_ids():
-        total = g.vertices[v].self_int * g.vertices[v].mult
-        total += sum(g.vertices[u].mult for u in g.neighbors(v))
-        total += ARROW_MULT * g.arrow_count(v)
+def check_mini(g: Graph) -> None:
+    """Assert the balance law n_k m_k + sum of adjacent mults + arrows = 0,
+    read from the columns and neighbour lists (a builder is frozen first)."""
+    g = g.freeze()
+    near, start = list(map(g.mult.__getitem__, g.adj)), g.adj_start
+    totals = [self_int * mult + sum(near[start[p]:start[p + 1]])
+              for p, (self_int, mult) in enumerate(zip(g.self_int, g.mult))]
+    for v in g.arrows:
+        totals[g.pos(v)] += ARROW_MULT
+    for v, total in zip(g.ids, totals):
         if total != 0:
             raise StructureMismatch(f"balance law fails at vertex {v}: {total} != 0")
 
@@ -220,21 +232,20 @@ def c1_coefficients(trace: BlowupTrace) -> dict[int, int]:
     return b
 
 
-def _odd_odd_edges(g: Graph) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u, v in g.edges()
-        if g.vertices[u].mult % 2 == 1 and g.vertices[v].mult % 2 == 1
-    ]
+def _odd_odd_edges(g: FrozenGraph) -> list[tuple[int, int]]:
+    """The edges joining two odd multiplicities, as sorted position pairs."""
+    odd = [mult % 2 == 1 for mult in g.mult]
+    return [(p, q) for p, q in g._position_edges() if odd[p] and odd[q]]
 
 
-def _odd_arrow_hosts(g: Graph) -> list[int]:
-    return sorted(v for v in g.arrows if g.vertices[v].mult % 2 == 1)
+def _odd_arrow_hosts(g: FrozenGraph) -> list[int]:
+    """The positions of the arrows on odd multiplicities, sorted."""
+    return sorted(p for p in map(g.pos, g.arrows) if g.mult[p] % 2 == 1)
 
 
 def separate_odd_odd(
-    g: DecoratedGraph, trace: BlowupTrace
-) -> tuple[DecoratedGraph, BlowupTrace]:
+    g: Graph, trace: BlowupTrace
+) -> tuple[FrozenGraph, BlowupTrace]:
     """Blow up every intersection of two odd-multiplicity components.
 
     Produces Gamma'_f: for an odd-odd edge the new curve has multiplicity
@@ -243,32 +254,45 @@ def separate_odd_odd(
     and the arrow moves onto it. Either way both incident self-intersections
     drop by 1 and the inserted curve starts at -1. Inserted multiplicities
     are even, so one sweep leaves no odd-odd incidence; a post-condition
-    checks that. With nothing to separate, (g, trace) itself is returned.
+    checks that. The inserted curves take the next ids at new positions,
+    and the c1 column is read off the extended trace (c1_coefficients).
+    A builder g is frozen first; with nothing to separate, (g, trace)
+    itself is returned.
     """
-    edges = _odd_odd_edges(g)
+    g = g.freeze()
+    cut = _odd_odd_edges(g)
     hosts = _odd_arrow_hosts(g)
-    if not edges and not hosts:
+    if not cut and not hosts:
         return g, trace
-    out = g.copy()
+    ids, self_int, mult = list(g.ids), list(g.self_int), list(g.mult)
+    arrows = list(g.arrows)
+    removed = set(cut)
+    edges = [pair for pair in g._position_edges() if pair not in removed]
     steps = list(trace.steps)
-    for u, v in edges:
-        w = out.add_vertex(-1, mult=out.vertices[u].mult + out.vertices[v].mult)
-        out.remove_edge(u, v)
-        out.add_edge(u, w)
-        out.add_edge(v, w)
-        out.vertices[u].self_int -= 1
-        out.vertices[v].self_int -= 1
-        steps.append(BlowupStep(vertex=w, parents=(u, v)))
-    for u in hosts:
-        w = out.add_vertex(-1, mult=out.vertices[u].mult + ARROW_MULT)
-        out.add_edge(u, w)
-        out.vertices[u].self_int -= 1
-        out.arrows.remove(u)
-        out.arrows.append(w)
-        steps.append(BlowupStep(vertex=w, parents=(u,)))
+    inserts = [((u, v), mult[u] + mult[v]) for u, v in cut]
+    inserts += [((u,), mult[u] + ARROW_MULT) for u in hosts]
+    for parents, new_mult in inserts:
+        w = len(ids)
+        ids.append(g.next_id + w - len(g.ids))
+        self_int.append(-1)
+        mult.append(new_mult)
+        for p in parents:
+            edges.append((p, w))
+            self_int[p] -= 1
+        if len(parents) == 1:
+            arrows.remove(ids[parents[0]])
+            arrows.append(ids[w])
+        steps.append(BlowupStep(vertex=ids[w], parents=tuple(ids[p] for p in parents)))
+    new_trace = BlowupTrace(m=trace.m, n=trace.n, steps=tuple(steps),
+                            rupture=trace.rupture)
+    c1 = c1_coefficients(new_trace)
+    added = len(ids) - len(g.ids)
+    out = FrozenGraph.from_columns(
+        self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=[c1[v] for v in ids],
+        arm_label=g.arm_label + (None,) * added, real=g.real + (None,) * added,
+        arrows=arrows, next_id=g.next_id + added,
+    )
     if _odd_odd_edges(out) or _odd_arrow_hosts(out):
         raise StructureMismatch("an odd-odd incidence survived separation")
     check_mini(out)
-    new_trace = BlowupTrace(m=trace.m, n=trace.n, steps=tuple(steps),
-                            rupture=trace.rupture)
     return out, new_trace

@@ -6,15 +6,14 @@ Chern coefficient, real/imaginary flag, arm label) and arrows model
 transverse branches of the associated curve. Arrows are vertex
 attachments, not vertices.
 
-A graph comes in two forms. DecoratedGraph is the mutable builder the
-pipeline stages edit: one VertexData and one adjacency set per vertex.
-Its freeze() makes a FrozenGraph in one pass: the immutable value that
-build_cover caches and every reader takes. A FrozenGraph keeps no
-per-vertex objects, only flat tuples: the sorted ids, one column per
+A graph comes in two forms. A FrozenGraph, built by from_columns, is the
+immutable value the pipeline stages emit and every reader takes. It keeps
+no per-vertex objects, only flat tuples: the sorted ids, one column per
 decoration, a breadth-first order with the parent of each position, and
 sorted neighbour lists. Writing to it raises (FrozenInstanceError, or
 AttributeError on a vertex record), its freeze() returns itself, and its
-copy() returns a new builder to edit.
+copy() returns a DecoratedGraph: the mutable builder that blow-down and
+callers edit, one VertexData and one adjacency set per vertex.
 
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, canonical forms for
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, islice
@@ -124,9 +123,6 @@ class DecoratedGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj[v]))
 
-    def _adjacency(self) -> dict[int, set[int]]:
-        return self._adj
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -141,44 +137,23 @@ class DecoratedGraph:
         return sorted((u, v) for u, adj in self._adj.items() for v in adj if u < v)
 
     def copy(self) -> "DecoratedGraph":
-        clone = DecoratedGraph()
-        clone._next_id = self._next_id
-        clone.arrows = list(self.arrows)
-        for vid, d in self.vertices.items():
-            clone.vertices[vid] = VertexData(
-                d.self_int, d.mult, d.c1_coeff, d.real, d.arm_label)
-            clone._adj[vid] = set(self._adj[vid])
-        return clone
+        """A new builder with the same vertices, edges and arrows."""
+        return self.freeze().copy()
 
     def freeze(self, root: Optional[int] = None) -> "FrozenGraph":
         """The graph as a FrozenGraph, walked breadth-first from root (by
         default the smallest id). The builder stays as it is."""
         ids = tuple(sorted(self.vertices))
         index = {v: i for i, v in enumerate(ids)}
-        sets = list(map(self._adj.__getitem__, ids))
-        adj = tuple(chain.from_iterable(sorted(map(index.__getitem__, s)) for s in sets))
-        adj_start = tuple(accumulate(map(len, sets), initial=0))
         data = list(map(self.vertices.__getitem__, ids))
-        return FrozenGraph(
-            ids, *(tuple(map(attrgetter(name), data)) for name in _COLUMNS),
-            *_breadth_first(adj, adj_start, 0 if root is None else index[root]),
-            adj_start=adj_start, adj=adj,
-            arrows=tuple(self.arrows), next_id=self._next_id,
-        )
+        columns = {name: tuple(map(attrgetter(name), data)) for name in _COLUMNS}
+        edges = [(index[u], index[v]) for u, near in self._adj.items() for v in near if u < v]
+        return FrozenGraph.from_columns(
+            columns.pop("self_int"), edges, ids=ids, **columns, arrows=self.arrows,
+            next_id=self._next_id, root=0 if root is None else index[root])
 
     def is_connected(self) -> bool:
-        ids = self.vertex_ids()
-        if not ids:
-            return True
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            v = stack.pop()
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(ids)
+        return self.freeze().parent.count(-1) <= 1
 
     def validate(self) -> None:
         """Check the very-good-tree invariants, raising InvalidDocument."""
@@ -225,6 +200,42 @@ class FrozenGraph:
     arrows: tuple[int, ...]
     next_id: int
 
+    @classmethod
+    def from_columns(
+        cls, self_int: Sequence[int], edges: Iterable[tuple[int, int]], *,
+        ids: Optional[tuple[int, ...]] = None, mult: Optional[Sequence] = None,
+        c1_coeff: Optional[Sequence] = None, arm_label: Optional[Sequence] = None,
+        real: Optional[Sequence] = None, arrows: Iterable[int] = (),
+        next_id: Optional[int] = None, root: int = 0,
+    ) -> "FrozenGraph":
+        """The graph over positions 0..V-1 (V = len(self_int)) with these
+        columns, edges given as position pairs and ids naming the positions
+        (by default themselves); next_id defaults to V. The columns left out
+        or holding only None share one (None,) * V tuple. The neighbour
+        lists come from a counting sort of the edges in lexicographic order,
+        which fills each list sorted; order and parent walk breadth-first
+        from the position root."""
+        size = len(self_int)
+        none = (None,) * size
+        columns = [none if col is None or col.count(None) == size else tuple(col)
+                   for col in (mult, c1_coeff, arm_label, real)]
+        pairs = sorted([(p, q) if p < q else (q, p) for p, q in edges])
+        degree = [0] * size
+        for p, q in pairs:
+            degree[p] += 1
+            degree[q] += 1
+        adj_start = tuple(accumulate(degree, initial=0))
+        fill, slots = list(adj_start), [0] * adj_start[-1]
+        for p, q in pairs:
+            slots[fill[p]] = q
+            slots[fill[q]] = p
+            fill[p] += 1
+            fill[q] += 1
+        adj = tuple(slots)
+        return cls(tuple(range(size)) if ids is None else ids, tuple(self_int), *columns,
+                   *_breadth_first(adj, adj_start, root), adj_start=adj_start, adj=adj,
+                   arrows=tuple(arrows), next_id=size if next_id is None else next_id)
+
     def pos(self, v: int) -> int:
         """The position of vertex id v; KeyError when v is no vertex."""
         i = bisect_left(self.ids, v)
@@ -244,13 +255,6 @@ class FrozenGraph:
         return FrozenVertex(self.self_int[p], self.mult[p], self.c1_coeff[p],
                             self.real[p], self.arm_label[p])
 
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        """The neighbour ids of every vertex by id, made on each call, for
-        walks that read them all."""
-        start = self.adj_start
-        flat = tuple(map(self.ids.__getitem__, self.adj))
-        return {v: flat[start[p]:start[p + 1]] for p, v in enumerate(self.ids)}
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         p, ids = self.pos(v), self.ids
         return tuple(ids[q] for q in self.adj[self.adj_start[p]:self.adj_start[p + 1]])
@@ -267,8 +271,13 @@ class FrozenGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, sorted."""
-        ids, adj, start = self.ids, self.adj, self.adj_start
-        return [(ids[p], ids[q]) for p in range(len(ids))
+        ids = self.ids
+        return [(ids[p], ids[q]) for p, q in self._position_edges()]
+
+    def _position_edges(self) -> list[tuple[int, int]]:
+        """Each edge once as a pair of positions (p, q) with p < q, sorted."""
+        adj, start = self.adj, self.adj_start
+        return [(p, q) for p in range(len(self.ids))
                 for q in adj[start[p]:start[p + 1]] if p < q]
 
     def freeze(self, root: Optional[int] = None) -> "FrozenGraph":
@@ -280,13 +289,12 @@ class FrozenGraph:
 
     def copy(self) -> DecoratedGraph:
         """A new mutable builder with the same vertices, edges and arrows."""
+        ids, start = self.ids, self.adj_start
+        near = tuple(map(ids.__getitem__, self.adj))
         out = DecoratedGraph()
-        for p, v in enumerate(self.ids):
-            out.add_vertex(self.self_int[p], vid=v, mult=self.mult[p],
-                           c1_coeff=self.c1_coeff[p], real=self.real[p],
-                           arm_label=self.arm_label[p])
-        for u, v in self.edges():
-            out.add_edge(u, v)
+        out.vertices = dict(zip(ids, map(VertexData, self.self_int, self.mult,
+                                         self.c1_coeff, self.real, self.arm_label)))
+        out._adj = {v: set(near[start[p]:start[p + 1]]) for p, v in enumerate(ids)}
         out.arrows = list(self.arrows)
         out._next_id = self.next_id
         return out
@@ -402,19 +410,30 @@ def is_rupture(g: Graph, v: int) -> bool:
 
 
 def arms(g: Graph, e: int) -> list[Arm]:
-    """The arms of vertex e: one per neighbor, ordered by head id."""
-    if e not in g.vertices:
+    """The arms of vertex e: one per neighbor, ordered by head id. A
+    builder is frozen first."""
+    g = g.freeze()
+    ids, adj, start = g.ids, g.adj, g.adj_start
+    root = bisect_left(ids, e)
+    if root == len(ids) or ids[root] != e:
         raise ValueError(f"vertex {e} not in graph")
+    arrows = list(map(g.pos, g.arrows))
+    depth = [-1] * len(ids)
+    depth[root] = 0
     out = []
-    adj = g._adjacency()
-    for head in sorted(adj[e]):
-        order, parent = _bfs(adj, head, e)
-        dist = {e: -1}
-        for v in order:
-            dist[v] = dist[parent[v]] + 1
-        ordered = tuple(sorted(sorted(order), key=dist.__getitem__))
-        bamboo = all(len(adj[v]) + g.arrows.count(v) < 3 for v in order)
-        out.append(Arm(head=head, vertices=ordered, is_bamboo=bamboo))
+    for head in adj[start[root]:start[root + 1]]:
+        depth[head] = 0
+        order = [head]
+        for p in order:
+            for q in adj[start[p]:start[p + 1]]:
+                if depth[q] < 0:
+                    depth[q] = depth[p] + 1
+                    order.append(q)
+        order.sort()
+        order.sort(key=depth.__getitem__)
+        bamboo = all(start[p + 1] - start[p] + arrows.count(p) < 3 for p in order)
+        out.append(Arm(head=ids[head], vertices=tuple(map(ids.__getitem__, order)),
+                       is_bamboo=bamboo))
     return out
 
 
@@ -557,23 +576,18 @@ def blow_down_minimize(
     the same decorated graph up to isomorphism regardless (tested
     separately). Returns the minimized graph, a builder, and the removed
     vertex ids in contraction order; g is left alone, and returned itself
-    when nothing is removable.
+    when nothing is removable. The removable ids are read off the columns
+    once and kept sorted: a contraction changes only its neighbours.
     """
-    out = g
-    removed: list[int] = []
-    while True:
-        eligible = [
-            v
-            for v in out.vertex_ids()
-            if out.vertices[v].self_int == -1
-            and out.arrow_count(v) == 0
-            and out.degree(v) <= 2
-        ]
-        if not eligible:
-            return out, removed
-        if out is g:
-            out = g.copy()
-        v = eligible[rng.randrange(len(eligible))] if rng is not None else eligible[0]
+    f = g.freeze()
+    start, arrowed = f.adj_start, set(f.arrows)
+    eligible = [v for p, (v, s) in enumerate(zip(f.ids, f.self_int))
+                if s == -1 and start[p + 1] - start[p] <= 2 and v not in arrowed]
+    if not eligible:
+        return g, []
+    out, removed = g.copy(), []
+    while eligible:
+        v = eligible.pop(rng.randrange(len(eligible)) if rng is not None else 0)
         nbrs = out.neighbors(v)
         if out.vertices[v].real is False and any(
             out.vertices[u].real is True for u in nbrs
@@ -597,50 +611,31 @@ def blow_down_minimize(
             out.vertices[u].self_int += 1
         out.remove_vertex(v)
         removed.append(v)
+        for u in nbrs:
+            i = bisect_left(eligible, u)
+            listed = i < len(eligible) and eligible[i] == u
+            now = out.vertices[u].self_int == -1 and out.degree(u) <= 2 and u not in arrowed
+            if now and not listed:
+                eligible.insert(i, u)
+            elif listed and not now:
+                del eligible[i]
+    return out, removed
 
 
 _CANON_FIELDS = ("self_int", "mult", "c1_coeff", "real", "arm_label")
 
 
-def _tree_centers(g: Graph) -> list[int]:
-    ids = g.vertex_ids()
-    if len(ids) <= 2:
-        return ids
-    degree = {v: g.degree(v) for v in ids}
-    layer = [v for v in ids if degree[v] <= 1]
-    remaining = len(ids)
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for u in g.neighbors(v):
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-                elif degree[u] == 1:
-                    degree[u] = 0
-                    nxt.append(u)
-        layer = nxt
-    return sorted(layer)
-
-
-def _bfs(
-    adj: Mapping[int, Iterable[int]], root: int, anchor: Optional[int] = None
-) -> tuple[list[int], dict[int, Optional[int]]]:
-    """root's component in breadth-first order (reversed, children come
-    before their parents) over the neighbour ids adj[v] of each vertex v
-    (a graph's _adjacency()), and each vertex's parent, None at the root.
-    A given anchor stays out of the walk, as the root's parent."""
-    parent: dict = {anchor: None, root: anchor}
-    order = [root]
-    for v in order:
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    return order, parent
+def _tree_centers(g: FrozenGraph) -> list[int]:
+    """The ids of the one or two middle vertices of a longest path in the
+    tree of the smallest id. Such a path runs between the last vertices of
+    two walks: one from any vertex, one from where that walk ends."""
+    walk = g.freeze(root=g.ids[0])
+    size = next((i for i, p in enumerate(walk.order) if i and walk.parent[p] < 0), len(g.ids))
+    back = g.freeze(root=g.ids[walk.order[size - 1]])
+    path = [back.order[size - 1]]
+    while back.parent[path[-1]] >= 0:
+        path.append(back.parent[path[-1]])
+    return sorted(g.ids[p] for p in path[(len(path) - 1) // 2:len(path) // 2 + 1])
 
 
 def canonical_form(g: Graph, fields: Iterable[str] = _CANON_FIELDS):
@@ -648,34 +643,30 @@ def canonical_form(g: Graph, fields: Iterable[str] = _CANON_FIELDS):
 
     Two graphs get equal encodings exactly when some id relabeling matches
     all requested decorations, the arrow counts, and the tree structure.
+    A builder is frozen first.
     """
-    fields = tuple(fields)
+    g = g.freeze()
+    columns = [getattr(g, name) for name in fields]
+    arrows = list(map(g.arrows.count, g.ids))
 
-    def deco(v: int):
-        data = g.vertices[v]
-        parts = []
-        for name in fields:
-            value = getattr(data, name)
-            parts.append(("-",) if value is None else ("+", value))
-        parts.append(("arrows", g.arrow_count(v)))
-        return tuple(parts)
+    def deco(p: int):
+        parts = [("-",) if column[p] is None else ("+", column[p]) for column in columns]
+        return (*parts, ("arrows", arrows[p]))
 
     # Equal subtrees are built once and shared, so comparing siblings stops
     # at identical objects instead of descending through them.
     shared: dict = {}
-    adj = g._adjacency()
 
-    def encode(root: int):
-        order, parent = _bfs(adj, root)
+    def encode(center: int):
+        walk = g.freeze(root=center)
         done: dict[int, tuple] = {}
-        for v in reversed(order):
-            subs = tuple(sorted(done.pop(u) for u in adj[v] if u != parent[v]))
-            key = (deco(v), tuple(map(id, subs)))
-            done[v] = shared.setdefault(key, (key[0], subs))
-        return done[root]
+        for p in reversed(walk.order):
+            subs = tuple(sorted(done.pop(c) for c in walk._children(p)))
+            key = (deco(p), tuple(map(id, subs)))
+            done[p] = shared.setdefault(key, (key[0], subs))
+        return done[walk.order[0]]
 
-    ids = g.vertex_ids()
-    if not ids:
+    if not g.ids:
         return ()
     return min(encode(c) for c in _tree_centers(g))
 

@@ -224,8 +224,8 @@ def _gamma_f_sides(g: FrozenGraph, rupture: int, m: int, n: int):
     them."""
     sides = {}
     for arm in arms(g, rupture):
-        selfs = tuple(g.vertices[v].self_int for v in arm.vertices)
-        mults = tuple(g.vertices[v].mult for v in arm.vertices)
+        selfs = tuple(g.self_int[g.pos(v)] for v in arm.vertices)
+        mults = tuple(g.mult[g.pos(v)] for v in arm.vertices)
         if mults[-1] == m:
             sides["m"] = (selfs, mults)
         elif mults[-1] == n:
@@ -242,14 +242,14 @@ def _cover_arm_families(cg: CoverGraph):
     g = cg.graph
     families: dict = {"n_arm": [], "m_arm": [], None: []}
     for arm in arms(g, cg.e0_lift):
-        label = g.vertices[arm.head].arm_label or ""
+        label = g.arm_label[g.pos(arm.head)] or ""
         if label.startswith("n_arm"):
             family = "n_arm"
         elif label.startswith("m_arm"):
             family = "m_arm"
         else:
             family = None
-        selfs = tuple(g.vertices[v].self_int for v in arm.vertices)
+        selfs = tuple(g.self_int[g.pos(v)] for v in arm.vertices)
         families[family].append((selfs, arm.vertices))
     for chains in families.values():
         chains.sort()

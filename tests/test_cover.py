@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from tbcalc import (
     BadOddNeighborCount,
     DecoratedGraph,
+    FrozenGraph,
     VertexData,
     OddSelfIntOnBranch,
     StructureMismatch,
@@ -208,9 +210,13 @@ class TestArmNamingCheck:
 
     @pytest.mark.parametrize("m,n", [(11, 6), (6, 5), (3, 2)])
     def test_labels_the_fresh_lift_in_place(self, m, n):
+        # label_arms returns the lift with its arm_label column filled in
+        # and leaves the fresh, frozen lift it was given unlabelled.
         raw, down = self.fresh_lift(m, n)
-        assert label_arms(raw, down, m, n) is raw
-        assert canonical_form(raw.graph) == canonical_form(build_cover(m, n).lift.graph)
+        labelled = label_arms(raw, down, m, n)
+        assert set(raw.graph.arm_label) == {None}
+        assert labelled.graph == replace(raw.graph, arm_label=labelled.graph.arm_label)
+        assert canonical_form(labelled.graph) == canonical_form(build_cover(m, n).lift.graph)
 
     @pytest.mark.parametrize("m,n", [(11, 6), (6, 5), (3, 2)])
     def test_deck_disagreeing_with_arm_names_is_rejected(self, m, n):
@@ -222,7 +228,7 @@ class TestArmNamingCheck:
                 raw = replace(raw, deck={v: v for v in raw.deck})
             else:
                 other = next(v for v in raw.deck if v != raw.e0_lift)
-                raw.deck[raw.e0_lift] = other
+                raw = replace(raw, deck={**raw.deck, raw.e0_lift: other})
             with pytest.raises(StructureMismatch, match="deck-fixed"):
                 label_arms(raw, down, m, n)
 
@@ -260,6 +266,13 @@ class TestStructuralGuards:
             g.arrows.append(v)
         with pytest.raises(StructureMismatch):
             lift_double_cover(g, a, 2, 2)
+
+    def test_duplicate_edge_is_not_a_tree(self):
+        # a-b twice and no edge to c: the lift has V - 1 edges but is not
+        # connected, which the tree check rejects.
+        gp = FrozenGraph.from_columns([-2, -2, -2], [(0, 1), (0, 1)], mult=[1, 2, 1])
+        with pytest.raises(StructureMismatch, match="not a tree"):
+            lift_double_cover(gp, 1, 3, 2)
 
     def test_odd_odd_edge_rejected(self):
         g = DecoratedGraph()
@@ -343,3 +356,90 @@ class TestUnchangedStages:
                 blown_down = (len(cover.minimal.graph.vertices)
                               < len(cover.lift.graph.vertices))
                 assert (cover.minimal is cover.lift) != blown_down, (m, n)
+
+
+class TestFrozenStages:
+    def test_cold_build_makes_a_builder_only_to_blow_down(self, monkeypatch):
+        # Every stage emits a frozen value. Only blow-down edits a builder,
+        # made when some curve contracts and frozen once.
+        made, frozen = [], []
+        init, freeze = DecoratedGraph.__init__, DecoratedGraph.freeze
+
+        def counting_init(g):
+            made.append(g)
+            init(g)
+
+        def counting_freeze(g, root=None):
+            frozen.append(g)
+            return freeze(g, root)
+
+        monkeypatch.setattr(DecoratedGraph, "__init__", counting_init)
+        monkeypatch.setattr(DecoratedGraph, "freeze", counting_freeze)
+        build_cover.cache_clear()
+        blown_down = set()
+        for m in range(2, 13):
+            for n in range(2, 41):
+                if math.gcd(m, n) != 1:
+                    continue
+                made.clear()
+                frozen.clear()
+                cover = build_cover(m, n)
+                if cover.minimal is cover.lift:
+                    assert made == frozen == [], (m, n)
+                else:
+                    blown_down.add((m, n))
+                    assert len(made) == len(frozen) == 1, (m, n)
+        assert (11, 6) not in blown_down and (3, 7) in blown_down
+
+    def test_all_none_columns_share_one_tuple(self):
+        for m, n in [(11, 6), (5, 8), (3, 7), (3, 2)]:
+            cover = build_cover(m, n)
+            for g in (cover.gamma_f, cover.gamma_f_prime):
+                assert g.arm_label is g.real and set(g.real) == {None}, (m, n)
+            for cg in (cover.lift, cover.minimal):
+                g = cg.graph
+                assert g.mult is g.c1_coeff is g.real and set(g.real) == {None}, (m, n)
+
+    def test_each_arm_label_is_one_string(self):
+        # The cache keeps one label string per arm, not one per vertex.
+        for m, n in [(11, 6), (5, 8), (3, 7), (2, 41)]:
+            g = build_cover(m, n).lift.graph
+            labels = [label for label in g.arm_label if label is not None]
+            assert len(set(map(id, labels))) == len(set(labels)) == 4 - (m * n) % 2, (m, n)
+
+
+def _graph_fields(g):
+    return (g.ids, g.self_int, g.mult, g.c1_coeff, g.arm_label, g.real,
+            tuple(g.edges()), g.order, g.parent, g.arrows, g.next_id)
+
+
+def _cover_fields(cg):
+    return (_graph_fields(cg.graph), tuple(cg.deck.items()),
+            tuple(cg.downstairs.items()), cg.e0_lift)
+
+
+class TestPinnedValues:
+    # sha256 over every field of every cached graph and of every TbResult
+    # for 2 <= m <= 16, 2 <= n <= 80 and both signs. A change to a stage
+    # that moves a value, an id, an edge or the stored walk shows here.
+    DIGEST = "da2eaa22359583e78f09566920dc22ea6a0fd350dec1d1997312478d268402d1"
+
+    def test_cached_graphs_and_tb_results_are_unchanged(self):
+        digest = hashlib.sha256()
+        for m in range(2, 17):
+            for n in range(2, 81):
+                if math.gcd(m, n) != 1:
+                    continue
+                c = build_cover(m, n)
+                digest.update(repr((
+                    m, n, c.rupture, _graph_fields(c.gamma_f),
+                    _graph_fields(c.gamma_f_prime), _cover_fields(c.lift),
+                    _cover_fields(c.minimal))).encode())
+                for sign in ("minus", "plus"):
+                    r = tb(m, n, sign)
+                    digest.update(repr((
+                        r.value, r.n_real, sorted(r.wr),
+                        sorted(r.n_prime_contrib.items()),
+                        sorted(r.arm_weights.items()), r.sign, r.m, r.n,
+                        r.level)).encode())
+        assert digest.hexdigest() == self.DIGEST

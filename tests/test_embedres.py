@@ -116,10 +116,11 @@ class TestMiniIdentity:
 
     def test_detects_corruption(self):
         g, _trace = build_gamma_f(3, 2)
-        some = g.vertex_ids()[0]
-        g.vertices[some].mult += 1
-        with pytest.raises(StructureMismatch):
-            check_mini(g)
+        bad = g.copy()
+        bad.vertices[g.vertex_ids()[0]].mult += 1
+        for graph_form in (bad, bad.freeze()):
+            with pytest.raises(StructureMismatch):
+                check_mini(graph_form)
 
 
 class TestMultiplicities:
@@ -184,7 +185,7 @@ class TestSeparation:
         assert gp.arrow_count(trace.rupture) == 0
         host = gp.arrows[0]
         assert gp.vertices[host].mult == 16  # 15 + 1
-        assert gp.arrows == [host]
+        assert gp.arrows == (host,)
         check_mini(gp)
 
     def test_no_odd_odd_incidence_remains(self):
