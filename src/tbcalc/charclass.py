@@ -67,14 +67,13 @@ def canonical_coefficients(cg) -> CharacteristicData:
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
     """W_R: the members of W fixed by the real structure."""
-    g = cg if isinstance(cg, Graph) else cg.graph
-    for v in g.vertex_ids():
-        if g.vertices[v].real is None:
-            raise InconsistentAnnotation(
-                f"vertex {v} has no real/imaginary mark; mark the real "
-                "structure first"
-            )
-    return frozenset(v for v in cd.w if g.vertices[v].real)
+    g = (cg if isinstance(cg, Graph) else cg.graph).freeze()
+    if None in g.real:
+        raise InconsistentAnnotation(
+            f"vertex {g.ids[g.real.index(None)]} has no real/imaginary mark; "
+            "mark the real structure first"
+        )
+    return frozenset(v for v in cd.w if g.real[g.pos(v)])
 
 
 def parity_checks(cd: CharacteristicData, cg, downstairs: Graph) -> dict:

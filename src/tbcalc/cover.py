@@ -13,8 +13,8 @@ Lifting rules, per downstairs multiplicity:
          swapped by the deck transformation.
 Any other odd-incidence count is an internal inconsistency (the balance
 law forces 0 or 2). The branch curve itself lifts to the surface's own
-z = 0 locus, so the upstairs graph carries no arrows. The stages emit
-frozen values; only blow-down edits a builder, frozen once.
+z = 0 locus, so the upstairs graph carries no arrows. Every stage emits
+frozen values and every result is one, marked graphs included.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ class CoverGraph:
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
     The fields cannot be rebound. The stages emit read-only cover graphs:
-    a FrozenGraph with deck and downstairs as columns (VertexMap). One on
-    a DecoratedGraph with dict maps, as blow-down or a caller makes it, is
-    turned into that form by freeze(), and copy() turns either form into a
-    builder.
+    a FrozenGraph with deck and downstairs (and conj, once marked) as
+    columns (VertexMap). A caller may build one on a DecoratedGraph with
+    dict maps for tb_from_graph.
     """
 
     graph: Graph
@@ -68,32 +67,11 @@ class CoverGraph:
     conj: Mapping[int, int] = field(default_factory=dict)
     sign: Optional[str] = None
 
-    def copy(self) -> "CoverGraph":
-        """A builder copy: a DecoratedGraph and dict maps, free to edit."""
-        return CoverGraph(
-            graph=self.graph.copy(), m=self.m, n=self.n,
-            e0_lift=self.e0_lift, deck=dict(self.deck),
-            downstairs=dict(self.downstairs), conj=dict(self.conj),
-            sign=self.sign,
-        )
-
-    def freeze(self) -> "CoverGraph":
-        """The read-only form: the graph frozen and walked from e0_lift when
-        it survives, deck and downstairs as columns of it."""
-        g = self.graph.freeze(root=self.e0_lift)
-        return CoverGraph(
-            graph=g, m=self.m, n=self.n, e0_lift=self.e0_lift,
-            deck=VertexMap(g, (self.deck[v] for v in g.ids)),
-            downstairs=VertexMap(g, (self.downstairs[v] for v in g.ids)),
-            conj=MappingProxyType(dict(self.conj)) if self.conj else _NO_CONJ,
-            sign=self.sign,
-        )
-
     @cached_property
     def characteristic(self) -> CharacteristicData:
         """The adjunction solution, solved on first use and kept. A real
         structure is a vertex set (real_locus), so both signs share it.
-        copy() drops it."""
+        A marked or otherwise replaced cover graph solves afresh."""
         return canonical_coefficients(self)
 
     def lifts_of(self, down_id: int) -> tuple[int, ...]:
@@ -223,16 +201,13 @@ def _downstairs_component_labels(
 
 def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
     """The fresh lift cg with the arms of e^0 labelled in its arm_label
-    column, after asserting the arm laws; cg itself is left as it is (a
-    builder cover is frozen first).
+    column, after asserting the arm laws; cg itself is left as it is.
 
     There are gcd(m,2) arms over the (n)-arm component, gcd(n,2) over the
     (m)-arm component, and e^0 has exactly 3 arms, each a bamboo. With one
     even exponent the deck-fixed curves (real_locus of conj_plus) must be
     the rupture curve and the arm named after the even exponent.
     """
-    if not isinstance(cg.graph, FrozenGraph):
-        cg = cg.freeze()
     g = cg.graph
     e0 = cg.e0_lift
     if e0 is None:
@@ -288,30 +263,27 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     the lift); they survive on the vertices that remain. The deck map must
     restrict to the survivors; when e^0 itself gets contracted (small
     exponent pairs) e0_lift becomes None. When nothing blows down, cg
-    itself is returned; otherwise the blow-down builder is frozen once and
-    the result is a frozen CoverGraph.
+    itself is returned; otherwise the minimal graph, walked from e0_lift
+    when it survives, with the survivors' deck and downstairs as columns.
     """
-    minimal_graph, removed = blow_down_minimize(cg.graph, rng=rng)
+    g, removed = blow_down_minimize(cg.graph, rng=rng)
     if not removed:
         return cg
-    survivors = set(minimal_graph.vertices)
-    deck = dict(cg.deck.items())
+    survivors = set(g.ids)
+    deck, below = dict(cg.deck.items()), dict(cg.downstairs.items())
     if any(deck[v] not in survivors for v in survivors):
         raise StructureMismatch(
             "deck transformation does not restrict to the minimal graph"
         )
-    out = CoverGraph(
-        graph=minimal_graph, m=cg.m, n=cg.n,
-        e0_lift=cg.e0_lift if cg.e0_lift in survivors else None,
-        deck=deck, downstairs=dict(cg.downstairs.items()),
-    ).freeze()
-    if out.e0_lift is not None:
-        e0_arms = arms(out.graph, out.e0_lift)
+    e0 = cg.e0_lift if cg.e0_lift in survivors else None
+    if e0 is not None:
+        e0_arms = arms(g, e0)
         if len(e0_arms) != 3 or not all(a.is_bamboo for a in e0_arms):
             raise StructureMismatch(
                 "minimized rupture vertex lost its 3-bamboo-arm shape"
             )
-    return out
+    return replace(cg, graph=g, e0_lift=e0, deck=VertexMap(g, map(deck.__getitem__, g.ids)),
+                   downstairs=VertexMap(g, map(below.__getitem__, g.ids)))
 
 
 def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
@@ -330,15 +302,14 @@ def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
 
 
 def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
-    """A builder copy of cg marked with the real structure of the given
-    sign: real flags from real_locus, conj fixing the real curves and
-    acting as the deck transformation on the others."""
+    """cg marked with the real structure of the given sign, as a new frozen
+    value: the real column from real_locus, conj fixing the real curves and
+    acting as the deck transformation on the others. cg is left as it is."""
     real = real_locus(cg, sign)
-    out = cg.copy()
-    for v, data in out.graph.vertices.items():
-        data.real = v in real
-    return replace(out, sign=sign, conj={v: v if v in real else out.deck[v]
-                                         for v in out.graph.vertices})
+    g = cg.graph
+    marked = replace(g, real=tuple(v in real for v in g.ids))
+    conj = VertexMap(marked, (v if v in real else cg.deck[v] for v in g.ids))
+    return replace(cg, graph=marked, conj=conj, sign=sign)
 
 
 def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
@@ -357,10 +328,9 @@ def build_cover(m: int, n: int) -> CoverData:
     """Run the full graph pipeline for x^m + y^n + z^2.
 
     Every stage emits a frozen value, so the cached result holds only
-    immutable values and writing to a cached graph raises. Only blow-down
-    edits a builder, made when some curve contracts and frozen once. tb
-    reads the values as they are; mark_real_structure returns a marked
-    builder copy. The blow-up traces are dropped once the c1 coefficients
+    immutable values, no builder is made, and writing to a cached graph
+    raises. tb reads the values as they are; mark_real_structure returns a
+    new marked value. The blow-up traces are dropped once the c1 coefficients
     are read off.
     """
     gamma_f, trace_f = build_gamma_f(m, n)

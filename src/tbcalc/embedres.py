@@ -20,7 +20,7 @@ Both stages here run on flat lists and emit FrozenGraph values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -255,16 +255,16 @@ def separate_odd_odd(
     drop by 1 and the inserted curve starts at -1. Inserted multiplicities
     are even, so one sweep leaves no odd-odd incidence; a post-condition
     checks that. The inserted curves take the next ids at new positions,
-    and the c1 column is read off the extended trace (c1_coefficients).
-    A builder g is frozen first; with nothing to separate, (g, trace)
-    itself is returned.
+    and each appends its c1 to g's column as in c1_coefficients: -1 plus
+    its parents' entries, so g's entries are shared. A builder g is frozen
+    first; with nothing to separate, (g, trace) itself is returned.
     """
     g = g.freeze()
     cut = _odd_odd_edges(g)
     hosts = _odd_arrow_hosts(g)
     if not cut and not hosts:
         return g, trace
-    ids, self_int, mult = list(g.ids), list(g.self_int), list(g.mult)
+    ids, self_int, mult, c1 = list(g.ids), list(g.self_int), list(g.mult), list(g.c1_coeff)
     arrows = list(g.arrows)
     removed = set(cut)
     edges = [pair for pair in g._position_edges() if pair not in removed]
@@ -276,6 +276,7 @@ def separate_odd_odd(
         ids.append(g.next_id + w - len(g.ids))
         self_int.append(-1)
         mult.append(new_mult)
+        c1.append(-1 + sum(c1[p] for p in parents))
         for p in parents:
             edges.append((p, w))
             self_int[p] -= 1
@@ -283,16 +284,13 @@ def separate_odd_odd(
             arrows.remove(ids[parents[0]])
             arrows.append(ids[w])
         steps.append(BlowupStep(vertex=ids[w], parents=tuple(ids[p] for p in parents)))
-    new_trace = BlowupTrace(m=trace.m, n=trace.n, steps=tuple(steps),
-                            rupture=trace.rupture)
-    c1 = c1_coefficients(new_trace)
     added = len(ids) - len(g.ids)
     out = FrozenGraph.from_columns(
-        self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=[c1[v] for v in ids],
+        self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=c1,
         arm_label=g.arm_label + (None,) * added, real=g.real + (None,) * added,
         arrows=arrows, next_id=g.next_id + added,
     )
     if _odd_odd_edges(out) or _odd_arrow_hosts(out):
         raise StructureMismatch("an odd-odd incidence survived separation")
     check_mini(out)
-    return out, new_trace
+    return out, replace(trace, steps=tuple(steps))

@@ -7,13 +7,13 @@ transverse branches of the associated curve. Arrows are vertex
 attachments, not vertices.
 
 A graph comes in two forms. A FrozenGraph, built by from_columns, is the
-immutable value the pipeline stages emit and every reader takes. It keeps
-no per-vertex objects, only flat tuples: the sorted ids, one column per
-decoration, a breadth-first order with the parent of each position, and
-sorted neighbour lists. Writing to it raises (FrozenInstanceError, or
-AttributeError on a vertex record), its freeze() returns itself, and its
-copy() returns a DecoratedGraph: the mutable builder that blow-down and
-callers edit, one VertexData and one adjacency set per vertex.
+immutable value every pipeline stage, blow-down included, emits and every
+reader takes. It keeps no per-vertex objects, only flat tuples: the
+sorted ids, one column per decoration, a breadth-first order with the
+parent of each position, and sorted neighbour lists. Writing to it raises
+(FrozenInstanceError, or AttributeError on a vertex record), its freeze()
+returns itself, and its copy() returns a DecoratedGraph: the mutable
+builder for callers, one VertexData and one adjacency set per vertex.
 
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, canonical forms for
@@ -109,16 +109,6 @@ class DecoratedGraph:
     def remove_edge(self, u: int, v: int) -> None:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-
-    def remove_vertex(self, v: int) -> None:
-        for u in list(self._adj[v]):
-            self.remove_edge(u, v)
-        del self._adj[v]
-        del self.vertices[v]
-        self.arrows = [a for a in self.arrows if a != v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj[v]))
@@ -563,7 +553,7 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 
 def blow_down_minimize(
     g: Graph, rng=None
-) -> tuple[Graph, list[int]]:
+) -> tuple[FrozenGraph, list[int]]:
     """Contract (-1)-spheres meeting at most two other exceptional curves.
 
     Degree 2: the two neighbors become adjacent and each gains +1 on its
@@ -574,52 +564,61 @@ def blow_down_minimize(
 
     rng, when given, picks the contraction order at random; the result is
     the same decorated graph up to isomorphism regardless (tested
-    separately). Returns the minimized graph, a builder, and the removed
-    vertex ids in contraction order; g is left alone, and returned itself
-    when nothing is removable. The removable ids are read off the columns
-    once and kept sorted: a contraction changes only its neighbours.
+    separately). Returns the minimized graph, frozen and walked from the
+    input's root when it survives (else from the smallest survivor), and
+    the removed ids in contraction order; g is left alone, and returned
+    frozen when nothing is removable. The contraction runs on positions:
+    the removable ones are kept sorted, and a neighbour set is made only
+    for a position a contraction touches.
     """
     f = g.freeze()
-    start, arrowed = f.adj_start, set(f.arrows)
-    eligible = [v for p, (v, s) in enumerate(zip(f.ids, f.self_int))
-                if s == -1 and start[p + 1] - start[p] <= 2 and v not in arrowed]
+    ids, adj, start, arrowed = f.ids, f.adj, f.adj_start, set(f.arrows)
+    self_int = list(f.self_int)
+    near: dict[int, set[int]] = {}
+
+    def neighbours(p: int):
+        return near[p] if p in near else adj[start[p]:start[p + 1]]
+
+    def removable(p: int) -> bool:
+        return self_int[p] == -1 and len(neighbours(p)) <= 2 and ids[p] not in arrowed
+
+    eligible = [p for p in range(len(ids)) if removable(p)]
     if not eligible:
-        return g, []
-    out, removed = g.copy(), []
+        return f, []
+    removed: list[int] = []
     while eligible:
         v = eligible.pop(rng.randrange(len(eligible)) if rng is not None else 0)
-        nbrs = out.neighbors(v)
-        if out.vertices[v].real is False and any(
-            out.vertices[u].real is True for u in nbrs
-        ):
+        nbrs = tuple(neighbours(v))
+        if f.real[v] is False and any(f.real[u] is True for u in nbrs):
             raise InconsistentAnnotation(
-                f"cannot contract imaginary vertex {v} next to a real vertex"
+                f"cannot contract imaginary vertex {ids[v]} next to a real vertex"
             )
-        if len(nbrs) == 0:
+        if not nbrs:
             raise IsolatedMinusOne(
-                f"vertex {v} is an isolated (-1)-sphere; the configuration "
+                f"vertex {ids[v]} is an isolated (-1)-sphere; the configuration "
                 "contracts to a smooth point"
             )
-        if len(nbrs) == 2:
-            a, b = nbrs
-            if out.has_edge(a, b):
-                raise InternalInvariantError(
-                    "contraction would create a double edge in a tree"
-                )
-            out.add_edge(a, b)
+        if len(nbrs) == 2 and nbrs[1] in neighbours(nbrs[0]):
+            raise InternalInvariantError("contraction would create a double edge in a tree")
         for u in nbrs:
-            out.vertices[u].self_int += 1
-        out.remove_vertex(v)
+            near.setdefault(u, set(adj[start[u]:start[u + 1]])).discard(v)
+            near[u].update(w for w in nbrs if w != u)
+            self_int[u] += 1
         removed.append(v)
         for u in nbrs:
             i = bisect_left(eligible, u)
-            listed = i < len(eligible) and eligible[i] == u
-            now = out.vertices[u].self_int == -1 and out.degree(u) <= 2 and u not in arrowed
-            if now and not listed:
-                eligible.insert(i, u)
-            elif listed and not now:
+            if i < len(eligible) and eligible[i] == u:
                 del eligible[i]
-    return out, removed
+            if removable(u):
+                eligible.insert(i, u)
+    keep = sorted(set(range(len(ids))).difference(removed))
+    index = dict(zip(keep, range(len(keep))))
+    edges = [(index[p], index[q]) for p in keep for q in neighbours(p) if p < q]
+    columns = {name: list(map(getattr(f, name).__getitem__, keep)) for name in _COLUMNS[1:]}
+    return FrozenGraph.from_columns(
+        list(map(self_int.__getitem__, keep)), edges, ids=tuple(map(ids.__getitem__, keep)),
+        **columns, arrows=f.arrows, next_id=f.next_id, root=index.get(f.order[0], 0),
+    ), list(map(ids.__getitem__, removed))
 
 
 _CANON_FIELDS = ("self_int", "mult", "c1_coeff", "real", "arm_label")

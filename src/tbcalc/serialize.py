@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvalidDocument
-from .graph import DecoratedGraph, Graph
+from .graph import FrozenGraph, Graph
 
 FORMAT_VERSION = "1"
 
@@ -45,21 +45,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def graph_from_document(doc: dict) -> DecoratedGraph:
-    """Decode and validate a graph document."""
+def graph_from_document(doc: dict) -> FrozenGraph:
+    """Decode and validate a graph document. The result is frozen, its
+    positions sorted by id, walked from the smallest id, and numbers new
+    vertices on from the largest id."""
     _require(isinstance(doc, dict), "graph document must be an object")
     _require(doc.get("format_version") == FORMAT_VERSION,
              f"unsupported format_version {doc.get('format_version')!r}")
     for key in ("vertices", "edges", "arrows"):
         _require(isinstance(doc.get(key), list), f"missing or invalid {key!r} list")
-    g = DecoratedGraph()
+    rows: dict[int, tuple] = {}
     for entry in doc["vertices"]:
         _require(isinstance(entry, dict), "vertex entry must be an object")
         _require(_is_int(entry.get("id")), "vertex id must be an integer")
         _require(_is_int(entry.get("self_int")),
                  f"vertex {entry.get('id')} needs an integer self_int")
         vid = entry["id"]
-        _require(vid not in g.vertices, f"duplicate vertex id {vid}")
+        _require(vid not in rows, f"duplicate vertex id {vid}")
         mult = entry.get("mult")
         _require(mult is None or _is_int(mult), "mult must be an integer")
         real = entry.get("real")
@@ -68,24 +70,31 @@ def graph_from_document(doc: dict) -> DecoratedGraph:
         _require(arm is None or isinstance(arm, str), "arm must be a string")
         c1 = entry.get("c1")
         _require(c1 is None or _is_int(c1), "c1 must be an integer")
-        g.add_vertex(entry["self_int"], vid=vid, mult=mult, real=real,
-                     arm_label=arm, c1_coeff=c1)
+        rows[vid] = (entry["self_int"], mult, c1, arm, real)
+    ids = tuple(sorted(rows))
+    index = {v: p for p, v in enumerate(ids)}
+    edges: set[tuple[int, int]] = set()
     for pair in doc["edges"]:
         _require(isinstance(pair, list) and len(pair) == 2, "edge must be [u, v]")
         u, v = pair
         _require(_is_int(u) and _is_int(v), f"edge {pair} must join integer ids")
-        _require(u in g.vertices and v in g.vertices,
-                 f"edge {pair} references an unknown vertex")
+        _require(u in index and v in index, f"edge {pair} references an unknown vertex")
         _require(u != v, "loops are not allowed")
-        _require(not g.has_edge(u, v), f"duplicate edge {pair}")
-        g.add_edge(u, v)
+        edge = tuple(sorted((index[u], index[v])))
+        _require(edge not in edges, f"duplicate edge {pair}")
+        edges.add(edge)
+    arrows = []
     for item in doc["arrows"]:
         _require(isinstance(item, dict) and "vertex" in item,
                  "arrow must be an object with a 'vertex' key")
         _require(_is_int(item["vertex"]), "arrow vertex must be an integer")
-        _require(item["vertex"] in g.vertices,
+        _require(item["vertex"] in index,
                  f"arrow references unknown vertex {item['vertex']}")
-        g.arrows.append(item["vertex"])
+        arrows.append(item["vertex"])
+    self_int, mult, c1, arm, real = list(zip(*map(rows.__getitem__, ids))) or [()] * 5
+    g = FrozenGraph.from_columns(self_int, edges, ids=ids, mult=mult, c1_coeff=c1,
+                                 arm_label=arm, real=real, arrows=arrows,
+                                 next_id=ids[-1] + 1 if ids else 0)
     g.validate()
     return g
 

@@ -88,9 +88,9 @@ def _evaluation_source(
 def evaluation_graph(
     m: int, n: int, sign: str
 ) -> tuple[CoverGraph, CharacteristicData, str]:
-    """A marked copy of the graph tb(m, n, sign) is evaluated on, its
-    characteristic data (the unmarked graph's, shared by both signs) and
-    its level: "minimal", or "lift" for the plus fallback."""
+    """The graph tb(m, n, sign) is evaluated on, marked (a new frozen value),
+    its characteristic data (the unmarked graph's, shared by both signs)
+    and its level: "minimal", or "lift" for the plus fallback."""
     source, _real, level = _evaluation_source(m, n, sign)
     return mark_real_structure(source, sign), source.characteristic, level
 
@@ -157,22 +157,21 @@ def tb(m: int, n: int, sign: str) -> TbResult:
 
 def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:
     g.validate()
-    for v, real in zip(g.ids, g.real):
-        if real is None:
-            raise InconsistentAnnotation(f"vertex {v} has no real flag")
+    if None in g.real:
+        raise InconsistentAnnotation(f"vertex {g.ids[g.real.index(None)]} has no real flag")
     if not cg.conj:
         return
-    for v in g.ids:
+    for v, self_int, real in zip(g.ids, g.self_int, g.real):
         if v not in cg.conj:
             raise InconsistentAnnotation(f"conj is undefined on vertex {v}")
         w = cg.conj[v]
         if w not in g.vertices or cg.conj.get(w) != v:
             raise InconsistentAnnotation("conj is not an involution")
-        if g.vertices[w].self_int != g.vertices[v].self_int:
+        if g.vertices[w].self_int != self_int:
             raise InconsistentAnnotation(
                 "conj does not preserve self-intersections"
             )
-        if (cg.conj[v] == v) != bool(g.vertices[v].real):
+        if (w == v) != bool(real):
             raise InconsistentAnnotation(
                 f"real flag of vertex {v} disagrees with the fixed points of conj"
             )

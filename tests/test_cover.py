@@ -359,9 +359,9 @@ class TestUnchangedStages:
 
 
 class TestFrozenStages:
-    def test_cold_build_makes_a_builder_only_to_blow_down(self, monkeypatch):
-        # Every stage emits a frozen value. Only blow-down edits a builder,
-        # made when some curve contracts and frozen once.
+    def test_cold_build_makes_no_builder(self, monkeypatch):
+        # Every stage emits a frozen value, blow-down included: no pair
+        # makes or freezes a builder, whether or not some curve contracts.
         made, frozen = [], []
         init, freeze = DecoratedGraph.__init__, DecoratedGraph.freeze
 
@@ -381,14 +381,10 @@ class TestFrozenStages:
             for n in range(2, 41):
                 if math.gcd(m, n) != 1:
                     continue
-                made.clear()
-                frozen.clear()
                 cover = build_cover(m, n)
-                if cover.minimal is cover.lift:
-                    assert made == frozen == [], (m, n)
-                else:
+                if cover.minimal is not cover.lift:
                     blown_down.add((m, n))
-                    assert len(made) == len(frozen) == 1, (m, n)
+        assert made == frozen == []
         assert (11, 6) not in blown_down and (3, 7) in blown_down
 
     def test_all_none_columns_share_one_tuple(self):

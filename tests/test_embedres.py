@@ -172,6 +172,17 @@ class TestSeparation:
         assert nbr_mults == [5, 15]
         check_mini(gp)
 
+    def test_keeps_the_c1_entries_of_gamma_f(self):
+        # Gamma'_f extends Gamma_f's c1 column: the entries it keeps are the
+        # same int objects, and each inserted curve's entry is -1 plus its
+        # parents', as c1_coefficients reads it off the extended trace.
+        for m, n in [(5, 8), (3, 5), (3, 7), (5, 28)]:
+            g, trace = build_gamma_f(m, n)
+            gp, trace_p = separate_odd_odd(g, trace)
+            assert gp is not g and min(g.c1_coeff) < -5, (m, n)  # past the small-int cache
+            assert all(a is b for a, b in zip(gp.c1_coeff, g.c1_coeff)), (m, n)
+            assert list(gp.c1_coeff) == list(c1_coefficients(trace_p).values()), (m, n)
+
     def test_eleven_six_needs_none(self):
         g, trace = build_gamma_f(11, 6)
         gp, _trace_p = separate_odd_odd(g, trace)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -424,6 +425,87 @@ class TestBlowDown:
         result, removed = blow_down_minimize(g)
         assert removed == []
         assert canonical_form(result) == canonical_form(g)
+
+    @staticmethod
+    def random_builder(rng):
+        # Mostly (-1)-curves, so chains contract and (-1)-curves of degree
+        # 0 to 3 occur; now and then a missing edge (a forest) or an extra
+        # one (a cycle, which blow-down must refuse to close twice).
+        g = DecoratedGraph()
+        ids = [g.add_vertex(rng.choice((-1, -1, -1, -2, -3)), vid=2 * i + rng.randrange(2),
+                            mult=rng.choice((None, 3)), arm_label=rng.choice((None, "x")),
+                            real=rng.choice((None, None, True, False)))
+               for i in range(rng.randrange(1, 12))]
+        for i in range(1, len(ids)):
+            if rng.random() < 0.95:
+                g.add_edge(ids[rng.randrange(i)], ids[i])
+        if len(ids) > 2 and rng.random() < 0.1:
+            u, v = rng.sample(ids, 2)
+            if v not in g.neighbors(u):
+                g.add_edge(u, v)
+        for _ in range(rng.randrange(3)):
+            g.arrows.append(rng.choice(ids))
+        return g
+
+    def test_matches_a_dict_reference(self):
+        rng = random.Random(20261020)
+        outcomes = set()
+        for trial in range(600):
+            g = self.random_builder(rng)
+            seed = rng.randrange(10**6) if trial % 2 else None
+            results = []
+            for contract in (blow_down_minimize, reference_blow_down):
+                try:
+                    results.append(contract(g, None if seed is None else random.Random(seed)))
+                except (IsolatedMinusOne, InconsistentAnnotation,
+                        InternalInvariantError) as exc:
+                    results.append(type(exc))
+            got, want = results
+            if isinstance(want, type):
+                assert got is want, trial
+                outcomes.add(want)
+                continue
+            (result, removed), (expected, expected_removed) = got, want
+            assert removed == expected_removed, trial
+            assert result.freeze() == replace(expected.freeze(), next_id=g.freeze().next_id)
+            outcomes.add(bool(removed))
+        assert outcomes == {True, False, IsolatedMinusOne, InconsistentAnnotation,
+                            InternalInvariantError}
+
+
+def reference_blow_down(g, rng=None):
+    """blow_down_minimize on plain dicts: after each contraction the
+    removable ids are listed afresh, sorted, and rng picks among them as
+    blow_down_minimize does. Returns a new builder and the removed ids."""
+    data = {v: vars(d).copy() for v, d in g.vertices.items()}
+    near = {v: set(g.neighbors(v)) for v in data}
+
+    def eligible():
+        return [v for v in sorted(data) if data[v]["self_int"] == -1
+                and len(near[v]) <= 2 and v not in g.arrows]
+
+    removed = []
+    while todo := eligible():
+        v = todo[rng.randrange(len(todo)) if rng else 0]
+        nbrs = near.pop(v)
+        if data[v]["real"] is False and any(data[u]["real"] is True for u in nbrs):
+            raise InconsistentAnnotation(v)
+        if not nbrs:
+            raise IsolatedMinusOne(v)
+        if len(nbrs) == 2 and max(nbrs) in near[min(nbrs)]:
+            raise InternalInvariantError(v)
+        for u in nbrs:
+            near[u] = (near[u] | nbrs) - {u, v}
+            data[u]["self_int"] += 1
+        del data[v]
+        removed.append(v)
+    out = DecoratedGraph()
+    for v, fields in data.items():
+        out.add_vertex(fields.pop("self_int"), vid=v, **fields)
+    for u, v in {tuple(sorted((u, v))) for u in near for v in near[u]}:
+        out.add_edge(u, v)
+    out.arrows = list(g.arrows)
+    return out, removed
 
 
 class TestCanonicalForm:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,17 @@ class TestDocuments:
         again = graph_from_document(doc)
         assert canonical_form(again) == canonical_form(marked.graph)
         assert doc["meta"] == {"m": 11, "n": 6}
+
+    def test_decodes_cached_graphs_to_equal_values(self):
+        # A document keeps no walk root and no next id: the decoded graph
+        # is walked from its smallest id and numbers on after its largest.
+        for m, n in [(11, 6), (5, 8), (3, 7), (3, 2)]:
+            cover = build_cover(m, n)
+            for g in (cover.gamma_f, cover.gamma_f_prime, cover.lift.graph,
+                      cover.minimal.graph):
+                again = graph_from_document(graph_to_document(g))
+                assert again == replace(g.freeze(root=g.ids[0]), next_id=g.ids[-1] + 1)
+            assert graph_from_document(graph_to_document(cover.gamma_f)) == cover.gamma_f
 
     def test_document_is_json_serializable(self):
         g, _ids = make_chain([-2, -1])

@@ -105,11 +105,10 @@ class TestEvaluationGraph:
                          for level in solved]
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
-        # A cold build_cover copies a graph into a builder only to blow it
-        # down: for (3, 2) and (3, 7), not for (11, 6) or (5, 8), whose
-        # odd-odd separation appends to a frozen value. tb then neither
-        # copies nor marks the cached graphs, on the minimal graph or the
-        # lift fallback of (3, 2).
+        # A cold build_cover makes no copy, neither where odd-odd separation
+        # appends to a frozen value, (11, 6) and (5, 8), nor where curves
+        # blow down, (3, 2) and (3, 7). tb then neither copies nor marks the
+        # cached graphs, on the minimal graph or the lift fallback of (3, 2).
         copies = []
         for form in (DecoratedGraph, FrozenGraph):
             def counting(g, inner=form.copy):
@@ -118,12 +117,10 @@ class TestEvaluationGraph:
 
             monkeypatch.setattr(form, "copy", counting)
         build_cover.cache_clear()
-        pairs = {(11, 6): 0, (5, 8): 0, (3, 2): 1, (3, 7): 1}
-        for (m, n), expected in pairs.items():
-            copies.clear()
+        pairs = [(11, 6), (5, 8), (3, 2), (3, 7)]
+        for m, n in pairs:
             build_cover(m, n)
-            assert len(copies) == expected, (m, n)
-        copies.clear()
+        assert copies == []
         for m, n in pairs:
             for sign in ("plus", "minus"):
                 tb(m, n, sign)
