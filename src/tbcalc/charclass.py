@@ -25,7 +25,7 @@ from .errors import (
     NotNumericallyGorenstein,
     StructureMismatch,
 )
-from .graph import Graph, solve_intersection_system
+from .graph import FrozenGraph, solve_intersection_system
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
@@ -44,12 +44,11 @@ class CharacteristicData:
 def canonical_coefficients(cg) -> CharacteristicData:
     """Solve the adjunction system and extract W.
 
-    Accepts a CoverGraph or a bare graph, a builder being frozen first. On
-    a CoverGraph, W must be invariant under the deck transformation
-    (conjugation preserves the canonical class).
+    Accepts a CoverGraph or a bare FrozenGraph. On a CoverGraph, W must be
+    invariant under the deck transformation (conjugation preserves the
+    canonical class).
     """
-    g, deck = (cg, None) if isinstance(cg, Graph) else (cg.graph, cg.deck)
-    g = g.freeze()
+    g, deck = (cg, None) if isinstance(cg, FrozenGraph) else (cg.graph, cg.deck)
     a, det = solve_intersection_system(
         g, {v: self_int + 2 for v, self_int in zip(g.ids, g.self_int)})
     for v, value in a.items():
@@ -67,7 +66,7 @@ def canonical_coefficients(cg) -> CharacteristicData:
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
     """W_R: the members of W fixed by the real structure."""
-    g = (cg if isinstance(cg, Graph) else cg.graph).freeze()
+    g = cg if isinstance(cg, FrozenGraph) else cg.graph
     if None in g.real:
         raise InconsistentAnnotation(
             f"vertex {g.ids[g.real.index(None)]} has no real/imaginary mark; "
@@ -76,7 +75,7 @@ def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
     return frozenset(v for v in cd.w if g.real[g.pos(v)])
 
 
-def parity_checks(cd: CharacteristicData, cg, downstairs: Graph) -> dict:
+def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:
     """Membership laws for W on the pre-minimization lift.
 
     Checks, for each lifted vertex over a downstairs curve E_j with
@@ -93,15 +92,14 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: Graph) -> dict:
     "violations": [...]}; a missing precondition marks the check skipped.
     """
     report: dict[str, dict] = {}
-    curves = downstairs.freeze()
 
     odd_violations = []
     odd_checked = 0
     even_violations = []
     even_checked = 0
     for v, down in sorted(cg.downstairs.items()):
-        p = curves.pos(down)
-        mult, b = curves.mult[p], curves.c1_coeff[p]
+        p = downstairs.pos(down)
+        mult, b = downstairs.mult[p], downstairs.c1_coeff[p]
         in_w = v in cd.w
         if mult % 2 == 1:
             odd_checked += 1

@@ -33,7 +33,7 @@ from .errors import (
     StructureMismatch,
 )
 from .embedres import ARROW_MULT, build_gamma_f, separate_odd_odd
-from .graph import FrozenGraph, Graph, VertexMap, arms, blow_down_minimize
+from .graph import FrozenGraph, VertexMap, arms, blow_down_minimize
 
 _NO_CONJ: Mapping[int, int] = MappingProxyType({})
 SIGN_PLUS = "plus"
@@ -52,13 +52,13 @@ class CoverGraph:
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
-    The fields cannot be rebound. The stages emit read-only cover graphs:
-    a FrozenGraph with deck and downstairs (and conj, once marked) as
-    columns (VertexMap). A caller may build one on a DecoratedGraph with
-    dict maps for tb_from_graph.
+    The fields cannot be rebound, and graph is a FrozenGraph. The stages
+    emit read-only cover graphs, with deck and downstairs (and conj, once
+    marked) as columns (VertexMap). A caller may build one with dict maps
+    for tb_from_graph, freezing a builder once before handing it over.
     """
 
-    graph: Graph
+    graph: FrozenGraph
     m: int
     n: int
     e0_lift: Optional[int]
@@ -91,23 +91,22 @@ class CoverData:
 
     m: int
     n: int
-    gamma_f: Graph
-    gamma_f_prime: Graph
+    gamma_f: FrozenGraph
+    gamma_f_prime: FrozenGraph
     rupture: int
     lift: CoverGraph
     minimal: CoverGraph
 
 
-def lift_double_cover(gp: Graph, rupture: int, m: int, n: int) -> CoverGraph:
+def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGraph:
     """Lift the separated graph through the branched double cover.
 
-    Reads gp by position (a builder is frozen first) and returns the
-    frozen lift, walked from e0_lift, with deck and downstairs as columns.
+    Reads gp by position and returns the frozen lift, walked from
+    e0_lift, with deck and downstairs as columns.
     Over a downstairs edge between two doubled curves the lifts are joined
     copy to copy; the crossed choice gives an isomorphic graph, so every
     computed invariant is independent of it.
     """
-    gp = gp.freeze()
     ids, mult, adj, start = gp.ids, gp.mult, gp.adj, gp.adj_start
     if None in mult:
         raise StructureMismatch(f"vertex {ids[mult.index(None)]} has no multiplicity")
@@ -171,7 +170,7 @@ def lift_double_cover(gp: Graph, rupture: int, m: int, n: int) -> CoverGraph:
 
 
 def _downstairs_component_labels(
-    gp: Graph, rupture: int, m: int, n: int
+    gp: FrozenGraph, rupture: int, m: int, n: int
 ) -> dict[int, Optional[str]]:
     """Map each non-rupture vertex of Gamma'_f to its arm family.
 
@@ -181,7 +180,6 @@ def _downstairs_component_labels(
     intersection, present exactly when m and n are both odd) stays
     unlabeled.
     """
-    gp = gp.freeze()
     start = gp.adj_start
     labels: dict[int, Optional[str]] = {}
     for arm in arms(gp, rupture):
@@ -199,7 +197,7 @@ def _downstairs_component_labels(
     return labels
 
 
-def label_arms(cg: CoverGraph, gp: Graph, m: int, n: int) -> CoverGraph:
+def label_arms(cg: CoverGraph, gp: FrozenGraph, m: int, n: int) -> CoverGraph:
     """The fresh lift cg with the arms of e^0 labelled in its arm_label
     column, after asserting the arm laws; cg itself is left as it is.
 

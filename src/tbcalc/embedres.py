@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import FrozenGraph, Graph, _tree_det, solve_intersection_system
+from .graph import FrozenGraph, _tree_det, solve_intersection_system
 
 ARROW_MULT = 1
 
@@ -181,10 +181,9 @@ def _check_gamma_f(g: FrozenGraph, trace: BlowupTrace, data: EuclidData) -> None
         )
 
 
-def check_mini(g: Graph) -> None:
+def check_mini(g: FrozenGraph) -> None:
     """Assert the balance law n_k m_k + sum of adjacent mults + arrows = 0,
-    read from the columns and neighbour lists (a builder is frozen first)."""
-    g = g.freeze()
+    read from the columns and neighbour lists."""
     near, start = list(map(g.mult.__getitem__, g.adj)), g.adj_start
     totals = [self_int * mult + sum(near[start[p]:start[p + 1]])
               for p, (self_int, mult) in enumerate(zip(g.self_int, g.mult))]
@@ -195,7 +194,7 @@ def check_mini(g: Graph) -> None:
             raise StructureMismatch(f"balance law fails at vertex {v}: {total} != 0")
 
 
-def multiplicities(g: Graph) -> dict[int, int]:
+def multiplicities(g: FrozenGraph) -> dict[int, int]:
     """Solve the balance law for all multiplicities, independently of the
     simulation. The system is the intersection form against minus the
     arrow counts; the solution must be integral."""
@@ -244,7 +243,7 @@ def _odd_arrow_hosts(g: FrozenGraph) -> list[int]:
 
 
 def separate_odd_odd(
-    g: Graph, trace: BlowupTrace
+    g: FrozenGraph, trace: BlowupTrace
 ) -> tuple[FrozenGraph, BlowupTrace]:
     """Blow up every intersection of two odd-multiplicity components.
 
@@ -256,10 +255,9 @@ def separate_odd_odd(
     are even, so one sweep leaves no odd-odd incidence; a post-condition
     checks that. The inserted curves take the next ids at new positions,
     and each appends its c1 to g's column as in c1_coefficients: -1 plus
-    its parents' entries, so g's entries are shared. A builder g is frozen
-    first; with nothing to separate, (g, trace) itself is returned.
+    its parents' entries, so g's entries are shared. With nothing to
+    separate, (g, trace) itself is returned.
     """
-    g = g.freeze()
     cut = _odd_odd_edges(g)
     hosts = _odd_arrow_hosts(g)
     if not cut and not hosts:

@@ -6,14 +6,15 @@ Chern coefficient, real/imaginary flag, arm label) and arrows model
 transverse branches of the associated curve. Arrows are vertex
 attachments, not vertices.
 
-A graph comes in two forms. A FrozenGraph, built by from_columns, is the
-immutable value every pipeline stage, blow-down included, emits and every
-reader takes. It keeps no per-vertex objects, only flat tuples: the
-sorted ids, one column per decoration, a breadth-first order with the
-parent of each position, and sorted neighbour lists. Writing to it raises
-(FrozenInstanceError, or AttributeError on a vertex record), its freeze()
-returns itself, and its copy() returns a DecoratedGraph: the mutable
-builder for callers, one VertexData and one adjacency set per vertex.
+Every reader takes a FrozenGraph, built by from_columns: the immutable
+value every pipeline stage, blow-down included, emits. It keeps no
+per-vertex objects, only flat tuples: the sorted ids, one column per
+decoration, a breadth-first order with the parent of each position, and
+sorted neighbour lists. Writing to it raises (FrozenInstanceError, or
+AttributeError on a vertex record), and freeze(root) walks the same graph
+from another root. A DecoratedGraph only builds: a caller adds vertices
+and edges to it, or edits the one FrozenGraph.copy() returns, and hands
+its freeze() to the readers.
 
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, canonical forms for
@@ -62,7 +63,8 @@ class VertexData:
 
 
 class DecoratedGraph:
-    """A tree with decorated vertices, at most one edge per pair, and arrows.
+    """A builder for a tree with decorated vertices, at most one edge per
+    pair, and arrows; freeze() gives the FrozenGraph every reader takes.
 
     Vertex ids are stable small integers assigned at creation and never
     reused, so provenance maps stay valid across graph transformations.
@@ -110,47 +112,33 @@ class DecoratedGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[v]))
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def arrow_count(self, v: int) -> int:
-        return self.arrows.count(v)
-
-    def vertex_ids(self) -> list[int]:
-        return sorted(self.vertices)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Each edge once as (u, v) with u < v, sorted."""
-        return sorted((u, v) for u, adj in self._adj.items() for v in adj if u < v)
-
     def copy(self) -> "DecoratedGraph":
         """A new builder with the same vertices, edges and arrows."""
         return self.freeze().copy()
 
-    def freeze(self, root: Optional[int] = None) -> "FrozenGraph":
-        """The graph as a FrozenGraph, walked breadth-first from root (by
-        default the smallest id). The builder stays as it is."""
-        ids = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(ids)}
-        data = list(map(self.vertices.__getitem__, ids))
-        columns = {name: tuple(map(attrgetter(name), data)) for name in _COLUMNS}
-        edges = [(index[u], index[v]) for u, near in self._adj.items() for v in near if u < v]
-        return FrozenGraph.from_columns(
-            columns.pop("self_int"), edges, ids=ids, **columns, arrows=self.arrows,
-            next_id=self._next_id, root=0 if root is None else index[root])
-
-    def is_connected(self) -> bool:
-        return self.freeze().parent.count(-1) <= 1
-
-    def validate(self) -> None:
-        """Check the very-good-tree invariants, raising InvalidDocument."""
-        self.freeze().validate()
+    def freeze(self) -> "FrozenGraph":
+        """The graph as a FrozenGraph, walked breadth-first from the
+        smallest id. The builder stays as it is."""
+        rows = dict(zip(self.vertices, map(attrgetter(*_COLUMNS), self.vertices.values())))
+        edges = [(u, v) for u, near in self._adj.items() for v in near if u < v]
+        return _from_rows(rows, edges, self.arrows, self._next_id)
 
 
 _COLUMNS = ("self_int", "mult", "c1_coeff", "arm_label", "real")
+
+
+def _from_rows(
+    rows: Mapping[int, Sequence], edges: Iterable[tuple[int, int]],
+    arrows: Iterable[int], next_id: int,
+) -> "FrozenGraph":
+    """The FrozenGraph with one row of _COLUMNS per vertex id and edges
+    given as id pairs: positions sorted by id, walked from the smallest."""
+    ids = tuple(sorted(rows))
+    index = {v: p for p, v in enumerate(ids)}
+    self_int, *columns = list(zip(*map(rows.__getitem__, ids))) or [()] * len(_COLUMNS)
+    return FrozenGraph.from_columns(
+        self_int, [(index[u], index[v]) for u, v in edges], ids=ids,
+        **dict(zip(_COLUMNS[1:], columns)), arrows=arrows, next_id=next_id)
 
 
 class FrozenVertex(NamedTuple):
@@ -227,8 +215,12 @@ class FrozenGraph:
                    arrows=tuple(arrows), next_id=size if next_id is None else next_id)
 
     def pos(self, v: int) -> int:
-        """The position of vertex id v; KeyError when v is no vertex."""
-        i = bisect_left(self.ids, v)
+        """The position of vertex id v; KeyError when v is no vertex, a key
+        that does not compare with ints included."""
+        try:
+            i = bisect_left(self.ids, v)
+        except TypeError:
+            raise KeyError(v) from None
         if i == len(self.ids) or self.ids[i] != v:
             raise KeyError(v)
         return i
@@ -270,9 +262,10 @@ class FrozenGraph:
         return [(p, q) for p in range(len(self.ids))
                 for q in adj[start[p]:start[p + 1]] if p < q]
 
-    def freeze(self, root: Optional[int] = None) -> "FrozenGraph":
-        """self, or the same graph walked breadth-first from root."""
-        if root is None or (self.ids and self.ids[self.order[0]] == root):
+    def freeze(self, root: int) -> "FrozenGraph":
+        """The same graph walked breadth-first from vertex root; self when
+        its walk starts there."""
+        if self.ids and self.ids[self.order[0]] == root:
             return self
         order, parent = _breadth_first(self.adj, self.adj_start, self.pos(root))
         return replace(self, order=order, parent=parent)
@@ -300,9 +293,6 @@ class FrozenGraph:
             raise InvalidDocument("graph is not connected")
 
 
-Graph = Union[DecoratedGraph, FrozenGraph]
-
-
 class _ByPosition(Mapping):
     """A read-only map from the vertex ids of a FrozenGraph to the value
     at(p) of each position p, computed on access."""
@@ -314,11 +304,7 @@ class _ByPosition(Mapping):
         self._at = at
 
     def __getitem__(self, v: int):
-        ids = self._graph.ids
-        p = bisect_left(ids, v)
-        if p == len(ids) or ids[p] != v:
-            raise KeyError(v)
-        return self._at(p)
+        return self._at(self._graph.pos(v))
 
     def __iter__(self):
         return iter(self._graph.ids)
@@ -394,19 +380,18 @@ class Arm:
     is_bamboo: bool
 
 
-def is_rupture(g: Graph, v: int) -> bool:
+def is_rupture(g: FrozenGraph, v: int) -> bool:
     """A rupture vertex meets at least three other curves, arrows included."""
     return g.degree(v) + g.arrow_count(v) >= 3
 
 
-def arms(g: Graph, e: int) -> list[Arm]:
-    """The arms of vertex e: one per neighbor, ordered by head id. A
-    builder is frozen first."""
-    g = g.freeze()
+def arms(g: FrozenGraph, e: int) -> list[Arm]:
+    """The arms of vertex e: one per neighbor, ordered by head id."""
     ids, adj, start = g.ids, g.adj, g.adj_start
-    root = bisect_left(ids, e)
-    if root == len(ids) or ids[root] != e:
-        raise ValueError(f"vertex {e} not in graph")
+    try:
+        root = g.pos(e)
+    except KeyError:
+        raise ValueError(f"vertex {e} not in graph") from None
     arrows = list(map(g.pos, g.arrows))
     depth = [-1] * len(ids)
     depth[root] = 0
@@ -462,7 +447,7 @@ def _branch_weight(
     return Fraction(d, e)
 
 
-def _arm_weights(g: Graph, e: int, chosen: Iterable[Arm]) -> list[Fraction]:
+def _arm_weights(g: FrozenGraph, e: int, chosen: Iterable[Arm]) -> list[Fraction]:
     """The weights of the chosen arms of e, from one _branches pass over g
     rooted at e. Side branches of a branched arm that hold a vertex marked
     real are left out."""
@@ -478,7 +463,7 @@ def _arm_weights(g: Graph, e: int, chosen: Iterable[Arm]) -> list[Fraction]:
     return out
 
 
-def arm_weight(g: Graph, e: int, arm: Arm) -> Fraction:
+def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
     """The weight n^sigma of an arm of e.
 
     On a bamboo this is the negative continued fraction of the raw
@@ -492,12 +477,12 @@ def arm_weight(g: Graph, e: int, arm: Arm) -> Fraction:
     return weight
 
 
-def arm_is_imaginary(g: Graph, arm: Arm) -> bool:
+def arm_is_imaginary(g: FrozenGraph, arm: Arm) -> bool:
     """True when every vertex of the arm is marked imaginary."""
     return all(g.vertices[v].real is False for v in arm.vertices)
 
 
-def n_prime(g: Graph, e: int) -> Fraction:
+def n_prime(g: FrozenGraph, e: int) -> Fraction:
     """The corrected self-intersection n'_e.
 
     n'_e = n_e - sum of 1/n^sigma over the fully imaginary arms sigma, so
@@ -515,18 +500,15 @@ def n_prime(g: Graph, e: int) -> Fraction:
     return value
 
 
-def intersection_matrix(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """The symmetric intersection form over vertices sorted by id."""
-    ids = g.vertex_ids()
-    index = {v: i for i, v in enumerate(ids)}
-    size = len(ids)
-    q = [[0] * size for _ in range(size)]
-    for v in ids:
-        q[index[v]][index[v]] = g.vertices[v].self_int
-    for u, v in g.edges():
-        q[index[u]][index[v]] = 1
-        q[index[v]][index[u]] = 1
-    return ids, q
+def intersection_matrix(g: FrozenGraph) -> tuple[list[int], list[list[int]]]:
+    """The symmetric intersection form over vertices sorted by id, read
+    from the columns by position."""
+    q = [[0] * len(g.ids) for _ in g.ids]
+    for p, self_int in enumerate(g.self_int):
+        q[p][p] = self_int
+    for p, r in g._position_edges():
+        q[p][r] = q[r][p] = 1
+    return list(g.ids), q
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
@@ -552,7 +534,7 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 
 
 def blow_down_minimize(
-    g: Graph, rng=None
+    g: FrozenGraph, rng=None
 ) -> tuple[FrozenGraph, list[int]]:
     """Contract (-1)-spheres meeting at most two other exceptional curves.
 
@@ -567,13 +549,12 @@ def blow_down_minimize(
     separately). Returns the minimized graph, frozen and walked from the
     input's root when it survives (else from the smallest survivor), and
     the removed ids in contraction order; g is left alone, and returned
-    frozen when nothing is removable. The contraction runs on positions:
+    itself when nothing is removable. The contraction runs on positions:
     the removable ones are kept sorted, and a neighbour set is made only
     for a position a contraction touches.
     """
-    f = g.freeze()
-    ids, adj, start, arrowed = f.ids, f.adj, f.adj_start, set(f.arrows)
-    self_int = list(f.self_int)
+    ids, adj, start, arrowed = g.ids, g.adj, g.adj_start, set(g.arrows)
+    self_int = list(g.self_int)
     near: dict[int, set[int]] = {}
 
     def neighbours(p: int):
@@ -584,12 +565,12 @@ def blow_down_minimize(
 
     eligible = [p for p in range(len(ids)) if removable(p)]
     if not eligible:
-        return f, []
+        return g, []
     removed: list[int] = []
     while eligible:
         v = eligible.pop(rng.randrange(len(eligible)) if rng is not None else 0)
         nbrs = tuple(neighbours(v))
-        if f.real[v] is False and any(f.real[u] is True for u in nbrs):
+        if g.real[v] is False and any(g.real[u] is True for u in nbrs):
             raise InconsistentAnnotation(
                 f"cannot contract imaginary vertex {ids[v]} next to a real vertex"
             )
@@ -614,10 +595,10 @@ def blow_down_minimize(
     keep = sorted(set(range(len(ids))).difference(removed))
     index = dict(zip(keep, range(len(keep))))
     edges = [(index[p], index[q]) for p in keep for q in neighbours(p) if p < q]
-    columns = {name: list(map(getattr(f, name).__getitem__, keep)) for name in _COLUMNS[1:]}
+    columns = {name: list(map(getattr(g, name).__getitem__, keep)) for name in _COLUMNS[1:]}
     return FrozenGraph.from_columns(
         list(map(self_int.__getitem__, keep)), edges, ids=tuple(map(ids.__getitem__, keep)),
-        **columns, arrows=f.arrows, next_id=f.next_id, root=index.get(f.order[0], 0),
+        **columns, arrows=g.arrows, next_id=g.next_id, root=index.get(g.order[0], 0),
     ), list(map(ids.__getitem__, removed))
 
 
@@ -637,14 +618,12 @@ def _tree_centers(g: FrozenGraph) -> list[int]:
     return sorted(g.ids[p] for p in path[(len(path) - 1) // 2:len(path) // 2 + 1])
 
 
-def canonical_form(g: Graph, fields: Iterable[str] = _CANON_FIELDS):
+def canonical_form(g: FrozenGraph, fields: Iterable[str] = _CANON_FIELDS):
     """A hashable canonical encoding of the decorated tree.
 
     Two graphs get equal encodings exactly when some id relabeling matches
     all requested decorations, the arrow counts, and the tree structure.
-    A builder is frozen first.
     """
-    g = g.freeze()
     columns = [getattr(g, name) for name in fields]
     arrows = list(map(g.arrows.count, g.ids))
 
@@ -677,7 +656,7 @@ def _quotient(num, den: int):
 
 
 def solve_intersection_system(
-    g: Graph, rhs: Mapping[int, Union[int, Fraction]]
+    g: FrozenGraph, rhs: Mapping[int, Union[int, Fraction]]
 ) -> tuple["VertexMap", int]:
     """Solve Q x = rhs exactly, where Q is the intersection form of g, and
     return x by vertex id (an int wherever it is integral) with det Q.
@@ -692,7 +671,6 @@ def solve_intersection_system(
     the root. Falls back to dense elimination when some D_v vanishes.
     Raises SingularMatrix when the form is singular or g is disconnected.
     """
-    g = g.freeze()
     ids, order, parent = g.ids, g.order, g.parent
     if not ids:
         return VertexMap(g, ()), 1
@@ -741,9 +719,8 @@ def _subtree_dets(g: FrozenGraph) -> tuple[list[int], list[int]]:
     return det, rest
 
 
-def _tree_det(g: Graph) -> int:
+def _tree_det(g: FrozenGraph) -> int:
     """det Q of a forest in O(V) integer steps: the product of D at the
     root of each tree (_subtree_dets)."""
-    g = g.freeze()
     det, _rest = _subtree_dets(g)
     return math.prod(det[p] for p in g.order if g.parent[p] < 0)

@@ -5,12 +5,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvalidDocument
-from .graph import FrozenGraph, Graph
+from .graph import FrozenGraph, _from_rows
 
 FORMAT_VERSION = "1"
 
 
-def graph_to_document(g: Graph, meta: Optional[dict] = None) -> dict:
+def graph_to_document(g: FrozenGraph, meta: Optional[dict] = None) -> dict:
     """Encode a graph as a JSON-ready document. Optional decorations are
     omitted when unset, so documents stay minimal and round-trip exactly."""
     vertices = []
@@ -71,16 +71,14 @@ def graph_from_document(doc: dict) -> FrozenGraph:
         c1 = entry.get("c1")
         _require(c1 is None or _is_int(c1), "c1 must be an integer")
         rows[vid] = (entry["self_int"], mult, c1, arm, real)
-    ids = tuple(sorted(rows))
-    index = {v: p for p, v in enumerate(ids)}
     edges: set[tuple[int, int]] = set()
     for pair in doc["edges"]:
         _require(isinstance(pair, list) and len(pair) == 2, "edge must be [u, v]")
         u, v = pair
         _require(_is_int(u) and _is_int(v), f"edge {pair} must join integer ids")
-        _require(u in index and v in index, f"edge {pair} references an unknown vertex")
+        _require(u in rows and v in rows, f"edge {pair} references an unknown vertex")
         _require(u != v, "loops are not allowed")
-        edge = tuple(sorted((index[u], index[v])))
+        edge = (u, v) if u < v else (v, u)
         _require(edge not in edges, f"duplicate edge {pair}")
         edges.add(edge)
     arrows = []
@@ -88,18 +86,15 @@ def graph_from_document(doc: dict) -> FrozenGraph:
         _require(isinstance(item, dict) and "vertex" in item,
                  "arrow must be an object with a 'vertex' key")
         _require(_is_int(item["vertex"]), "arrow vertex must be an integer")
-        _require(item["vertex"] in index,
+        _require(item["vertex"] in rows,
                  f"arrow references unknown vertex {item['vertex']}")
         arrows.append(item["vertex"])
-    self_int, mult, c1, arm, real = list(zip(*map(rows.__getitem__, ids))) or [()] * 5
-    g = FrozenGraph.from_columns(self_int, edges, ids=ids, mult=mult, c1_coeff=c1,
-                                 arm_label=arm, real=real, arrows=arrows,
-                                 next_id=ids[-1] + 1 if ids else 0)
+    g = _from_rows(rows, edges, arrows, max(rows) + 1 if rows else 0)
     g.validate()
     return g
 
 
-def to_dot(g: Graph, w: frozenset = frozenset()) -> str:
+def to_dot(g: FrozenGraph, w: frozenset = frozenset()) -> str:
     """Render the graph in DOT.
 
     Vertex labels read "id:self_int[:mult][R|I]". Real vertices are drawn

@@ -9,19 +9,19 @@ from tbcalc import CoverGraph, DecoratedGraph
 
 def make_chain(selfs, arrow_on=None):
     """A path graph with the given self-intersections, optionally with one
-    arrow. Returns (graph, [ids in chain order])."""
+    arrow. Returns (frozen graph, [ids in chain order])."""
     g = DecoratedGraph()
     ids = [g.add_vertex(s) for s in selfs]
     for a, b in zip(ids, ids[1:]):
         g.add_edge(a, b)
     if arrow_on is not None:
         g.arrows.append(ids[arrow_on])
-    return g, ids
+    return g.freeze(), ids
 
 
 def make_star(center_self, arm_selfs):
     """A star: one center and one bamboo per entry of arm_selfs, each
-    given head-to-terminal. Returns (graph, center, [arm id lists])."""
+    given head-to-terminal. Returns (frozen graph, center, [arm id lists])."""
     g = DecoratedGraph()
     center = g.add_vertex(center_self)
     arm_ids = []
@@ -34,7 +34,7 @@ def make_star(center_self, arm_selfs):
             ids.append(v)
             prev = v
         arm_ids.append(ids)
-    return g, center, arm_ids
+    return g.freeze(), center, arm_ids
 
 
 def build_star12_graph(sign):
@@ -47,22 +47,23 @@ def build_star12_graph(sign):
     the second and fourth vertices of each long arm, counted from the
     rupture (the unique solution of the adjunction system).
     """
-    g, center, (arm_a, arm_b, arm_c) = make_star(
+    star, center, (arm_a, arm_b, arm_c) = make_star(
         -2, [(-3,), (-2, -2, -2, -2, -3), (-2, -2, -2, -2, -3)])
     w = frozenset({center, arm_b[1], arm_b[3], arm_c[1], arm_c[3]})
+    g = star.copy()
     if sign == "minus":
-        conj = {v: v for v in g.vertex_ids()}
-        for v in g.vertex_ids():
+        conj = {v: v for v in star.vertex_ids()}
+        for v in star.vertex_ids():
             g.vertices[v].real = True
     else:
         conj = {center: center, arm_a[0]: arm_a[0]}
         for b, c in zip(arm_b, arm_c):
             conj[b] = c
             conj[c] = b
-        for v in g.vertex_ids():
+        for v in star.vertex_ids():
             g.vertices[v].real = conj[v] == v
     return CoverGraph(
-        graph=g, m=None, n=None, e0_lift=center, deck={},
+        graph=g.freeze(), m=None, n=None, e0_lift=center, deck={},
         downstairs={}, conj=conj, sign=sign,
     ), w
 

@@ -4,7 +4,6 @@ import pytest
 
 from tbcalc import (
     CoverGraph,
-    DecoratedGraph,
     InconsistentAnnotation,
     NotNumericallyGorenstein,
     WU_CONFIRMED_CONSISTENT,
@@ -71,7 +70,7 @@ class TestCanonicalCoefficients:
             canonical_coefficients(g)
 
     def test_plain_graph_accepted(self):
-        # bare DecoratedGraph input works the same as a CoverGraph
+        # bare FrozenGraph input works the same as a CoverGraph
         g, ids = make_chain([-2, -2])
         cd = canonical_coefficients(g)
         assert cd.a == {ids[0]: 0, ids[1]: 0}

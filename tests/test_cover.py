@@ -92,7 +92,7 @@ class TestLiftRules:
         g.arrows.append(b)
         g.arrows.append(b)
         with pytest.raises(OddSelfIntOnBranch):
-            lift_double_cover(g, b, 3, 2)
+            lift_double_cover(g.freeze(), b, 3, 2)
 
     def test_bad_odd_neighbor_count_rejected(self):
         # even vertex with exactly one odd neighbor violates the
@@ -102,7 +102,7 @@ class TestLiftRules:
         b = g.add_vertex(-2, mult=4)
         g.add_edge(a, b)
         with pytest.raises(BadOddNeighborCount):
-            lift_double_cover(g, b, 3, 4)
+            lift_double_cover(g.freeze(), b, 3, 4)
 
 
 class TestGammaStructures:
@@ -265,7 +265,7 @@ class TestStructuralGuards:
             g.arrows.append(v)
             g.arrows.append(v)
         with pytest.raises(StructureMismatch):
-            lift_double_cover(g, a, 2, 2)
+            lift_double_cover(g.freeze(), a, 2, 2)
 
     def test_duplicate_edge_is_not_a_tree(self):
         # a-b twice and no edge to c: the lift has V - 1 edges but is not
@@ -280,7 +280,7 @@ class TestStructuralGuards:
         b = g.add_vertex(-2, mult=5)
         g.add_edge(a, b)
         with pytest.raises((StructureMismatch, BadOddNeighborCount)):
-            lift_double_cover(g, a, 3, 5)
+            lift_double_cover(g.freeze(), a, 3, 5)
 
 
 class TestFrozenCache:
@@ -369,9 +369,9 @@ class TestFrozenStages:
             made.append(g)
             init(g)
 
-        def counting_freeze(g, root=None):
+        def counting_freeze(g):
             frozen.append(g)
-            return freeze(g, root)
+            return freeze(g)
 
         monkeypatch.setattr(DecoratedGraph, "__init__", counting_init)
         monkeypatch.setattr(DecoratedGraph, "freeze", counting_freeze)

@@ -151,7 +151,7 @@ class TestGaugeInvariance:
             flipped.add_edge(a1, b0)
             flips += 1
             assert (canonical_form(lift.graph, fields=("self_int",))
-                    == canonical_form(flipped, fields=("self_int",))), (m, n)
+                    == canonical_form(flipped.freeze(), fields=("self_int",))), (m, n)
         assert flips > 0
 
 

@@ -48,9 +48,10 @@ class TestDocuments:
         assert graph_from_document(json.loads(text))
 
     def test_optional_fields_omitted(self):
-        g, ids = make_chain([-2, -2])
+        chain, ids = make_chain([-2, -2])
+        g = chain.copy()
         g.vertices[ids[0]].mult = 4
-        doc = graph_to_document(g)
+        doc = graph_to_document(g.freeze())
         first, second = doc["vertices"]
         assert first["mult"] == 4
         assert "mult" not in second
@@ -141,6 +142,7 @@ class TestDot:
         assert "diamond" in dot
 
     def test_mult_in_label(self):
-        g, ids = make_chain([-2])
+        chain, ids = make_chain([-2])
+        g = chain.copy()
         g.vertices[ids[0]].mult = 6
-        assert ":-2:6" in to_dot(g)
+        assert ":-2:6" in to_dot(g.freeze())

@@ -62,3 +62,27 @@ def test_benchmark_tracer_bindings_resolve():
     for home in ("cover", "tb", "verify"):
         assert importlib.import_module(f"tbcalc.{home}").arms is arms
     assert tbcalc.arms is arms
+
+
+def test_readers_take_frozen_graphs():
+    # Every reader takes a FrozenGraph: no annotation admits both graph
+    # types, and only the builder's own methods freeze without a root.
+    both = {"DecoratedGraph", "FrozenGraph"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "DecoratedGraph"
+                   for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "Union") or (
+                    isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                if both <= names:
+                    found.append(f"{path.name}:{node.lineno} union of graph types")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "freeze" and not node.args
+                  and not node.keywords and id(node) not in builder):
+                found.append(f"{path.name}:{node.lineno} freeze() without a root")
+    assert found == []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ from tbcalc import (
     arms,
     build_cover,
     evaluation_graph,
+    mark_real_structure,
     n_prime,
     tb,
     tb_from_graph,
@@ -183,10 +185,11 @@ class TestTbFromGraph:
 
     def test_empty_wr_gives_euler_count(self):
         # fully real graph, empty wr: tb = N - 1
-        g, _ids = make_chain([-2, -2, -2])
-        for v in g.vertex_ids():
+        chain, ids = make_chain([-2, -2, -2])
+        g = chain.copy()
+        for v in ids:
             g.vertices[v].real = True
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj={}, sign=None)
         assert tb_from_graph(cg, wr=[]).value == Fraction(2)
 
@@ -203,34 +206,48 @@ class TestTbFromGraph:
         with pytest.raises(InconsistentAnnotation):
             tb_from_graph(cg, wr=[imaginary_w[0]])
 
+    def test_builder_graph_rejected(self, star12_plus):
+        cg, _w = star12_plus
+        with pytest.raises(TypeError, match="FrozenGraph"):
+            tb_from_graph(replace(cg, graph=cg.graph.copy()))
+
+    @pytest.mark.parametrize("key", ["x", None])
+    def test_wr_key_that_is_no_vertex_id_rejected(self, key):
+        marked = mark_real_structure(build_cover(11, 6).minimal, "plus")
+        with pytest.raises(InconsistentAnnotation, match="unknown vertex"):
+            tb_from_graph(marked, wr={key})
+
     def test_non_involutive_conj_rejected(self):
-        g, ids = make_chain([-2, -2, -2])
+        chain, ids = make_chain([-2, -2, -2])
+        g = chain.copy()
         for v in ids:
             g.vertices[v].real = v == ids[1]
         conj = {ids[0]: ids[1], ids[1]: ids[2], ids[2]: ids[0]}
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(InconsistentAnnotation):
             tb_from_graph(cg)
 
     def test_conj_fixed_points_must_be_real(self):
-        g, ids = make_chain([-2, -2])
+        chain, ids = make_chain([-2, -2])
+        g = chain.copy()
         g.vertices[ids[0]].real = False
         g.vertices[ids[1]].real = False
         conj = {ids[0]: ids[0], ids[1]: ids[1]}
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(InconsistentAnnotation):
             tb_from_graph(cg, wr=[])
 
     def test_conj_must_preserve_self_ints(self):
-        g, ids = make_chain([-2, -3, -2])
+        chain, ids = make_chain([-2, -3, -2])
+        g = chain.copy()
         # swap a (-2) with the (-3): not an automorphism of weights
         g.vertices[ids[1]].real = False
         g.vertices[ids[0]].real = False
         g.vertices[ids[2]].real = True
         conj = {ids[0]: ids[1], ids[1]: ids[0], ids[2]: ids[2]}
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(InconsistentAnnotation):
             tb_from_graph(cg, wr=[])
@@ -238,12 +255,13 @@ class TestTbFromGraph:
     def test_zero_imaginary_arm_weight_rejected(self):
         # a real (-2) center with two conjugate imaginary (0)-arms: the
         # arm weight 0 has no reciprocal in n'
-        g, center, ((left,), (right,)) = make_star(-2, [(0,), (0,)])
+        star, center, ((left,), (right,)) = make_star(-2, [(0,), (0,)])
+        g = star.copy()
         g.vertices[center].real = True
         g.vertices[left].real = False
         g.vertices[right].real = False
         conj = {center: center, left: right, right: left}
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(ZeroDenominator):
             tb_from_graph(cg, wr=[center])
@@ -253,29 +271,31 @@ class TestTbFromGraph:
         # arms, each a (-3) head with (-2) and (-3) leaves:
         # weight -3 - (1/-2 + 1/-3) = -13/6, n' = -2 + 12/13 = -14/13,
         # tb = N - 1 + n' = 1 - 14/13.
-        g, center, ((real_arm,), (left,), (right,)) = make_star(
+        star, center, ((real_arm,), (left,), (right,)) = make_star(
             -2, [(-3,), (-3,), (-3,)])
+        g = star.copy()
         conj = {center: center, real_arm: real_arm, left: right, right: left}
         for self_int in (-2, -3):
             x, y = (g.add_vertex(self_int) for _ in range(2))
             g.add_edge(left, x)
             g.add_edge(right, y)
             conj.update({x: y, y: x})
-        for v in g.vertex_ids():
+        for v in g.vertices:
             g.vertices[v].real = conj[v] == v
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
         r = tb_from_graph(cg, wr=[center])
         assert r.arm_weights == {center: (Fraction(-13, 6), Fraction(-13, 6))}
-        assert r.n_prime_contrib[center] == Fraction(-14, 13) == n_prime(g, center)
+        assert r.n_prime_contrib[center] == Fraction(-14, 13) == n_prime(cg.graph, center)
         assert r.value == Fraction(-1, 13)
 
     def test_non_gorenstein_caller_graph_is_a_user_error(self):
         # A single real (-3) curve: -3a = -1 has no integral solution. The
         # graph came from the caller, so this is bad input, not a bug.
-        g, _ids = make_chain([-3])
+        chain, _ids = make_chain([-3])
+        g = chain.copy()
         g.vertices[0].real = True
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj={}, sign=None)
         with pytest.raises(NonIntegralCanonicalClass) as info:
             tb_from_graph(cg)
@@ -295,9 +315,9 @@ class TestTbFromGraph:
         g.add_edge(center, short)
         conj = {center: center, short: short}
         conj.update(zip(left + right, right + left))
-        for v in g.vertex_ids():
+        for v in g.vertices:
             g.vertices[v].real = conj[v] == v
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=center, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=center, deck={},
                         downstairs={}, conj=conj, sign="plus")
         r = tb_from_graph(cg)
         assert r.value == Fraction(7, 11)
@@ -306,12 +326,13 @@ class TestTbFromGraph:
     def test_imaginary_set_between_real_vertices_is_no_arm(self):
         # a - b - c with b imaginary between the real a and c, and an
         # imaginary (-2) leaf d on a: only d is an arm (of a).
-        g, (a, b, c) = make_chain([-2, -3, -2])
+        chain, (a, b, c) = make_chain([-2, -3, -2])
+        g = chain.copy()
         d = g.add_vertex(-2)
         g.add_edge(a, d)
-        for v in g.vertex_ids():
+        for v in g.vertices:
             g.vertices[v].real = v in (a, c)
-        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj={}, sign=None)
         r = tb_from_graph(cg, wr=[a, c])
         assert r.arm_weights == {a: (Fraction(-2),), c: ()}
