@@ -183,16 +183,14 @@ def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:
 def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     """Evaluate the formula on a caller-annotated graph.
 
-    cg.graph must be a FrozenGraph (TypeError for a builder, which the
-    caller freezes first). Real flags must be present; a nonempty
+    cg.graph must be a FrozenGraph; a caller freezes a builder first.
+    Real flags must be present; a nonempty
     conj must be an involutive automorphism whose fixed points are the
     real vertices. When wr is omitted it is computed from the adjunction
     system of the given graph, and a graph whose adjunction system has no
     integral solution raises NonIntegralCanonicalClass.
     """
     g = cg.graph
-    if not isinstance(g, FrozenGraph):
-        raise TypeError("cg.graph must be a FrozenGraph; freeze a builder first")
     _check_annotations(cg, g)
     real = frozenset(v for v, flag in zip(g.ids, g.real) if flag)
     if wr is None:

@@ -67,9 +67,10 @@ class TestGraphBasics:
 
     def test_copy_is_deep(self):
         g, ids = make_chain([-2, -2])
-        h = g.copy()
+        b = g.copy()
+        h = b.copy()
         h.vertices[ids[0]].self_int = -7
-        assert g.vertices[ids[0]].self_int == -2
+        assert b.vertices[ids[0]].self_int == -2
 
 
 class TestFrozenGraph:

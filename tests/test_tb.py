@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -205,11 +204,6 @@ class TestTbFromGraph:
         imaginary_w = sorted(w - {cg.e0_lift})
         with pytest.raises(InconsistentAnnotation):
             tb_from_graph(cg, wr=[imaginary_w[0]])
-
-    def test_builder_graph_rejected(self, star12_plus):
-        cg, _w = star12_plus
-        with pytest.raises(TypeError, match="FrozenGraph"):
-            tb_from_graph(replace(cg, graph=cg.graph.copy()))
 
     @pytest.mark.parametrize("key", ["x", None])
     def test_wr_key_that_is_no_vertex_id_rejected(self, key):
