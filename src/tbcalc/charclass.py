@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     InconsistentAnnotation,
     NotNumericallyGorenstein,
     StructureMismatch,
 )
-from .graph import FrozenGraph, solve_intersection_system
+from .graph import FrozenGraph, VertexMap, _column, solve_intersection_system
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
@@ -49,16 +50,17 @@ def canonical_coefficients(cg) -> CharacteristicData:
     canonical class).
     """
     g, deck = (cg, None) if isinstance(cg, FrozenGraph) else (cg.graph, cg.deck)
-    a, det = solve_intersection_system(
-        g, {v: self_int + 2 for v, self_int in zip(g.ids, g.self_int)})
-    for v, value in a.items():
-        if value.denominator != 1:
-            raise NotNumericallyGorenstein(
-                f"c1 coefficient of vertex {v} is {value}; the graph is not "
-                "numerically Gorenstein"
-            )
-    w = frozenset(v for v, coeff in a.items() if coeff % 2 != 0)
-    if deck and {deck[v] for v in w} != w:
+    a, det = solve_intersection_system(g, VertexMap(g, map((2).__add__, g.self_int)))
+    coeffs = _column(g, a)
+    if not {int}.issuperset(map(type, coeffs)):
+        v, value = next((v, x) for v, x in zip(g.ids, coeffs) if x.denominator != 1)
+        raise NotNumericallyGorenstein(
+            f"c1 coefficient of vertex {v} is {value}; the graph is not "
+            "numerically Gorenstein"
+        )
+    odd = list(map((1).__and__, coeffs))
+    w = frozenset(compress(g.ids, odd))
+    if deck and frozenset(compress(_column(g, deck), odd)) != w:
         raise StructureMismatch("W is not invariant under the deck transformation")
     wu_status = WU_CONFIRMED_UNIQUE if det % 2 else WU_CONFIRMED_CONSISTENT
     return CharacteristicData(a=a, w=w, wu_status=wu_status)

@@ -20,9 +20,11 @@ frozen values and every result is one, marked graphs included.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import chain, compress, islice
+from operator import eq
 from types import MappingProxyType
 from typing import Optional
 
@@ -33,9 +35,19 @@ from .errors import (
     StructureMismatch,
 )
 from .embedres import ARROW_MULT, build_gamma_f, separate_odd_odd
-from .graph import FrozenGraph, VertexMap, arms, blow_down_minimize
+from .graph import (
+    FrozenGraph,
+    VertexMap,
+    _column,
+    _degrees,
+    _drop_positions,
+    _neighbour_sums,
+    arms,
+    blow_down_minimize,
+)
 
 _NO_CONJ: Mapping[int, int] = MappingProxyType({})
+_NOBODY = object()  # the parent of a root
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"
 RUPTURE_LABEL = "rupture"
@@ -102,7 +114,9 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
     """Lift the separated graph through the branched double cover.
 
     Reads gp by position and returns the frozen lift, walked from
-    e0_lift, with deck and downstairs as columns.
+    e0_lift, with deck and downstairs as columns. The lifts of each curve
+    take the next positions in gp's position order, so the lifted
+    neighbour lists come out sorted and are built directly.
     Over a downstairs edge between two doubled curves the lifts are joined
     copy to copy; the crossed choice gives an isomorphic graph, so every
     computed invariant is independent of it.
@@ -111,7 +125,13 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
     if None in mult:
         raise StructureMismatch(f"vertex {ids[mult.index(None)]} has no multiplicity")
     odd = [value % 2 == 1 for value in mult]
-    self_int, first, doubled, deck, downstairs = [], [], [], [], []
+    odd_near = _neighbour_sums(gp, odd)
+    for v in gp.arrows:
+        odd_near[gp.pos(v)] += ARROW_MULT % 2
+    # kind[p]: 1 for the one lift of an odd curve, 0 for the one lift of an
+    # even curve, 2 for the two lifts of an even curve; the lifts of
+    # position p are the positions first[p] to end[p] - 1.
+    self_int, kind, first, deck, downstairs = [], [], [], [], []
     for p, (v, value) in enumerate(zip(ids, gp.self_int)):
         a = len(self_int)
         first.append(a)
@@ -122,47 +142,56 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
                     f"{value}; the cover cannot be normalized by these rules"
                 )
             self_int.append(value // 2)
+            kind.append(1)
         else:
-            count = sum(map(odd.__getitem__, adj[start[p]:start[p + 1]]))
-            count += gp.arrows.count(v) * (ARROW_MULT % 2)
+            count = odd_near[p]
             if count == 2:
                 self_int.append(2 * value)
+                kind.append(0)
             elif count == 0:
                 self_int += (value, value)
+                kind.append(2)
+                deck.append(a + 1)
+                downstairs.append(v)
             else:
                 raise BadOddNeighborCount(
                     f"even-multiplicity vertex {v} meets {count} odd components; "
                     "the balance law forces 0 or 2"
                 )
-        doubled.append(len(self_int) - a == 2)
-        deck += (a + 1, a) if doubled[p] else (a,)
-        downstairs += (v,) * (len(self_int) - a)
+        deck.append(a)
+        downstairs.append(v)
 
-    edges = []
-    for p, q in gp._position_edges():
-        a, b = first[p], first[q]
-        if not doubled[p] and not doubled[q]:
-            if odd[p] and odd[q]:
-                raise StructureMismatch(
-                    f"odd-odd edge {ids[p]}-{ids[q]} survived separation"
-                )
-            if not odd[p] and not odd[q]:
-                raise StructureMismatch(
-                    f"adjacent even-multiplicity vertices {ids[p]}, {ids[q]} both "
-                    "lift connectedly; their lifts would meet twice"
-                )
-            edges.append((a, b))
-        elif doubled[p] and doubled[q]:
-            edges += ((a, b), (a + 1, b + 1))
+    # A single lift meets every lift of each neighbour; copy c of a doubled
+    # curve meets copy c of each doubled neighbour and the single lift of
+    # each other one. Two single lifts of one kind must not meet: odd-odd
+    # edges are separated, and two even single lifts would meet twice.
+    end = first[1:] + [len(self_int)]
+    last = list(map((-1).__add__, end))
+    up_adj: list[int] = []
+    up_start = [0]
+    for p, near in enumerate(map(adj.__getitem__, map(slice, start, islice(start, 1, None)))):
+        if kind[p] == 2:
+            up_adj += map(first.__getitem__, near)
+            up_start.append(len(up_adj))
+            up_adj += map(last.__getitem__, near)
+        elif kind[p] in map(kind.__getitem__, near):
+            q = next(q for q in near if kind[q] == kind[p])
+            if odd[p]:
+                raise StructureMismatch(f"odd-odd edge {ids[p]}-{ids[q]} survived separation")
+            raise StructureMismatch(
+                f"adjacent even-multiplicity vertices {ids[p]}, {ids[q]} both "
+                "lift connectedly; their lifts would meet twice"
+            )
         else:
-            single, pair = (b, a) if doubled[p] else (a, b)
-            edges += ((single, pair), (single, pair + 1))
+            up_adj += chain.from_iterable(map(range, map(first.__getitem__, near),
+                                              map(end.__getitem__, near)))
+        up_start.append(len(up_adj))
 
     r = gp.pos(rupture)
-    up = FrozenGraph.from_columns(self_int, edges, root=first[r])
-    if len(edges) != len(self_int) - 1 or up.parent.count(-1) > 1:
+    up = FrozenGraph._from_adjacency(self_int, up_start, up_adj, root=first[r])
+    if len(up_adj) != 2 * (len(self_int) - 1) or up.parent.count(-1) > 1:
         raise StructureMismatch("lifted graph is not a tree")
-    if doubled[r]:
+    if kind[r] == 2:
         raise StructureMismatch("rupture vertex must have a unique lift")
     return CoverGraph(graph=up, m=m, n=n, e0_lift=first[r],
                       deck=VertexMap(up, deck), downstairs=VertexMap(up, downstairs),
@@ -178,22 +207,30 @@ def _downstairs_component_labels(
     multiplicity m underlies the (n)-arms upstairs; multiplicity n
     underlies the (m)-arms. A third component (the moved branch
     intersection, present exactly when m and n are both odd) stays
-    unlabeled.
+    unlabeled. Each component is walked once, by position.
     """
-    start = gp.adj_start
+    ids, adj, start, mult = gp.ids, gp.adj, gp.adj_start, gp.mult
+    root = gp.pos(rupture)
+    degree = _degrees(gp)
+    seen = [False] * len(ids)
+    seen[root] = True
     labels: dict[int, Optional[str]] = {}
-    for arm in arms(gp, rupture):
-        terminal_mults = [
-            gp.mult[p] for p in map(gp.pos, arm.vertices) if start[p + 1] - start[p] == 1
-        ]
+    for head in adj[start[root]:start[root + 1]]:
+        seen[head] = True
+        component = [head]
+        for p in component:
+            for q in adj[start[p]:start[p + 1]]:
+                if not seen[q]:
+                    seen[q] = True
+                    component.append(q)
+        terminal_mults = {mult[p] for p in component if degree[p] == 1}
         if m in terminal_mults:
             family: Optional[str] = "n_arm"
         elif n in terminal_mults:
             family = "m_arm"
         else:
             family = None
-        for v in arm.vertices:
-            labels[v] = family
+        labels.update(dict.fromkeys(map(ids.__getitem__, component), family))
     return labels
 
 
@@ -210,8 +247,9 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph, m: int, n: int) -> CoverGraph:
     e0 = cg.e0_lift
     if e0 is None:
         raise StructureMismatch("cannot label arms without the rupture lift")
-    below = dict(cg.downstairs.items())
-    family_of_down = _downstairs_component_labels(gp, below[e0], m, n)
+    below = _column(g, cg.downstairs)
+    family_of_down = _downstairs_component_labels(gp, below[g.pos(e0)], m, n)
+    family_of = dict(zip(g.ids, map(family_of_down.get, below)))
 
     labels = {e0: RUPTURE_LABEL}
     expected = {"n_arm": math.gcd(m, 2), "m_arm": math.gcd(n, 2)}
@@ -226,7 +264,7 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph, m: int, n: int) -> CoverGraph:
     for arm in e0_arms:
         if not arm.is_bamboo:
             raise StructureMismatch("an arm of e^0 is not a bamboo")
-        families = {family_of_down[below[v]] for v in arm.vertices}
+        families = set(map(family_of.__getitem__, arm.vertices))
         if len(families) != 1:
             raise StructureMismatch(
                 "one upstairs arm mixes downstairs arm components"
@@ -246,11 +284,11 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph, m: int, n: int) -> CoverGraph:
             )
     if counts[None] != (1 if m % 2 == 1 and n % 2 == 1 else 0):
         raise StructureMismatch("unexpected branch-side arm count")
-    if (m + n) % 2 and named_real != {v for v, w in cg.deck.items() if v == w}:
+    if (m + n) % 2 and named_real != set(_fixed(g, cg.deck)):
         raise StructureMismatch(
             "real locus by arm naming disagrees with the deck-fixed locus"
         )
-    column = tuple(labels.get(v, label) for v, label in zip(g.ids, g.arm_label))
+    column = tuple(map(labels.get, g.ids, g.arm_label))
     return replace(cg, graph=replace(g, arm_label=column))
 
 
@@ -267,21 +305,28 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     g, removed = blow_down_minimize(cg.graph, rng=rng)
     if not removed:
         return cg
-    survivors = set(g.ids)
-    deck, below = dict(cg.deck.items()), dict(cg.downstairs.items())
-    if any(deck[v] not in survivors for v in survivors):
+    lift, survivors = cg.graph, set(g.ids)
+    gone = sorted(map(lift.pos, removed))
+    deck = _drop_positions(_column(lift, cg.deck), gone)
+    below = _drop_positions(_column(lift, cg.downstairs), gone)
+    if not survivors.issuperset(deck):
         raise StructureMismatch(
             "deck transformation does not restrict to the minimal graph"
         )
     e0 = cg.e0_lift if cg.e0_lift in survivors else None
     if e0 is not None:
-        e0_arms = arms(g, e0)
-        if len(e0_arms) != 3 or not all(a.is_bamboo for a in e0_arms):
+        # On the tree g, e^0 has 3 bamboo arms when it meets 3 curves and
+        # no other vertex meets 3 or more, arrows included.
+        meets, p0 = _degrees(g), g.pos(e0)
+        arm_count, meets[p0] = meets[p0], 0
+        for p in map(g.pos, g.arrows):
+            meets[p] += 1
+        if arm_count != 3 or max(meets) >= 3:
             raise StructureMismatch(
                 "minimized rupture vertex lost its 3-bamboo-arm shape"
             )
-    return replace(cg, graph=g, e0_lift=e0, deck=VertexMap(g, map(deck.__getitem__, g.ids)),
-                   downstairs=VertexMap(g, map(below.__getitem__, g.ids)))
+    return replace(cg, graph=g, e0_lift=e0, deck=VertexMap(g, deck),
+                   downstairs=VertexMap(g, below))
 
 
 def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
@@ -295,8 +340,13 @@ def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
     if sign not in (SIGN_PLUS, SIGN_MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if sign == SIGN_MINUS or (cg.m % 2 == 1 and cg.n % 2 == 1):
-        return frozenset(cg.graph.vertices)
-    return frozenset(v for v, w in cg.deck.items() if v == w)
+        return frozenset(cg.graph.ids)
+    return frozenset(_fixed(cg.graph, cg.deck))
+
+
+def _fixed(g: FrozenGraph, deck: Mapping[int, int]) -> Iterator[int]:
+    """The vertex ids v of g with deck[v] == v, in id order."""
+    return compress(g.ids, map(eq, g.ids, _column(g, deck)))
 
 
 def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
@@ -305,8 +355,9 @@ def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
     acting as the deck transformation on the others. cg is left as it is."""
     real = real_locus(cg, sign)
     g = cg.graph
-    marked = replace(g, real=tuple(v in real for v in g.ids))
-    conj = VertexMap(marked, (v if v in real else cg.deck[v] for v in g.ids))
+    marked = replace(g, real=tuple(map(real.__contains__, g.ids)))
+    conj = VertexMap(marked, (v if fixed else w for v, fixed, w
+                              in zip(g.ids, marked.real, _column(g, cg.deck))))
     return replace(cg, graph=marked, conj=conj, sign=sign)
 
 
@@ -316,20 +367,26 @@ def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
     In that configuration the intersection point count of conjugate pairs
     on the graph no longer matches the geometric count used by the weight
     bookkeeping, so callers evaluate on the unminimized lift instead.
+    cg.graph is a tree, so every edge joins a vertex to its parent in the
+    stored walk, and conj (or deck, unmarked) is read as a column.
     """
-    conj = dict((cg.conj or cg.deck).items())
-    return any(conj.get(u) == v for u, v in cg.graph.edges())
+    g = cg.graph
+    conj = _column(g, cg.conj or cg.deck)
+    above = (*g.ids, _NOBODY).__getitem__
+    return (any(map(eq, conj, map(above, g.parent)))
+            or any(map(eq, map((*conj, _NOBODY).__getitem__, g.parent), g.ids)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def build_cover(m: int, n: int) -> CoverData:
     """Run the full graph pipeline for x^m + y^n + z^2.
 
     Every stage emits a frozen value, so the cached result holds only
     immutable values, no builder is made, and writing to a cached graph
-    raises. tb reads the values as they are; mark_real_structure returns a
-    new marked value. The blow-up traces are dropped once the c1 coefficients
-    are read off.
+    raises. The cache keeps the 1,024 most recently used pairs. tb reads
+    the values as they are; mark_real_structure returns a new marked
+    value. The blow-up traces are dropped once the c1 coefficients are
+    read off.
     """
     gamma_f, trace_f = build_gamma_f(m, n)
     gamma_f_prime, trace = separate_odd_odd(gamma_f, trace_f)

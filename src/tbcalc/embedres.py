@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import FrozenGraph, _tree_det, solve_intersection_system
+from .graph import FrozenGraph, _degrees, _neighbour_sums, _tree_det, solve_intersection_system
 
 ARROW_MULT = 1
 
@@ -65,12 +67,19 @@ class BlowupStep:
 
 @dataclass(frozen=True)
 class BlowupTrace:
-    """The ordered blow-up history of a resolution graph."""
+    """The ordered blow-up history of a resolution graph whose curves have
+    the ids 0, 1, ... in the order they were made: parents[v] holds the
+    exceptional curves through the center of the blow-up that made v."""
 
     m: int
     n: int
-    steps: tuple[BlowupStep, ...]
+    parents: tuple[tuple[int, ...], ...]
     rupture: int
+
+    @property
+    def steps(self) -> tuple[BlowupStep, ...]:
+        """The blow-ups in order, made on each read."""
+        return tuple(map(BlowupStep, range(len(self.parents)), self.parents))
 
 
 def euclid_data(m: int, n: int) -> EuclidData:
@@ -105,47 +114,101 @@ def build_gamma_f(m: int, n: int) -> tuple[FrozenGraph, BlowupTrace]:
 
     Returns Gamma_f as a FrozenGraph (multiplicities and c1 coefficients
     filled in, one arrow on the rupture vertex) and the blow-up trace. The
-    cascade runs on flat lists, curve i at position i. The local model at
-    the active center is x^a + y^b; the curve {x=0} there is x_curve (an
-    exceptional curve or, initially, nothing) and likewise y_curve. A
-    blow-up with a > b leaves the y-curve at the new center and replaces
-    the x-curve by the new exceptional curve, and symmetrically.
+    cascade (_cascade) runs on flat lists, curve i at position i; the c1
+    coefficients come out of it as in c1_coefficients, and the rupture
+    entry is checked here.
     """
     data = euclid_data(m, n)
+    self_int, mult, c1, edges, parents = _cascade(m, n)
+    rupture = len(self_int) - 1
+    expected = -(m + n - 1)
+    if c1[rupture] != expected:
+        raise StructureMismatch(
+            f"rupture c1 coefficient {c1[rupture]} != -(m+n-1) = {expected}"
+        )
+    trace = BlowupTrace(m=m, n=n, parents=tuple(parents), rupture=rupture)
+    g = FrozenGraph.from_columns(self_int, edges, mult=mult, c1_coeff=c1, arrows=(rupture,))
+    _check_gamma_f(g, trace, data)
+    return g, trace
+
+
+def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int],
+                                     list[tuple[int, int]], list[tuple[int, ...]]]:
+    """The columns self_int, mult and c1 of the blow-up cascade of
+    x^m + y^n, the edges as position pairs (p, q), p < q, and the parents
+    of each curve, the last curve being the rupture curve.
+
+    The local model at the active center is x^a + y^b; the curve {x=0}
+    there is x_curve (an exceptional curve or, initially, nothing) and
+    likewise y_curve. A blow-up with a > b leaves the y-curve at the new
+    center and replaces the x-curve by the new exceptional curve, and
+    symmetrically; (a, b) = (1, 1) gives the rupture curve. The new curve
+    has self-intersection -1, multiplicity min(a, b) plus its parents',
+    c1 coefficient -1 plus its parents', and each parent loses 1 on its
+    self-intersection; the curve meets its parents instead of their
+    meeting each other.
+
+    The blow-ups of one Euclid quotient keep one curve K at the center
+    and move the other, so they append as one run of k curves: a chain
+    whose multiplicities and c1 coefficients step by constants, joined to
+    the moving curve before the run at one end and to K at the other.
+    The edge through the center, between x_curve and y_curve, is always
+    the last edge a run appends, so the next run drops it from the end.
+    """
     self_int: list[int] = []
     mult: list[int] = []
-    edges: set[tuple[int, int]] = set()
-    steps: list[BlowupStep] = []
+    c1: list[int] = []
+    edges: list[tuple[int, int]] = []
+    parents: list[tuple[int, ...]] = []
     a, b = m, n
     x_curve: Optional[int] = None
     y_curve: Optional[int] = None
     while True:
-        parents = tuple(v for v in (x_curve, y_curve) if v is not None)
         e = len(self_int)
-        self_int.append(-1)
-        mult.append(min(a, b) + sum(mult[p] for p in parents))
-        for p in parents:
-            edges.add((p, e))
-            self_int[p] -= 1
-        if len(parents) == 2:
-            edges.discard((min(parents), max(parents)))
-        steps.append(BlowupStep(vertex=e, parents=parents))
+        x_moves = a >= b
         if (a, b) == (1, 1):
-            rupture = e
-            break
-        if a > b:
-            a -= b
-            x_curve = e
+            k, low = 1, 1
+        elif x_moves:
+            k, low = (a - 1) // b, b
         else:
-            b -= a
-            y_curve = e
-
-    trace = BlowupTrace(m=m, n=n, steps=tuple(steps), rupture=rupture)
-    g = FrozenGraph.from_columns(self_int, edges, mult=mult,
-                                 c1_coeff=tuple(c1_coefficients(trace).values()),
-                                 arrows=(rupture,))
-    _check_gamma_f(g, trace, data)
-    return g, trace
+            k, low = (b - 1) // a, a
+        moving, keep = (x_curve, y_curve) if x_moves else (y_curve, x_curve)
+        mult_step = low + (0 if keep is None else mult[keep])
+        c1_step = -1 + (0 if keep is None else c1[keep])
+        mult_first = mult_step + (0 if moving is None else mult[moving])
+        c1_first = c1_step + (0 if moving is None else c1[moving])
+        mult.extend(range(mult_first, mult_first + k * mult_step, mult_step))
+        c1.extend(range(c1_first, c1_first + k * c1_step, c1_step))
+        self_int.extend([-2] * (k - 1))
+        self_int.append(-1)
+        if moving is not None and keep is not None:
+            if edges.pop() != (min(moving, keep), max(moving, keep)):
+                raise StructureMismatch("the cascade lost the edge through its center")
+        if moving is not None:
+            self_int[moving] -= 1
+            edges.append((moving, e))
+        edges += zip(range(e, e + k - 1), range(e + 1, e + k))
+        if keep is not None:
+            self_int[keep] -= k
+            edges.append((keep, e + k - 1))
+        # Each curve's parents are (x_curve, y_curve), Nones left out, as
+        # it is blown up.
+        later = range(e, e + k - 1)
+        parents.append(tuple(v for v in (x_curve, y_curve) if v is not None))
+        if keep is None:
+            parents.extend(zip(later))
+        elif x_moves:
+            parents.extend(zip(later, repeat(keep)))
+        else:
+            parents.extend(zip(repeat(keep), later))
+        if (a, b) == (1, 1):
+            return self_int, mult, c1, edges, parents
+        if x_moves:
+            a -= k * b
+            x_curve = e + k - 1
+        else:
+            b -= k * a
+            y_curve = e + k - 1
 
 
 def _check_gamma_f(g: FrozenGraph, trace: BlowupTrace, data: EuclidData) -> None:
@@ -159,16 +222,14 @@ def _check_gamma_f(g: FrozenGraph, trace: BlowupTrace, data: EuclidData) -> None
     rupture = trace.rupture
     if g.arrows != (rupture,):
         raise StructureMismatch("the arrow must sit on the rupture vertex")
-    p, start = g.pos(rupture), g.adj_start
+    p, degree = g.pos(rupture), _degrees(g)
     if g.mult[p] != m * n:
         raise StructureMismatch(
             f"rupture multiplicity {g.mult[p]} != m*n = {m * n}"
         )
-    if start[p + 1] - start[p] != 2:
+    if degree[p] != 2:
         raise StructureMismatch("rupture vertex of Gamma_f must have 2 neighbors")
-    terminal_mults = sorted(
-        mult for q, mult in enumerate(g.mult) if start[q + 1] - start[q] == 1
-    )
+    terminal_mults = sorted(compress(g.mult, map((1).__eq__, degree)))
     if terminal_mults != sorted((m, n)):
         raise StructureMismatch(
             f"terminal multiplicities {terminal_mults} != {{m, n}}"
@@ -184,14 +245,12 @@ def _check_gamma_f(g: FrozenGraph, trace: BlowupTrace, data: EuclidData) -> None
 def check_mini(g: FrozenGraph) -> None:
     """Assert the balance law n_k m_k + sum of adjacent mults + arrows = 0,
     read from the columns and neighbour lists."""
-    near, start = list(map(g.mult.__getitem__, g.adj)), g.adj_start
-    totals = [self_int * mult + sum(near[start[p]:start[p + 1]])
-              for p, (self_int, mult) in enumerate(zip(g.self_int, g.mult))]
+    totals = list(map(add, map(mul, g.self_int, g.mult), _neighbour_sums(g, g.mult)))
     for v in g.arrows:
         totals[g.pos(v)] += ARROW_MULT
-    for v, total in zip(g.ids, totals):
-        if total != 0:
-            raise StructureMismatch(f"balance law fails at vertex {v}: {total} != 0")
+    if any(totals):
+        v, total = next((v, total) for v, total in zip(g.ids, totals) if total != 0)
+        raise StructureMismatch(f"balance law fails at vertex {v}: {total} != 0")
 
 
 def multiplicities(g: FrozenGraph) -> dict[int, int]:
@@ -233,8 +292,9 @@ def c1_coefficients(trace: BlowupTrace) -> dict[int, int]:
 
 def _odd_odd_edges(g: FrozenGraph) -> list[tuple[int, int]]:
     """The edges joining two odd multiplicities, as sorted position pairs."""
-    odd = [mult % 2 == 1 for mult in g.mult]
-    return [(p, q) for p, q in g._position_edges() if odd[p] and odd[q]]
+    odd, adj, start = list(map((1).__and__, g.mult)), g.adj, g.adj_start
+    return [(p, q) for p in compress(range(len(odd)), odd)
+            for q in adj[start[p]:start[p + 1]] if p < q and odd[q]]
 
 
 def _odd_arrow_hosts(g: FrozenGraph) -> list[int]:
@@ -266,7 +326,7 @@ def separate_odd_odd(
     arrows = list(g.arrows)
     removed = set(cut)
     edges = [pair for pair in g._position_edges() if pair not in removed]
-    steps = list(trace.steps)
+    history = list(trace.parents)
     inserts = [((u, v), mult[u] + mult[v]) for u, v in cut]
     inserts += [((u,), mult[u] + ARROW_MULT) for u in hosts]
     for parents, new_mult in inserts:
@@ -281,7 +341,7 @@ def separate_odd_odd(
         if len(parents) == 1:
             arrows.remove(ids[parents[0]])
             arrows.append(ids[w])
-        steps.append(BlowupStep(vertex=ids[w], parents=tuple(ids[p] for p in parents)))
+        history.append(tuple(ids[p] for p in parents))
     added = len(ids) - len(g.ids)
     out = FrozenGraph.from_columns(
         self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=c1,
@@ -291,4 +351,4 @@ def separate_odd_odd(
     if _odd_odd_edges(out) or _odd_arrow_hosts(out):
         raise StructureMismatch("an odd-odd incidence survived separation")
     check_mini(out)
-    return out, replace(trace, steps=tuple(steps))
+    return out, replace(trace, parents=tuple(history))

@@ -32,8 +32,8 @@ from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain, islice
-from operator import attrgetter
+from itertools import accumulate, chain, compress, islice
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -194,22 +194,38 @@ class FrozenGraph:
         which fills each list sorted; order and parent walk breadth-first
         from the position root."""
         size = len(self_int)
-        none = (None,) * size
-        columns = [none if col is None or col.count(None) == size else tuple(col)
-                   for col in (mult, c1_coeff, arm_label, real)]
         pairs = sorted([(p, q) if p < q else (q, p) for p, q in edges])
         degree = [0] * size
         for p, q in pairs:
             degree[p] += 1
             degree[q] += 1
-        adj_start = tuple(accumulate(degree, initial=0))
-        fill, slots = list(adj_start), [0] * adj_start[-1]
+        adj_start = list(accumulate(degree, initial=0))
+        fill, slots = adj_start[:-1], [0] * adj_start[-1]
         for p, q in pairs:
             slots[fill[p]] = q
             slots[fill[q]] = p
             fill[p] += 1
             fill[q] += 1
-        adj = tuple(slots)
+        return cls._from_adjacency(
+            self_int, adj_start, slots, ids=ids, mult=mult, c1_coeff=c1_coeff,
+            arm_label=arm_label, real=real, arrows=arrows, next_id=next_id, root=root)
+
+    @classmethod
+    def _from_adjacency(
+        cls, self_int: Sequence[int], adj_start: Sequence[int], adj: Sequence[int], *,
+        ids: Optional[tuple[int, ...]] = None, mult: Optional[Sequence] = None,
+        c1_coeff: Optional[Sequence] = None, arm_label: Optional[Sequence] = None,
+        real: Optional[Sequence] = None, arrows: Iterable[int] = (),
+        next_id: Optional[int] = None, root: int = 0,
+    ) -> "FrozenGraph":
+        """from_columns for a caller that already has the neighbour lists:
+        those of position p are adj[adj_start[p]:adj_start[p + 1]], each
+        sorted and holding every edge from both ends."""
+        size = len(self_int)
+        none = (None,) * size
+        columns = [none if col is None or col.count(None) == size else tuple(col)
+                   for col in (mult, c1_coeff, arm_label, real)]
+        adj_start, adj = tuple(adj_start), tuple(adj)
         return cls(tuple(range(size)) if ids is None else ids, tuple(self_int), *columns,
                    *_breadth_first(adj, adj_start, root), adj_start=adj_start, adj=adj,
                    arrows=tuple(arrows), next_id=size if next_id is None else next_id)
@@ -331,13 +347,23 @@ class VertexMap(_ByPosition):
     """A read-only map from the vertex ids of a FrozenGraph to one value
     each, kept as one tuple in position order."""
 
-    __slots__ = ()
+    __slots__ = ("_values",)
 
     def __init__(self, graph: FrozenGraph, values: Iterable) -> None:
         values = tuple(values)
         if len(values) != len(graph.ids):
             raise ValueError("a VertexMap needs one value per vertex")
         super().__init__(graph, values.__getitem__)
+        self._values = values
+
+
+def _column(g: FrozenGraph, values: Mapping) -> Sequence:
+    """values[v] for each vertex id v of g in position order, None where
+    values has no entry: the stored tuple of a VertexMap over the same ids
+    (the stages' maps), else one lookup per id (a caller's dict)."""
+    if isinstance(values, VertexMap) and values._graph.ids == g.ids:
+        return values._values
+    return tuple(map(values.get, g.ids))
 
 
 def _breadth_first(
@@ -392,7 +418,9 @@ def arms(g: FrozenGraph, e: int) -> list[Arm]:
         root = g.pos(e)
     except KeyError:
         raise ValueError(f"vertex {e} not in graph") from None
-    arrows = list(map(g.pos, g.arrows))
+    meets = _degrees(g)
+    for p in map(g.pos, g.arrows):
+        meets[p] += 1
     depth = [-1] * len(ids)
     depth[root] = 0
     out = []
@@ -406,10 +434,23 @@ def arms(g: FrozenGraph, e: int) -> list[Arm]:
                     order.append(q)
         order.sort()
         order.sort(key=depth.__getitem__)
-        bamboo = all(start[p + 1] - start[p] + arrows.count(p) < 3 for p in order)
+        bamboo = max(map(meets.__getitem__, order)) < 3
         out.append(Arm(head=ids[head], vertices=tuple(map(ids.__getitem__, order)),
                        is_bamboo=bamboo))
     return out
+
+
+def _degrees(g: FrozenGraph) -> list[int]:
+    """The degree of each position."""
+    start = g.adj_start
+    return list(map(sub, islice(start, 1, None), start))
+
+
+def _neighbour_sums(g: FrozenGraph, values: Sequence) -> list:
+    """For each position p, the sum of values over the neighbours of p."""
+    through = list(accumulate(map(values.__getitem__, g.adj), initial=0))
+    ends = list(map(through.__getitem__, g.adj_start))
+    return list(map(sub, islice(ends, 1, None), ends))
 
 
 def _branches(
@@ -563,7 +604,8 @@ def blow_down_minimize(
     def removable(p: int) -> bool:
         return self_int[p] == -1 and len(neighbours(p)) <= 2 and ids[p] not in arrowed
 
-    eligible = [p for p in range(len(ids)) if removable(p)]
+    size = len(ids)
+    eligible = [p for p in compress(range(size), map((-1).__eq__, self_int)) if removable(p)]
     if not eligible:
         return g, []
     removed: list[int] = []
@@ -592,14 +634,37 @@ def blow_down_minimize(
                 del eligible[i]
             if removable(u):
                 eligible.insert(i, u)
-    keep = sorted(set(range(len(ids))).difference(removed))
-    index = dict(zip(keep, range(len(keep))))
-    edges = [(index[p], index[q]) for p in keep for q in neighbours(p) if p < q]
-    columns = {name: list(map(getattr(g, name).__getitem__, keep)) for name in _COLUMNS[1:]}
-    return FrozenGraph.from_columns(
-        list(map(self_int.__getitem__, keep)), edges, ids=tuple(map(ids.__getitem__, keep)),
-        **columns, arrows=g.arrows, next_id=g.next_id, root=index.get(g.order[0], 0),
+    # The rebuild copies the columns and the neighbour lists of untouched
+    # positions in runs and renumbers them: a kept position moves down by
+    # the removed ones before it.
+    gone = sorted(removed)
+    index: list[int] = []
+    for count, (a, b) in enumerate(zip([-1, *gone], [*gone, size])):
+        index += range(a + 1 - count, b - count)
+        index.append(-1)
+    degree = _degrees(g)
+    runs, done = [], 0
+    for p in sorted(near.keys() | gone):
+        runs.append(adj[start[done]:start[p]])
+        if p not in removed:
+            degree[p] = len(near[p])
+            runs.append(sorted(near[p]))
+        done = p + 1
+    runs.append(adj[start[done]:])
+    columns = {name: _drop_positions(getattr(g, name), gone) for name in _COLUMNS[1:]}
+    return FrozenGraph._from_adjacency(
+        _drop_positions(self_int, gone),
+        list(accumulate(_drop_positions(degree, gone), initial=0)),
+        list(map(index.__getitem__, chain.from_iterable(runs))),
+        ids=tuple(_drop_positions(ids, gone)), **columns, arrows=g.arrows,
+        next_id=g.next_id, root=index[g.order[0]] if g.order[0] not in removed else 0,
     ), list(map(ids.__getitem__, removed))
+
+
+def _drop_positions(column: Sequence, gone: Sequence[int]) -> list:
+    """column without the entries at the sorted positions gone."""
+    runs = map(slice, chain((0,), map((1).__add__, gone)), chain(gone, (len(column),)))
+    return list(chain.from_iterable(map(column.__getitem__, runs)))
 
 
 _CANON_FIELDS = ("self_int", "mult", "c1_coeff", "real", "arm_label")
@@ -662,44 +727,54 @@ def solve_intersection_system(
     return x by vertex id (an int wherever it is integral) with det Q.
 
     Fraction-free O(V) elimination along the stored tree order, on rhs
-    (ints or Fractions) scaled by the lcm L of its denominators. With D_v,
-    E_v of _subtree_dets, x_v = (N_v - E_v*x_parent) / D_v where, leaves to
-    root, N_v = E_v*L*rhs_v - sum over children c of N_c*(E_v/D_c), all
-    integers. Root to leaves the divisions stay in ints while they are
-    exact, and Q x = L*rhs is re-multiplied over every edge of g as a
-    self-check. det Q is D at
-    the root. Falls back to dense elimination when some D_v vanishes.
-    Raises SingularMatrix when the form is singular or g is disconnected.
+    (ints or Fractions; a VertexMap over g is read as its column) scaled by
+    the lcm L of its denominators. With D_v, E_v of _subtree_dets, x_v =
+    (N_v - E_v*x_parent) / D_v where N_v = E_v*L*rhs_v - sum over children
+    c of N_c*(E_v/D_c), all integers: one pass leaves to root folds each
+    child c into its parent p as D_p, E_p and N_p <- N_p*D_c - E_p*N_c.
+    Root to leaves the divisions stay in ints while they are exact, and
+    Q x = L*rhs is re-multiplied over every edge of g as a self-check.
+    det Q is D at the root. Falls back to dense elimination when some D_v
+    vanishes. Raises SingularMatrix when the form is singular or g is
+    disconnected.
     """
     ids, order, parent = g.ids, g.order, g.parent
     if not ids:
         return VertexMap(g, ()), 1
     if parent.count(-1) > 1:
         raise SingularMatrix("graph is not connected")
-    det, rest = _subtree_dets(g)
-    if 0 in det:
-        matrix_ids, q = intersection_matrix(g)
-        dense = solve_rational(q, [rhs.get(v, 0) for v in matrix_ids])
-        return VertexMap(g, [_quotient(value, 1) for value in dense]), det[order[0]]
-
-    scale = math.lcm(*(r.denominator for r in rhs.values()))
-    target = [0 if (r := rhs.get(v)) is None else r.numerator * (scale // r.denominator)
-              for v in ids]
-    num = [t * e for t, e in zip(target, rest)]
+    values = _column(g, rhs)
+    if None in values:
+        values = [0 if r is None else r for r in values]
+    if {int}.issuperset(map(type, values)):
+        scale, target = 1, list(values)
+    else:
+        scale = math.lcm(*(r.denominator for r in values))
+        target = [r.numerator * (scale // r.denominator) for r in values]
+    det, rest, num = list(g.self_int), [1] * len(ids), list(target)
     for c in reversed(order[1:]):
         p = parent[c]
-        num[p] -= num[c] * (rest[p] // det[c])
+        d, e = det[c], rest[p]
+        det[p] = det[p] * d - e * rest[c]
+        rest[p] = e * d
+        num[p] = num[p] * d - e * num[c]
+    if 0 in det:
+        matrix_ids, q = intersection_matrix(g)
+        dense = solve_rational(q, list(values))
+        return VertexMap(g, [_quotient(value, 1) for value in dense]), det[order[0]]
+
     x: list = [0] * len(ids)
     for v in order:
         p = parent[v]
-        x[v] = _quotient(num[v] if p < 0 else num[v] - rest[v] * x[p], det[v])
-    near, start = list(map(x.__getitem__, g.adj)), g.adj_start
-    check = [self_int * value + sum(near[start[p]:start[p + 1]])
-             for p, (self_int, value) in enumerate(zip(g.self_int, x))]
+        value, d = num[v] if p < 0 else num[v] - rest[v] * x[p], det[v]
+        x[v] = value // d if value % d == 0 else Fraction(value, d)
+    check = list(map(add, map(mul, g.self_int, x), _neighbour_sums(g, x)))
     if check != target:
         bad = next(v for v, total in enumerate(check) if total != target[v])
         raise InternalInvariantError(f"tree solver self-check failed at vertex {ids[bad]}")
-    return VertexMap(g, [_quotient(value, scale) for value in x]), det[order[0]]
+    if scale != 1:
+        x = [_quotient(value, scale) for value in x]
+    return VertexMap(g, x), det[order[0]]
 
 
 def _subtree_dets(g: FrozenGraph) -> tuple[list[int], list[int]]:

@@ -109,7 +109,7 @@ def _imaginary_arm_weights(
         return {e: () for e in sorted(wr)}
     if g.ids[g.order[0]] not in real:
         g = g.freeze(root=min(real))
-    det, rest, holds, broken = _branches(g, [v in real for v in g.ids])
+    det, rest, holds, broken = _branches(g, list(map(real.__contains__, g.ids)))
     weights: dict[int, tuple[Fraction, ...]] = {}
     for e in sorted(wr):
         found = []

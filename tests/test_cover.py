@@ -14,12 +14,15 @@ from tbcalc import (
     OddSelfIntOnBranch,
     StructureMismatch,
     build_cover,
+    VertexMap,
     build_gamma_f,
+    canonical_coefficients,
     canonical_form,
     has_conj_adjacent_pair,
     label_arms,
     lift_double_cover,
     mark_real_structure,
+    real_locus,
     separate_odd_odd,
     tb,
 )
@@ -251,6 +254,88 @@ class TestConjAdjacentFallback:
         for m, n in [(3, 2), (2, 7), (5, 2)]:
             marked = mark_real_structure(build_cover(m, n).lift, "plus")
             assert not has_conj_adjacent_pair(marked)
+
+
+class TestPositionColumns:
+    # The stages read deck, downstairs and conj as position columns when
+    # they are VertexMaps over the graph, and by lookups when a caller hands
+    # in dicts; both must give the same answers.
+    PAIRS = [(m, n) for m in range(2, 13) for n in range(2, 61) if math.gcd(m, n) == 1]
+
+    @staticmethod
+    def as_dicts(cg):
+        return replace(cg, deck=dict(cg.deck.items()), downstairs=dict(cg.downstairs.items()),
+                       conj=dict(cg.conj.items()))
+
+    @staticmethod
+    def meets_its_conjugate(cg):
+        conj = dict((cg.conj or cg.deck).items())
+        return any(conj.get(u) == v or conj.get(v) == u for u, v in cg.graph.edges())
+
+    def test_has_conj_adjacent_pair(self):
+        found = set()
+        for m, n in self.PAIRS:
+            cover = build_cover(m, n)
+            for cg in (cover.minimal, cover.lift):
+                for marked in (cg, mark_real_structure(cg, "plus"),
+                               mark_real_structure(cg, "minus")):
+                    want = self.meets_its_conjugate(marked)
+                    assert has_conj_adjacent_pair(marked) == want, (m, n)
+                    assert has_conj_adjacent_pair(self.as_dicts(marked)) == want, (m, n)
+                    found.add(want)
+        assert found == {False, True}
+
+    def test_real_structure(self):
+        for m, n in self.PAIRS:
+            cg = build_cover(m, n).minimal
+            for sign in ("plus", "minus"):
+                marked = mark_real_structure(cg, sign)
+                assert real_locus(self.as_dicts(cg), sign) == real_locus(cg, sign)
+                assert dict(mark_real_structure(self.as_dicts(cg), sign).conj.items()) == dict(
+                    marked.conj.items())
+
+    def test_deck_invariance_of_w(self):
+        for m, n in self.PAIRS:
+            cover = build_cover(m, n)
+            for cg in (cover.minimal, cover.lift):
+                cd = canonical_coefficients(cg)
+                by_dict = canonical_coefficients(self.as_dicts(cg))
+                assert (dict(by_dict.a.items()), by_dict.w, by_dict.wu_status) == (
+                    dict(cd.a.items()), cd.w, cd.wu_status), (m, n)
+
+    def test_deck_moving_w_is_rejected_either_way(self):
+        cg = build_cover(11, 6).minimal
+        w = canonical_coefficients(cg).w
+        inside, outside = min(w), min(set(cg.graph.ids) - w)
+        deck = {v: outside if v == inside else inside if v == outside else v
+                for v in cg.graph.ids}
+        for moved in (deck, VertexMap(cg.graph, map(deck.__getitem__, cg.graph.ids))):
+            with pytest.raises(StructureMismatch, match="deck transformation"):
+                canonical_coefficients(replace(cg, deck=moved))
+
+
+class TestCoverCache:
+    def test_cache_keeps_the_most_recent_pairs(self):
+        assert build_cover.cache_parameters()["maxsize"] == 1024
+        build_cover.cache_clear()
+        pairs = [(m, n) for n in range(2, 200) for m in range(2, 12) if math.gcd(m, n) == 1]
+        pairs = pairs[:1030]
+        for m, n in pairs:
+            build_cover(m, n)
+        assert build_cover.cache_info().currsize == 1024
+        misses = build_cover.cache_info().misses
+        build_cover(*pairs[-1])
+        assert build_cover.cache_info().misses == misses
+        build_cover(*pairs[0])
+        assert build_cover.cache_info().misses == misses + 1
+
+    def test_a_repeat_tb_is_a_cache_hit(self):
+        tb(7, 60, "plus")
+        before = build_cover.cache_info()
+        tb(7, 60, "plus")
+        tb(7, 60, "minus")
+        after = build_cover.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 class TestStructuralGuards:

@@ -207,3 +207,64 @@ class TestSeparation:
                         or gp.vertices[v].mult % 2 == 0)
             for a in gp.arrows:
                 assert gp.vertices[a].mult % 2 == 0
+
+
+def stepwise_gamma_f(m, n):
+    """The cascade one blow-up at a time: self_int, mult, the sorted edges
+    and the parents of each curve, for comparison with the run-by-run
+    build."""
+    self_int, mult, edges, parents = [], [], set(), []
+    a, b = m, n
+    x_curve = y_curve = None
+    while True:
+        through = tuple(v for v in (x_curve, y_curve) if v is not None)
+        e = len(self_int)
+        self_int.append(-1)
+        mult.append(min(a, b) + sum(mult[p] for p in through))
+        for p in through:
+            edges.add((p, e))
+            self_int[p] -= 1
+        if len(through) == 2:
+            edges.remove((min(through), max(through)))
+        parents.append(through)
+        if (a, b) == (1, 1):
+            return self_int, mult, sorted(edges), parents
+        if a > b:
+            a -= b
+            x_curve = e
+        else:
+            b -= a
+            y_curve = e
+
+
+class TestLongChains:
+    # Long Euclid quotients: Gamma_f is appended one run of blow-ups at a
+    # time, with c1 computed as it goes; c1_coefficients walks the trace one
+    # step at a time and stays the independent oracle.
+    PAIRS = [(2, 4001), (6, 12005), (1999, 2000), (4001, 2), (13, 1000), (89, 55)]
+
+    @pytest.mark.parametrize("m,n", PAIRS)
+    def test_cascade_matches_the_stepwise_oracles(self, m, n):
+        g, trace = build_gamma_f(m, n)
+        assert len(g.ids) == euclid_data(m, n).t == len(trace.steps)
+        assert list(g.c1_coeff) == list(c1_coefficients(trace).values())
+        self_int, mult, edges, parents = stepwise_gamma_f(m, n)
+        assert list(g.self_int) == self_int and list(g.mult) == mult
+        assert g.edges() == edges
+        assert [step.parents for step in trace.steps] == parents
+        assert [step.vertex for step in trace.steps] == list(g.ids)
+        embedres._check_gamma_f(g, trace, euclid_data(m, n))
+
+    @pytest.mark.parametrize("m,n", PAIRS[:3])
+    def test_rupture_c1_is_checked(self, m, n, monkeypatch):
+        # The check raises, so it holds under python -O too.
+        cascade = embedres._cascade
+
+        def off_by_one(m, n):
+            self_int, mult, c1, edges, parents = cascade(m, n)
+            c1[-1] += 1
+            return self_int, mult, c1, edges, parents
+
+        monkeypatch.setattr(embedres, "_cascade", off_by_one)
+        with pytest.raises(StructureMismatch, match="rupture c1 coefficient"):
+            build_gamma_f(m, n)
