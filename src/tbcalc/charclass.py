@@ -74,7 +74,7 @@ def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
             f"vertex {g.ids[g.real.index(None)]} has no real/imaginary mark; "
             "mark the real structure first"
         )
-    return frozenset(v for v in cd.w if g.real[g.pos(v)])
+    return cd.w & frozenset(compress(g.ids, g.real))
 
 
 def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:

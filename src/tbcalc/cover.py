@@ -86,9 +86,6 @@ class CoverGraph:
         A marked or otherwise replaced cover graph solves afresh."""
         return canonical_coefficients(self)
 
-    def lifts_of(self, down_id: int) -> tuple[int, ...]:
-        return tuple(sorted(v for v, d in self.downstairs.items() if d == down_id))
-
 
 @dataclass(frozen=True)
 class CoverData:

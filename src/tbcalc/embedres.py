@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import FrozenGraph, _degrees, _neighbour_sums, _tree_det, solve_intersection_system
+from .graph import (FrozenGraph, VertexMap, _degrees, _neighbour_sums, _tree_det,
+                    solve_intersection_system)
 
 ARROW_MULT = 1
 
@@ -257,7 +257,7 @@ def multiplicities(g: FrozenGraph) -> dict[int, int]:
     """Solve the balance law for all multiplicities, independently of the
     simulation. The system is the intersection form against minus the
     arrow counts; the solution must be integral."""
-    rhs = {v: Fraction(-ARROW_MULT * g.arrow_count(v)) for v in g.vertex_ids()}
+    rhs = VertexMap(g, [-ARROW_MULT * count for count in map(g.arrows.count, g.ids)])
     solution, _det = solve_intersection_system(g, rhs)
     out = {}
     for v, value in solution.items():

@@ -14,7 +14,9 @@ sorted neighbour lists. Writing to it raises (FrozenInstanceError, or
 AttributeError on a vertex record), and freeze(root) walks the same graph
 from another root. A DecoratedGraph only builds: a caller adds vertices
 and edges to it, or edits the one FrozenGraph.copy() returns, and hands
-its freeze() to the readers.
+its freeze() to the readers. These go by position (the columns, adj,
+adj_start, arrows); ids become positions only at pos, ids and _column, and
+the vertices view and VertexMap serve the same values by id to a caller.
 
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, canonical forms for
@@ -253,17 +255,6 @@ class FrozenGraph:
         return FrozenVertex(self.self_int[p], self.mult[p], self.c1_coeff[p],
                             self.real[p], self.arm_label[p])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        p, ids = self.pos(v), self.ids
-        return tuple(ids[q] for q in self.adj[self.adj_start[p]:self.adj_start[p + 1]])
-
-    def degree(self, v: int) -> int:
-        p = self.pos(v)
-        return self.adj_start[p + 1] - self.adj_start[p]
-
-    def arrow_count(self, v: int) -> int:
-        return self.arrows.count(v)
-
     def vertex_ids(self) -> list[int]:
         return list(self.ids)
 
@@ -301,8 +292,10 @@ class FrozenGraph:
     def validate(self) -> None:
         """Check the very-good-tree invariants, raising InvalidDocument."""
         for a in self.arrows:
-            if a not in self.vertices:
-                raise InvalidDocument(f"arrow attached to unknown vertex {a}")
+            try:
+                self.pos(a)
+            except KeyError:
+                raise InvalidDocument(f"arrow attached to unknown vertex {a}") from None
         if self.ids and len(self.adj) != 2 * (len(self.ids) - 1):
             raise InvalidDocument("graph is not a tree (wrong edge count)")
         if self.parent.count(-1) > 1:
@@ -404,11 +397,6 @@ class Arm:
     head: int
     vertices: tuple[int, ...]
     is_bamboo: bool
-
-
-def is_rupture(g: FrozenGraph, v: int) -> bool:
-    """A rupture vertex meets at least three other curves, arrows included."""
-    return g.degree(v) + g.arrow_count(v) >= 3
 
 
 def arms(g: FrozenGraph, e: int) -> list[Arm]:
@@ -518,11 +506,6 @@ def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
     return weight
 
 
-def arm_is_imaginary(g: FrozenGraph, arm: Arm) -> bool:
-    """True when every vertex of the arm is marked imaginary."""
-    return all(g.vertices[v].real is False for v in arm.vertices)
-
-
 def n_prime(g: FrozenGraph, e: int) -> Fraction:
     """The corrected self-intersection n'_e.
 
@@ -530,8 +513,9 @@ def n_prime(g: FrozenGraph, e: int) -> Fraction:
     on a graph with no imaginary vertices n'_e equals the raw
     self-intersection. Two conjugate imaginary arms contribute separately.
     """
-    value = Fraction(g.vertices[e].self_int)
-    imaginary = [arm for arm in arms(g, e) if arm_is_imaginary(g, arm)]
+    value = Fraction(g.self_int[g.pos(e)])
+    imaginary_ids = {v for v, real in zip(g.ids, g.real) if real is False}
+    imaginary = [arm for arm in arms(g, e) if imaginary_ids.issuperset(arm.vertices)]
     if not imaginary:
         return value
     for arm, weight in zip(imaginary, _arm_weights(g, e, imaginary)):

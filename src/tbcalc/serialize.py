@@ -14,17 +14,17 @@ def graph_to_document(g: FrozenGraph, meta: Optional[dict] = None) -> dict:
     """Encode a graph as a JSON-ready document. Optional decorations are
     omitted when unset, so documents stay minimal and round-trip exactly."""
     vertices = []
-    for v in g.vertex_ids():
-        data = g.vertices[v]
-        entry: dict = {"id": v, "self_int": data.self_int}
-        if data.mult is not None:
-            entry["mult"] = data.mult
-        if data.real is not None:
-            entry["real"] = data.real
-        if data.arm_label is not None:
-            entry["arm"] = data.arm_label
-        if data.c1_coeff is not None:
-            entry["c1"] = data.c1_coeff
+    for v, self_int, mult, real, arm, c1 in zip(
+            g.ids, g.self_int, g.mult, g.real, g.arm_label, g.c1_coeff):
+        entry: dict = {"id": v, "self_int": self_int}
+        if mult is not None:
+            entry["mult"] = mult
+        if real is not None:
+            entry["real"] = real
+        if arm is not None:
+            entry["arm"] = arm
+        if c1 is not None:
+            entry["c1"] = c1
         vertices.append(entry)
     return {
         "format_version": FORMAT_VERSION,
@@ -102,16 +102,15 @@ def to_dot(g: FrozenGraph, w: frozenset = frozenset()) -> str:
     Arrows appear as diamond nodes.
     """
     lines = ["graph resolution {", "  node [shape=circle];"]
-    for v in g.vertex_ids():
-        data = g.vertices[v]
-        label = f"{v}:{data.self_int}"
-        if data.mult is not None:
-            label += f":{data.mult}"
-        if data.real is True:
+    for v, self_int, mult, real in zip(g.ids, g.self_int, g.mult, g.real):
+        label = f"{v}:{self_int}"
+        if mult is not None:
+            label += f":{mult}"
+        if real is True:
             label += "R"
-        elif data.real is False:
+        elif real is False:
             label += "I"
-        color = "gray" if data.real is False else "black"
+        color = "gray" if real is False else "black"
         attrs = [f'label="{label}"', f"color={color}", f"fontcolor={color}"]
         if v in w:
             attrs.append("peripheries=2")

@@ -38,7 +38,7 @@ from .errors import (
     ZeroDenominator,
 )
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
-from .graph import FrozenGraph, _branch_weight, _branches, arms  # noqa: F401
+from .graph import FrozenGraph, _branch_weight, _branches, _column, arms  # noqa: F401
 
 EVAL_MINIMAL = "minimal"
 EVAL_LIFT = "lift"
@@ -79,7 +79,7 @@ def _evaluation_source(
     cover = build_cover(m, n)
     source, level = cover.minimal, EVAL_MINIMAL
     real = real_locus(source, sign)
-    if len(real) < len(source.graph.vertices) and has_conj_adjacent_pair(source):
+    if len(real) < len(source.graph.ids) and has_conj_adjacent_pair(source):
         source, level = cover.lift, EVAL_LIFT
         real = real_locus(source, sign)
     return source, real, level
@@ -156,28 +156,34 @@ def tb(m: int, n: int, sign: str) -> TbResult:
 
 
 def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:
+    """Check the real flags, then each law of conj over all positions in
+    turn: defined, involutive, keeping self_int, fixing the real vertices
+    exactly, keeping edges."""
     g.validate()
     if None in g.real:
         raise InconsistentAnnotation(f"vertex {g.ids[g.real.index(None)]} has no real flag")
     if not cg.conj:
         return
-    for v, self_int, real in zip(g.ids, g.self_int, g.real):
-        if v not in cg.conj:
-            raise InconsistentAnnotation(f"conj is undefined on vertex {v}")
-        w = cg.conj[v]
-        if w not in g.vertices or cg.conj.get(w) != v:
-            raise InconsistentAnnotation("conj is not an involution")
-        if g.vertices[w].self_int != self_int:
-            raise InconsistentAnnotation(
-                "conj does not preserve self-intersections"
-            )
-        if (w == v) != bool(real):
-            raise InconsistentAnnotation(
-                f"real flag of vertex {v} disagrees with the fixed points of conj"
-            )
-    for u, v in g.edges():
-        if cg.conj[v] not in g.neighbors(cg.conj[u]):
-            raise InconsistentAnnotation("conj is not a graph automorphism")
+    image = _column(g, cg.conj)
+    undefined = [v for v, w in zip(g.ids, image) if w is None and v not in cg.conj]
+    if undefined:
+        raise InconsistentAnnotation(f"conj is undefined on vertex {undefined[0]}")
+    index = dict(zip(g.ids, range(len(g.ids))))
+    try:
+        to = list(map(index.get, image))
+    except TypeError:  # an unhashable image is no vertex
+        to = [None]
+    if None in to or list(map(to.__getitem__, to)) != list(range(len(to))):
+        raise InconsistentAnnotation("conj is not an involution")
+    if list(map(g.self_int.__getitem__, to)) != list(g.self_int):
+        raise InconsistentAnnotation("conj does not preserve self-intersections")
+    wrong = [p for p, q in enumerate(to) if (p == q) != bool(g.real[p])]
+    if wrong:
+        raise InconsistentAnnotation(
+            f"real flag of vertex {g.ids[wrong[0]]} disagrees with the fixed points of conj")
+    edges = g._position_edges()
+    if sorted((to[p], to[q]) if to[p] < to[q] else (to[q], to[p]) for p, q in edges) != edges:
+        raise InconsistentAnnotation("conj is not a graph automorphism")
 
 
 def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
@@ -202,10 +208,8 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     else:
         wr = frozenset(wr)
         for v in wr:
-            if v not in g.vertices:
-                raise InconsistentAnnotation(f"wr contains unknown vertex {v}")
             if v not in real:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus"
-                )
+                    if v in g.ids else f"wr contains unknown vertex {v}")
     return _assemble(g, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)

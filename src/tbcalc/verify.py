@@ -289,8 +289,8 @@ def _run_structure(m_max: int, n_max: int, k_max: int) -> SuiteResult:
             continue
         fam_old = _cover_arm_families(base.minimal)
         fam_new = _cover_arm_families(upper.minimal)
-        e0_old = base.minimal.graph.vertices[base.minimal.e0_lift].self_int
-        e0_new = upper.minimal.graph.vertices[upper.minimal.e0_lift].self_int
+        e0_old, e0_new = (c.graph.self_int[c.graph.pos(c.e0_lift)]
+                          for c in (base.minimal, upper.minimal))
         result.checked += 1
         structural_ok = (
             e0_old == e0_new

@@ -37,6 +37,21 @@ def make_star(center_self, arm_selfs):
     return g.freeze(), center, arm_ids
 
 
+def neighbours(g):
+    """The neighbour ids of each vertex of a frozen graph, sorted, read
+    from its edge list."""
+    near = {v: [] for v in g.ids}
+    for u, v in g.edges():
+        near[u].append(v)
+        near[v].append(u)
+    return near
+
+
+def lifts_of(cover_graph, down):
+    """The sorted ids of the lift's vertices over the downstairs id down."""
+    return tuple(sorted(v for v, d in cover_graph.downstairs.items() if d == down))
+
+
 def build_star12_graph(sign):
     """The 12-vertex star graph with rupture self -2, one (-3) arm and two
     (-2,-2,-2,-2,-3) arms, annotated with the real structure of the given

@@ -14,7 +14,7 @@ from tbcalc import (
     parity_checks,
     restrict_to_real,
 )
-from conftest import build_star12_graph, make_chain
+from conftest import build_star12_graph, make_chain, neighbours
 
 
 class TestCanonicalCoefficients:
@@ -38,9 +38,10 @@ class TestCanonicalCoefficients:
             cover = build_cover(m, n)
             g = cover.minimal.graph
             cd = canonical_coefficients(cover.minimal)
+            near = neighbours(g)
             for v in g.vertex_ids():
                 lhs = (g.vertices[v].self_int * cd.a[v]
-                       + sum(cd.a[u] for u in g.neighbors(v)))
+                       + sum(cd.a[u] for u in near[v]))
                 assert lhs == g.vertices[v].self_int + 2
 
     def test_w_is_parity_of_a(self):

@@ -1,0 +1,151 @@
+"""Fuzz tests of the error contract: random caller graphs may raise only
+the package's own errors, and random command lines exit 0, 1 or 2 without
+a traceback. The examples are derandomized, so a run is reproducible."""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from tbcalc import CoverGraph, TbcalcError, graph_from_document, tb_from_graph  # noqa: E402
+from tbcalc.cli import main  # noqa: E402
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "y-x5y4.json"
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# Values a caller may put where a vertex id or a decoration belongs.
+JUNK = [99, -1, "x", None, [0], 1.5, True, {}]
+
+
+@st.composite
+def annotated_documents(draw):
+    """A graph document with a real structure, a conj map and a W_R: a
+    real tree with conjugate pairs of imaginary branches hung on it, so
+    that many examples satisfy every law, then a few random defects."""
+    selfs = st.integers(-4, 1)
+    n_real = draw(st.integers(0, 4))
+    self_int = [draw(selfs) for _ in range(n_real)]
+    real = [True] * n_real
+    edges = [[draw(st.integers(0, p - 1)), p] for p in range(1, n_real)]
+    conj = {p: p for p in range(n_real)}
+    for _ in range(draw(st.integers(0, 2)) if n_real else 0):
+        anchor = draw(st.integers(0, n_real - 1))
+        size = draw(st.integers(1, 3))
+        branch = [draw(selfs) for _ in range(size)]
+        up = [draw(st.integers(0, j - 1)) for j in range(1, size)]
+        first = len(self_int)
+        for copy in (first, first + size):
+            self_int += branch
+            real += [False] * size
+            edges.append([anchor, copy])
+            edges += [[copy + u, copy + j + 1] for j, u in enumerate(up)]
+        conj.update({first + j: first + size + j for j in range(size)})
+        conj.update({first + size + j: first + j for j in range(size)})
+    size = len(self_int)
+    ids = draw(st.lists(st.integers(-5, 60), min_size=size, max_size=size, unique=True))
+    vertices = [{"id": v, "self_int": s, "real": r} for v, s, r in zip(ids, self_int, real)]
+    doc = {"format_version": "1", "vertices": vertices,
+           "edges": [[ids[p], ids[q]] for p, q in edges], "arrows": [], "meta": {}}
+    conj = {ids[p]: ids[q] for p, q in conj.items()}
+    anything = st.sampled_from(ids + JUNK)
+    for _ in range(draw(st.integers(0, 3))):
+        defect = draw(st.integers(0, 7))
+        if defect == 0 and vertices:
+            entry = draw(st.sampled_from(vertices))
+            entry[draw(st.sampled_from(["self_int", "real", "mult", "c1", "arm", "id"]))] = (
+                draw(st.one_of(selfs, st.booleans(), anything)))
+        elif defect == 1 and vertices:
+            draw(st.sampled_from(vertices)).pop("real", None)
+        elif defect == 2 and doc["edges"]:
+            doc["edges"].pop(draw(st.integers(0, len(doc["edges"]) - 1)))
+        elif defect == 3:
+            doc["edges"].append([draw(anything), draw(anything)])
+        elif defect == 4:
+            doc["arrows"].append({"vertex": draw(anything)})
+        elif defect == 5 and conj:
+            del conj[draw(st.sampled_from(sorted(conj)))]
+        elif defect == 6 and conj:
+            conj[draw(st.sampled_from(sorted(conj)))] = draw(anything)
+        elif defect == 7:
+            conj = {}
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(["vertices", "edges", "arrows", "format_version"]))] = (
+            draw(anything))
+    wr = draw(st.one_of(st.none(), st.lists(st.sampled_from(ids + [99, "x", None]),
+                                            max_size=3)))
+    return doc, conj, wr
+
+
+class TestCallerGraphs:
+    @FUZZ
+    @given(annotated_documents())
+    def test_only_package_errors_escape(self, case):
+        doc, conj, wr = case
+        try:
+            g = graph_from_document(doc)
+            cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                            downstairs={}, conj=conj, sign=None)
+            tb_from_graph(cg, wr=wr)
+        except TbcalcError:
+            pass
+
+
+def option(name, values):
+    """Either nothing or [name, value] with the value drawn from values."""
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+def numbers(*good):
+    return st.sampled_from([*map(str, good), "-1", "0", "x", "", "1.5", "1e3"])
+
+
+SIGNS = st.sampled_from(["plus", "minus", "PLUS", "", "zero"])
+RANGES = st.sampled_from(["2:6", "3:3", "5:2", "-3:4", "0:1", "7", "a:b", ":", "2:5:8"])
+FLAGS = st.sampled_from([[], ["--json"], ["--explain"], ["--help"], ["--bogus"]])
+
+
+def command_lines(tmp):
+    paths = st.sampled_from([str(tmp / "out"), str(tmp / "missing" / "out"), str(tmp),
+                             str(tmp / "fixture.json"), str(tmp / "bad.json"), ""])
+    compute = st.tuples(st.just(["compute"]), option("--m", numbers(2, 3, 5, 11, 10**30)),
+                        option("--n", numbers(2, 6, 7, 8, 301, 10**30)),
+                        option("--sign", SIGNS), option("--dot", paths), FLAGS)
+    table = st.tuples(st.just(["table"]), option("--m-range", RANGES),
+                      option("--n-range", RANGES), option("--sign", SIGNS),
+                      option("--out", paths), FLAGS)
+    verify = st.tuples(st.just(["verify"]),
+                       option("--suite", st.sampled_from(["period", "parity,symmetry",
+                                                          ",", "nope", ""])),
+                       option("--m-max", numbers(2, 4, 8)),
+                       option("--n-max", numbers(2, 20, 30)),
+                       option("--k-max", numbers(1, 2)), FLAGS)
+    linkform = st.tuples(st.just(["linkform"]), option("--decomposition", paths), FLAGS)
+    other = st.tuples(st.sampled_from([[], ["bogus"], ["--help"], ["compute", "table"]]))
+    return st.one_of(compute, table, verify, linkform, other).map(
+        lambda parts: [token for part in parts for token in part])
+
+
+class TestCommandLines:
+    def test_exit_codes_and_no_traceback(self, tmp_path):
+        # The commands write to these paths too, so the fixture is a copy.
+        (tmp_path / "fixture.json").write_bytes(FIXTURE.read_bytes())
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+
+        @FUZZ
+        @given(command_lines(tmp_path))
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
+
+        run()

@@ -13,7 +13,6 @@ from tbcalc import (
     IsolatedMinusOne,
     SingularMatrix,
     ZeroDenominator,
-    arm_is_imaginary,
     arm_weight,
     arms,
     blow_down_minimize,
@@ -23,22 +22,21 @@ from tbcalc import (
     det_exact,
     intersection_matrix,
     is_negative_definite,
-    is_rupture,
     n_prime,
     solve_intersection_system,
     VertexMap,
 )
 from tbcalc import graph, numeric
 from tbcalc.graph import _tree_det
-from conftest import make_chain, make_star
+from conftest import make_chain, make_star, neighbours
 
 
 class TestGraphBasics:
     def test_add_and_neighbors(self):
         g, ids = make_chain([-2, -3, -2])
-        assert g.neighbors(ids[1]) == (ids[0], ids[2])
-        assert g.degree(ids[0]) == 1
-        assert g.degree(ids[1]) == 2
+        assert [a.head for a in arms(g, ids[1])] == [ids[0], ids[2]]
+        assert len(arms(g, ids[0])) == 1
+        assert len(arms(g, ids[1])) == 2
 
     def test_no_loops(self):
         g = DecoratedGraph()
@@ -97,9 +95,8 @@ class TestFrozenGraph:
             assert f.freeze(root=f.ids[0]) is f and f.vertex_ids() == sorted(g.vertices)
             assert dict(f.vertices) == {v: tuple(vars_of(d)) for v, d in g.vertices.items()}
             for v in g.vertices:
-                assert f.neighbors(v) == tuple(sorted(g._adj[v]))
-                assert f.degree(v) == len(g._adj[v])
-                assert f.arrow_count(v) == g.arrows.count(v)
+                assert [a.head for a in arms(f, v)] == sorted(g._adj[v])
+                assert f.arrows.count(v) == g.arrows.count(v)
             assert f.edges() == sorted((u, v) for u, near in g._adj.items()
                                        for v in near if u < v)
             assert f.arrows == tuple(g.arrows)
@@ -195,11 +192,13 @@ class TestArms:
             arms(g, key)
 
     def test_is_rupture(self):
-        g, center, _ = make_star(-1, [(-2,), (-2,)])
-        assert not is_rupture(g, center)
+        # A rupture vertex meets at least three other curves, arrows
+        # included, and an arm through one is no bamboo.
+        g, center, ((left,), _right) = make_star(-1, [(-2,), (-2,)])
+        assert [a.is_bamboo for a in arms(g, left)] == [True]
         b = g.copy()
         b.arrows.append(center)
-        assert is_rupture(b.freeze(), center)
+        assert [a.is_bamboo for a in arms(b.freeze(), left)] == [False]
 
 
 class TestArmWeight:
@@ -521,7 +520,7 @@ def reference_blow_down(g, rng=None):
     removable ids are listed afresh, sorted, and rng picks among them as
     blow_down_minimize does. Returns the frozen result and the removed ids."""
     data = {v: d._asdict() for v, d in g.vertices.items()}
-    near = {v: set(g.neighbors(v)) for v in data}
+    near = {v: set(adjacent) for v, adjacent in neighbours(g).items()}
 
     def eligible():
         return [v for v in sorted(data) if data[v]["self_int"] == -1

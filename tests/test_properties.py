@@ -18,6 +18,7 @@ from tbcalc import (
     solve_gf2,
 )
 from tbcalc.numeric import GF2_INCONSISTENT, GF2_UNIQUE
+from conftest import lifts_of
 
 
 def coprime_pairs(rng, count, m_max=12, n_max=40):
@@ -138,9 +139,9 @@ class TestGaugeInvariance:
         for m, n in coprime_pairs(rng, 20):
             cover = build_cover(m, n)
             lift = cover.lift
-            doubled = [(lift.lifts_of(u), lift.lifts_of(v))
+            doubled = [(lifts_of(lift, u), lifts_of(lift, v))
                        for u, v in cover.gamma_f_prime.edges()
-                       if len(lift.lifts_of(u)) == len(lift.lifts_of(v)) == 2]
+                       if len(lifts_of(lift, u)) == len(lifts_of(lift, v)) == 2]
             if not doubled:
                 continue
             (a0, a1), (b0, b1) = doubled[rng.randrange(len(doubled))]

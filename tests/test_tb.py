@@ -11,19 +11,31 @@ from tbcalc import (
     InternalInvariantError,
     NonIntegralCanonicalClass,
     UserInputError,
+    VertexMap,
     ZeroDenominator,
-    arm_is_imaginary,
     arm_weight,
     arms,
     build_cover,
     evaluation_graph,
+    graph_to_document,
     mark_real_structure,
     n_prime,
     tb,
     tb_from_graph,
+    to_dot,
+    verify_identities,
 )
 from tbcalc import charclass
 from conftest import build_star12_graph, make_chain, make_star
+
+
+def annotated(g, conj):
+    """The frozen builder g as a caller's cover graph, once with conj as a
+    dict and once as a VertexMap over the graph's ids."""
+    g = g.freeze()
+    return [CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={}, downstairs={},
+                       conj=form, sign=None)
+            for form in (conj, VertexMap(g, map(conj.get, g.ids)))]
 
 # Values frozen from independent evaluations of the construction: each
 # entry was cross-checked against the adjunction system, the identity
@@ -143,8 +155,9 @@ class TestEvaluationGraph:
 
 class TestImaginaryArms:
     def test_matches_per_vertex_arms(self):
-        # The one-pass arm walk against arms() + arm_is_imaginary() and
-        # n_prime() at each W_R vertex of every evaluation graph.
+        # The one-pass arm walk against arms(), keeping the arms whose
+        # vertices are all imaginary, and n_prime() at each W_R vertex of
+        # every evaluation graph.
         checked = 0
         for m in range(2, 13):
             for n in range(2, 81):
@@ -157,7 +170,7 @@ class TestImaginaryArms:
                     for e in r.wr:
                         assert r.arm_weights[e] == tuple(
                             arm_weight(g, e, a) for a in arms(g, e)
-                            if arm_is_imaginary(g, a))
+                            if all(g.vertices[v].real is False for v in a.vertices))
                         assert r.n_prime_contrib[e] == n_prime(g, e)
                         checked += bool(r.arm_weights[e])
         assert checked
@@ -217,10 +230,9 @@ class TestTbFromGraph:
         for v in ids:
             g.vertices[v].real = v == ids[1]
         conj = {ids[0]: ids[1], ids[1]: ids[2], ids[2]: ids[0]}
-        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
-                        downstairs={}, conj=conj, sign=None)
-        with pytest.raises(InconsistentAnnotation):
-            tb_from_graph(cg)
+        for cg in annotated(g, conj):
+            with pytest.raises(InconsistentAnnotation, match="^conj is not an involution$"):
+                tb_from_graph(cg)
 
     def test_conj_fixed_points_must_be_real(self):
         chain, ids = make_chain([-2, -2])
@@ -228,10 +240,10 @@ class TestTbFromGraph:
         g.vertices[ids[0]].real = False
         g.vertices[ids[1]].real = False
         conj = {ids[0]: ids[0], ids[1]: ids[1]}
-        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
-                        downstairs={}, conj=conj, sign=None)
-        with pytest.raises(InconsistentAnnotation):
-            tb_from_graph(cg, wr=[])
+        for cg in annotated(g, conj):
+            with pytest.raises(InconsistentAnnotation, match=(
+                    f"^real flag of vertex {ids[0]} disagrees with the fixed points of conj")):
+                tb_from_graph(cg, wr=[])
 
     def test_conj_must_preserve_self_ints(self):
         chain, ids = make_chain([-2, -3, -2])
@@ -241,10 +253,53 @@ class TestTbFromGraph:
         g.vertices[ids[0]].real = False
         g.vertices[ids[2]].real = True
         conj = {ids[0]: ids[1], ids[1]: ids[0], ids[2]: ids[2]}
-        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
-                        downstairs={}, conj=conj, sign=None)
-        with pytest.raises(InconsistentAnnotation):
-            tb_from_graph(cg, wr=[])
+        for cg in annotated(g, conj):
+            with pytest.raises(InconsistentAnnotation,
+                               match="^conj does not preserve self-intersections$"):
+                tb_from_graph(cg, wr=[])
+
+    def test_conj_must_map_edges_to_edges(self):
+        # a - b - c - d with a <-> c and b <-> d: an involution keeping the
+        # weights with no fixed point, but the edge b - c goes to d - a.
+        chain, ids = make_chain([-2, -2, -2, -2])
+        g = chain.copy()
+        for v in ids:
+            g.vertices[v].real = False
+        a, b, c, d = ids
+        for cg in annotated(g, {a: c, c: a, b: d, d: b}):
+            with pytest.raises(InconsistentAnnotation,
+                               match="^conj is not a graph automorphism$"):
+                tb_from_graph(cg, wr=[])
+
+    @pytest.mark.parametrize("image", [99, "x", [0]])
+    def test_conj_image_that_is_no_vertex_rejected(self, image):
+        # An image that is no vertex id, unhashable ones included, breaks
+        # the involution law.
+        chain, ids = make_chain([-2, -2, -2])
+        g = chain.copy()
+        for v in ids:
+            g.vertices[v].real = True
+        conj = {v: v for v in ids}
+        conj[ids[1]] = image
+        for cg in annotated(g, conj):
+            with pytest.raises(InconsistentAnnotation, match="^conj is not an involution$"):
+                tb_from_graph(cg)
+
+    def test_conj_undefined_on_a_vertex_rejected(self):
+        chain, ids = make_chain([-2, -2, -2])
+        g = chain.copy()
+        for v in ids:
+            g.vertices[v].real = True
+        frozen = g.freeze()
+        kept = (ids[0], ids[2])
+        # The VertexMap lives on another graph, one without ids[1].
+        other = FrozenGraph.from_columns([-2, -2], [], ids=kept)
+        for conj in ({v: v for v in kept}, VertexMap(other, kept)):
+            cg = CoverGraph(graph=frozen, m=None, n=None, e0_lift=None, deck={},
+                            downstairs={}, conj=conj, sign=None)
+            with pytest.raises(InconsistentAnnotation,
+                               match=f"^conj is undefined on vertex {ids[1]}$"):
+                tb_from_graph(cg)
 
     def test_zero_imaginary_arm_weight_rejected(self):
         # a real (-2) center with two conjugate imaginary (0)-arms: the
@@ -332,3 +387,32 @@ class TestTbFromGraph:
         assert r.arm_weights == {a: (Fraction(-2),), c: ()}
         assert r.n_prime_contrib == {a: Fraction(-3, 2), c: Fraction(-2)}
         assert r.value == Fraction(1) - Fraction(3, 2) - Fraction(2)
+
+
+class TestReadsByPosition:
+    """The readers address vertices by position: no per-id lookup per
+    vertex, and no per-vertex record."""
+
+    def test_tb_from_graph_makes_few_id_lookups(self, monkeypatch):
+        marked = mark_real_structure(build_cover(6, 4789).minimal, "plus")
+        assert len(marked.graph.ids) == 1599
+        calls = []
+        pos = FrozenGraph.pos
+        monkeypatch.setattr(FrozenGraph, "pos", lambda g, v: calls.append(v) or pos(g, v))
+        tb_from_graph(marked)
+        assert len(calls) < 100
+
+    def test_no_vertex_record_is_built(self, monkeypatch):
+        marked = mark_real_structure(build_cover(6, 4789).minimal, "plus")
+        built = []
+        vertex = FrozenGraph._vertex
+        monkeypatch.setattr(FrozenGraph, "_vertex",
+                            lambda g, p: built.append(p) or vertex(g, p))
+        tb(6, 4789, "plus")
+        tb(11, 6, "minus")
+        tb_from_graph(marked)
+        graph_to_document(marked.graph)
+        to_dot(marked.graph, marked.characteristic.w)
+        verify_identities(6, 30, 2)
+        assert built == []
+        assert marked.graph.vertices[marked.e0_lift].self_int < 0 and built
