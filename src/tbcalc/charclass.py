@@ -99,8 +99,9 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:
     odd_checked = 0
     even_violations = []
     even_checked = 0
+    at = dict(zip(downstairs.ids, range(len(downstairs.ids))))
     for v, down in sorted(cg.downstairs.items()):
-        p = downstairs.pos(down)
+        p = at[down]
         mult, b = downstairs.mult[p], downstairs.c1_coeff[p]
         in_w = v in cd.w
         if mult % 2 == 1:

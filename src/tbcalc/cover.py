@@ -231,16 +231,17 @@ def _downstairs_component_labels(
     return labels
 
 
-def label_arms(cg: CoverGraph, gp: FrozenGraph, m: int, n: int) -> CoverGraph:
-    """The fresh lift cg with the arms of e^0 labelled in its arm_label
-    column, after asserting the arm laws; cg itself is left as it is.
+def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
+    """The fresh lift cg of gp with the arms of e^0 labelled in its
+    arm_label column, after asserting the arm laws; cg itself is left as it
+    is. The exponents are cg.m and cg.n.
 
     There are gcd(m,2) arms over the (n)-arm component, gcd(n,2) over the
     (m)-arm component, and e^0 has exactly 3 arms, each a bamboo. With one
     even exponent the deck-fixed curves (real_locus of conj_plus) must be
     the rupture curve and the arm named after the even exponent.
     """
-    g = cg.graph
+    g, m, n = cg.graph, cg.m, cg.n
     e0 = cg.e0_lift
     if e0 is None:
         raise StructureMismatch("cannot label arms without the rupture lift")
@@ -382,12 +383,11 @@ def build_cover(m: int, n: int) -> CoverData:
     immutable values, no builder is made, and writing to a cached graph
     raises. The cache keeps the 1,024 most recently used pairs. tb reads
     the values as they are; mark_real_structure returns a new marked
-    value. The blow-up traces are dropped once the c1 coefficients are
-    read off.
+    value. Of the blow-up trace only the rupture id is kept: separation
+    leaves e_0 where it is.
     """
-    gamma_f, trace_f = build_gamma_f(m, n)
-    gamma_f_prime, trace = separate_odd_odd(gamma_f, trace_f)
-    lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n),
-                      gamma_f_prime, m, n)
+    gamma_f, trace = build_gamma_f(m, n)
+    gamma_f_prime = separate_odd_odd(gamma_f)
+    lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n), gamma_f_prime)
     return CoverData(m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime,
                      rupture=trace.rupture, lift=lift, minimal=minimize_and_label(lift))

@@ -20,7 +20,7 @@ Both stages here run on flat lists and emit FrozenGraph values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Optional
@@ -57,15 +57,6 @@ class EuclidData:
 
 
 @dataclass(frozen=True)
-class BlowupStep:
-    """One blow-up: the curve it creates and the exceptional curves through
-    its center."""
-
-    vertex: int
-    parents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BlowupTrace:
     """The ordered blow-up history of a resolution graph whose curves have
     the ids 0, 1, ... in the order they were made: parents[v] holds the
@@ -75,11 +66,6 @@ class BlowupTrace:
     n: int
     parents: tuple[tuple[int, ...], ...]
     rupture: int
-
-    @property
-    def steps(self) -> tuple[BlowupStep, ...]:
-        """The blow-ups in order, made on each read."""
-        return tuple(map(BlowupStep, range(len(self.parents)), self.parents))
 
 
 def euclid_data(m: int, n: int) -> EuclidData:
@@ -280,8 +266,8 @@ def c1_coefficients(trace: BlowupTrace) -> dict[int, int]:
     come out as -(m+n-1).
     """
     b: dict[int, int] = {}
-    for step in trace.steps:
-        b[step.vertex] = -1 + sum(b[p] for p in step.parents)
+    for v, parents in enumerate(trace.parents):
+        b[v] = -1 + sum(b[p] for p in parents)
     expected = -(trace.m + trace.n - 1)
     if b[trace.rupture] != expected:
         raise StructureMismatch(
@@ -302,9 +288,7 @@ def _odd_arrow_hosts(g: FrozenGraph) -> list[int]:
     return sorted(p for p in map(g.pos, g.arrows) if g.mult[p] % 2 == 1)
 
 
-def separate_odd_odd(
-    g: FrozenGraph, trace: BlowupTrace
-) -> tuple[FrozenGraph, BlowupTrace]:
+def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
     """Blow up every intersection of two odd-multiplicity components.
 
     Produces Gamma'_f: for an odd-odd edge the new curve has multiplicity
@@ -316,17 +300,16 @@ def separate_odd_odd(
     checks that. The inserted curves take the next ids at new positions,
     and each appends its c1 to g's column as in c1_coefficients: -1 plus
     its parents' entries, so g's entries are shared. With nothing to
-    separate, (g, trace) itself is returned.
+    separate, g itself is returned.
     """
     cut = _odd_odd_edges(g)
     hosts = _odd_arrow_hosts(g)
     if not cut and not hosts:
-        return g, trace
+        return g
     ids, self_int, mult, c1 = list(g.ids), list(g.self_int), list(g.mult), list(g.c1_coeff)
     arrows = list(g.arrows)
     removed = set(cut)
     edges = [pair for pair in g._position_edges() if pair not in removed]
-    history = list(trace.parents)
     inserts = [((u, v), mult[u] + mult[v]) for u, v in cut]
     inserts += [((u,), mult[u] + ARROW_MULT) for u in hosts]
     for parents, new_mult in inserts:
@@ -341,7 +324,6 @@ def separate_odd_odd(
         if len(parents) == 1:
             arrows.remove(ids[parents[0]])
             arrows.append(ids[w])
-        history.append(tuple(ids[p] for p in parents))
     added = len(ids) - len(g.ids)
     out = FrozenGraph.from_columns(
         self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=c1,
@@ -351,4 +333,4 @@ def separate_odd_odd(
     if _odd_odd_edges(out) or _odd_arrow_hosts(out):
         raise StructureMismatch("an odd-odd incidence survived separation")
     check_mini(out)
-    return out, replace(trace, parents=tuple(history))
+    return out

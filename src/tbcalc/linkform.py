@@ -185,27 +185,6 @@ class Decomposition:
         d.validate()
         return d
 
-    def to_json(self) -> dict:
-        return {
-            "pieces": [
-                {
-                    "id": p.id,
-                    "euler_char_closed_piece": p.euler_char_closed_piece,
-                    "boundary_ids": list(p.boundary_ids),
-                }
-                for p in self.pieces
-            ],
-            "contracted_points": [
-                {
-                    "id": x.id,
-                    "m_value": format_rational(x.m_value),
-                    "kind": x.kind,
-                    "incidences": [[piece, count] for piece, count in x.incidences],
-                }
-                for x in self.contracted_points
-            ],
-        }
-
     def validate(self) -> None:
         ids = [p.id for p in self.pieces]
         if not ids:

@@ -206,10 +206,15 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
             raise NonIntegralCanonicalClass(str(exc)) from exc
         wr = w & real
     else:
-        wr = frozenset(wr)
-        for v in wr:
-            if v not in real:
+        wr = list(wr)
+        for v in wr:  # in the caller's order, so the message is reproducible
+            try:
+                known = v in real
+            except TypeError:  # an unhashable member is no vertex
+                known = False
+            if not known:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus"
                     if v in g.ids else f"wr contains unknown vertex {v}")
+        wr = frozenset(wr)
     return _assemble(g, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)

@@ -222,10 +222,11 @@ def _gamma_f_sides(g: FrozenGraph, rupture: int, m: int, n: int):
     """Self-int and mult chains of the two rupture arms of Gamma_f,
     ordered away from the rupture, keyed by which exponent terminates
     them."""
-    sides = {}
+    at, sides = dict(zip(g.ids, range(len(g.ids)))), {}
     for arm in arms(g, rupture):
-        selfs = tuple(g.self_int[g.pos(v)] for v in arm.vertices)
-        mults = tuple(g.mult[g.pos(v)] for v in arm.vertices)
+        where = tuple(map(at.__getitem__, arm.vertices))
+        selfs = tuple(map(g.self_int.__getitem__, where))
+        mults = tuple(map(g.mult.__getitem__, where))
         if mults[-1] == m:
             sides["m"] = (selfs, mults)
         elif mults[-1] == n:
@@ -239,17 +240,17 @@ def _cover_arm_families(cg: CoverGraph):
     Returns {family: sorted list of (selfs tuple, vertex tuple)} where
     family is "n_arm", "m_arm" or None for the branch-side arm.
     """
-    g = cg.graph
+    g, at = cg.graph, dict(zip(cg.graph.ids, range(len(cg.graph.ids))))
     families: dict = {"n_arm": [], "m_arm": [], None: []}
     for arm in arms(g, cg.e0_lift):
-        label = g.arm_label[g.pos(arm.head)] or ""
+        label = g.arm_label[at[arm.head]] or ""
         if label.startswith("n_arm"):
             family = "n_arm"
         elif label.startswith("m_arm"):
             family = "m_arm"
         else:
             family = None
-        selfs = tuple(g.self_int[g.pos(v)] for v in arm.vertices)
+        selfs = tuple(g.self_int[at[v]] for v in arm.vertices)
         families[family].append((selfs, arm.vertices))
     for chains in families.values():
         chains.sort()

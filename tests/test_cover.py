@@ -216,7 +216,7 @@ class TestArmNamingCheck:
         # label_arms returns the lift with its arm_label column filled in
         # and leaves the fresh, frozen lift it was given unlabelled.
         raw, down = self.fresh_lift(m, n)
-        labelled = label_arms(raw, down, m, n)
+        labelled = label_arms(raw, down)
         assert set(raw.graph.arm_label) == {None}
         assert labelled.graph == replace(raw.graph, arm_label=labelled.graph.arm_label)
         assert canonical_form(labelled.graph) == canonical_form(build_cover(m, n).lift.graph)
@@ -233,11 +233,11 @@ class TestArmNamingCheck:
                 other = next(v for v in raw.deck if v != raw.e0_lift)
                 raw = replace(raw, deck={**raw.deck, raw.e0_lift: other})
             with pytest.raises(StructureMismatch, match="deck-fixed"):
-                label_arms(raw, down, m, n)
+                label_arms(raw, down)
 
     def test_both_odd_has_no_naming_check(self):
         raw, down = self.fresh_lift(3, 5)
-        label_arms(replace(raw, deck={v: v for v in raw.deck}), down, 3, 5)
+        label_arms(replace(raw, deck={v: v for v in raw.deck}), down)
 
 
 class TestConjAdjacentFallback:

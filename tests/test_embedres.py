@@ -1,10 +1,14 @@
+import math
+
 import pytest
 
 from tbcalc import (
     BadExponents,
     StructureMismatch,
+    build_cover,
     build_gamma_f,
     c1_coefficients,
+    canonical_coefficients,
     euclid_data,
     multiplicities,
     separate_odd_odd,
@@ -161,10 +165,28 @@ class TestC1Coefficients:
             assert b[trace.rupture] == -(m + n - 1)
 
 
+class TestC1Certificate:
+    def test_c1_columns_solve_the_adjunction_system(self):
+        # The c1 coefficients are the unique solution of Q a = n + 2 on
+        # Gamma_f and on Gamma'_f, an oracle that shares no code with the
+        # cascade or with separation.
+        pairs = 0
+        for m in range(2, 25):
+            for n in range(2, 100):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                for graph in (cover.gamma_f, cover.gamma_f_prime):
+                    solved = canonical_coefficients(graph).a
+                    assert list(graph.c1_coeff) == [solved[v] for v in graph.ids], (m, n)
+                pairs += 1
+        assert pairs == 1348
+
+
 class TestSeparation:
     def test_five_eight_inserts_one_vertex(self):
-        g, trace = build_gamma_f(5, 8)
-        gp, trace_p = separate_odd_odd(g, trace)
+        g, _trace = build_gamma_f(5, 8)
+        gp = separate_odd_odd(g)
         assert len(gp.vertex_ids()) == len(g.vertex_ids()) + 1
         inserted = set(gp.vertex_ids()) - set(g.vertex_ids())
         (v,) = inserted
@@ -176,25 +198,23 @@ class TestSeparation:
 
     def test_keeps_the_c1_entries_of_gamma_f(self):
         # Gamma'_f extends Gamma_f's c1 column: the entries it keeps are the
-        # same int objects, and each inserted curve's entry is -1 plus its
-        # parents', as c1_coefficients reads it off the extended trace.
+        # same int objects. TestC1Certificate checks the values.
         for m, n in [(5, 8), (3, 5), (3, 7), (5, 28)]:
-            g, trace = build_gamma_f(m, n)
-            gp, trace_p = separate_odd_odd(g, trace)
+            g, _trace = build_gamma_f(m, n)
+            gp = separate_odd_odd(g)
             assert gp is not g and min(g.c1_coeff) < -5, (m, n)  # past the small-int cache
             assert all(a is b for a, b in zip(gp.c1_coeff, g.c1_coeff)), (m, n)
-            assert list(gp.c1_coeff) == list(c1_coefficients(trace_p).values()), (m, n)
 
     def test_eleven_six_needs_none(self):
-        g, trace = build_gamma_f(11, 6)
-        gp, _trace_p = separate_odd_odd(g, trace)
-        assert set(gp.vertex_ids()) == set(g.vertex_ids())
+        g, _trace = build_gamma_f(11, 6)
+        gp = separate_odd_odd(g)
+        assert gp is g
 
     def test_arrow_moves_off_odd_rupture(self):
         # (3,5): rupture mult 15 is odd and carries the arrow, so
         # separation introduces a new even vertex now holding the arrow.
         g, trace = build_gamma_f(3, 5)
-        gp, trace_p = separate_odd_odd(g, trace)
+        gp = separate_odd_odd(g)
         assert gp.arrows.count(trace.rupture) == 0
         host = gp.arrows[0]
         assert gp.vertices[host].mult == 16  # 15 + 1
@@ -203,8 +223,8 @@ class TestSeparation:
 
     def test_no_odd_odd_incidence_remains(self):
         for m, n in [(3, 2), (5, 8), (3, 5), (5, 28), (9, 8)]:
-            g, trace = build_gamma_f(m, n)
-            gp, _tp = separate_odd_odd(g, trace)
+            g, _trace = build_gamma_f(m, n)
+            gp = separate_odd_odd(g)
             for u, v in gp.edges():
                 assert (gp.vertices[u].mult % 2 == 0
                         or gp.vertices[v].mult % 2 == 0)
@@ -249,13 +269,13 @@ class TestLongChains:
     @pytest.mark.parametrize("m,n", PAIRS)
     def test_cascade_matches_the_stepwise_oracles(self, m, n):
         g, trace = build_gamma_f(m, n)
-        assert len(g.ids) == euclid_data(m, n).t == len(trace.steps)
+        assert len(g.ids) == euclid_data(m, n).t == len(trace.parents)
         assert list(g.c1_coeff) == list(c1_coefficients(trace).values())
         self_int, mult, edges, parents = stepwise_gamma_f(m, n)
         assert list(g.self_int) == self_int and list(g.mult) == mult
         assert g.edges() == edges
-        assert [step.parents for step in trace.steps] == parents
-        assert [step.vertex for step in trace.steps] == list(g.ids)
+        assert list(trace.parents) == parents
+        assert list(g.ids) == list(range(len(parents)))
         embedres._check_gamma_f(g, trace, euclid_data(m, n))
 
     @pytest.mark.parametrize("m,n", PAIRS[:3])

@@ -4,6 +4,7 @@ a traceback. The examples are derandomized, so a run is reproducible."""
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from tbcalc import CoverGraph, TbcalcError, graph_from_document, tb_from_graph  # noqa: E402
+from tbcalc import (CoverGraph, Decomposition, TbcalcError, graph_from_document,  # noqa: E402
+                    linking_form_from_decomposition, tb_from_graph)
 from tbcalc.cli import main  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "y-x5y4.json"
@@ -76,7 +78,7 @@ def annotated_documents(draw):
     if draw(st.integers(0, 9)) == 0:
         doc[draw(st.sampled_from(["vertices", "edges", "arrows", "format_version"]))] = (
             draw(anything))
-    wr = draw(st.one_of(st.none(), st.lists(st.sampled_from(ids + [99, "x", None]),
+    wr = draw(st.one_of(st.none(), st.lists(st.sampled_from(ids + [99, "x", None, [0], {}]),
                                             max_size=3)))
     return doc, conj, wr
 
@@ -93,6 +95,98 @@ class TestCallerGraphs:
             tb_from_graph(cg, wr=wr)
         except TbcalcError:
             pass
+
+
+# Values a decomposition document may hold where a field belongs: wrong
+# types, bad kinds and rationals, unknown pieces and huge integers.
+DOC_JUNK = [None, True, 1.5, float("nan"), "", "x", [], {}, [1], ["alpha", 1], -1, 0, 3,
+            10**30, -10**30, 10**4000, "0", "-2", "1/0", "3/4", "1.5", "gamma", "alpha",
+            "one_sided", "two_sided_orientable", "two_sided"]
+
+
+@st.composite
+def decomposition_documents(draw):
+    """The fixture's decomposition document with a few random defects."""
+    doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    anything = st.sampled_from(DOC_JUNK)
+    for _ in range(draw(st.integers(1, 3))):
+        pieces, points = doc.get("pieces"), doc.get("contracted_points")
+        entries = [e for e in (pieces if isinstance(pieces, list) else [])
+                   + (points if isinstance(points, list) else []) if isinstance(e, dict)]
+        defect = draw(st.integers(0, 7))
+        if defect == 0 and entries:  # a field gets a wrong value or goes
+            entry = draw(st.sampled_from(entries))
+            key = draw(st.sampled_from(["id", "euler_char_closed_piece", "boundary_ids",
+                                        "m_value", "kind", "incidences"]))
+            if draw(st.booleans()):
+                entry[key] = draw(anything)
+            else:
+                entry.pop(key, None)
+        elif defect == 1 and entries:  # a duplicate id
+            first, second = draw(st.sampled_from(entries)), draw(st.sampled_from(entries))
+            second["id"] = first.get("id")
+        elif defect == 2 and entries:  # an incidence is changed, added or dropped
+            entry = draw(st.sampled_from(entries))
+            incidences = entry.get("incidences")
+            if not isinstance(incidences, list):
+                continue
+            if incidences and draw(st.booleans()):
+                i = draw(st.integers(0, len(incidences) - 1))
+                incidences[i] = draw(st.one_of(
+                    anything, st.tuples(anything, anything).map(list),
+                    st.tuples(st.sampled_from(["alpha", "beta"]), anything).map(list)))
+            elif incidences and draw(st.booleans()):
+                incidences.pop()
+            else:
+                incidences.append([draw(anything), draw(st.integers(-2, 3))])
+        elif defect == 3 and entries:  # a huge or non-positive number
+            entry = draw(st.sampled_from(entries))
+            key = "m_value" if "m_value" in entry else "euler_char_closed_piece"
+            entry[key] = draw(st.sampled_from([0, -1, "-1/3", "0/5", 10**30, -10**30,
+                                               10**4000, f"{10**30}/{10**30 + 1}"]))
+        elif defect == 4 and entries:  # an entry is replaced by junk
+            container = draw(st.sampled_from([x for x in (pieces, points)
+                                              if isinstance(x, list) and x]))
+            container[draw(st.integers(0, len(container) - 1))] = draw(anything)
+        elif defect == 5:  # a top-level key gets junk or goes
+            key = draw(st.sampled_from(["pieces", "contracted_points"]))
+            if draw(st.booleans()):
+                doc[key] = draw(anything)
+            else:
+                doc.pop(key, None)
+        elif defect == 6 and entries:  # boundary ids that disagree
+            entry = draw(st.sampled_from(entries))
+            entry["boundary_ids"] = draw(st.lists(st.sampled_from(["p1", "p1", "q", 7]),
+                                                  max_size=7))
+        elif defect == 7:  # the whole document is junk
+            return draw(anything)
+    return doc
+
+
+class TestDecompositionDocuments:
+    @FUZZ
+    @given(decomposition_documents())
+    def test_only_package_errors_escape(self, doc):
+        try:
+            linking_form_from_decomposition(Decomposition.from_json(doc))
+        except TbcalcError:
+            pass
+
+    def test_linkform_exit_codes_and_no_traceback(self, tmp_path):
+        path = tmp_path / "doc.json"
+
+        @FUZZ
+        @given(decomposition_documents(), st.sampled_from([[], ["--json"]]))
+        def run(doc, flags):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["linkform", "--decomposition", str(path), *flags]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (doc, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), doc
+
+        run()
 
 
 def option(name, values):

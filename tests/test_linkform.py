@@ -82,12 +82,6 @@ class TestDecomposition:
             (Fraction(-5, 2), Fraction(3, 2)),
         )
 
-    def test_round_trip(self):
-        d = Decomposition.from_json(fixture_doc())
-        again = Decomposition.from_json(d.to_json())
-        assert linking_form_from_decomposition(again).entries == \
-            linking_form_from_decomposition(d).entries
-
     def test_single_piece_single_point(self):
         # punctured chi = c - 1; entry = -(c - 1) - m
         d = Decomposition(

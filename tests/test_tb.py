@@ -1,8 +1,14 @@
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import tbcalc
 from tbcalc import (
     CoverGraph,
     DecoratedGraph,
@@ -223,6 +229,32 @@ class TestTbFromGraph:
         marked = mark_real_structure(build_cover(11, 6).minimal, "plus")
         with pytest.raises(InconsistentAnnotation, match="unknown vertex"):
             tb_from_graph(marked, wr={key})
+
+    def test_wr_message_does_not_depend_on_the_hash_seed(self):
+        # The members are checked in the caller's order, so the salted
+        # hash of "x" cannot decide which bad member the message names.
+        script = ("from tbcalc import CoverGraph, FrozenGraph, TbcalcError, tb_from_graph\n"
+                  "cg = CoverGraph(graph=FrozenGraph.from_columns([], []), m=None, n=None,\n"
+                  "                e0_lift=None, deck={}, downstairs={})\n"
+                  "try:\n"
+                  "    tb_from_graph(cg, wr=[99, 'x', None])\n"
+                  "except TbcalcError as exc:\n"
+                  "    print(type(exc).__name__, exc)\n")
+        src = str(Path(tbcalc.__file__).resolve().parent.parent)
+        outputs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                           check=True).stdout
+            for seed in ("0", "1")]
+        assert outputs == ["InconsistentAnnotation wr contains unknown vertex 99\n"] * 2
+
+    @pytest.mark.parametrize("member", [[1], {}], ids=["list", "dict"])
+    def test_unhashable_wr_member_rejected(self, member):
+        cg = CoverGraph(graph=FrozenGraph.from_columns([], []), m=None, n=None,
+                        e0_lift=None, deck={}, downstairs={})
+        with pytest.raises(InconsistentAnnotation,
+                           match=re.escape(f"wr contains unknown vertex {member}")):
+            tb_from_graph(cg, wr=[member])
 
     def test_non_involutive_conj_rejected(self):
         chain, ids = make_chain([-2, -2, -2])
