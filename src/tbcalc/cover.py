@@ -375,7 +375,7 @@ def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
             or any(map(eq, map((*conj, _NOBODY).__getitem__, g.parent), g.ids)))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def build_cover(m: int, n: int) -> CoverData:
     """Run the full graph pipeline for x^m + y^n + z^2.
 

@@ -21,10 +21,11 @@ the vertices view and VertexMap serve the same values by id to a caller.
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, canonical forms for
 isomorphism checks, and O(V) exact routines on frozen trees: a solver for
-intersection systems and the determinant of the intersection form. These
-and the arm weights run one integer recurrence on subtree determinants
-over the stored order, and build a Fraction only for a final value that
-is not an integer.
+intersection systems and the determinant of the intersection form. All
+of these run one integer recurrence on subtree determinants over the
+stored order and build a Fraction only for a final value that is not an
+integer; an arm weighs D/E of its head, and _imaginary_arms holds the one
+n' rule that n_prime and tb share.
 """
 
 from __future__ import annotations
@@ -476,24 +477,26 @@ def _branch_weight(
     return Fraction(d, e)
 
 
-def _arm_weights(g: FrozenGraph, e: int, chosen: Iterable[Arm]) -> list[Fraction]:
-    """The weights of the chosen arms of e, from one _branches pass over g
-    rooted at e. Side branches of a branched arm that hold a vertex marked
-    real are left out."""
-    g = g.freeze(root=e)
-    det, rest, holds, broken = _branches(g, [r is True for r in g.real])
-    out = []
-    for arm in chosen:
-        head = g.pos(arm.head)
-        children = g._children(head)
-        if not arm.is_bamboo:
-            children = [c for c in children if not holds[c]]
-        out.append(_branch_weight(g, head, det, rest, broken, children))
-    return out
+def _imaginary_arms(
+    g: FrozenGraph, p: int, det: list[int], rest: list[int],
+    holds: list[bool], broken: list[bool],
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The weights D_h/E_h of the children h of p whose subtrees hold no
+    marked position, and n'_p = n_p - sum of E_h/D_h. With g rooted at p
+    or at a marked vertex, these h head the arms of p that hold no marked
+    vertex. Raises ZeroDenominator on a broken or zero weight."""
+    heads = [h for h in g._children(p) if not holds[h]]
+    for h in heads:
+        if broken[h]:  # raises, naming the zero sub-branch below h
+            _branch_weight(g, h, det, rest, broken, g._children(h))
+        if det[h] == 0:
+            raise ZeroDenominator(f"an imaginary arm of vertex {g.ids[p]} has weight zero")
+    weights = tuple(Fraction(det[h], rest[h]) for h in heads)
+    return weights, _branch_weight(g, p, det, rest, broken, heads)
 
 
 def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
-    """The weight n^sigma of an arm of e.
+    """The weight n^sigma of an arm of e, read off _branches rooted at e.
 
     On a bamboo this is the negative continued fraction of the raw
     self-intersections, nearest vertex first. On a branched arm the side
@@ -502,27 +505,25 @@ def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
     the arm. Side branches containing a vertex marked real are the
     business of the anchor vertex, not of this arm, and are skipped.
     """
-    (weight,) = _arm_weights(g, e, [arm])
-    return weight
+    g = g.freeze(root=e)
+    det, rest, holds, broken = _branches(g, [r is True for r in g.real])
+    head = g.pos(arm.head)
+    children = g._children(head)
+    if not arm.is_bamboo:
+        children = [c for c in children if not holds[c]]
+    return _branch_weight(g, head, det, rest, broken, children)
 
 
 def n_prime(g: FrozenGraph, e: int) -> Fraction:
     """The corrected self-intersection n'_e.
 
-    n'_e = n_e - sum of 1/n^sigma over the fully imaginary arms sigma, so
-    on a graph with no imaginary vertices n'_e equals the raw
+    n'_e = n_e - sum of 1/n^sigma over the fully imaginary arms sigma (all
+    real=False), so with no imaginary vertex n'_e is the raw
     self-intersection. Two conjugate imaginary arms contribute separately.
     """
-    value = Fraction(g.self_int[g.pos(e)])
-    imaginary_ids = {v for v, real in zip(g.ids, g.real) if real is False}
-    imaginary = [arm for arm in arms(g, e) if imaginary_ids.issuperset(arm.vertices)]
-    if not imaginary:
-        return value
-    for arm, weight in zip(imaginary, _arm_weights(g, e, imaginary)):
-        if weight == 0:
-            raise ZeroDenominator(f"arm at {arm.head} has weight zero")
-        value -= Fraction(1, 1) / weight
-    return value
+    g = g.freeze(root=e)
+    folds = _branches(g, [r is not False for r in g.real])
+    return _imaginary_arms(g, g.order[0], *folds)[1]
 
 
 def intersection_matrix(g: FrozenGraph) -> tuple[list[int], list[list[int]]]:

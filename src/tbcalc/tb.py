@@ -19,12 +19,15 @@ curve and never needs the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .charclass import CharacteristicData, canonical_coefficients
 from .cover import (
+    SIGN_MINUS,
+    SIGN_PLUS,
     CoverGraph,
     build_cover,
     has_conj_adjacent_pair,
@@ -35,10 +38,10 @@ from .errors import (
     InconsistentAnnotation,
     NonIntegralCanonicalClass,
     NotNumericallyGorenstein,
-    ZeroDenominator,
 )
+from .graph import FrozenGraph, _branches, _breadth_first, _column, _imaginary_arms
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
-from .graph import FrozenGraph, _branch_weight, _branches, _column, arms  # noqa: F401
+from .graph import arms  # noqa: F401
 
 EVAL_MINIMAL = "minimal"
 EVAL_LIFT = "lift"
@@ -76,6 +79,8 @@ def _evaluation_source(
     """The cached graph tb(m, n, sign) reads, unmarked, its real locus and
     its level: "minimal", or "lift" when the plus structure has imaginary
     curves and some curve of Gamma(m,n) meets its conjugate."""
+    if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     cover = build_cover(m, n)
     source, level = cover.minimal, EVAL_MINIMAL
     real = real_locus(source, sign)
@@ -95,34 +100,6 @@ def evaluation_graph(
     return mark_real_structure(source, sign), source.characteristic, level
 
 
-def _imaginary_arm_weights(
-    g: FrozenGraph, real: frozenset[int], wr: frozenset[int]
-) -> dict[int, tuple[Fraction, ...]]:
-    """The weights of the fully imaginary arms of each e in W_R, by head id:
-    the connected sets of vertices outside real whose one edge to a real
-    vertex goes to e. With g rooted at a real vertex these are exactly the
-    subtrees below the children of e that hold no real vertex, so one pass
-    of _branches over the stored order weighs them all. Raises
-    ZeroDenominator on a zero weight.
-    """
-    if not wr or len(real) == len(g.ids):
-        return {e: () for e in sorted(wr)}
-    if g.ids[g.order[0]] not in real:
-        g = g.freeze(root=min(real))
-    det, rest, holds, broken = _branches(g, list(map(real.__contains__, g.ids)))
-    weights: dict[int, tuple[Fraction, ...]] = {}
-    for e in sorted(wr):
-        found = []
-        for head in g._children(g.pos(e)):
-            if holds[head]:
-                continue
-            found.append(_branch_weight(g, head, det, rest, broken, g._children(head)))
-            if found[-1] == 0:
-                raise ZeroDenominator(f"an imaginary arm of vertex {e} has weight zero")
-        weights[e] = tuple(found)
-    return weights
-
-
 def _assemble(
     g: FrozenGraph,
     real: frozenset[int],
@@ -132,14 +109,22 @@ def _assemble(
     n: Optional[int],
     level: str,
 ) -> TbResult:
-    weights = _imaginary_arm_weights(g, real, wr)
-    contrib = {}
-    for e, arm_weights in weights.items():
-        # n'_e = n_e - sum of 1/w over its imaginary arms, in ints until the end.
-        num, den = g.self_int[g.pos(e)], 1
-        for w in arm_weights:
-            num, den = num * w.numerator - den * w.denominator, den * w.numerator
-        contrib[e] = Fraction(num, den)
+    """N - 1 plus n'_e over W_R, walked as positions, off one _branches
+    pass over g rooted at a real vertex; with no imaginary vertex n'_e = n_e."""
+    ids = g.ids
+    at = list(compress(range(len(ids)), map(wr.__contains__, ids)))
+    if at and len(real) < len(ids):
+        marked = list(map(real.__contains__, ids))
+        if not marked[g.order[0]]:
+            order, parent = _breadth_first(g.adj, g.adj_start, marked.index(True))
+            g = replace(g, order=order, parent=parent)
+        folds = _branches(g, marked)
+        weights, contrib = {}, {}
+        for p in at:
+            weights[ids[p]], contrib[ids[p]] = _imaginary_arms(g, p, *folds)
+    else:  # no fold
+        contrib = {ids[p]: Fraction(g.self_int[p]) for p in at}
+        weights = dict.fromkeys(contrib, ())
     value = sum(contrib.values(), Fraction(len(real) - 1))
     return TbResult(
         value=value, n_real=len(real), wr=wr,

@@ -37,6 +37,17 @@ def make_star(center_self, arm_selfs):
     return g.freeze(), center, arm_ids
 
 
+def make_zero_arm(arm_selfs):
+    """A real (-2) center with a real (-3) leaf and one imaginary bamboo,
+    given head-to-terminal, whose weight breaks ((-2, 0): a zero below the
+    head) or is zero ((0,)). Returns (frozen graph, center, arm ids)."""
+    star, center, (_leaf, arm) = make_star(-2, [(-3,), arm_selfs])
+    g = star.copy()
+    for v in g.vertices:
+        g.vertices[v].real = v not in arm
+    return g.freeze(), center, arm
+
+
 def neighbours(g):
     """The neighbour ids of each vertex of a frozen graph, sorted, read
     from its edge list."""

@@ -28,7 +28,7 @@ from tbcalc import (
 )
 from tbcalc import graph, numeric
 from tbcalc.graph import _tree_det
-from conftest import make_chain, make_star, neighbours
+from conftest import make_chain, make_star, make_zero_arm, neighbours
 
 
 class TestGraphBasics:
@@ -240,6 +240,18 @@ class TestArmWeight:
         assert not arm.is_bamboo
         assert arm_weight(g, ids[0], arm) == cf_eval([-2] * 3000)
 
+    def test_zero_below_the_head_is_named(self):
+        g, center, (head, zero) = make_zero_arm((-2, 0))
+        (arm,) = [a for a in arms(g, center) if a.head == head]
+        with pytest.raises(ZeroDenominator,
+                           match=f"^an arm weight through vertex {zero} is zero$"):
+            arm_weight(g, center, arm)
+
+    def test_zero_weight_is_returned(self):
+        g, center, (head,) = make_zero_arm((0,))
+        (arm,) = [a for a in arms(g, center) if a.head == head]
+        assert arm_weight(g, center, arm) == 0
+
 
 class TestNPrime:
     def test_all_real_arms_contribute_nothing(self):
@@ -280,6 +292,24 @@ class TestNPrime:
         # n' = -2 - 1/(-5/3) - 1/(-3) - 1/(-2) - 1/(-5)
         assert n_prime(g, center) == Fraction(-11, 30)
         assert passes == [len(g.vertices)]
+
+    @pytest.mark.parametrize("selfs", [(-2, 0), (0,)], ids=["broken", "zero"])
+    def test_zero_arm_messages(self, selfs):
+        g, center, arm = make_zero_arm(selfs)
+        message = (f"an arm weight through vertex {arm[1]} is zero" if len(arm) > 1
+                   else f"an imaginary arm of vertex {center} has weight zero")
+        with pytest.raises(ZeroDenominator, match=f"^{message}$"):
+            n_prime(g, center)
+
+    def test_makes_no_arms_walk(self, monkeypatch):
+        # n_prime reads its arms off the _branches fold it shares with tb.
+        monkeypatch.setattr(graph, "arms", None)
+        star, center, arm_ids = make_star(-3, [(-2,), (-2, -2)])
+        b = star.copy()
+        for v in b.vertices:
+            b.vertices[v].real = v == center or v in arm_ids[0]
+        # n' = -3 - 1/(-3/2)
+        assert n_prime(b.freeze(), center) == Fraction(-7, 3)
 
     def test_one_imaginary_arm(self):
         # n' = -3 - 1/(-2) = -5/2

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import tbcalc
 from tbcalc import (
+    BadExponents,
     CoverGraph,
     DecoratedGraph,
     FrozenGraph,
@@ -22,6 +24,7 @@ from tbcalc import (
     arm_weight,
     arms,
     build_cover,
+    cf_eval,
     evaluation_graph,
     graph_to_document,
     mark_real_structure,
@@ -32,7 +35,7 @@ from tbcalc import (
     verify_identities,
 )
 from tbcalc import charclass
-from conftest import build_star12_graph, make_chain, make_star
+from conftest import build_star12_graph, make_chain, make_star, make_zero_arm
 
 
 def annotated(g, conj):
@@ -101,6 +104,21 @@ class TestTbValues:
         with pytest.raises(ValueError):
             tb(3, 2, "either")
 
+    def test_bad_sign_is_rejected_before_a_cover_is_built(self):
+        before = build_cover.cache_info()
+        for evaluate in (tb, evaluation_graph):
+            with pytest.raises(ValueError, match=re.escape(
+                    "sign must be 'plus' or 'minus', got 'Plus'")):
+                evaluate(2, 2001, "Plus")
+        assert build_cover.cache_info() == before
+
+    @pytest.mark.parametrize("m", [2.0, Fraction(2)], ids=["float", "fraction"])
+    def test_exponents_that_are_not_ints_are_rejected_on_a_warm_cache(self, m):
+        # The cache must not hand back the result of the int pair (2, 3).
+        tb(2, 3, "plus")
+        with pytest.raises(BadExponents, match="must be integers"):
+            tb(m, 3, "plus")
+
 
 class TestEvaluationGraph:
     @pytest.mark.parametrize("m,n,solved", [(11, 6, ("minimal",)),
@@ -164,7 +182,7 @@ class TestImaginaryArms:
         # The one-pass arm walk against arms(), keeping the arms whose
         # vertices are all imaginary, and n_prime() at each W_R vertex of
         # every evaluation graph.
-        checked = 0
+        checked = bamboos = 0
         for m in range(2, 13):
             for n in range(2, 81):
                 if gcd(m, n) != 1:
@@ -174,12 +192,23 @@ class TestImaginaryArms:
                     g = marked.graph
                     r = tb(m, n, sign)
                     for e in r.wr:
+                        imaginary = [a for a in arms(g, e)
+                                     if all(g.vertices[v].real is False for v in a.vertices)]
                         assert r.arm_weights[e] == tuple(
-                            arm_weight(g, e, a) for a in arms(g, e)
-                            if all(g.vertices[v].real is False for v in a.vertices))
+                            arm_weight(g, e, a) for a in imaginary)
                         assert r.n_prime_contrib[e] == n_prime(g, e)
                         checked += bool(r.arm_weights[e])
+                        # cf_eval shares no code with the subtree fold that
+                        # tb, n_prime and arm_weight read.
+                        assert all(a.is_bamboo for a in imaginary)
+                        by_cf = tuple(cf_eval([g.self_int[g.pos(v)] for v in a.vertices])
+                                      for a in imaginary)
+                        assert r.arm_weights[e] == by_cf
+                        assert r.n_prime_contrib[e] == g.self_int[g.pos(e)] - sum(
+                            1 / w for w in by_cf)
+                        bamboos += len(by_cf)
         assert checked
+        assert bamboos == 346
 
 
 class TestTbFromGraph:
@@ -347,6 +376,41 @@ class TestTbFromGraph:
         with pytest.raises(ZeroDenominator):
             tb_from_graph(cg, wr=[center])
 
+    @pytest.mark.parametrize("selfs", [(-2, 0), (0,)], ids=["broken", "zero"])
+    def test_zero_arm_messages(self, selfs):
+        g, center, arm = make_zero_arm(selfs)
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj={}, sign=None)
+        message = (f"an arm weight through vertex {arm[1]} is zero" if len(arm) > 1
+                   else f"an imaginary arm of vertex {center} has weight zero")
+        with pytest.raises(ZeroDenominator, match=f"^{message}$"):
+            tb_from_graph(cg, wr=[center])
+
+    @pytest.mark.parametrize("wr", [None, []], ids=["solved", "given"])
+    def test_no_real_vertex(self, wr):
+        # Two (-2) curves that conj swaps: N = 0 and W_R is empty, so
+        # tb = -1 with no arm to weigh.
+        chain, (a, b) = make_chain([-2, -2])
+        g = chain.copy()
+        for v in (a, b):
+            g.vertices[v].real = False
+        for cg in annotated(g, {a: b, b: a}):
+            r = tb_from_graph(cg, wr=wr)
+            assert (r.value, r.n_real, r.wr, r.n_prime_contrib) == (-1, 0, frozenset(), {})
+
+    def test_all_real_n_prime_is_self_int(self, star12_minus):
+        cg, _w = star12_minus
+        g = cg.graph
+        graphs = [(cg, tb_from_graph(cg, wr=g.ids))]
+        for m, n in [(5, 8), (11, 6), (3, 7), (7, 4), (6, 17)]:
+            marked, _cd, _level = evaluation_graph(m, n, "minus")
+            graphs.append((marked, tb(m, n, "minus")))
+        for marked, r in graphs:
+            g = marked.graph
+            assert all(g.real) and r.wr
+            assert r.n_prime_contrib == {e: g.self_int[g.pos(e)] for e in r.wr}
+            assert r.arm_weights == {e: () for e in r.wr}
+
     def test_branched_imaginary_arms(self):
         # Real (-2) center with a real (-3) arm and two conjugate imaginary
         # arms, each a (-3) head with (-2) and (-3) leaves:
@@ -433,6 +497,29 @@ class TestReadsByPosition:
         monkeypatch.setattr(FrozenGraph, "pos", lambda g, v: calls.append(v) or pos(g, v))
         tb_from_graph(marked)
         assert len(calls) < 100
+
+    def test_assemble_makes_no_id_lookup(self, monkeypatch, star12_plus):
+        # W_R is walked as positions and its ids are read once for TbResult,
+        # also when the fold has to move the walk to a real root.
+        tb_module = importlib.import_module("tbcalc.tb")
+        cases = []
+        for m, n in [(11, 6), (3, 2), (6, 4789)]:
+            for sign in ("plus", "minus"):
+                source, real, level = tb_module._evaluation_source(m, n, sign)
+                cases.append((source.graph, real, source.characteristic.w & real, level,
+                              tb(m, n, sign)))
+        cg, w = star12_plus
+        g = cg.graph
+        real = frozenset(v for v, flag in zip(g.ids, g.real) if flag)
+        imaginary = min(set(g.ids) - real)
+        cases.append((g.freeze(root=imaginary), real, w & real, "graph", tb_from_graph(cg)))
+
+        def no_lookup(g, v):
+            raise AssertionError(f"pos({v}) called")
+
+        monkeypatch.setattr(FrozenGraph, "pos", no_lookup)
+        for g, real, wr, level, want in cases:
+            assert tb_module._assemble(g, real, wr, want.sign, want.m, want.n, level) == want
 
     def test_no_vertex_record_is_built(self, monkeypatch):
         marked = mark_real_structure(build_cover(6, 4789).minimal, "plus")

@@ -291,4 +291,4 @@ class TestReadsByPosition:
         monkeypatch.setattr(FrozenGraph, "pos", lambda g, v: calls.append(v) or pos(g, v))
         build_cover.cache_clear()
         verify_identities(6, 30, 2)
-        assert len(calls) < 4500
+        assert len(calls) < 2200
