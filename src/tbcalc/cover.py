@@ -40,7 +40,6 @@ from .graph import (
     VertexMap,
     _column,
     _degrees,
-    _drop_positions,
     _neighbour_sums,
     arms,
     blow_down_minimize,
@@ -304,9 +303,9 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     if not removed:
         return cg
     lift, survivors = cg.graph, set(g.ids)
-    gone = sorted(map(lift.pos, removed))
-    deck = _drop_positions(_column(lift, cg.deck), gone)
-    below = _drop_positions(_column(lift, cg.downstairs), gone)
+    keep = list(map(survivors.__contains__, lift.ids))
+    deck = list(compress(_column(lift, cg.deck), keep))
+    below = list(compress(_column(lift, cg.downstairs), keep))
     if not survivors.issuperset(deck):
         raise StructureMismatch(
             "deck transformation does not restrict to the minimal graph"

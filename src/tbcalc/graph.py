@@ -25,7 +25,9 @@ intersection systems and the determinant of the intersection form. All
 of these run one integer recurrence on subtree determinants over the
 stored order and build a Fraction only for a final value that is not an
 integer; an arm weighs D/E of its head, and _imaginary_arms holds the one
-n' rule that n_prime and tb share.
+n' rule that n_prime and tb share. arms reads the arms of a vertex off the
+walk from it, and blow-down rebuilds its result through one mask of the
+kept positions, so each is one O(V) pass.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
 from operator import add, attrgetter, mul, sub
@@ -275,8 +277,13 @@ class FrozenGraph:
         its walk starts there."""
         if self.ids and self.ids[self.order[0]] == root:
             return self
-        order, parent = _breadth_first(self.adj, self.adj_start, self.pos(root))
-        return replace(self, order=order, parent=parent)
+        return self._walked_from(self.pos(root))
+
+    def _walked_from(self, first: int) -> "FrozenGraph":
+        """The same graph walked breadth-first from position first."""
+        return FrozenGraph(self.ids, self.self_int, self.mult, self.c1_coeff, self.arm_label,
+                           self.real, *_breadth_first(self.adj, self.adj_start, first),
+                           self.adj_start, self.adj, self.arrows, self.next_id)
 
     def copy(self) -> DecoratedGraph:
         """A new mutable builder with the same vertices, edges and arrows."""
@@ -401,30 +408,42 @@ class Arm:
 
 
 def arms(g: FrozenGraph, e: int) -> list[Arm]:
-    """The arms of vertex e: one per neighbor, ordered by head id."""
-    ids, adj, start = g.ids, g.adj, g.adj_start
+    """The arms of vertex e: one per neighbor, ordered by head id.
+
+    Read off the walk of g from e (g itself when it is stored walked from
+    e): a vertex below a head belongs to the arm of its parent. The walk
+    stops where e's component ends. A bamboo comes off the walk in path
+    order; a branched arm is sorted by depth below its head, then by id."""
     try:
-        root = g.pos(e)
+        g = g.freeze(root=e)
     except KeyError:
         raise ValueError(f"vertex {e} not in graph") from None
+    ids, order, parent = g.ids, g.order, g.parent
+    root = order[0]
     meets = _degrees(g)
     for p in map(g.pos, g.arrows):
         meets[p] += 1
-    depth = [-1] * len(ids)
-    depth[root] = 0
+    heads = g._children(root)
+    head_of = list(range(len(ids)))
+    members: dict[int, list[int]] = {h: [] for h in heads}
+    for p in islice(order, 1, None):
+        up = parent[p]
+        if up < 0:
+            break
+        if up != root:
+            head_of[p] = head_of[up]
+        members[head_of[p]].append(p)
     out = []
-    for head in adj[start[root]:start[root + 1]]:
-        depth[head] = 0
-        order = [head]
-        for p in order:
-            for q in adj[start[p]:start[p + 1]]:
-                if depth[q] < 0:
-                    depth[q] = depth[p] + 1
-                    order.append(q)
-        order.sort()
-        order.sort(key=depth.__getitem__)
-        bamboo = max(map(meets.__getitem__, order)) < 3
-        out.append(Arm(head=ids[head], vertices=tuple(map(ids.__getitem__, order)),
+    for head in heads:
+        vertices = members[head]
+        bamboo = max(map(meets.__getitem__, vertices)) < 3
+        if not bamboo:
+            depth = {head: 0}
+            for p in islice(vertices, 1, None):
+                depth[p] = depth[parent[p]] + 1
+            vertices.sort()
+            vertices.sort(key=depth.__getitem__)
+        out.append(Arm(head=ids[head], vertices=tuple(map(ids.__getitem__, vertices)),
                        is_bamboo=bamboo))
     return out
 
@@ -576,8 +595,9 @@ def blow_down_minimize(
     input's root when it survives (else from the smallest survivor), and
     the removed ids in contraction order; g is left alone, and returned
     itself when nothing is removable. The contraction runs on positions:
-    the removable ones are kept sorted, and a neighbour set is made only
-    for a position a contraction touches.
+    the removable ones are kept sorted, largest first so that the next one
+    pops off the end, and a neighbour set is made only for a position a
+    contraction touches. The rebuild is one pass over each column.
     """
     ids, adj, start, arrowed = g.ids, g.adj, g.adj_start, set(g.arrows)
     self_int = list(g.self_int)
@@ -590,12 +610,13 @@ def blow_down_minimize(
         return self_int[p] == -1 and len(neighbours(p)) <= 2 and ids[p] not in arrowed
 
     size = len(ids)
-    eligible = [p for p in compress(range(size), map((-1).__eq__, self_int)) if removable(p)]
+    eligible = [-p for p in compress(range(size), map((-1).__eq__, self_int)) if removable(p)]
+    eligible.reverse()  # negated positions, ascending: the smallest position is last
     if not eligible:
         return g, []
     removed: list[int] = []
     while eligible:
-        v = eligible.pop(rng.randrange(len(eligible)) if rng is not None else 0)
+        v = -eligible.pop(-1 - rng.randrange(len(eligible)) if rng is not None else -1)
         nbrs = tuple(neighbours(v))
         if g.real[v] is False and any(g.real[u] is True for u in nbrs):
             raise InconsistentAnnotation(
@@ -614,42 +635,36 @@ def blow_down_minimize(
             self_int[u] += 1
         removed.append(v)
         for u in nbrs:
-            i = bisect_left(eligible, u)
-            if i < len(eligible) and eligible[i] == u:
+            i = bisect_left(eligible, -u)
+            if i < len(eligible) and eligible[i] == -u:
                 del eligible[i]
             if removable(u):
-                eligible.insert(i, u)
-    # The rebuild copies the columns and the neighbour lists of untouched
-    # positions in runs and renumbers them: a kept position moves down by
-    # the removed ones before it.
-    gone = sorted(removed)
-    index: list[int] = []
-    for count, (a, b) in enumerate(zip([-1, *gone], [*gone, size])):
-        index += range(a + 1 - count, b - count)
-        index.append(-1)
+                eligible.insert(i, -u)
+    # The rebuild keeps the columns and the neighbour lists of untouched
+    # positions through one mask and renumbers them: a kept position moves
+    # down by the removed ones before it.
+    keep = [True] * size
+    for p in removed:
+        keep[p] = False
+    index = list(accumulate(keep, initial=0))
     degree = _degrees(g)
     runs, done = [], 0
-    for p in sorted(near.keys() | gone):
+    for p in sorted(near.keys() | set(removed)):
         runs.append(adj[start[done]:start[p]])
-        if p not in removed:
+        if keep[p]:
             degree[p] = len(near[p])
             runs.append(sorted(near[p]))
         done = p + 1
     runs.append(adj[start[done]:])
-    columns = {name: _drop_positions(getattr(g, name), gone) for name in _COLUMNS[1:]}
+    columns = {name: list(compress(getattr(g, name), keep)) for name in _COLUMNS[1:]}
+    root = g.order[0]
     return FrozenGraph._from_adjacency(
-        _drop_positions(self_int, gone),
-        list(accumulate(_drop_positions(degree, gone), initial=0)),
+        list(compress(self_int, keep)),
+        list(accumulate(compress(degree, keep), initial=0)),
         list(map(index.__getitem__, chain.from_iterable(runs))),
-        ids=tuple(_drop_positions(ids, gone)), **columns, arrows=g.arrows,
-        next_id=g.next_id, root=index[g.order[0]] if g.order[0] not in removed else 0,
+        ids=tuple(compress(ids, keep)), **columns, arrows=g.arrows,
+        next_id=g.next_id, root=index[root] if keep[root] else 0,
     ), list(map(ids.__getitem__, removed))
-
-
-def _drop_positions(column: Sequence, gone: Sequence[int]) -> list:
-    """column without the entries at the sorted positions gone."""
-    runs = map(slice, chain((0,), map((1).__add__, gone)), chain(gone, (len(column),)))
-    return list(chain.from_iterable(map(column.__getitem__, runs)))
 
 
 _CANON_FIELDS = ("self_int", "mult", "c1_coeff", "real", "arm_label")

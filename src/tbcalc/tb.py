@@ -6,7 +6,8 @@ The invariant is evaluated on a resolution graph and its real locus as
 
 where N counts real vertices, W_R is the real part of the characteristic
 set, and n'_e corrects the self-intersection of e by the weights of its
-fully imaginary arms.
+fully imaginary arms. The sum runs in integers, over the lcm of the n'
+denominators, and builds one Fraction for the value.
 
 The evaluation normally runs on the minimal graph Gamma(m,n). For the plus
 structure on very small exponent pairs, minimization can contract the
@@ -19,7 +20,8 @@ curve and never needs the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Optional
@@ -39,7 +41,7 @@ from .errors import (
     NonIntegralCanonicalClass,
     NotNumericallyGorenstein,
 )
-from .graph import FrozenGraph, _branches, _breadth_first, _column, _imaginary_arms
+from .graph import FrozenGraph, _branches, _column, _imaginary_arms
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
 from .graph import arms  # noqa: F401
 
@@ -110,22 +112,27 @@ def _assemble(
     level: str,
 ) -> TbResult:
     """N - 1 plus n'_e over W_R, walked as positions, off one _branches
-    pass over g rooted at a real vertex; with no imaginary vertex n'_e = n_e."""
+    pass over g rooted at a real vertex; with no imaginary vertex n'_e = n_e.
+    The sum runs in integers over the lcm of the n' denominators and builds
+    one Fraction at the end."""
     ids = g.ids
     at = list(compress(range(len(ids)), map(wr.__contains__, ids)))
     if at and len(real) < len(ids):
         marked = list(map(real.__contains__, ids))
         if not marked[g.order[0]]:
-            order, parent = _breadth_first(g.adj, g.adj_start, marked.index(True))
-            g = replace(g, order=order, parent=parent)
+            g = g._walked_from(marked.index(True))
         folds = _branches(g, marked)
         weights, contrib = {}, {}
         for p in at:
             weights[ids[p]], contrib[ids[p]] = _imaginary_arms(g, p, *folds)
+        den = math.lcm(*(term.denominator for term in contrib.values()))
+        num = sum(term.numerator * (den // term.denominator) for term in contrib.values())
+        value = Fraction(num + (len(real) - 1) * den, den)
     else:  # no fold
-        contrib = {ids[p]: Fraction(g.self_int[p]) for p in at}
+        self_int = g.self_int
+        contrib = {ids[p]: Fraction(self_int[p]) for p in at}
         weights = dict.fromkeys(contrib, ())
-    value = sum(contrib.values(), Fraction(len(real) - 1))
+        value = Fraction(len(real) - 1 + sum(map(self_int.__getitem__, at)))
     return TbResult(
         value=value, n_real=len(real), wr=wr,
         n_prime_contrib=contrib, arm_weights=weights,
@@ -194,12 +201,14 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
         wr = list(wr)
         for v in wr:  # in the caller's order, so the message is reproducible
             try:
-                known = v in real
-            except TypeError:  # an unhashable member is no vertex
-                known = False
-            if not known:
+                p = g.pos(v)
+            except KeyError:
+                raise InconsistentAnnotation(f"wr contains unknown vertex {v}") from None
+            if type(v) is not type(g.ids[p]):
                 raise InconsistentAnnotation(
-                    f"wr contains imaginary vertex {v}; W_R lies in the real locus"
-                    if v in g.ids else f"wr contains unknown vertex {v}")
+                    f"wr contains {v!r}, which is no vertex id but equals vertex {g.ids[p]}")
+            if not g.real[p]:
+                raise InconsistentAnnotation(
+                    f"wr contains imaginary vertex {v}; W_R lies in the real locus")
         wr = frozenset(wr)
     return _assemble(g, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)

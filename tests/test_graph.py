@@ -1,4 +1,6 @@
 import random
+import statistics
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from tbcalc import (
     VertexMap,
 )
 from tbcalc import graph, numeric
-from tbcalc.graph import _tree_det
+from tbcalc.graph import Arm, _tree_det
 from conftest import make_chain, make_star, make_zero_arm, neighbours
 
 
@@ -191,6 +193,26 @@ class TestArms:
         with pytest.raises(ValueError, match="not in graph"):
             arms(g, key)
 
+    def test_matches_a_breadth_first_reference(self):
+        # Every vertex of random forests and trees, on the stored walk and
+        # on walks from another root, so most calls are not walked from e.
+        rng = random.Random(20261021)
+        graphs = [TestFrozenGraph.random_forest(rng).freeze() for _ in range(150)]
+        for _ in range(50):
+            b = DecoratedGraph()
+            ids = [b.add_vertex(-2) for _ in range(rng.randrange(1, 40))]
+            for i in range(1, len(ids)):
+                b.add_edge(ids[rng.randrange(max(0, i - 4), i)], ids[i])
+            b.arrows += rng.sample(ids, min(len(ids), rng.randrange(3)))
+            graphs.append(b.freeze())
+        walked = 0
+        for f in graphs:
+            for g in (f, f.freeze(root=rng.choice(f.ids))):
+                for e in g.ids:
+                    assert arms(g, e) == reference_arms(g, e)
+                    walked += g.ids[g.order[0]] != e
+        assert walked > 1000
+
     def test_is_rupture(self):
         # A rupture vertex meets at least three other curves, arrows
         # included, and an arm through one is no bamboo.
@@ -199,6 +221,36 @@ class TestArms:
         b = g.copy()
         b.arrows.append(center)
         assert [a.is_bamboo for a in arms(b.freeze(), left)] == [False]
+
+
+def reference_arms(g, e):
+    """arms() as a breadth-first walk of its own from each head of e, the
+    vertices of an arm sorted by depth below the head, then by id."""
+    ids, adj, start = g.ids, g.adj, g.adj_start
+    try:
+        root = g.pos(e)
+    except KeyError:
+        raise ValueError(f"vertex {e} not in graph") from None
+    meets = [start[p + 1] - start[p] for p in range(len(ids))]
+    for p in map(g.pos, g.arrows):
+        meets[p] += 1
+    depth = [-1] * len(ids)
+    depth[root] = 0
+    out = []
+    for head in adj[start[root]:start[root + 1]]:
+        depth[head] = 0
+        order = [head]
+        for p in order:
+            for q in adj[start[p]:start[p + 1]]:
+                if depth[q] < 0:
+                    depth[q] = depth[p] + 1
+                    order.append(q)
+        order.sort()
+        order.sort(key=depth.__getitem__)
+        bamboo = max(map(meets.__getitem__, order)) < 3
+        out.append(Arm(head=ids[head], vertices=tuple(map(ids.__getitem__, order)),
+                       is_bamboo=bamboo))
+    return out
 
 
 class TestArmWeight:
@@ -497,6 +549,21 @@ class TestBlowDown:
         result, removed = blow_down_minimize(g)
         assert removed == []
         assert canonical_form(result) == canonical_form(g)
+
+    def test_cost_is_linear_on_odd_exponent_lifts(self):
+        # For odd m about half of the lift contracts. A rebuild that tests
+        # each touched position against the list of removed ones grows like
+        # the square of the lift: the 4x larger lift took 10-11x as long.
+        small, large = (build_cover(3, n).lift.graph for n in (5002, 20002))
+        assert (len(small.ids), len(large.ids)) == (1672, 6672)
+        times = {small: [], large: []}
+        for _ in range(5):
+            for g in times:
+                start = time.perf_counter()
+                blow_down_minimize(g)
+                times[g].append(time.perf_counter() - start)
+        ratio = statistics.median(times[large]) / statistics.median(times[small])
+        assert ratio < 7, ratio
 
     @staticmethod
     def random_graph(rng):

@@ -1,5 +1,6 @@
 import importlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -111,6 +112,16 @@ class TestTbValues:
                     "sign must be 'plus' or 'minus', got 'Plus'")):
                 evaluate(2, 2001, "Plus")
         assert build_cover.cache_info() == before
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_value_is_the_sum_of_its_terms(self, sign):
+        # tb adds its n' terms in integers; Fraction arithmetic is the oracle.
+        for m in range(2, 31):
+            for n in range(2, 121):
+                if gcd(m, n) == 1:
+                    r = tb(m, n, sign)
+                    want = sum(r.n_prime_contrib.values(), Fraction(r.n_real - 1))
+                    assert type(r.value) is Fraction and r.value == want, (m, n)
 
     @pytest.mark.parametrize("m", [2.0, Fraction(2)], ids=["float", "fraction"])
     def test_exponents_that_are_not_ints_are_rejected_on_a_warm_cache(self, m):
@@ -258,6 +269,17 @@ class TestTbFromGraph:
         marked = mark_real_structure(build_cover(11, 6).minimal, "plus")
         with pytest.raises(InconsistentAnnotation, match="unknown vertex"):
             tb_from_graph(marked, wr={key})
+
+    @pytest.mark.parametrize("member", [0.0, True, Fraction(1)],
+                             ids=["float", "bool", "fraction"])
+    def test_wr_member_that_only_equals_an_id_rejected(self, member):
+        # TbResult.wr would hold the member while its maps are keyed by ids.
+        g = FrozenGraph.from_columns([-2, -2], [(0, 1)], real=[True, True])
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={}, downstairs={})
+        with pytest.raises(InconsistentAnnotation, match=re.escape(
+                f"wr contains {member!r}, which is no vertex id but equals vertex {int(member)}")):
+            tb_from_graph(cg, wr=[member])
+        assert tb_from_graph(cg, wr=[int(member)]).wr == {int(member)}
 
     def test_wr_message_does_not_depend_on_the_hash_seed(self):
         # The members are checked in the caller's order, so the salted
@@ -446,6 +468,28 @@ class TestTbFromGraph:
             tb_from_graph(cg)
         assert isinstance(info.value, UserInputError)
         assert not isinstance(info.value, InternalInvariantError)
+
+    def test_value_is_the_sum_of_its_terms_on_folded_graphs(self):
+        # Random trees with imaginary vertices, so tb folds their arms, each
+        # walked from a random root, with W_R a random set of real vertices:
+        # the n' denominators differ, and Fraction arithmetic is the oracle.
+        rng = random.Random(20261019)
+        denominators = set()
+        for _ in range(300):
+            b = DecoratedGraph()
+            ids = [b.add_vertex(-rng.randrange(2, 6), real=rng.random() < 0.4)
+                   for _ in range(rng.randrange(2, 16))]
+            for i in range(1, len(ids)):
+                b.add_edge(ids[rng.randrange(i)], ids[i])
+            b.vertices[rng.choice(ids)].real = True
+            real = [v for v in ids if b.vertices[v].real]
+            g = b.freeze().freeze(root=rng.choice(ids))
+            cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={}, downstairs={})
+            r = tb_from_graph(cg, wr=rng.sample(real, rng.randrange(len(real) + 1)))
+            assert r.value == sum(r.n_prime_contrib.values(), Fraction(r.n_real - 1))
+            denominators.update(term.denominator for term in r.n_prime_contrib.values())
+            denominators.add(r.value.denominator)
+        assert len(denominators) > 20
 
     def test_arms_found_when_the_first_vertex_is_imaginary(self):
         # The star12 plus graph with one imaginary arm built first, so the
