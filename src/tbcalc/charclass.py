@@ -18,8 +18,8 @@ returns.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import (
     InconsistentAnnotation,
@@ -32,8 +32,7 @@ WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
 
 
-@dataclass(frozen=True)
-class CharacteristicData:
+class CharacteristicData(NamedTuple):
     """Integral c1 coefficients by vertex id, the odd-coefficient set W, and
     the Wu status (confirmed-unique exactly when det Q is odd)."""
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import chain, compress, islice
 from operator import eq
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .charclass import CharacteristicData, canonical_coefficients
 from .errors import (
@@ -52,8 +51,18 @@ SIGN_MINUS = "minus"
 RUPTURE_LABEL = "rupture"
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class _CoverFields(NamedTuple):
+    graph: FrozenGraph
+    m: int
+    n: int
+    e0_lift: Optional[int]
+    deck: Mapping[int, int]
+    downstairs: Mapping[int, int]
+    conj: Mapping[int, int] = _NO_CONJ
+    sign: Optional[str] = None
+
+
+class CoverGraph(_CoverFields):
     """An upstairs resolution graph with covering provenance.
 
     deck is the deck transformation of the double cover (identity on
@@ -63,20 +72,15 @@ class CoverGraph:
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
-    The fields cannot be rebound, and graph is a FrozenGraph. The stages
+    A NamedTuple whose one extra attribute is the cached characteristic;
+    no attribute can be assigned, and graph is a FrozenGraph. The stages
     emit read-only cover graphs, with deck and downstairs (and conj, once
     marked) as columns (VertexMap). A caller may build one with dict maps
     for tb_from_graph, freezing a builder once before handing it over.
     """
 
-    graph: FrozenGraph
-    m: int
-    n: int
-    e0_lift: Optional[int]
-    deck: Mapping[int, int]
-    downstairs: Mapping[int, int]
-    conj: Mapping[int, int] = field(default_factory=dict)
-    sign: Optional[str] = None
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a CoverGraph")
 
     @cached_property
     def characteristic(self) -> CharacteristicData:
@@ -86,8 +90,7 @@ class CoverGraph:
         return canonical_coefficients(self)
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(NamedTuple):
     """What later calls read of the pipeline for one exponent pair, as
     frozen values.
 
@@ -190,8 +193,7 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
     if kind[r] == 2:
         raise StructureMismatch("rupture vertex must have a unique lift")
     return CoverGraph(graph=up, m=m, n=n, e0_lift=first[r],
-                      deck=VertexMap(up, deck), downstairs=VertexMap(up, downstairs),
-                      conj=_NO_CONJ)
+                      deck=VertexMap(up, deck), downstairs=VertexMap(up, downstairs))
 
 
 def _downstairs_component_labels(
@@ -286,7 +288,7 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
             "real locus by arm naming disagrees with the deck-fixed locus"
         )
     column = tuple(map(labels.get, g.ids, g.arm_label))
-    return replace(cg, graph=replace(g, arm_label=column))
+    return cg._replace(graph=g._replace(arm_label=column))
 
 
 def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
@@ -322,8 +324,8 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
             raise StructureMismatch(
                 "minimized rupture vertex lost its 3-bamboo-arm shape"
             )
-    return replace(cg, graph=g, e0_lift=e0, deck=VertexMap(g, deck),
-                   downstairs=VertexMap(g, below))
+    return cg._replace(graph=g, e0_lift=e0, deck=VertexMap(g, deck),
+                       downstairs=VertexMap(g, below))
 
 
 def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
@@ -352,10 +354,10 @@ def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
     acting as the deck transformation on the others. cg is left as it is."""
     real = real_locus(cg, sign)
     g = cg.graph
-    marked = replace(g, real=tuple(map(real.__contains__, g.ids)))
+    marked = g._replace(real=tuple(map(real.__contains__, g.ids)))
     conj = VertexMap(marked, (v if fixed else w for v, fixed, w
                               in zip(g.ids, marked.real, _column(g, cg.deck))))
-    return replace(cg, graph=marked, conj=conj, sign=sign)
+    return cg._replace(graph=marked, conj=conj, sign=sign)
 
 
 def has_conj_adjacent_pair(cg: CoverGraph) -> bool:

@@ -20,10 +20,9 @@ Both stages here run on flat lists and emit FrozenGraph values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
 from .graph import (FrozenGraph, VertexMap, _degrees, _neighbour_sums, _tree_det,
@@ -38,8 +37,7 @@ ARROW_MULT = 1
 MAX_QUOTIENT_SUM = 200_000
 
 
-@dataclass(frozen=True)
-class EuclidData:
+class EuclidData(NamedTuple):
     """The division chain of the exponent pair.
 
     quotients are stored in division order: the first divides the larger
@@ -56,8 +54,7 @@ class EuclidData:
         return sum(self.quotients)
 
 
-@dataclass(frozen=True)
-class BlowupTrace:
+class BlowupTrace(NamedTuple):
     """The ordered blow-up history of a resolution graph whose curves have
     the ids 0, 1, ... in the order they were made: parents[v] holds the
     exceptional curves through the center of the blow-up that made v."""

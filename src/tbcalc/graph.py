@@ -10,11 +10,11 @@ Every reader takes a FrozenGraph, built by from_columns: the immutable
 value every pipeline stage, blow-down included, emits. It keeps no
 per-vertex objects, only flat tuples: the sorted ids, one column per
 decoration, a breadth-first order with the parent of each position, and
-sorted neighbour lists. Writing to it raises (FrozenInstanceError, or
-AttributeError on a vertex record), and freeze(root) walks the same graph
-from another root. A DecoratedGraph only builds: a caller adds vertices
-and edges to it, or edits the one FrozenGraph.copy() returns, and hands
-its freeze() to the readers. These go by position (the columns, adj,
+sorted neighbour lists. It is a NamedTuple: writing to it raises
+AttributeError, _replace gives a changed copy, and freeze(root) walks the
+same graph from another root. A DecoratedGraph only builds: a caller adds
+vertices and edges to it, or edits the one FrozenGraph.copy() returns, and
+hands its freeze() to the readers. These go by position (the columns, adj,
 adj_start, arrows); ids become positions only at pos, ids and _column, and
 the vertices view and VertexMap serve the same values by id to a caller.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
 from operator import add, attrgetter, mul, sub
@@ -52,19 +51,30 @@ from .errors import (
 from .numeric import solve_rational
 
 
-@dataclass
 class VertexData:
-    """Decorations of one exceptional curve of a DecoratedGraph.
+    """Decorations of one exceptional curve of a DecoratedGraph, which a
+    caller edits in place.
 
     self_int is always present; the rest are filled in as the pipeline
     learns them. Every curve is a rational (genus 0) curve.
     """
 
-    self_int: int
-    mult: Optional[int] = None
-    c1_coeff: Optional[int] = None
-    real: Optional[bool] = None
-    arm_label: Optional[str] = None
+    __slots__ = ("self_int", "mult", "c1_coeff", "real", "arm_label")
+
+    def __init__(self, self_int: int, mult: Optional[int] = None,
+                 c1_coeff: Optional[int] = None, real: Optional[bool] = None,
+                 arm_label: Optional[str] = None) -> None:
+        self.self_int, self.mult, self.c1_coeff = self_int, mult, c1_coeff
+        self.real, self.arm_label = real, arm_label
+
+    def __eq__(self, other) -> bool:
+        return type(other) is VertexData and _row(self) == _row(other)
+
+    def __repr__(self) -> str:
+        return f"VertexData{_row(self)!r}"
+
+
+_row = attrgetter(*VertexData.__slots__)
 
 
 class DecoratedGraph:
@@ -157,8 +167,7 @@ class FrozenVertex(NamedTuple):
     arm_label: Optional[str]
 
 
-@dataclass(frozen=True, slots=True)
-class FrozenGraph:
+class FrozenGraph(NamedTuple):
     """An immutable decorated tree, stored by position: position p is the
     vertex ids[p], ids sorted.
 
@@ -392,8 +401,7 @@ def _breadth_first(
     return tuple(order), tuple(parent)
 
 
-@dataclass(frozen=True)
-class Arm:
+class Arm(NamedTuple):
     """One connected component of the graph minus a vertex.
 
     head is the unique vertex of the arm adjacent to the removed vertex.
@@ -599,7 +607,7 @@ def blow_down_minimize(
     pops off the end, and a neighbour set is made only for a position a
     contraction touches. The rebuild is one pass over each column.
     """
-    ids, adj, start, arrowed = g.ids, g.adj, g.adj_start, set(g.arrows)
+    ids, adj, start, real, arrowed = g.ids, g.adj, g.adj_start, g.real, set(g.arrows)
     self_int = list(g.self_int)
     near: dict[int, set[int]] = {}
 
@@ -618,7 +626,7 @@ def blow_down_minimize(
     while eligible:
         v = -eligible.pop(-1 - rng.randrange(len(eligible)) if rng is not None else -1)
         nbrs = tuple(neighbours(v))
-        if g.real[v] is False and any(g.real[u] is True for u in nbrs):
+        if real[v] is False and any(real[u] is True for u in nbrs):
             raise InconsistentAnnotation(
                 f"cannot contract imaginary vertex {ids[v]} next to a real vertex"
             )
@@ -798,4 +806,5 @@ def _tree_det(g: FrozenGraph) -> int:
     """det Q of a forest in O(V) integer steps: the product of D at the
     root of each tree (_subtree_dets)."""
     det, _rest = _subtree_dets(g)
-    return math.prod(det[p] for p in g.order if g.parent[p] < 0)
+    parent = g.parent
+    return math.prod(det[p] for p in g.order if parent[p] < 0)

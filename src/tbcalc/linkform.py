@@ -14,9 +14,8 @@ matrices bilinearly over the pieces the circles lie on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError, MalformedDecomposition, NonPositiveM
 from .numeric import format_rational, parse_rational
@@ -27,24 +26,29 @@ KIND_ONE_SIDED = "one_sided"
 _KINDS = (KIND_TWO_SIDED_NONORIENTABLE, KIND_TWO_SIDED_ORIENTABLE, KIND_ONE_SIDED)
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class _LinkingEntries(NamedTuple):
+    entries: tuple[tuple[Fraction, ...], ...]
+
+
+class LinkingMatrix(_LinkingEntries):
     """A symmetric matrix of exact linking numbers."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[Fraction, ...], ...]) -> "LinkingMatrix":
+        size = len(entries)
+        for row in entries:
+            if len(row) != size:
+                raise ValueError("linking matrix must be square")
+        for i in range(size):
+            for j in range(size):
+                if entries[i][j] != entries[j][i]:
+                    raise ValueError("linking matrix must be symmetric")
+        return super().__new__(cls, entries)
 
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != self.size:
-                raise ValueError("linking matrix must be square")
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("linking matrix must be symmetric")
 
     def as_strings(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -76,8 +80,7 @@ def contraction_linking_matrix(m: Union[int, Fraction], kind: str) -> LinkingMat
     return LinkingMatrix(entries=rows)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One closed-up piece of the cut real surface.
 
     euler_char_closed_piece is the Euler characteristic of the piece with
@@ -91,8 +94,7 @@ class Piece:
     boundary_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ContractedPoint:
+class ContractedPoint(NamedTuple):
     """A collapsed curve with its real-link circles on the pieces.
 
     incidences lists (piece id, number of this point's circles on that
@@ -131,8 +133,7 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(_string(item) for item in value)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     pieces: tuple[Piece, ...]
     contracted_points: tuple[ContractedPoint, ...]
 

@@ -10,9 +10,8 @@ more than speed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, SingularMatrix, ZeroDenominator
 
@@ -129,8 +128,7 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[size - 1][size - 1]
 
 
-@dataclass(frozen=True)
-class Gf2Result:
+class Gf2Result(NamedTuple):
     """Outcome of a GF(2) solve: a status plus one solution when consistent.
 
     For the "multiple" status the returned solution is the one with every

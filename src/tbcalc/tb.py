@@ -21,10 +21,9 @@ curve and never needs the fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .charclass import CharacteristicData, canonical_coefficients
 from .cover import (
@@ -50,8 +49,7 @@ EVAL_LIFT = "lift"
 EVAL_GRAPH = "graph"
 
 
-@dataclass(frozen=True)
-class TbResult:
+class TbResult(NamedTuple):
     """An exact tb value with the data of its evaluation.
 
     n_real is N of the formula; n_prime_contrib maps each W_R vertex to

@@ -25,24 +25,30 @@ Suites:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .charclass import parity_checks
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
-from .graph import FrozenGraph, arms
+from .graph import FrozenGraph
+# arms stays bound here: the benchmark's tracer tests wrap verify.arms.
+from .graph import arms  # noqa: F401
 from .numeric import format_rational
 from .tb import tb
 
 SUITE_NAMES = ("integrality", "period", "symmetry", "parity", "structure")
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checked: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
+    """The counts and violations of one suite, which its runner adds to."""
+
+    __slots__ = ("name", "checked", "skipped", "violations")
+
+    def __init__(self, name: str, checked: int = 0, skipped: int = 0,
+                 violations: Optional[list] = None) -> None:
+        self.name, self.checked, self.skipped = name, checked, skipped
+        self.violations = [] if violations is None else violations
 
     def to_dict(self) -> dict:
         return {
@@ -53,8 +59,7 @@ class SuiteResult:
         }
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     m_max: int
     n_max: int
     k_max: int
@@ -218,13 +223,26 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     return result
 
 
+def _bamboo_arms(g: FrozenGraph, p: int) -> Iterator[list[int]]:
+    """The positions of each arm of position p, heads in position order,
+    each followed along the neighbour lists from its head: the arms read
+    here are bamboos, so neither a walk from p nor an id lookup is needed.
+    A branched arm would end at its first vertex of degree 3 or more."""
+    adj, start = g.adj, g.adj_start
+    for head in adj[start[p]:start[p + 1]]:
+        came, q, path = p, head, [head]
+        while start[q + 1] - start[q] == 2:
+            came, q = q, adj[start[q]] + adj[start[q] + 1] - came
+            path.append(q)
+        yield path
+
+
 def _gamma_f_sides(g: FrozenGraph, rupture: int, m: int, n: int):
     """Self-int and mult chains of the two rupture arms of Gamma_f,
     ordered away from the rupture, keyed by which exponent terminates
     them."""
-    at, sides = dict(zip(g.ids, range(len(g.ids)))), {}
-    for arm in arms(g, rupture):
-        where = tuple(map(at.__getitem__, arm.vertices))
+    sides = {}
+    for where in _bamboo_arms(g, g.pos(rupture)):
         selfs = tuple(map(g.self_int.__getitem__, where))
         mults = tuple(map(g.mult.__getitem__, where))
         if mults[-1] == m:
@@ -240,18 +258,18 @@ def _cover_arm_families(cg: CoverGraph):
     Returns {family: sorted list of (selfs tuple, vertex tuple)} where
     family is "n_arm", "m_arm" or None for the branch-side arm.
     """
-    g, at = cg.graph, dict(zip(cg.graph.ids, range(len(cg.graph.ids))))
+    g = cg.graph
     families: dict = {"n_arm": [], "m_arm": [], None: []}
-    for arm in arms(g, cg.e0_lift):
-        label = g.arm_label[at[arm.head]] or ""
+    for where in _bamboo_arms(g, g.pos(cg.e0_lift)):
+        label = g.arm_label[where[0]] or ""
         if label.startswith("n_arm"):
             family = "n_arm"
         elif label.startswith("m_arm"):
             family = "m_arm"
         else:
             family = None
-        selfs = tuple(g.self_int[at[v]] for v in arm.vertices)
-        families[family].append((selfs, arm.vertices))
+        selfs = tuple(map(g.self_int.__getitem__, where))
+        families[family].append((selfs, tuple(map(g.ids.__getitem__, where))))
     for chains in families.values():
         chains.sort()
     return families

@@ -1,13 +1,13 @@
 import gc
 import hashlib
 import math
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
 from tbcalc import (
     BadOddNeighborCount,
+    CoverGraph,
     DecoratedGraph,
     FrozenGraph,
     VertexData,
@@ -218,7 +218,7 @@ class TestArmNamingCheck:
         raw, down = self.fresh_lift(m, n)
         labelled = label_arms(raw, down)
         assert set(raw.graph.arm_label) == {None}
-        assert labelled.graph == replace(raw.graph, arm_label=labelled.graph.arm_label)
+        assert labelled.graph == raw.graph._replace(arm_label=labelled.graph.arm_label)
         assert canonical_form(labelled.graph) == canonical_form(build_cover(m, n).lift.graph)
 
     @pytest.mark.parametrize("m,n", [(11, 6), (6, 5), (3, 2)])
@@ -228,16 +228,16 @@ class TestArmNamingCheck:
         for tamper in ("identity", "move_rupture"):
             raw, down = self.fresh_lift(m, n)
             if tamper == "identity":
-                raw = replace(raw, deck={v: v for v in raw.deck})
+                raw = raw._replace(deck={v: v for v in raw.deck})
             else:
                 other = next(v for v in raw.deck if v != raw.e0_lift)
-                raw = replace(raw, deck={**raw.deck, raw.e0_lift: other})
+                raw = raw._replace(deck={**raw.deck, raw.e0_lift: other})
             with pytest.raises(StructureMismatch, match="deck-fixed"):
                 label_arms(raw, down)
 
     def test_both_odd_has_no_naming_check(self):
         raw, down = self.fresh_lift(3, 5)
-        label_arms(replace(raw, deck={v: v for v in raw.deck}), down)
+        label_arms(raw._replace(deck={v: v for v in raw.deck}), down)
 
 
 class TestConjAdjacentFallback:
@@ -264,8 +264,8 @@ class TestPositionColumns:
 
     @staticmethod
     def as_dicts(cg):
-        return replace(cg, deck=dict(cg.deck.items()), downstairs=dict(cg.downstairs.items()),
-                       conj=dict(cg.conj.items()))
+        return cg._replace(deck=dict(cg.deck.items()), downstairs=dict(cg.downstairs.items()),
+                           conj=dict(cg.conj.items()))
 
     @staticmethod
     def meets_its_conjugate(cg):
@@ -311,7 +311,7 @@ class TestPositionColumns:
                 for v in cg.graph.ids}
         for moved in (deck, VertexMap(cg.graph, map(deck.__getitem__, cg.graph.ids))):
             with pytest.raises(StructureMismatch, match="deck transformation"):
-                canonical_coefficients(replace(cg, deck=moved))
+                canonical_coefficients(cg._replace(deck=moved))
 
 
 class TestCoverCache:
@@ -369,7 +369,7 @@ class TestStructuralGuards:
 
 
 class TestFrozenCache:
-    WRITE_ERRORS = (FrozenInstanceError, AttributeError, TypeError)
+    WRITE_ERRORS = (AttributeError, TypeError)
 
     def test_cached_graph_writes_raise(self):
         # Decrementing a self-intersection of a cached graph once made a
@@ -395,6 +395,8 @@ class TestFrozenCache:
             lambda: cg.downstairs.__setitem__(v, v),
             lambda: cg.conj.__setitem__(v, v),
             lambda: setattr(cg, "deck", {}),
+            lambda: setattr(cg, "characteristic", None),
+            lambda: CoverGraph(cg.graph, 11, 6, v, cg.deck, cg.downstairs).conj.__setitem__(v, v),
             lambda: setattr(cover, "minimal", cover.lift),
             lambda: setattr(cover.gamma_f.vertices[cover.rupture], "mult", 1),
         ]
@@ -524,3 +526,26 @@ class TestPinnedValues:
                         sorted(r.arm_weights.items()), r.sign, r.m, r.n,
                         r.level)).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestLiftCanonicalClass:
+    def test_lift_coefficients_follow_the_branched_cover(self):
+        # Over a Gamma'_f curve with c1 entry c and multiplicity mu, the
+        # lift's adjunction coefficient is 2c + mu - 1 when mu is odd (the
+        # curve is in the branch locus) and c + mu/2 when mu is even; the
+        # minimal graph keeps the lift's coefficients on the curves that
+        # survive the blow-down.
+        for m in range(2, 25):
+            for n in range(2, 100):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                down, lift = cover.gamma_f_prime, cover.lift
+                a = lift.characteristic.a
+                for v, below in lift.downstairs.items():
+                    p = down.pos(below)
+                    c, mu = down.c1_coeff[p], down.mult[p]
+                    assert a[v] == (2 * c + mu - 1 if mu % 2 else c + mu // 2), (m, n, v)
+                minimal = cover.minimal
+                assert dict(minimal.characteristic.a.items()) == {
+                    v: a[v] for v in minimal.graph.ids}, (m, n)

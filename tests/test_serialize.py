@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -39,7 +38,7 @@ class TestDocuments:
             for g in (cover.gamma_f, cover.gamma_f_prime, cover.lift.graph,
                       cover.minimal.graph):
                 again = graph_from_document(graph_to_document(g))
-                assert again == replace(g.freeze(root=g.ids[0]), next_id=g.ids[-1] + 1)
+                assert again == g.freeze(root=g.ids[0])._replace(next_id=g.ids[-1] + 1)
             assert graph_from_document(graph_to_document(cover.gamma_f)) == cover.gamma_f
 
     def test_document_is_json_serializable(self):

@@ -3,7 +3,12 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tbcalc
 
@@ -22,6 +27,20 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_import_loads_no_dataclasses_or_inspect(flags):
+    # A cold start pays for every module the package pulls in: dataclasses
+    # runs exec for each record it decorates and imports inspect, ast, dis
+    # and tokenize, about 20 ms in all. The records are NamedTuples instead.
+    # -S keeps site-packages hooks out of what is measured.
+    code = ("import sys, tbcalc, tbcalc.cli; "
+            "print(sorted({'dataclasses', 'inspect'}.intersection(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(tbcalc.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-S", *flags, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_imports_are_used():

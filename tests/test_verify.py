@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tbcalc import FrozenGraph, SUITE_NAMES, build_cover, parity_checks, tb, verify_identities
-from tbcalc import verify
+from tbcalc import (FrozenGraph, SUITE_NAMES, arms, build_cover, parity_checks, tb,
+                    verify_identities)
+from tbcalc import graph, verify
 from tbcalc.cli import main
 from tbcalc.numeric import format_rational
 
@@ -67,7 +67,7 @@ def shifted_value(m, n, sign):
 
 
 def shifted_tb(m, n, sign):
-    return replace(tb(m, n, sign), value=shifted_value(m, n, sign))
+    return tb(m, n, sign)._replace(value=shifted_value(m, n, sign))
 
 
 def value(m, n, sign):
@@ -155,7 +155,7 @@ class TestViolations:
         for m, n in [(11, 6), (3, 10), (5, 8), (3, 5)]:
             lift, down = build_cover(m, n).lift, build_cover(m, n).gamma_f_prime
             cd = lift.characteristic
-            wrong = replace(cd, w=cd.w ^ frozenset(lift.graph.ids))
+            wrong = cd._replace(w=cd.w ^ frozenset(lift.graph.ids))
             report = parity_checks(wrong, lift, down)
             odd, even = [], []
             for v, below in sorted(lift.downstairs.items()):
@@ -176,7 +176,7 @@ class TestViolations:
 
     def test_parity_suite(self, monkeypatch):
         def flipped(cd, cg, down):
-            return parity_checks(replace(cd, w=cd.w ^ frozenset(cg.graph.ids)), cg, down)
+            return parity_checks(cd._replace(w=cd.w ^ frozenset(cg.graph.ids)), cg, down)
 
         monkeypatch.setattr(verify, "parity_checks", flipped)
         (suite,) = verify_identities(4, 5, 1, suites=("parity",)).suites
@@ -208,14 +208,14 @@ class TestViolations:
         g = cg.graph
         self_int = tuple(s - n if (label or "").startswith(labelled) else s
                          for s, label in zip(g.self_int, g.arm_label))
-        out = replace(cg, graph=replace(g, self_int=self_int))
+        out = cg._replace(graph=g._replace(self_int=self_int))
         out.__dict__["characteristic"] = cg.characteristic
         return out
 
     def test_gamma_f_growth(self, monkeypatch):
         def tamper(cover, n):
             g = cover.gamma_f
-            return replace(cover, gamma_f=replace(g, self_int=tuple(s - n for s in g.self_int)))
+            return cover._replace(gamma_f=g._replace(self_int=tuple(s - n for s in g.self_int)))
 
         suite = self.structure_run(monkeypatch, tamper)
         pairs = coprime_pairs(6, 12)
@@ -230,7 +230,7 @@ class TestViolations:
 
     def test_cover_growth_frame(self, monkeypatch):
         def tamper(cover, n):
-            return replace(cover, minimal=self.shift_self_ints(cover.minimal, n))
+            return cover._replace(minimal=self.shift_self_ints(cover.minimal, n))
 
         suite = self.structure_run(monkeypatch, tamper)
         assert suite.violations
@@ -244,7 +244,7 @@ class TestViolations:
 
     def test_cover_n_arm_growth(self, monkeypatch):
         def tamper(cover, n):
-            return replace(cover, minimal=self.shift_self_ints(cover.minimal, n, "n_arm"))
+            return cover._replace(minimal=self.shift_self_ints(cover.minimal, n, "n_arm"))
 
         suite = self.structure_run(monkeypatch, tamper)
         assert suite.violations
@@ -258,11 +258,11 @@ class TestViolations:
 
     def test_cover_n_arm_terminal_w(self, monkeypatch):
         def tamper(cover, n):
-            minimal = replace(cover.minimal)
+            minimal = cover.minimal._replace()
             cd = cover.minimal.characteristic
-            minimal.__dict__["characteristic"] = replace(
-                cd, w=cd.w ^ frozenset(minimal.graph.ids))
-            return replace(cover, minimal=minimal)
+            minimal.__dict__["characteristic"] = cd._replace(
+                w=cd.w ^ frozenset(minimal.graph.ids))
+            return cover._replace(minimal=minimal)
 
         suite = self.structure_run(monkeypatch, tamper)
         details = {2: "appended vertices must both lie outside W"}
@@ -292,3 +292,28 @@ class TestReadsByPosition:
         build_cover.cache_clear()
         verify_identities(6, 30, 2)
         assert len(calls) < 2200
+
+    def test_structure_suite_walks_no_graph(self, monkeypatch):
+        # The structure suite follows the arms of e_0 on Gamma_f (stored
+        # walked from id 0) and of e^0 on the minimal graphs along their
+        # neighbour lists, so once the covers are cached it walks nothing.
+        verify_identities(6, 30, 1, suites=("structure",))
+        walks = []
+        walk = graph._breadth_first
+        monkeypatch.setattr(graph, "_breadth_first", lambda *args: walks.append(args) or walk(*args))
+        (suite,) = verify_identities(6, 30, 1, suites=("structure",)).suites
+        assert suite.checked > 0 and suite.violations == [] and walks == []
+
+    def test_bamboo_arms_are_the_arms(self):
+        # Positions of each arm in path order, as arms gives them by id.
+        for m, n in coprime_pairs(12, 60):
+            cover = build_cover(m, n)
+            for g, e in ((cover.gamma_f, cover.rupture),
+                         (cover.gamma_f_prime, cover.rupture),
+                         (cover.lift.graph, cover.lift.e0_lift),
+                         (cover.minimal.graph, cover.minimal.e0_lift)):
+                if e is None:
+                    continue
+                read = [tuple(map(g.ids.__getitem__, where))
+                        for where in verify._bamboo_arms(g, g.pos(e))]
+                assert read == [arm.vertices for arm in arms(g, e)], (m, n)
