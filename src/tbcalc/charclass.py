@@ -21,11 +21,7 @@ from collections.abc import Mapping
 from itertools import compress
 from typing import NamedTuple
 
-from .errors import (
-    InconsistentAnnotation,
-    NotNumericallyGorenstein,
-    StructureMismatch,
-)
+from .errors import NotNumericallyGorenstein, StructureMismatch
 from .graph import FrozenGraph, VertexMap, _column, solve_intersection_system
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
@@ -65,17 +61,6 @@ def canonical_coefficients(cg) -> CharacteristicData:
     return CharacteristicData(a=a, w=w, wu_status=wu_status)
 
 
-def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
-    """W_R: the members of W fixed by the real structure."""
-    g = cg if isinstance(cg, FrozenGraph) else cg.graph
-    if None in g.real:
-        raise InconsistentAnnotation(
-            f"vertex {g.ids[g.real.index(None)]} has no real/imaginary mark; "
-            "mark the real structure first"
-        )
-    return cd.w & frozenset(compress(g.ids, g.real))
-
-
 def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:
     """Membership laws for W on the pre-minimization lift.
 
@@ -89,7 +74,8 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:
     rupture_membership:   with exactly one even exponent, e^0 is in W iff
                           that exponent is 2 mod 4 (skipped otherwise).
 
-    Returns a report dict: each check maps to {"checked": int,
+    The lift is read by position, which is id order, with downstairs as a
+    column. Returns a report dict: each check maps to {"checked": int,
     "violations": [...]}; a missing precondition marks the check skipped.
     """
     report: dict[str, dict] = {}
@@ -99,7 +85,7 @@ def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:
     even_violations = []
     even_checked = 0
     at = dict(zip(downstairs.ids, range(len(downstairs.ids))))
-    for v, down in sorted(cg.downstairs.items()):
+    for v, down in zip(cg.graph.ids, _column(cg.graph, cg.downstairs)):
         p = at[down]
         mult, b = downstairs.mult[p], downstairs.c1_coeff[p]
         in_w = v in cd.w

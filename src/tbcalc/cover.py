@@ -37,6 +37,7 @@ from .embedres import ARROW_MULT, build_gamma_f, separate_odd_odd
 from .graph import (
     FrozenGraph,
     VertexMap,
+    _arm_positions,
     _column,
     _degrees,
     _neighbour_sums,
@@ -205,22 +206,11 @@ def _downstairs_component_labels(
     multiplicity m underlies the (n)-arms upstairs; multiplicity n
     underlies the (m)-arms. A third component (the moved branch
     intersection, present exactly when m and n are both odd) stays
-    unlabeled. Each component is walked once, by position.
+    unlabeled. Each component is read once, by _arm_positions.
     """
-    ids, adj, start, mult = gp.ids, gp.adj, gp.adj_start, gp.mult
-    root = gp.pos(rupture)
-    degree = _degrees(gp)
-    seen = [False] * len(ids)
-    seen[root] = True
+    ids, mult, degree = gp.ids, gp.mult, _degrees(gp)
     labels: dict[int, Optional[str]] = {}
-    for head in adj[start[root]:start[root + 1]]:
-        seen[head] = True
-        component = [head]
-        for p in component:
-            for q in adj[start[p]:start[p + 1]]:
-                if not seen[q]:
-                    seen[q] = True
-                    component.append(q)
+    for component, _came in _arm_positions(gp, gp.pos(rupture)):
         terminal_mults = {mult[p] for p in component if degree[p] == 1}
         if m in terminal_mults:
             family: Optional[str] = "n_arm"
@@ -291,7 +281,7 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
     return cg._replace(graph=g._replace(arm_label=column))
 
 
-def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
+def minimize_and_label(cg: CoverGraph) -> CoverGraph:
     """Blow the lift down to Gamma(m,n), carrying labels and provenance.
 
     cg must already carry label_arms' labels (the arm laws are provable on
@@ -301,7 +291,7 @@ def minimize_and_label(cg: CoverGraph, rng=None) -> CoverGraph:
     itself is returned; otherwise the minimal graph, walked from e0_lift
     when it survives, with the survivors' deck and downstairs as columns.
     """
-    g, removed = blow_down_minimize(cg.graph, rng=rng)
+    g, removed = blow_down_minimize(cg.graph)
     if not removed:
         return cg
     lift, survivors = cg.graph, set(g.ids)

@@ -19,15 +19,15 @@ adj_start, arrows); ids become positions only at pos, ids and _column, and
 the vertices view and VertexMap serve the same values by id to a caller.
 
 This module also provides the arm machinery (arms, weights, corrected
-self-intersections), blow-down minimization, canonical forms for
-isomorphism checks, and O(V) exact routines on frozen trees: a solver for
-intersection systems and the determinant of the intersection form. All
-of these run one integer recurrence on subtree determinants over the
-stored order and build a Fraction only for a final value that is not an
-integer; an arm weighs D/E of its head, and _imaginary_arms holds the one
-n' rule that n_prime and tb share. arms reads the arms of a vertex off the
-walk from it, and blow-down rebuilds its result through one mask of the
-kept positions, so each is one O(V) pass.
+self-intersections), blow-down minimization, and O(V) exact routines on
+frozen trees: a solver for intersection systems and the determinant of
+the intersection form. All of these run one integer recurrence on subtree
+determinants over the stored order and build a Fraction only for a final
+value that is not an integer; an arm weighs D/E of its head, and
+_imaginary_arms holds the one n' rule that n_prime and tb share. Every
+arm reader takes the arms of a vertex from _arm_positions, breadth-first
+from each head whatever root g is walked from, and blow-down rebuilds its
+result through one mask of the kept positions, so each is one O(V) pass.
 """
 
 from __future__ import annotations
@@ -415,43 +415,51 @@ class Arm(NamedTuple):
     is_bamboo: bool
 
 
-def arms(g: FrozenGraph, e: int) -> list[Arm]:
-    """The arms of vertex e: one per neighbor, ordered by head id.
+def _arm_positions(g: FrozenGraph, p: int) -> list[tuple[list[int], list[int]]]:
+    """For each neighbour h of position p, in position order, the positions
+    of the component of g - p holding h, read breadth-first from h along
+    the neighbour lists, and the position each one was reached from. Each
+    position is taken once, so a cyclic graph cannot make it loop; on a
+    bamboo the read is the path from h."""
+    adj, start = g.adj, g.adj_start
+    heads = adj[start[p]:start[p + 1]]
+    seen = [False] * len(g.ids)
+    for q in (p, *heads):
+        seen[q] = True
+    out = []
+    for h in heads:
+        where, came = [h], [p]
+        for q in where:
+            for r in adj[start[q]:start[q + 1]]:
+                if not seen[r]:
+                    seen[r] = True
+                    where.append(r)
+                    came.append(q)
+        out.append((where, came))
+    return out
 
-    Read off the walk of g from e (g itself when it is stored walked from
-    e): a vertex below a head belongs to the arm of its parent. The walk
-    stops where e's component ends. A bamboo comes off the walk in path
-    order; a branched arm is sorted by depth below its head, then by id."""
+
+def arms(g: FrozenGraph, e: int) -> list[Arm]:
+    """The arms of vertex e: one per neighbor, ordered by head id, each
+    read by _arm_positions. A bamboo comes in path order; a branched arm is
+    sorted by depth below its head, then by id."""
     try:
-        g = g.freeze(root=e)
+        root = g.pos(e)
     except KeyError:
         raise ValueError(f"vertex {e} not in graph") from None
-    ids, order, parent = g.ids, g.order, g.parent
-    root = order[0]
-    meets = _degrees(g)
+    ids, meets = g.ids, _degrees(g)
     for p in map(g.pos, g.arrows):
         meets[p] += 1
-    heads = g._children(root)
-    head_of = list(range(len(ids)))
-    members: dict[int, list[int]] = {h: [] for h in heads}
-    for p in islice(order, 1, None):
-        up = parent[p]
-        if up < 0:
-            break
-        if up != root:
-            head_of[p] = head_of[up]
-        members[head_of[p]].append(p)
     out = []
-    for head in heads:
-        vertices = members[head]
-        bamboo = max(map(meets.__getitem__, vertices)) < 3
+    for where, came in _arm_positions(g, root):
+        bamboo = max(map(meets.__getitem__, where)) < 3
         if not bamboo:
-            depth = {head: 0}
-            for p in islice(vertices, 1, None):
-                depth[p] = depth[parent[p]] + 1
-            vertices.sort()
-            vertices.sort(key=depth.__getitem__)
-        out.append(Arm(head=ids[head], vertices=tuple(map(ids.__getitem__, vertices)),
+            depth = {root: -1}
+            for p, up in zip(where, came):
+                depth[p] = depth[up] + 1
+            where.sort()
+            where.sort(key=depth.__getitem__)
+        out.append(Arm(head=ids[where[0]], vertices=tuple(map(ids.__getitem__, where)),
                        is_bamboo=bamboo))
     return out
 
@@ -564,28 +572,6 @@ def intersection_matrix(g: FrozenGraph) -> tuple[list[int], list[list[int]]]:
     return list(g.ids), q
 
 
-def is_negative_definite(matrix: list[list[int]]) -> bool:
-    """Exact Sylvester test: all leading principal minors alternate in sign.
-
-    Runs an unpivoted elimination; a definite form never produces a zero
-    pivot, and negative definiteness is equivalent to every pivot being
-    negative.
-    """
-    size = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    for k in range(size):
-        pivot = a[k][k]
-        if pivot >= 0:
-            return False
-        for i in range(k + 1, size):
-            if a[i][k] == 0:
-                continue
-            factor = a[i][k] / pivot
-            for j in range(k + 1, size):
-                a[i][j] -= factor * a[k][j]
-    return True
-
-
 def blow_down_minimize(
     g: FrozenGraph, rng=None
 ) -> tuple[FrozenGraph, list[int]]:
@@ -673,53 +659,6 @@ def blow_down_minimize(
         ids=tuple(compress(ids, keep)), **columns, arrows=g.arrows,
         next_id=g.next_id, root=index[root] if keep[root] else 0,
     ), list(map(ids.__getitem__, removed))
-
-
-_CANON_FIELDS = ("self_int", "mult", "c1_coeff", "real", "arm_label")
-
-
-def _tree_centers(g: FrozenGraph) -> list[int]:
-    """The ids of the one or two middle vertices of a longest path in the
-    tree of the smallest id. Such a path runs between the last vertices of
-    two walks: one from any vertex, one from where that walk ends."""
-    walk = g.freeze(root=g.ids[0])
-    size = next((i for i, p in enumerate(walk.order) if i and walk.parent[p] < 0), len(g.ids))
-    back = g.freeze(root=g.ids[walk.order[size - 1]])
-    path = [back.order[size - 1]]
-    while back.parent[path[-1]] >= 0:
-        path.append(back.parent[path[-1]])
-    return sorted(g.ids[p] for p in path[(len(path) - 1) // 2:len(path) // 2 + 1])
-
-
-def canonical_form(g: FrozenGraph, fields: Iterable[str] = _CANON_FIELDS):
-    """A hashable canonical encoding of the decorated tree.
-
-    Two graphs get equal encodings exactly when some id relabeling matches
-    all requested decorations, the arrow counts, and the tree structure.
-    """
-    columns = [getattr(g, name) for name in fields]
-    arrows = list(map(g.arrows.count, g.ids))
-
-    def deco(p: int):
-        parts = [("-",) if column[p] is None else ("+", column[p]) for column in columns]
-        return (*parts, ("arrows", arrows[p]))
-
-    # Equal subtrees are built once and shared, so comparing siblings stops
-    # at identical objects instead of descending through them.
-    shared: dict = {}
-
-    def encode(center: int):
-        walk = g.freeze(root=center)
-        done: dict[int, tuple] = {}
-        for p in reversed(walk.order):
-            subs = tuple(sorted(done.pop(c) for c in walk._children(p)))
-            key = (deco(p), tuple(map(id, subs)))
-            done[p] = shared.setdefault(key, (key[0], subs))
-        return done[walk.order[0]]
-
-    if not g.ids:
-        return ()
-    return min(encode(c) for c in _tree_centers(g))
 
 
 def _quotient(num, den: int):

@@ -1,10 +1,12 @@
-"""Exact rational arithmetic and the two linear solvers used everywhere else.
+"""Exact rational arithmetic: p/q formatting and parsing, and dense solvers.
 
-Rational is an alias for fractions.Fraction; every quantity in this package
-(arm weights, canonical coefficients, tb values, linking matrix entries) is
-an exact rational and no float ever appears. The solvers are deliberately
-plain dense routines: resolution graphs are small, and exactness matters
-more than speed.
+Every quantity in this package (arm weights, canonical coefficients, tb
+values, linking matrix entries) is an exact fractions.Fraction and no
+float ever appears. solve_rational is the dense fallback of the tree
+solver in graph for a vanishing subtree determinant; solve_gf2 and
+cf_eval are independent oracles the tests check the tree routines
+against. The solvers are plain dense eliminations, where exactness
+matters more than speed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, SingularMatrix, ZeroDenominator
-
-Rational = Fraction
 
 GF2_UNIQUE = "unique"
 GF2_MULTIPLE = "multiple"
@@ -101,31 +101,6 @@ def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fract
         if total != Fraction(rhs[r]):
             raise InternalInvariantError(f"solver self-check failed in row {r}")
     return solution
-
-
-def det_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("det_exact needs a square matrix")
-    if size == 0:
-        return 1
-    a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, size) if a[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[size - 1][size - 1]
 
 
 class Gf2Result(NamedTuple):

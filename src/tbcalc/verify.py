@@ -25,13 +25,12 @@ Suites:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .charclass import parity_checks
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
-from .graph import FrozenGraph
+from .graph import FrozenGraph, _arm_positions
 # arms stays bound here: the benchmark's tracer tests wrap verify.arms.
 from .graph import arms  # noqa: F401
 from .numeric import format_rational
@@ -223,26 +222,12 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     return result
 
 
-def _bamboo_arms(g: FrozenGraph, p: int) -> Iterator[list[int]]:
-    """The positions of each arm of position p, heads in position order,
-    each followed along the neighbour lists from its head: the arms read
-    here are bamboos, so neither a walk from p nor an id lookup is needed.
-    A branched arm would end at its first vertex of degree 3 or more."""
-    adj, start = g.adj, g.adj_start
-    for head in adj[start[p]:start[p + 1]]:
-        came, q, path = p, head, [head]
-        while start[q + 1] - start[q] == 2:
-            came, q = q, adj[start[q]] + adj[start[q] + 1] - came
-            path.append(q)
-        yield path
-
-
 def _gamma_f_sides(g: FrozenGraph, rupture: int, m: int, n: int):
     """Self-int and mult chains of the two rupture arms of Gamma_f,
     ordered away from the rupture, keyed by which exponent terminates
     them."""
     sides = {}
-    for where in _bamboo_arms(g, g.pos(rupture)):
+    for where, _came in _arm_positions(g, g.pos(rupture)):
         selfs = tuple(map(g.self_int.__getitem__, where))
         mults = tuple(map(g.mult.__getitem__, where))
         if mults[-1] == m:
@@ -260,7 +245,7 @@ def _cover_arm_families(cg: CoverGraph):
     """
     g = cg.graph
     families: dict = {"n_arm": [], "m_arm": [], None: []}
-    for where in _bamboo_arms(g, g.pos(cg.e0_lift)):
+    for where, _came in _arm_positions(g, g.pos(cg.e0_lift)):
         label = g.arm_label[where[0]] or ""
         if label.startswith("n_arm"):
             family = "n_arm"

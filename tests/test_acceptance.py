@@ -30,15 +30,12 @@ from tbcalc import (
     build_gamma_f,
     c1_coefficients,
     canonical_coefficients,
-    canonical_form,
-    det_exact,
     intersection_matrix,
-    is_negative_definite,
     mark_real_structure,
-    restrict_to_real,
     tb,
     verify_identities,
 )
+from oracles import canonical_form, det_exact, is_negative_definite, restrict_to_real
 
 ROOT = Path(__file__).resolve().parent.parent
 

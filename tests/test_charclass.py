@@ -12,9 +12,9 @@ from tbcalc import (
     canonical_coefficients,
     mark_real_structure,
     parity_checks,
-    restrict_to_real,
 )
 from conftest import build_star12_graph, make_chain, neighbours
+from oracles import restrict_to_real
 
 
 class TestCanonicalCoefficients:

@@ -17,7 +17,6 @@ from tbcalc import (
     VertexMap,
     build_gamma_f,
     canonical_coefficients,
-    canonical_form,
     has_conj_adjacent_pair,
     label_arms,
     lift_double_cover,
@@ -27,6 +26,7 @@ from tbcalc import (
     tb,
 )
 from conftest import build_star12_graph, lifts_of, neighbours
+from oracles import canonical_form
 
 
 def star_shape(cg):

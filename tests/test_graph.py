@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 import time
@@ -18,11 +19,8 @@ from tbcalc import (
     arms,
     blow_down_minimize,
     build_cover,
-    canonical_form,
     cf_eval,
-    det_exact,
     intersection_matrix,
-    is_negative_definite,
     n_prime,
     solve_intersection_system,
     VertexMap,
@@ -30,6 +28,7 @@ from tbcalc import (
 from tbcalc import graph, numeric
 from tbcalc.graph import Arm, _tree_det
 from conftest import make_chain, make_star, make_zero_arm, neighbours
+from oracles import canonical_form, det_exact, is_negative_definite
 
 
 class TestGraphBasics:
@@ -194,7 +193,9 @@ class TestArms:
 
     def test_matches_a_breadth_first_reference(self):
         # Every vertex of random forests and trees, on the stored walk and
-        # on walks from another root, so most calls are not walked from e.
+        # on walks from another root, so most calls are not walked from e;
+        # then the rupture vertices of the pipeline's graphs, where Gamma_f
+        # and Gamma'_f are stored walked from id 0.
         rng = random.Random(20261021)
         graphs = [TestFrozenGraph.random_forest(rng).freeze() for _ in range(150)]
         for _ in range(50):
@@ -211,6 +212,32 @@ class TestArms:
                     assert arms(g, e) == reference_arms(g, e)
                     walked += g.ids[g.order[0]] != e
         assert walked > 1000
+        walked = 0
+        for m in range(2, 13):
+            for n in range(2, 61):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                for g, e in ((cover.gamma_f, cover.rupture),
+                             (cover.gamma_f_prime, cover.rupture),
+                             (cover.lift.graph, cover.lift.e0_lift),
+                             (cover.minimal.graph, cover.minimal.e0_lift)):
+                    if e is not None:
+                        assert arms(g, e) == reference_arms(g, e), (m, n)
+                        walked += g.ids[g.order[0]] != e
+        assert walked > 500
+
+    def test_a_cycle_is_read_once(self):
+        # A caller's graph with a cycle 0-1-2-3 and a tail 2-4 beside an
+        # isolated vertex 5: each vertex of e's component is listed once,
+        # and the heads are e's neighbours.
+        g = FrozenGraph.from_columns([-2] * 6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
+        near = neighbours(g)
+        for e in range(5):
+            got = arms(g, e)
+            assert [arm.head for arm in got] == near[e]
+            assert sorted(v for arm in got for v in arm.vertices) == [
+                v for v in range(5) if v != e]
 
     def test_is_rupture(self):
         # A rupture vertex meets at least three other curves, arrows

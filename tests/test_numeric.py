@@ -7,13 +7,13 @@ from tbcalc import (
     SingularMatrix,
     ZeroDenominator,
     cf_eval,
-    det_exact,
     format_rational,
     parse_rational,
     solve_gf2,
     solve_rational,
 )
 from tbcalc.numeric import GF2_INCONSISTENT, GF2_MULTIPLE, GF2_UNIQUE
+from oracles import det_exact
 
 
 class TestCfEval:

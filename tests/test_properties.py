@@ -10,15 +10,13 @@ from tbcalc import (
     blow_down_minimize,
     build_cover,
     canonical_coefficients,
-    canonical_form,
-    det_exact,
     intersection_matrix,
-    is_negative_definite,
     mark_real_structure,
     solve_gf2,
 )
 from tbcalc.numeric import GF2_INCONSISTENT, GF2_UNIQUE
 from conftest import lifts_of
+from oracles import canonical_form, det_exact, is_negative_definite
 
 
 def coprime_pairs(rng, count, m_max=12, n_max=40):

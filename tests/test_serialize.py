@@ -7,13 +7,13 @@ from tbcalc import (
     InvalidDocument,
     build_cover,
     canonical_coefficients,
-    canonical_form,
     graph_from_document,
     graph_to_document,
     mark_real_structure,
     to_dot,
 )
 from conftest import make_chain
+from oracles import canonical_form
 
 
 class TestDocuments:

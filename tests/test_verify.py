@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tbcalc import (FrozenGraph, SUITE_NAMES, arms, build_cover, parity_checks, tb,
+from tbcalc import (FrozenGraph, SUITE_NAMES, build_cover, parity_checks, tb,
                     verify_identities)
 from tbcalc import graph, verify
 from tbcalc.cli import main
@@ -294,26 +294,13 @@ class TestReadsByPosition:
         assert len(calls) < 2200
 
     def test_structure_suite_walks_no_graph(self, monkeypatch):
-        # The structure suite follows the arms of e_0 on Gamma_f (stored
+        # The structure suite reads the arms of e_0 on Gamma_f (stored
         # walked from id 0) and of e^0 on the minimal graphs along their
-        # neighbour lists, so once the covers are cached it walks nothing.
+        # neighbour lists (_arm_positions), so once the covers are cached
+        # it walks no graph from a new root.
         verify_identities(6, 30, 1, suites=("structure",))
         walks = []
         walk = graph._breadth_first
         monkeypatch.setattr(graph, "_breadth_first", lambda *args: walks.append(args) or walk(*args))
         (suite,) = verify_identities(6, 30, 1, suites=("structure",)).suites
         assert suite.checked > 0 and suite.violations == [] and walks == []
-
-    def test_bamboo_arms_are_the_arms(self):
-        # Positions of each arm in path order, as arms gives them by id.
-        for m, n in coprime_pairs(12, 60):
-            cover = build_cover(m, n)
-            for g, e in ((cover.gamma_f, cover.rupture),
-                         (cover.gamma_f_prime, cover.rupture),
-                         (cover.lift.graph, cover.lift.e0_lift),
-                         (cover.minimal.graph, cover.minimal.e0_lift)):
-                if e is None:
-                    continue
-                read = [tuple(map(g.ids.__getitem__, where))
-                        for where in verify._bamboo_arms(g, g.pos(e))]
-                assert read == [arm.vertices for arm in arms(g, e)], (m, n)
