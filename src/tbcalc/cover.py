@@ -210,7 +210,7 @@ def _downstairs_component_labels(
     """
     ids, mult, degree = gp.ids, gp.mult, _degrees(gp)
     labels: dict[int, Optional[str]] = {}
-    for component, _came in _arm_positions(gp, gp.pos(rupture)):
+    for component in _arm_positions(gp, gp.pos(rupture)):
         terminal_mults = {mult[p] for p in component if degree[p] == 1}
         if m in terminal_mults:
             family: Optional[str] = "n_arm"

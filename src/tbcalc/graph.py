@@ -415,12 +415,11 @@ class Arm(NamedTuple):
     is_bamboo: bool
 
 
-def _arm_positions(g: FrozenGraph, p: int) -> list[tuple[list[int], list[int]]]:
+def _arm_positions(g: FrozenGraph, p: int) -> list[list[int]]:
     """For each neighbour h of position p, in position order, the positions
     of the component of g - p holding h, read breadth-first from h along
-    the neighbour lists, and the position each one was reached from. Each
-    position is taken once, so a cyclic graph cannot make it loop; on a
-    bamboo the read is the path from h."""
+    the neighbour lists. Each position is taken once, so a cyclic graph
+    cannot make it loop; on a bamboo the read is the path from h."""
     adj, start = g.adj, g.adj_start
     heads = adj[start[p]:start[p + 1]]
     seen = [False] * len(g.ids)
@@ -428,35 +427,37 @@ def _arm_positions(g: FrozenGraph, p: int) -> list[tuple[list[int], list[int]]]:
         seen[q] = True
     out = []
     for h in heads:
-        where, came = [h], [p]
+        where = [h]
         for q in where:
             for r in adj[start[q]:start[q + 1]]:
                 if not seen[r]:
                     seen[r] = True
                     where.append(r)
-                    came.append(q)
-        out.append((where, came))
+        out.append(where)
     return out
 
 
 def arms(g: FrozenGraph, e: int) -> list[Arm]:
     """The arms of vertex e: one per neighbor, ordered by head id, each
     read by _arm_positions. A bamboo comes in path order; a branched arm is
-    sorted by depth below its head, then by id."""
+    sorted by depth below its head, then by id, its depths taken by a
+    second pass over the read in its breadth-first order."""
     try:
         root = g.pos(e)
     except KeyError:
         raise ValueError(f"vertex {e} not in graph") from None
     ids, meets = g.ids, _degrees(g)
+    adj, start = g.adj, g.adj_start
     for p in map(g.pos, g.arrows):
         meets[p] += 1
     out = []
-    for where, came in _arm_positions(g, root):
+    for where in _arm_positions(g, root):
         bamboo = max(map(meets.__getitem__, where)) < 3
         if not bamboo:
-            depth = {root: -1}
-            for p, up in zip(where, came):
-                depth[p] = depth[up] + 1
+            depth = {root: -1, where[0]: 0}
+            for q in where:
+                for r in adj[start[q]:start[q + 1]]:
+                    depth.setdefault(r, depth[q] + 1)
             where.sort()
             where.sort(key=depth.__getitem__)
         out.append(Arm(head=ids[where[0]], vertices=tuple(map(ids.__getitem__, where)),

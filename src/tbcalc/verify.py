@@ -20,12 +20,23 @@ Suites:
   parity:      membership laws for the characteristic set on the lift.
   structure:   the growth patterns of Gamma_f under n -> n+m / n+2m and
                of Gamma(m,n) under n -> n + 4m/gcd(m,2).
+
+The suites ask for the same tb value many times: a pair's period partner
+is another pair's base, and the symmetry suite revisits the whole grid.
+They read values through _tb_value, a process-wide memo of
+tb(m, n, sign).value bounded like build_cover's cache (the 2,048 most
+recently used keys, both signs of its 1,024 pairs), so a process
+evaluates each (m, n, sign) once. It holds Fractions only, and tb itself
+stays uncached. On a miss it calls the module global tb, so code that
+rebinds tbcalc.verify.tb must call _tb_value.cache_clear() before and
+after. The structure suite reads each cover's arms once per run.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .charclass import parity_checks
@@ -78,6 +89,13 @@ class VerifyReport(NamedTuple):
         }
 
 
+@lru_cache(maxsize=2048, typed=True)
+def _tb_value(m: int, n: int, sign: str) -> Fraction:
+    """tb(m, n, sign).value, evaluated once per process while it stays
+    among the 2,048 most recently used keys."""
+    return tb(m, n, sign).value
+
+
 def _pairs(m_max: int, n_max: int, result: SuiteResult):
     for m in range(2, m_max + 1):
         for n in range(2, n_max + 1):
@@ -96,27 +114,27 @@ def _violation(result: SuiteResult, identity: str, detail: str, **instance) -> N
 def _run_integrality(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("integrality")
     for m, n in _pairs(m_max, n_max, result):
-        minus = tb(m, n, SIGN_MINUS)
+        minus = _tb_value(m, n, SIGN_MINUS)
         result.checked += 1
-        if not minus.is_integer:
+        if minus.denominator != 1:
             _violation(result, "tb_minus_integer",
-                       f"tb_-({m},{n}) = {format_rational(minus.value)}",
+                       f"tb_-({m},{n}) = {format_rational(minus)}",
                        m=m, n=n)
         four_case = (m % 4 == 0 and n % 2 == 1) or (n % 4 == 0 and m % 2 == 1)
         if four_case:
-            plus = tb(m, n, SIGN_PLUS)
+            plus = _tb_value(m, n, SIGN_PLUS)
             result.checked += 1
-            if not plus.is_integer:
+            if plus.denominator != 1:
                 _violation(result, "tb_plus_integer",
-                           f"tb_+({m},{n}) = {format_rational(plus.value)}",
+                           f"tb_+({m},{n}) = {format_rational(plus)}",
                            m=m, n=n)
         if m % 2 == 1 and n % 2 == 1:
-            plus = tb(m, n, SIGN_PLUS)
+            plus = _tb_value(m, n, SIGN_PLUS)
             result.checked += 1
-            if plus.value != minus.value:
+            if plus != minus:
                 _violation(result, "tb_signs_agree_odd_odd",
-                           f"tb_+({m},{n}) = {format_rational(plus.value)} != "
-                           f"tb_-({m},{n}) = {format_rational(minus.value)}",
+                           f"tb_+({m},{n}) = {format_rational(plus)} != "
+                           f"tb_-({m},{n}) = {format_rational(minus)}",
                            m=m, n=n)
     return result
 
@@ -135,31 +153,31 @@ def _run_period(m_max: int, n_max: int, k_max: int) -> SuiteResult:
             equal_signs = ()
         n2 = n + shift
         for sign in equal_signs:
-            a = tb(m, n, sign)
-            b = tb(m, n2, sign)
+            a = _tb_value(m, n, sign)
+            b = _tb_value(m, n2, sign)
             result.checked += 1
-            if a.value != b.value:
+            if a != b:
                 _violation(result, f"period_equal_{sign}",
-                           f"tb({m},{n2}) = {format_rational(b.value)} != "
-                           f"tb({m},{n}) = {format_rational(a.value)}",
+                           f"tb({m},{n2}) = {format_rational(b)} != "
+                           f"tb({m},{n}) = {format_rational(a)}",
                            m=m, n=n)
         if not equal_signs:
-            a = tb(m, n, SIGN_MINUS)
-            b = tb(m, n2, SIGN_MINUS)
+            a = _tb_value(m, n, SIGN_MINUS)
+            b = _tb_value(m, n2, SIGN_MINUS)
             result.checked += 1
-            if b.value - a.value != 4:
+            if b - a != 4:
                 _violation(result, "period_minus_shift",
                            f"tb_-({m},{n2}) - tb_-({m},{n}) = "
-                           f"{format_rational(b.value - a.value)} != 4",
+                           f"{format_rational(b - a)} != 4",
                            m=m, n=n)
-            ap = tb(m, n, SIGN_PLUS)
-            bp = tb(m, n2, SIGN_PLUS)
+            ap = _tb_value(m, n, SIGN_PLUS)
+            bp = _tb_value(m, n2, SIGN_PLUS)
             expected = Fraction(4, n * n2)
             result.checked += 1
-            if bp.value - ap.value != expected:
+            if bp - ap != expected:
                 _violation(result, "period_plus_shift",
                            f"tb_+({m},{n2}) - tb_+({m},{n}) = "
-                           f"{format_rational(bp.value - ap.value)} != "
+                           f"{format_rational(bp - ap)} != "
                            f"{format_rational(expected)}",
                            m=m, n=n)
     return result
@@ -178,7 +196,7 @@ def _run_symmetry(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                     result.skipped += 1
                     continue
                 for sign in (SIGN_MINUS, SIGN_PLUS):
-                    total = tb(m, t, sign).value + tb(m, partner, sign).value
+                    total = _tb_value(m, t, sign) + _tb_value(m, partner, sign)
                     result.checked += 1
                     if total != -2:
                         _violation(
@@ -198,7 +216,7 @@ def _run_symmetry(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                 if partner < 2:
                     result.skipped += 1
                     continue
-                total = tb(m, t, SIGN_MINUS).value + tb(m, partner, SIGN_MINUS).value
+                total = _tb_value(m, t, SIGN_MINUS) + _tb_value(m, partner, SIGN_MINUS)
                 result.checked += 1
                 if total != expected:
                     _violation(
@@ -227,7 +245,7 @@ def _gamma_f_sides(g: FrozenGraph, rupture: int, m: int, n: int):
     ordered away from the rupture, keyed by which exponent terminates
     them."""
     sides = {}
-    for where, _came in _arm_positions(g, g.pos(rupture)):
+    for where in _arm_positions(g, g.pos(rupture)):
         selfs = tuple(map(g.self_int.__getitem__, where))
         mults = tuple(map(g.mult.__getitem__, where))
         if mults[-1] == m:
@@ -245,7 +263,7 @@ def _cover_arm_families(cg: CoverGraph):
     """
     g = cg.graph
     families: dict = {"n_arm": [], "m_arm": [], None: []}
-    for where, _came in _arm_positions(g, g.pos(cg.e0_lift)):
+    for where in _arm_positions(g, g.pos(cg.e0_lift)):
         label = g.arm_label[where[0]] or ""
         if label.startswith("n_arm"):
             family = "n_arm"
@@ -262,12 +280,18 @@ def _cover_arm_families(cg: CoverGraph):
 
 def _run_structure(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("structure")
+    # Arms read for a pair's grown or upper cover wait here, keyed by
+    # (m, n), until the pair that has that cover as its base pops them, so
+    # each cover's arms are read once.
+    sides: dict = {}
+    families: dict = {}
     for m, n in _pairs(m_max, n_max, result):
         partner_n = n + (2 * m if m % 2 == 1 else m)
         base = build_cover(m, n)
         grown = build_cover(m, partner_n)
-        old = _gamma_f_sides(base.gamma_f, base.rupture, m, n)
-        new = _gamma_f_sides(grown.gamma_f, grown.rupture, m, partner_n)
+        old = sides.pop((m, n), None) or _gamma_f_sides(base.gamma_f, base.rupture, m, n)
+        new = sides[m, partner_n] = _gamma_f_sides(grown.gamma_f, grown.rupture,
+                                                   m, partner_n)
         old_selfs, _old_mults = old["m"]
         new_selfs, new_mults = new["m"]
         grew_by = 2 if m % 2 == 1 else 1
@@ -291,8 +315,8 @@ def _run_structure(m_max: int, n_max: int, k_max: int) -> SuiteResult:
         if base.minimal.e0_lift is None or upper.minimal.e0_lift is None:
             result.skipped += 1
             continue
-        fam_old = _cover_arm_families(base.minimal)
-        fam_new = _cover_arm_families(upper.minimal)
+        fam_old = families.pop((m, n), None) or _cover_arm_families(base.minimal)
+        fam_new = families[m, n + shift] = _cover_arm_families(upper.minimal)
         e0_old, e0_new = (c.graph.self_int[c.graph.pos(c.e0_lift)]
                           for c in (base.minimal, upper.minimal))
         result.checked += 1

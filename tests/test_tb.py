@@ -576,6 +576,7 @@ class TestReadsByPosition:
         tb_from_graph(marked)
         graph_to_document(marked.graph)
         to_dot(marked.graph, marked.characteristic.w)
+        tbcalc.verify._tb_value.cache_clear()  # so verify's reads reach tb
         verify_identities(6, 30, 2)
         assert built == []
         assert marked.graph.vertices[marked.e0_lift].self_int < 0 and built

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -79,12 +80,22 @@ def coprime_pairs(m_max, n_max):
             if math.gcd(m, n) == 1]
 
 
+@pytest.fixture
+def shifted(monkeypatch):
+    """verify reads tb through shifted_tb. Its tb-value memo is cleared
+    before, so no value evaluated earlier hides the patch, and after, so no
+    shifted value outlives the test."""
+    monkeypatch.setattr(verify, "tb", shifted_tb)
+    verify._tb_value.cache_clear()
+    yield
+    verify._tb_value.cache_clear()
+
+
 class TestViolations:
     """Each identity of each suite fails once the data are wrong, and
     verify records it with its detail string and instance keys."""
 
-    def test_integrality(self, monkeypatch):
-        monkeypatch.setattr(verify, "tb", shifted_tb)
+    def test_integrality(self, shifted):
         (suite,) = verify_identities(4, 9, 1, suites=("integrality",)).suites
         assert len(suite.violations) == suite.checked == 21
         expected = []
@@ -103,8 +114,7 @@ class TestViolations:
                                  "m": m, "n": n})
         assert suite.violations == expected
 
-    def test_period(self, monkeypatch):
-        monkeypatch.setattr(verify, "tb", shifted_tb)
+    def test_period(self, shifted):
         (suite,) = verify_identities(6, 7, 1, suites=("period",)).suites
         assert len(suite.violations) == suite.checked
         first = {}
@@ -131,8 +141,7 @@ class TestViolations:
                 "m": 2, "n": 3},
         }
 
-    def test_symmetry(self, monkeypatch):
-        monkeypatch.setattr(verify, "tb", shifted_tb)
+    def test_symmetry(self, shifted):
         (suite,) = verify_identities(4, 5, 1, suites=("symmetry",)).suites
         assert len(suite.violations) == suite.checked
 
@@ -274,8 +283,7 @@ class TestViolations:
                                       "lie in W and its neighbor outside W"),
                 "m": record["m"], "n": record["n"]}
 
-    def test_cli_exits_2_on_a_violation(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "tb", shifted_tb)
+    def test_cli_exits_2_on_a_violation(self, shifted, capsys):
         assert main(["verify", "--suite", "integrality", "--m-max", "2", "--n-max", "3"]) == 2
         assert capsys.readouterr().out == (
             "integrality: checked 1, skipped 1, violations 1\n"
@@ -290,6 +298,7 @@ class TestReadsByPosition:
         pos = FrozenGraph.pos
         monkeypatch.setattr(FrozenGraph, "pos", lambda g, v: calls.append(v) or pos(g, v))
         build_cover.cache_clear()
+        verify._tb_value.cache_clear()
         verify_identities(6, 30, 2)
         assert len(calls) < 2200
 
@@ -304,3 +313,50 @@ class TestReadsByPosition:
         monkeypatch.setattr(graph, "_breadth_first", lambda *args: walks.append(args) or walk(*args))
         (suite,) = verify_identities(6, 30, 1, suites=("structure",)).suites
         assert suite.checked > 0 and suite.violations == [] and walks == []
+
+
+class TestReadsOnce:
+    def test_each_tb_input_is_evaluated_once(self, monkeypatch):
+        # The suites read tb values through one process-wide memo, so each
+        # (m, n, sign) reaches tb once however the suites are split over
+        # calls, and the reports are those of a run without the memo.
+        calls = Counter()
+
+        def counting_tb(m, n, sign):
+            calls[m, n, sign] += 1
+            return tb(m, n, sign)
+
+        monkeypatch.setattr(verify, "tb", counting_tb)
+        verify._tb_value.cache_clear()
+        together = verify_identities(6, 30, 2)
+        evaluated = dict(calls)
+        assert evaluated and set(evaluated.values()) == {1}
+        verify._tb_value.cache_clear()
+        calls.clear()
+        split = [verify_identities(6, 30, 2, suites=[name])
+                 for _ in range(2) for name in SUITE_NAMES]
+        assert calls == evaluated
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_tb_value", lambda m, n, sign: tb(m, n, sign).value)
+            unmemoised = verify_identities(6, 30, 2).to_dict()
+        assert together.to_dict() == unmemoised
+        assert [report.to_dict()["suites"] for report in split] == [
+            [suite] for suite in unmemoised["suites"] * 2]
+        verify._tb_value.cache_clear()
+
+    def test_structure_reads_each_covers_arms_once(self, monkeypatch):
+        # A cover's arms are read once per structure run: the sides of its
+        # Gamma_f and the arm families of its minimal graph, whether it is
+        # the base, grown or upper cover of a pair.
+        verify_identities(6, 30, 2, suites=["structure"])
+        reads, covers = [], set()
+        read = verify._arm_positions
+        monkeypatch.setattr(verify, "_arm_positions",
+                            lambda g, p: reads.append(g) or read(g, p))
+        cover = verify.build_cover
+        monkeypatch.setattr(verify, "build_cover",
+                            lambda m, n: covers.add((m, n)) or cover(m, n))
+        (suite,) = verify_identities(6, 30, 2, suites=["structure"]).suites
+        assert suite.checked > 0 and suite.violations == []
+        assert len(reads) <= 2 * len(covers)
+        assert set(Counter(map(id, reads)).values()) == {1}
