@@ -374,11 +374,11 @@ def build_cover(m: int, n: int) -> CoverData:
     immutable values, no builder is made, and writing to a cached graph
     raises. The cache keeps the 1,024 most recently used pairs. tb reads
     the values as they are; mark_real_structure returns a new marked
-    value. Of the blow-up trace only the rupture id is kept: separation
-    leaves e_0 where it is.
+    value. build_gamma_f hands on the id of e_0 with Gamma_f, and
+    separation leaves e_0 where it is.
     """
-    gamma_f, trace = build_gamma_f(m, n)
+    gamma_f, rupture = build_gamma_f(m, n)
     gamma_f_prime = separate_odd_odd(gamma_f)
-    lift = label_arms(lift_double_cover(gamma_f_prime, trace.rupture, m, n), gamma_f_prime)
+    lift = label_arms(lift_double_cover(gamma_f_prime, rupture, m, n), gamma_f_prime)
     return CoverData(m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime,
-                     rupture=trace.rupture, lift=lift, minimal=minimize_and_label(lift))
+                     rupture=rupture, lift=lift, minimal=minimize_and_label(lift))

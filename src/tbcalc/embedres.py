@@ -20,7 +20,7 @@ Both stages here run on flat lists and emit FrozenGraph values.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, mul
 from typing import NamedTuple, Optional
 
@@ -54,17 +54,6 @@ class EuclidData(NamedTuple):
         return sum(self.quotients)
 
 
-class BlowupTrace(NamedTuple):
-    """The ordered blow-up history of a resolution graph whose curves have
-    the ids 0, 1, ... in the order they were made: parents[v] holds the
-    exceptional curves through the center of the blow-up that made v."""
-
-    m: int
-    n: int
-    parents: tuple[tuple[int, ...], ...]
-    rupture: int
-
-
 def euclid_data(m: int, n: int) -> EuclidData:
     """Validate the exponents and compute their division chain, refusing
     a chain whose quotients sum past MAX_QUOTIENT_SUM."""
@@ -92,44 +81,41 @@ def euclid_data(m: int, n: int) -> EuclidData:
     return EuclidData(m=m, n=n, quotients=tuple(quotients))
 
 
-def build_gamma_f(m: int, n: int) -> tuple[FrozenGraph, BlowupTrace]:
+def build_gamma_f(m: int, n: int) -> tuple[FrozenGraph, int]:
     """Resolve x^m + y^n = 0 by the blow-up cascade.
 
     Returns Gamma_f as a FrozenGraph (multiplicities and c1 coefficients
-    filled in, one arrow on the rupture vertex) and the blow-up trace. The
-    cascade (_cascade) runs on flat lists, curve i at position i; the c1
-    coefficients come out of it as in c1_coefficients, and the rupture
-    entry is checked here.
+    filled in, one arrow on the rupture vertex) and the id of the rupture
+    curve e_0, the last curve made. The cascade (_cascade) runs on flat
+    lists, curve i at position i; the rupture c1 entry is checked here.
     """
     data = euclid_data(m, n)
-    self_int, mult, c1, edges, parents = _cascade(m, n)
+    self_int, mult, c1, edges = _cascade(m, n)
     rupture = len(self_int) - 1
     expected = -(m + n - 1)
     if c1[rupture] != expected:
         raise StructureMismatch(
             f"rupture c1 coefficient {c1[rupture]} != -(m+n-1) = {expected}"
         )
-    trace = BlowupTrace(m=m, n=n, parents=tuple(parents), rupture=rupture)
     g = FrozenGraph.from_columns(self_int, edges, mult=mult, c1_coeff=c1, arrows=(rupture,))
-    _check_gamma_f(g, trace, data)
-    return g, trace
+    _check_gamma_f(g, data)
+    return g, rupture
 
 
-def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int],
-                                     list[tuple[int, int]], list[tuple[int, ...]]]:
+def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int], list[tuple[int, int]]]:
     """The columns self_int, mult and c1 of the blow-up cascade of
-    x^m + y^n, the edges as position pairs (p, q), p < q, and the parents
-    of each curve, the last curve being the rupture curve.
+    x^m + y^n and the edges as position pairs (p, q), p < q, the last
+    curve being the rupture curve.
 
     The local model at the active center is x^a + y^b; the curve {x=0}
     there is x_curve (an exceptional curve or, initially, nothing) and
     likewise y_curve. A blow-up with a > b leaves the y-curve at the new
     center and replaces the x-curve by the new exceptional curve, and
     symmetrically; (a, b) = (1, 1) gives the rupture curve. The new curve
-    has self-intersection -1, multiplicity min(a, b) plus its parents',
-    c1 coefficient -1 plus its parents', and each parent loses 1 on its
-    self-intersection; the curve meets its parents instead of their
-    meeting each other.
+    has self-intersection -1, multiplicity min(a, b) plus that of the
+    curves through the center, c1 coefficient -1 plus theirs, and each of
+    those curves loses 1 on its self-intersection; the new curve meets
+    them instead of their meeting each other.
 
     The blow-ups of one Euclid quotient keep one curve K at the center
     and move the other, so they append as one run of k curves: a chain
@@ -142,7 +128,6 @@ def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int],
     mult: list[int] = []
     c1: list[int] = []
     edges: list[tuple[int, int]] = []
-    parents: list[tuple[int, ...]] = []
     a, b = m, n
     x_curve: Optional[int] = None
     y_curve: Optional[int] = None
@@ -174,18 +159,8 @@ def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int],
         if keep is not None:
             self_int[keep] -= k
             edges.append((keep, e + k - 1))
-        # Each curve's parents are (x_curve, y_curve), Nones left out, as
-        # it is blown up.
-        later = range(e, e + k - 1)
-        parents.append(tuple(v for v in (x_curve, y_curve) if v is not None))
-        if keep is None:
-            parents.extend(zip(later))
-        elif x_moves:
-            parents.extend(zip(later, repeat(keep)))
-        else:
-            parents.extend(zip(repeat(keep), later))
         if (a, b) == (1, 1):
-            return self_int, mult, c1, edges, parents
+            return self_int, mult, c1, edges
         if x_moves:
             a -= k * b
             x_curve = e + k - 1
@@ -194,15 +169,16 @@ def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int],
             y_curve = e + k - 1
 
 
-def _check_gamma_f(g: FrozenGraph, trace: BlowupTrace, data: EuclidData) -> None:
-    """Mandatory post-conditions pinning the cascade bookkeeping down."""
-    m, n = trace.m, trace.n
+def _check_gamma_f(g: FrozenGraph, data: EuclidData) -> None:
+    """Mandatory post-conditions pinning the cascade bookkeeping down; the
+    rupture curve e_0 is the last one."""
+    m, n = data.m, data.n
     if len(g.ids) != data.t:
         raise StructureMismatch(
             f"Gamma_f({m},{n}) has {len(g.ids)} vertices, expected "
             f"sum of Euclid quotients {data.t}"
         )
-    rupture = trace.rupture
+    rupture = len(g.ids) - 1
     if g.arrows != (rupture,):
         raise StructureMismatch("the arrow must sit on the rupture vertex")
     p, degree = g.pos(rupture), _degrees(g)
@@ -253,26 +229,6 @@ def multiplicities(g: FrozenGraph) -> dict[int, int]:
     return out
 
 
-def c1_coefficients(trace: BlowupTrace) -> dict[int, int]:
-    """First Chern class coefficients b_i from the blow-up history.
-
-    Each blow-up creates a curve with coefficient -1 plus the coefficients
-    of the exceptional curves through its center; the strict transform of
-    the branch contributes nothing. Coefficients of earlier curves never
-    change, so the recursion is prefix-stable. The rupture coefficient must
-    come out as -(m+n-1).
-    """
-    b: dict[int, int] = {}
-    for v, parents in enumerate(trace.parents):
-        b[v] = -1 + sum(b[p] for p in parents)
-    expected = -(trace.m + trace.n - 1)
-    if b[trace.rupture] != expected:
-        raise StructureMismatch(
-            f"rupture c1 coefficient {b[trace.rupture]} != -(m+n-1) = {expected}"
-        )
-    return b
-
-
 def _odd_odd_edges(g: FrozenGraph) -> list[tuple[int, int]]:
     """The edges joining two odd multiplicities, as sorted position pairs."""
     odd, adj, start = list(map((1).__and__, g.mult)), g.adj, g.adj_start
@@ -295,10 +251,12 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
     drop by 1 and the inserted curve starts at -1. Inserted multiplicities
     are even, so one sweep leaves no odd-odd incidence; a post-condition
     checks that. The inserted curves take the next ids at new positions,
-    and each appends its c1 to g's column as in c1_coefficients: -1 plus
-    its parents' entries, so g's entries are shared. With nothing to
+    and each appends its c1 to g's column, -1 plus the entries of the
+    curves through its center, so g's entries are shared. With nothing to
     separate, g itself is returned.
     """
+    if None in g.mult:
+        raise StructureMismatch(f"vertex {g.ids[g.mult.index(None)]} has no multiplicity")
     cut = _odd_odd_edges(g)
     hosts = _odd_arrow_hosts(g)
     if not cut and not hosts:

@@ -5,7 +5,8 @@ them.
 canonical_form encodes a decorated tree up to relabelling its ids;
 is_negative_definite and det_exact are dense exact routines on an integer
 matrix such as intersection_matrix returns; restrict_to_real gives W_R on a
-marked graph.
+marked graph; stepwise_gamma_f runs the blow-up cascade of Gamma_f one
+curve at a time.
 """
 
 from __future__ import annotations
@@ -122,3 +123,40 @@ def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
             "mark the real structure first"
         )
     return cd.w & frozenset(compress(g.ids, g.real))
+
+
+def stepwise_gamma_f(m: int, n: int):
+    """The blow-up cascade of x^m + y^n one blow-up at a time, for
+    comparison with the run-by-run build: the columns self_int, mult and
+    c1 and the sorted edges, curve i at position i.
+
+    The new curve gets self-intersection -1, multiplicity min(a, b) and c1
+    coefficient -1, each plus the entries of the curves through its
+    center; each of those loses 1 on its self-intersection, and the new
+    curve meets them instead of their meeting each other.
+    """
+    self_int: list[int] = []
+    mult: list[int] = []
+    c1: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    a, b = m, n
+    x_curve = y_curve = None
+    while True:
+        through = [v for v in (x_curve, y_curve) if v is not None]
+        e = len(self_int)
+        self_int.append(-1)
+        mult.append(min(a, b) + sum(mult[p] for p in through))
+        c1.append(-1 + sum(c1[p] for p in through))
+        for p in through:
+            edges.add((p, e))
+            self_int[p] -= 1
+        if len(through) == 2:
+            edges.remove((min(through), max(through)))
+        if (a, b) == (1, 1):
+            return self_int, mult, c1, sorted(edges)
+        if a > b:
+            a -= b
+            x_curve = e
+        else:
+            b -= a
+            y_curve = e

@@ -21,21 +21,19 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from tbcalc import (
     arms,
     blow_down_minimize,
     build_cover,
     build_gamma_f,
-    c1_coefficients,
     canonical_coefficients,
     intersection_matrix,
     mark_real_structure,
     tb,
     verify_identities,
 )
-from oracles import canonical_form, det_exact, is_negative_definite, restrict_to_real
+from oracles import (canonical_form, det_exact, is_negative_definite, restrict_to_real,
+                     stepwise_gamma_f)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,7 +106,8 @@ class TestAcceptance:
         report(3, ok, p.stdout.strip())
 
     def test_criterion_4_b_t_law(self):
-        """b_t = -(m+n-1) for every valid pair with m, n <= 40, < 10 s."""
+        """b_t = -(m+n-1) for every valid pair with m, n <= 40, read from
+        Gamma_f's c1 column at e_0 and from the stepwise oracle, < 10 s."""
         t0 = time.time()
         checked = 0
         ok = True
@@ -116,9 +115,9 @@ class TestAcceptance:
             for n in range(2, 41):
                 if math.gcd(m, n) != 1:
                     continue
-                _g, trace = build_gamma_f(m, n)
-                b = c1_coefficients(trace)
-                if b[trace.rupture] != -(m + n - 1):
+                g, rupture = build_gamma_f(m, n)
+                _self_int, _mult, c1, _edges = stepwise_gamma_f(m, n)
+                if not g.c1_coeff[g.pos(rupture)] == c1[rupture] == -(m + n - 1):
                     ok = False
                 checked += 1
         elapsed = time.time() - t0

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from tbcalc import (
-    CoverGraph,
     InconsistentAnnotation,
     NotNumericallyGorenstein,
     WU_CONFIRMED_CONSISTENT,

@@ -15,14 +15,12 @@ from tbcalc import (
     StructureMismatch,
     build_cover,
     VertexMap,
-    build_gamma_f,
     canonical_coefficients,
     has_conj_adjacent_pair,
     label_arms,
     lift_double_cover,
     mark_real_structure,
     real_locus,
-    separate_odd_odd,
     tb,
 )
 from conftest import build_star12_graph, lifts_of, neighbours

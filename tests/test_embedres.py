@@ -4,10 +4,10 @@ import pytest
 
 from tbcalc import (
     BadExponents,
+    FrozenGraph,
     StructureMismatch,
     build_cover,
     build_gamma_f,
-    c1_coefficients,
     canonical_coefficients,
     euclid_data,
     multiplicities,
@@ -16,9 +16,10 @@ from tbcalc import (
 from tbcalc import embedres
 from tbcalc.embedres import check_mini
 from conftest import neighbours
+from oracles import stepwise_gamma_f
 
 
-def chain_of(g, trace):
+def chain_of(g):
     """(mult, self_int) pairs read along the path graph from the m-side
     terminal to the n-side terminal."""
     near = neighbours(g)
@@ -75,35 +76,35 @@ class TestEuclid:
 
 class TestBuildGammaF:
     def test_three_two(self):
-        g, trace = build_gamma_f(3, 2)
+        g, rupture = build_gamma_f(3, 2)
         by_mult = {g.vertices[v].mult: g.vertices[v].self_int
                    for v in g.vertex_ids()}
         assert by_mult == {2: -3, 3: -2, 6: -1}
-        assert g.arrows.count(trace.rupture) == 1
-        assert g.vertices[trace.rupture].mult == 6
-        mult_chain = [mult for mult, _s in chain_of(g, trace)]
+        assert g.arrows.count(rupture) == 1
+        assert g.vertices[rupture].mult == 6
+        mult_chain = [mult for mult, _s in chain_of(g)]
         assert mult_chain in ([2, 6, 3], [3, 6, 2])
 
     def test_five_eight(self):
-        g, trace = build_gamma_f(5, 8)
+        g, rupture = build_gamma_f(5, 8)
         by_mult = {g.vertices[v].mult: g.vertices[v].self_int
                    for v in g.vertex_ids()}
         assert by_mult == {5: -3, 15: -3, 40: -1, 24: -2, 8: -3}
-        assert g.vertices[trace.rupture].mult == 40
+        assert g.vertices[rupture].mult == 40
         # adjacency along the chain
-        mult_chain = [m for m, _s in chain_of(g, trace)]
+        mult_chain = [m for m, _s in chain_of(g)]
         assert mult_chain in ([40, 24, 8], [5, 15, 40, 24, 8],
                               [8, 24, 40, 15, 5])
         assert len(g.vertex_ids()) == sum(euclid_data(5, 8).quotients)
 
     def test_vertex_count_is_quotient_sum(self):
         for m, n in [(3, 2), (5, 8), (11, 6), (4, 7), (9, 2)]:
-            g, _trace = build_gamma_f(m, n)
+            g, _rupture = build_gamma_f(m, n)
             assert len(g.vertex_ids()) == sum(euclid_data(m, n).quotients)
 
     def test_terminal_multiplicities(self):
         for m, n in [(3, 2), (5, 8), (11, 6)]:
-            g, _trace = build_gamma_f(m, n)
+            g, _rupture = build_gamma_f(m, n)
             near = neighbours(g)
             terminal_mults = sorted(
                 g.vertices[v].mult for v in g.vertex_ids() if len(near[v]) == 1)
@@ -111,18 +112,18 @@ class TestBuildGammaF:
 
     def test_rupture_multiplicity_is_product(self):
         for m, n in [(3, 2), (5, 8), (11, 6), (5, 28)]:
-            g, trace = build_gamma_f(m, n)
-            assert g.vertices[trace.rupture].mult == m * n
+            g, rupture = build_gamma_f(m, n)
+            assert g.vertices[rupture].mult == m * n
 
 
 class TestMiniIdentity:
     def test_holds_on_built_graphs(self):
         for m, n in [(3, 2), (5, 8), (11, 6), (6, 17)]:
-            g, _trace = build_gamma_f(m, n)
+            g, _rupture = build_gamma_f(m, n)
             check_mini(g)
 
     def test_detects_corruption(self):
-        g, _trace = build_gamma_f(3, 2)
+        g, _rupture = build_gamma_f(3, 2)
         bad = g.copy()
         bad.vertices[g.vertex_ids()[0]].mult += 1
         with pytest.raises(StructureMismatch):
@@ -132,7 +133,7 @@ class TestMiniIdentity:
 class TestMultiplicities:
     def test_solve_matches_simulation(self):
         for m, n in [(3, 2), (5, 8), (11, 6), (5, 12)]:
-            g, _trace = build_gamma_f(m, n)
+            g, _rupture = build_gamma_f(m, n)
             solved = multiplicities(g)
             for v in g.vertex_ids():
                 assert solved[v] == g.vertices[v].mult
@@ -147,22 +148,19 @@ class TestUnimodularityCertificate:
 
 class TestC1Coefficients:
     def test_three_two(self):
-        g, trace = build_gamma_f(3, 2)
-        b = c1_coefficients(trace)
-        by_mult = {g.vertices[v].mult: b[v] for v in g.vertex_ids()}
+        g, _rupture = build_gamma_f(3, 2)
+        by_mult = {g.vertices[v].mult: g.vertices[v].c1_coeff for v in g.vertex_ids()}
         assert by_mult == {2: -1, 3: -2, 6: -4}
 
     def test_five_eight(self):
-        g, trace = build_gamma_f(5, 8)
-        b = c1_coefficients(trace)
-        by_mult = {g.vertices[v].mult: b[v] for v in g.vertex_ids()}
+        g, _rupture = build_gamma_f(5, 8)
+        by_mult = {g.vertices[v].mult: g.vertices[v].c1_coeff for v in g.vertex_ids()}
         assert by_mult == {5: -1, 8: -2, 15: -4, 24: -7, 40: -12}
 
     def test_rupture_coefficient(self):
         for m, n in [(3, 2), (5, 8), (11, 6), (6, 17), (9, 8)]:
-            _g, trace = build_gamma_f(m, n)
-            b = c1_coefficients(trace)
-            assert b[trace.rupture] == -(m + n - 1)
+            g, rupture = build_gamma_f(m, n)
+            assert g.vertices[rupture].c1_coeff == -(m + n - 1)
 
 
 class TestC1Certificate:
@@ -185,7 +183,7 @@ class TestC1Certificate:
 
 class TestSeparation:
     def test_five_eight_inserts_one_vertex(self):
-        g, _trace = build_gamma_f(5, 8)
+        g, _rupture = build_gamma_f(5, 8)
         gp = separate_odd_odd(g)
         assert len(gp.vertex_ids()) == len(g.vertex_ids()) + 1
         inserted = set(gp.vertex_ids()) - set(g.vertex_ids())
@@ -200,30 +198,36 @@ class TestSeparation:
         # Gamma'_f extends Gamma_f's c1 column: the entries it keeps are the
         # same int objects. TestC1Certificate checks the values.
         for m, n in [(5, 8), (3, 5), (3, 7), (5, 28)]:
-            g, _trace = build_gamma_f(m, n)
+            g, _rupture = build_gamma_f(m, n)
             gp = separate_odd_odd(g)
             assert gp is not g and min(g.c1_coeff) < -5, (m, n)  # past the small-int cache
             assert all(a is b for a, b in zip(gp.c1_coeff, g.c1_coeff)), (m, n)
 
     def test_eleven_six_needs_none(self):
-        g, _trace = build_gamma_f(11, 6)
+        g, _rupture = build_gamma_f(11, 6)
         gp = separate_odd_odd(g)
         assert gp is g
 
     def test_arrow_moves_off_odd_rupture(self):
         # (3,5): rupture mult 15 is odd and carries the arrow, so
         # separation introduces a new even vertex now holding the arrow.
-        g, trace = build_gamma_f(3, 5)
+        g, rupture = build_gamma_f(3, 5)
         gp = separate_odd_odd(g)
-        assert gp.arrows.count(trace.rupture) == 0
+        assert gp.arrows.count(rupture) == 0
         host = gp.arrows[0]
         assert gp.vertices[host].mult == 16  # 15 + 1
         assert gp.arrows == (host,)
         check_mini(gp)
 
+    def test_missing_multiplicity_is_a_structure_mismatch(self):
+        g = FrozenGraph.from_columns([-2, -2, -1], [(0, 1), (1, 2)], mult=[None] * 3,
+                                     arrows=[2])
+        with pytest.raises(StructureMismatch, match="vertex 0 has no multiplicity"):
+            separate_odd_odd(g)
+
     def test_no_odd_odd_incidence_remains(self):
         for m, n in [(3, 2), (5, 8), (3, 5), (5, 28), (9, 8)]:
-            g, _trace = build_gamma_f(m, n)
+            g, _rupture = build_gamma_f(m, n)
             gp = separate_odd_odd(g)
             for u, v in gp.edges():
                 assert (gp.vertices[u].mult % 2 == 0
@@ -232,51 +236,39 @@ class TestSeparation:
                 assert gp.vertices[a].mult % 2 == 0
 
 
-def stepwise_gamma_f(m, n):
-    """The cascade one blow-up at a time: self_int, mult, the sorted edges
-    and the parents of each curve, for comparison with the run-by-run
-    build."""
-    self_int, mult, edges, parents = [], [], set(), []
-    a, b = m, n
-    x_curve = y_curve = None
-    while True:
-        through = tuple(v for v in (x_curve, y_curve) if v is not None)
-        e = len(self_int)
-        self_int.append(-1)
-        mult.append(min(a, b) + sum(mult[p] for p in through))
-        for p in through:
-            edges.add((p, e))
-            self_int[p] -= 1
-        if len(through) == 2:
-            edges.remove((min(through), max(through)))
-        parents.append(through)
-        if (a, b) == (1, 1):
-            return self_int, mult, sorted(edges), parents
-        if a > b:
-            a -= b
-            x_curve = e
-        else:
-            b -= a
-            y_curve = e
+SMALL_PAIRS = [(m, n) for m in range(2, 41) for n in range(2, 41) if math.gcd(m, n) == 1]
 
 
 class TestLongChains:
     # Long Euclid quotients: Gamma_f is appended one run of blow-ups at a
-    # time, with c1 computed as it goes; c1_coefficients walks the trace one
-    # step at a time and stays the independent oracle.
+    # time, with c1 computed as it goes; stepwise_gamma_f makes one curve
+    # at a time and stays the independent oracle.
     PAIRS = [(2, 4001), (6, 12005), (1999, 2000), (4001, 2), (13, 1000), (89, 55)]
+
+    @staticmethod
+    def check_against_the_oracle(m, n):
+        g, rupture = build_gamma_f(m, n)
+        self_int, mult, c1, edges = stepwise_gamma_f(m, n)
+        assert len(g.ids) == euclid_data(m, n).t == len(self_int), (m, n)
+        assert list(g.self_int) == self_int and list(g.mult) == mult, (m, n)
+        assert list(g.c1_coeff) == c1, (m, n)
+        assert g.edges() == edges, (m, n)
+        assert list(g.ids) == list(range(len(self_int))), (m, n)
+        embedres._check_gamma_f(g, euclid_data(m, n))
+        # With Gamma_f comes the id of e_0: its last curve, its only arrow
+        # host, and the rupture id the cover keeps.
+        assert type(g) is FrozenGraph and type(rupture) is int, (m, n)
+        assert rupture == len(g.ids) - 1 and g.arrows == (rupture,), (m, n)
+        assert build_cover(m, n).rupture == rupture, (m, n)
 
     @pytest.mark.parametrize("m,n", PAIRS)
     def test_cascade_matches_the_stepwise_oracles(self, m, n):
-        g, trace = build_gamma_f(m, n)
-        assert len(g.ids) == euclid_data(m, n).t == len(trace.parents)
-        assert list(g.c1_coeff) == list(c1_coefficients(trace).values())
-        self_int, mult, edges, parents = stepwise_gamma_f(m, n)
-        assert list(g.self_int) == self_int and list(g.mult) == mult
-        assert g.edges() == edges
-        assert list(trace.parents) == parents
-        assert list(g.ids) == list(range(len(parents)))
-        embedres._check_gamma_f(g, trace, euclid_data(m, n))
+        self.check_against_the_oracle(m, n)
+
+    def test_small_pairs_match_the_stepwise_oracle(self):
+        assert len(SMALL_PAIRS) == 900
+        for m, n in SMALL_PAIRS:
+            self.check_against_the_oracle(m, n)
 
     @pytest.mark.parametrize("m,n", PAIRS[:3])
     def test_rupture_c1_is_checked(self, m, n, monkeypatch):
@@ -284,9 +276,9 @@ class TestLongChains:
         cascade = embedres._cascade
 
         def off_by_one(m, n):
-            self_int, mult, c1, edges, parents = cascade(m, n)
+            self_int, mult, c1, edges = cascade(m, n)
             c1[-1] += 1
-            return self_int, mult, c1, edges, parents
+            return self_int, mult, c1, edges
 
         monkeypatch.setattr(embedres, "_cascade", off_by_one)
         with pytest.raises(StructureMismatch, match="rupture c1 coefficient"):

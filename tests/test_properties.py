@@ -3,8 +3,6 @@
 import math
 import random
 
-import pytest
-
 from tbcalc import (
     WU_CONFIRMED_UNIQUE,
     blow_down_minimize,

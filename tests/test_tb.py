@@ -36,7 +36,7 @@ from tbcalc import (
     verify_identities,
 )
 from tbcalc import charclass
-from conftest import build_star12_graph, make_chain, make_star, make_zero_arm
+from conftest import make_chain, make_star, make_zero_arm
 
 
 def annotated(g, conj):
