@@ -20,7 +20,7 @@ frozen values and every result is one, marked graphs included.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from itertools import chain, compress, islice
 from operator import eq
@@ -85,9 +85,10 @@ class CoverGraph(_CoverFields):
 
     @cached_property
     def characteristic(self) -> CharacteristicData:
-        """The adjunction solution, solved on first use and kept. A real
-        structure is a vertex set (real_locus), so both signs share it.
-        A marked or otherwise replaced cover graph solves afresh."""
+        """The adjunction solution, solved on first use and kept. Marking
+        writes the real column and conj, which the adjunction system does
+        not read, so both signs share the unmarked graph's solution. A
+        marked or otherwise replaced cover graph solves afresh."""
         return canonical_coefficients(self)
 
 
@@ -266,14 +267,14 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
         if family == even_family:
             named_real.update(arm.vertices)
         labels.update(dict.fromkeys(arm.vertices, f"{family}({index})"))
+    # With 3 arms these counts leave 3 - gcd(m,2) - gcd(n,2) branch-side
+    # arms: one when m and n are both odd, else none.
     for family, want in expected.items():
         if counts[family] != want:
             raise StructureMismatch(
                 f"{counts[family]} {family} arms, expected {want}"
             )
-    if counts[None] != (1 if m % 2 == 1 and n % 2 == 1 else 0):
-        raise StructureMismatch("unexpected branch-side arm count")
-    if (m + n) % 2 and named_real != set(_fixed(g, cg.deck)):
+    if (m + n) % 2 and named_real != real_locus(cg, SIGN_PLUS):
         raise StructureMismatch(
             "real locus by arm naming disagrees with the deck-fixed locus"
         )
@@ -318,35 +319,33 @@ def minimize_and_label(cg: CoverGraph) -> CoverGraph:
                        downstairs=VertexMap(g, below))
 
 
-def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
-    """The curves fixed by the real structure of the given sign.
-
-    conj_minus fixes every exceptional curve, as does either structure
-    when both exponents are odd. For conj_plus with one even exponent it is
-    the deck-fixed curves, which label_arms checks to be the rupture curve
-    and the arm named after the even exponent; the other two are swapped.
-    """
+def _real_column(cg: CoverGraph, sign: str) -> tuple[bool, ...]:
+    """Whether the real structure of the given sign fixes each curve, in
+    position order: conj_minus fixes every curve, as does either structure
+    when both exponents are odd; conj_plus with one even exponent fixes the
+    deck-fixed curves, which label_arms checks to be the rupture curve and
+    the arm named after the even exponent (the other two are swapped)."""
     if sign not in (SIGN_PLUS, SIGN_MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if sign == SIGN_MINUS or (cg.m % 2 == 1 and cg.n % 2 == 1):
-        return frozenset(cg.graph.ids)
-    return frozenset(_fixed(cg.graph, cg.deck))
+        return (True,) * len(cg.graph.ids)
+    return tuple(map(eq, cg.graph.ids, _column(cg.graph, cg.deck)))
 
 
-def _fixed(g: FrozenGraph, deck: Mapping[int, int]) -> Iterator[int]:
-    """The vertex ids v of g with deck[v] == v, in id order."""
-    return compress(g.ids, map(eq, g.ids, _column(g, deck)))
+def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
+    """The ids of the curves fixed by the real structure of the given sign."""
+    return frozenset(compress(cg.graph.ids, _real_column(cg, sign)))
 
 
 def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
     """cg marked with the real structure of the given sign, as a new frozen
-    value: the real column from real_locus, conj fixing the real curves and
-    acting as the deck transformation on the others. cg is left as it is."""
-    real = real_locus(cg, sign)
+    value: the real column, and conj as the deck column when some curve is
+    imaginary (the real curves are then the deck-fixed ones), else the
+    identity. cg is left as it is."""
+    real = _real_column(cg, sign)
     g = cg.graph
-    marked = g._replace(real=tuple(map(real.__contains__, g.ids)))
-    conj = VertexMap(marked, (v if fixed else w for v, fixed, w
-                              in zip(g.ids, marked.real, _column(g, cg.deck))))
+    marked = g._replace(real=real)
+    conj = VertexMap(marked, g.ids if all(real) else _column(g, cg.deck))
     return cg._replace(graph=marked, conj=conj, sign=sign)
 
 

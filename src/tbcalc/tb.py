@@ -1,13 +1,14 @@
 """Thurston-Bennequin invariants of the real links of x^m + y^n +/- z^2.
 
-The invariant is evaluated on a resolution graph and its real locus as
+The invariant is evaluated on a resolution graph with its real column as
 
     tb = N - 1 + sum over e in W_R of n'_e
 
 where N counts real vertices, W_R is the real part of the characteristic
 set, and n'_e corrects the self-intersection of e by the weights of its
-fully imaginary arms. The sum runs in integers, over the lcm of the n'
-denominators, and builds one Fraction for the value.
+fully imaginary arms. tb and tb_from_graph share one assembly over a
+marked graph, evaluation_graph's or the caller's. The sum runs in
+integers, over the lcm of the n' denominators, and builds one Fraction.
 
 The evaluation normally runs on the minimal graph Gamma(m,n). For the plus
 structure on very small exponent pairs, minimization can contract the
@@ -30,10 +31,10 @@ from .cover import (
     SIGN_MINUS,
     SIGN_PLUS,
     CoverGraph,
+    _real_column,
     build_cover,
     has_conj_adjacent_pair,
     mark_real_structure,
-    real_locus,
 )
 from .errors import (
     InconsistentAnnotation,
@@ -73,50 +74,39 @@ class TbResult(NamedTuple):
         return self.value.denominator == 1
 
 
-def _evaluation_source(
-    m: int, n: int, sign: str
-) -> tuple[CoverGraph, frozenset[int], str]:
-    """The cached graph tb(m, n, sign) reads, unmarked, its real locus and
-    its level: "minimal", or "lift" when the plus structure has imaginary
-    curves and some curve of Gamma(m,n) meets its conjugate."""
-    if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    cover = build_cover(m, n)
-    source, level = cover.minimal, EVAL_MINIMAL
-    real = real_locus(source, sign)
-    if len(real) < len(source.graph.ids) and has_conj_adjacent_pair(source):
-        source, level = cover.lift, EVAL_LIFT
-        real = real_locus(source, sign)
-    return source, real, level
-
-
 def evaluation_graph(
     m: int, n: int, sign: str
 ) -> tuple[CoverGraph, CharacteristicData, str]:
     """The graph tb(m, n, sign) is evaluated on, marked (a new frozen value),
     its characteristic data (the unmarked graph's, shared by both signs)
-    and its level: "minimal", or "lift" for the plus fallback."""
-    source, _real, level = _evaluation_source(m, n, sign)
+    and its level: "minimal", or "lift" when the plus structure has
+    imaginary curves and some curve of Gamma(m,n) meets its conjugate."""
+    if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    cover = build_cover(m, n)
+    source, level = cover.minimal, EVAL_MINIMAL
+    if not all(_real_column(source, sign)) and has_conj_adjacent_pair(source):
+        source, level = cover.lift, EVAL_LIFT
     return mark_real_structure(source, sign), source.characteristic, level
 
 
 def _assemble(
     g: FrozenGraph,
-    real: frozenset[int],
-    wr: frozenset[int],
+    w: frozenset[int],
     sign: Optional[str],
     m: Optional[int],
     n: Optional[int],
     level: str,
 ) -> TbResult:
-    """N - 1 plus n'_e over W_R, walked as positions, off one _branches
-    pass over g rooted at a real vertex; with no imaginary vertex n'_e = n_e.
-    The sum runs in integers over the lcm of the n' denominators and builds
-    one Fraction at the end."""
-    ids = g.ids
-    at = list(compress(range(len(ids)), map(wr.__contains__, ids)))
-    if at and len(real) < len(ids):
-        marked = list(map(real.__contains__, ids))
+    """N - 1 plus n'_e over W_R, the vertices of w that g.real marks (by
+    truthiness), walked as positions, off one _branches pass over g rooted
+    at a real vertex; with no imaginary vertex n'_e = n_e. The sum runs in
+    integers over the lcm of the n' denominators and builds one Fraction."""
+    ids, real = g.ids, g.real
+    at = [p for p in compress(range(len(ids)), map(w.__contains__, ids)) if real[p]]
+    n_real = sum(map(bool, real))
+    if at and n_real < len(ids):
+        marked = list(map(bool, real))
         if not marked[g.order[0]]:
             g = g._walked_from(marked.index(True))
         folds = _branches(g, marked)
@@ -125,14 +115,14 @@ def _assemble(
             weights[ids[p]], contrib[ids[p]] = _imaginary_arms(g, p, *folds)
         den = math.lcm(*(term.denominator for term in contrib.values()))
         num = sum(term.numerator * (den // term.denominator) for term in contrib.values())
-        value = Fraction(num + (len(real) - 1) * den, den)
+        value = Fraction(num + (n_real - 1) * den, den)
     else:  # no fold
         self_int = g.self_int
         contrib = {ids[p]: Fraction(self_int[p]) for p in at}
         weights = dict.fromkeys(contrib, ())
-        value = Fraction(len(real) - 1 + sum(map(self_int.__getitem__, at)))
+        value = Fraction(n_real - 1 + sum(map(self_int.__getitem__, at)))
     return TbResult(
-        value=value, n_real=len(real), wr=wr,
+        value=value, n_real=n_real, wr=frozenset(map(ids.__getitem__, at)),
         n_prime_contrib=contrib, arm_weights=weights,
         sign=sign, m=m, n=n, level=level,
     )
@@ -140,9 +130,8 @@ def _assemble(
 
 def tb(m: int, n: int, sign: str) -> TbResult:
     """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus)."""
-    source, real, level = _evaluation_source(m, n, sign)
-    wr = source.characteristic.w & real
-    return _assemble(source.graph, real, wr, sign, m, n, level)
+    marked, cd, level = evaluation_graph(m, n, sign)
+    return _assemble(marked.graph, cd.w, sign, m, n, level)
 
 
 def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:
@@ -188,13 +177,11 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     """
     g = cg.graph
     _check_annotations(cg, g)
-    real = frozenset(v for v, flag in zip(g.ids, g.real) if flag)
     if wr is None:
         try:
             w = canonical_coefficients(cg).w
         except NotNumericallyGorenstein as exc:
             raise NonIntegralCanonicalClass(str(exc)) from exc
-        wr = w & real
     else:
         wr = list(wr)
         for v in wr:  # in the caller's order, so the message is reproducible
@@ -208,5 +195,5 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
             if not g.real[p]:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus")
-        wr = frozenset(wr)
-    return _assemble(g, real, wr, cg.sign, cg.m, cg.n, EVAL_GRAPH)
+        w = frozenset(wr)
+    return _assemble(g, w, cg.sign, cg.m, cg.n, EVAL_GRAPH)

@@ -17,12 +17,15 @@ from tbcalc import (
     VertexMap,
     canonical_coefficients,
     has_conj_adjacent_pair,
+    arms,
     label_arms,
     lift_double_cover,
     mark_real_structure,
+    minimize_and_label,
     real_locus,
     tb,
 )
+from tbcalc import cover as cover_module
 from conftest import build_star12_graph, lifts_of, neighbours
 from oracles import canonical_form
 
@@ -364,6 +367,97 @@ class TestStructuralGuards:
         g.add_edge(a, b)
         with pytest.raises((StructureMismatch, BadOddNeighborCount)):
             lift_double_cover(g.freeze(), a, 3, 5)
+
+
+class TestSelfChecks:
+    """Each self-check of the lift, arm-labelling and blow-down stages
+    raises StructureMismatch once its stage is handed a crafted lift, or
+    arms or blow_down_minimize is patched to break the law it checks."""
+
+    @staticmethod
+    def raised(call, *args):
+        with pytest.raises(StructureMismatch) as info:
+            call(*args)
+        return str(info.value)
+
+    def label_with_arms(self, monkeypatch, rewrite):
+        # (11, 6): one (n)-arm and two swapped (m)-arms on e^0.
+        raw, down = TestArmNamingCheck.fresh_lift(11, 6)
+        found = arms(raw.graph, raw.e0_lift)
+        monkeypatch.setattr(cover_module, "arms", lambda g, e: rewrite(found))
+        return self.raised(label_arms, raw, down)
+
+    def test_lift_needs_multiplicities(self):
+        cover = build_cover(11, 6)
+        gp = cover.gamma_f_prime
+        gp = gp._replace(mult=(None, *gp.mult[1:]))
+        assert self.raised(lift_double_cover, gp, cover.rupture, 11, 6) == (
+            f"vertex {gp.ids[0]} has no multiplicity")
+
+    def test_rupture_needs_a_unique_lift(self):
+        # Even e_0 (position 0) meets only the even curve 1, which meets the
+        # odd curves 2 and 3: the lift is a tree with e_0 doubled.
+        gp = FrozenGraph.from_columns([-2, -2, -2, -2], [(0, 1), (1, 2), (1, 3)],
+                                      mult=[2, 2, 1, 1])
+        assert self.raised(lift_double_cover, gp, 0, 3, 2) == (
+            "rupture vertex must have a unique lift")
+
+    def test_labelling_needs_the_rupture_lift(self):
+        raw, down = TestArmNamingCheck.fresh_lift(11, 6)
+        assert self.raised(label_arms, raw._replace(e0_lift=None), down) == (
+            "cannot label arms without the rupture lift")
+
+    def test_rupture_has_three_arms(self, monkeypatch):
+        assert self.label_with_arms(monkeypatch, lambda found: found[:2]) == (
+            "e^0 has 2 arms, expected 3")
+
+    def test_arms_are_bamboos(self, monkeypatch):
+        rewrite = lambda found: [arm._replace(is_bamboo=False) for arm in found]  # noqa: E731
+        assert self.label_with_arms(monkeypatch, rewrite) == "an arm of e^0 is not a bamboo"
+
+    def test_an_arm_lies_over_one_component(self, monkeypatch):
+        def rewrite(found):
+            merged = sum((arm.vertices for arm in found), ())
+            return [found[0]._replace(vertices=merged), *found[1:]]
+
+        assert self.label_with_arms(monkeypatch, rewrite) == (
+            "one upstairs arm mixes downstairs arm components")
+
+    def test_arm_families_are_counted(self, monkeypatch):
+        labels = build_cover(11, 6).lift.graph.vertices
+
+        def rewrite(found):
+            m_arm = next(arm for arm in found if labels[arm.head].arm_label.startswith("m_arm"))
+            return [m_arm] * 3
+
+        assert self.label_with_arms(monkeypatch, rewrite) == "0 n_arm arms, expected 1"
+
+    def minimize_with(self, monkeypatch, rewrite):
+        # (3, 10): one curve blows down and e^0 survives.
+        lift = build_cover(3, 10).lift
+        blow_down = cover_module.blow_down_minimize
+        monkeypatch.setattr(cover_module, "blow_down_minimize",
+                            lambda g: rewrite(lift, *blow_down(g)))
+        return self.raised(minimize_and_label, lift)
+
+    def test_deck_restricts_to_the_minimal_graph(self, monkeypatch):
+        def rewrite(lift, g, removed):
+            # Keep every curve of the lift but one of a swapped pair.
+            v = next(v for v in lift.graph.ids if lift.deck[v] != v)
+            return lift.graph._replace(ids=tuple(u for u in lift.graph.ids if u != v)), [v]
+
+        assert self.minimize_with(monkeypatch, rewrite) == (
+            "deck transformation does not restrict to the minimal graph")
+
+    def test_minimal_rupture_keeps_three_bamboo_arms(self, monkeypatch):
+        # An arrow on every curve gives each inner curve of an arm a third
+        # meeting.
+        def rewrite(lift, g, removed):
+            assert removed and lift.e0_lift in g.ids
+            return g._replace(arrows=g.ids), removed
+
+        assert self.minimize_with(monkeypatch, rewrite) == (
+            "minimized rupture vertex lost its 3-bamboo-arm shape")
 
 
 class TestFrozenCache:

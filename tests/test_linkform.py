@@ -7,6 +7,7 @@ import pytest
 from tbcalc import (
     ContractedPoint,
     Decomposition,
+    InternalInvariantError,
     LinkingMatrix,
     MalformedDecomposition,
     NonPositiveM,
@@ -14,6 +15,7 @@ from tbcalc import (
     contraction_linking_matrix,
     linking_form_from_decomposition,
 )
+from tbcalc import linkform
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "y-x5y4.json"
 
@@ -46,6 +48,10 @@ class TestContractionMatrix:
     def test_rejects_unknown_kind(self):
         with pytest.raises(MalformedDecomposition):
             contraction_linking_matrix(2, "three_sided")
+
+    def test_rejects_a_float_m(self):
+        with pytest.raises(NonPositiveM, match=r"^m must be a positive rational, got 1\.5$"):
+            contraction_linking_matrix(1.5, "one_sided")
 
     def test_as_strings(self):
         lm = contraction_linking_matrix(2, "two_sided_nonorientable")
@@ -123,6 +129,36 @@ class TestDecomposition:
         with pytest.raises(MalformedDecomposition):
             Decomposition.from_json(doc)
 
+    def test_rejects_unknown_kind(self):
+        doc = fixture_doc()
+        doc["contracted_points"][0]["kind"] = "three_sided"
+        with pytest.raises(MalformedDecomposition, match=r"^point p1: unknown kind 'three_sided'$"):
+            Decomposition.from_json(doc)
+
+    def test_rejects_a_zero_incidence_count(self):
+        # p3's two circles stay on beta, so the total is still 2.
+        doc = fixture_doc()
+        doc["contracted_points"][2]["incidences"] = [["beta", 2], ["alpha", 0]]
+        with pytest.raises(MalformedDecomposition,
+                           match=r"^point p3: incidence count must be >= 1$"):
+            Decomposition.from_json(doc)
+
+    def test_asymmetric_assembly_is_an_internal_error(self, monkeypatch):
+        # p1 puts one circle on alpha and one on beta, so an asymmetric
+        # contraction matrix for it makes the assembled form asymmetric.
+        original = linkform.contraction_linking_matrix
+
+        def contraction(m, kind):
+            if m != 4:
+                return original(m, kind)
+            return linkform._LinkingEntries(((Fraction(-1), Fraction(0)),
+                                             (Fraction(1), Fraction(-1))))
+
+        monkeypatch.setattr(linkform, "contraction_linking_matrix", contraction)
+        d = Decomposition.from_json(fixture_doc())
+        with pytest.raises(InternalInvariantError, match=r"^linking form must be symmetric$"):
+            linking_form_from_decomposition(d)
+
     def test_rejects_bad_incidence_total(self):
         doc = fixture_doc()
         doc["contracted_points"][0]["incidences"] = [["alpha", 2], ["beta", 1]]
@@ -160,6 +196,24 @@ class TestDecomposition:
         doc = fixture_doc()
         doc["pieces"][1]["id"] = "alpha"
         with pytest.raises(MalformedDecomposition):
+            Decomposition.from_json(doc)
+
+    def test_rejects_duplicate_point_ids(self):
+        doc = fixture_doc()
+        doc["contracted_points"][1]["id"] = "p1"
+        with pytest.raises(MalformedDecomposition, match=r"^duplicate contracted point ids$"):
+            Decomposition.from_json(doc)
+
+    def test_rejects_a_document_that_is_not_an_object(self):
+        with pytest.raises(MalformedDecomposition,
+                           match=r"^decomposition document must be an object$"):
+            Decomposition.from_json([fixture_doc()])
+
+    def test_rejects_pieces_that_are_not_a_list(self):
+        doc = fixture_doc()
+        doc["pieces"] = {"alpha": doc["pieces"][0]}
+        with pytest.raises(MalformedDecomposition,
+                           match=r"^pieces and contracted_points must be lists$"):
             Decomposition.from_json(doc)
 
     def test_rejects_non_positive_m(self):

@@ -187,6 +187,17 @@ class TestEvaluationGraph:
             assert marked.sign == sign
             assert cd is getattr(cover, level).characteristic
 
+    def test_tb_is_tb_from_graph_of_its_evaluation_graph(self):
+        # One evaluation path: tb and tb_from_graph agree on every field of
+        # the record but the level, which names the caller-graph entry.
+        for m in range(2, 16):
+            for n in range(2, 60):
+                if gcd(m, n) != 1:
+                    continue
+                for sign in ("plus", "minus"):
+                    got = tb_from_graph(evaluation_graph(m, n, sign)[0])
+                    assert got == tb(m, n, sign)._replace(level="graph"), (m, n, sign)
+
 
 class TestImaginaryArms:
     def test_matches_per_vertex_arms(self):
@@ -549,21 +560,19 @@ class TestReadsByPosition:
         cases = []
         for m, n in [(11, 6), (3, 2), (6, 4789)]:
             for sign in ("plus", "minus"):
-                source, real, level = tb_module._evaluation_source(m, n, sign)
-                cases.append((source.graph, real, source.characteristic.w & real, level,
-                              tb(m, n, sign)))
+                marked, cd, level = evaluation_graph(m, n, sign)
+                cases.append((marked.graph, cd.w, level, tb(m, n, sign)))
         cg, w = star12_plus
         g = cg.graph
-        real = frozenset(v for v, flag in zip(g.ids, g.real) if flag)
-        imaginary = min(set(g.ids) - real)
-        cases.append((g.freeze(root=imaginary), real, w & real, "graph", tb_from_graph(cg)))
+        imaginary = min(v for v, flag in zip(g.ids, g.real) if not flag)
+        cases.append((g.freeze(root=imaginary), w, "graph", tb_from_graph(cg)))
 
         def no_lookup(g, v):
             raise AssertionError(f"pos({v}) called")
 
         monkeypatch.setattr(FrozenGraph, "pos", no_lookup)
-        for g, real, wr, level, want in cases:
-            assert tb_module._assemble(g, real, wr, want.sign, want.m, want.n, level) == want
+        for g, w, level, want in cases:
+            assert tb_module._assemble(g, w, want.sign, want.m, want.n, level) == want
 
     def test_no_vertex_record_is_built(self, monkeypatch):
         marked = mark_real_structure(build_cover(6, 4789).minimal, "plus")
