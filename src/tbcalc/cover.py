@@ -27,7 +27,7 @@ from operator import eq
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .charclass import CharacteristicData, canonical_coefficients
+from .charclass import CharacteristicData, blown_down_characteristic, canonical_coefficients
 from .errors import (
     BadOddNeighborCount,
     OddSelfIntOnBranch,
@@ -41,6 +41,7 @@ from .graph import (
     _column,
     _degrees,
     _neighbour_sums,
+    _numbered_by_position,
     arms,
     blow_down_minimize,
 )
@@ -73,8 +74,11 @@ class CoverGraph(_CoverFields):
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
-    A NamedTuple whose one extra attribute is the cached characteristic;
-    no attribute can be assigned, and graph is a FrozenGraph. The stages
+    A NamedTuple whose extra attributes are cached on first use (the
+    characteristic, and whether some curve meets its conjugate); no
+    attribute can be assigned, and graph is a FrozenGraph. Gamma(m,n) as
+    minimize_and_label returns it also keeps its lift, privately, to share
+    the lift's adjunction solve. The stages
     emit read-only cover graphs, with deck and downstairs (and conj, once
     marked) as columns (VertexMap). A caller may build one with dict maps
     for tb_from_graph, freezing a builder once before handing it over.
@@ -85,11 +89,22 @@ class CoverGraph(_CoverFields):
 
     @cached_property
     def characteristic(self) -> CharacteristicData:
-        """The adjunction solution, solved on first use and kept. Marking
+        """The adjunction solution, found on first use and kept. Marking
         writes the real column and conj, which the adjunction system does
-        not read, so both signs share the unmarked graph's solution. A
-        marked or otherwise replaced cover graph solves afresh."""
+        not read, so both signs share the unmarked graph's solution.
+        Gamma(m,n) takes the coefficients of its lift when the lift is
+        already solved (blown_down_characteristic), and solves otherwise.
+        A marked or otherwise replaced cover graph solves afresh."""
+        lift = vars(self).get("_lift")
+        if lift is not None and "characteristic" in vars(lift):
+            return blown_down_characteristic(self, lift)
         return canonical_coefficients(self)
+
+    @cached_property
+    def _meets_conjugate(self) -> bool:
+        """has_conj_adjacent_pair of this value, found on first use and
+        kept; a replaced cover graph finds it afresh."""
+        return has_conj_adjacent_pair(self)
 
 
 class CoverData(NamedTuple):
@@ -198,10 +213,9 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
                       deck=VertexMap(up, deck), downstairs=VertexMap(up, downstairs))
 
 
-def _downstairs_component_labels(
-    gp: FrozenGraph, rupture: int, m: int, n: int
-) -> dict[int, Optional[str]]:
-    """Map each non-rupture vertex of Gamma'_f to its arm family.
+def _downstairs_families(gp: FrozenGraph, r: int, m: int, n: int) -> list[Optional[str]]:
+    """The arm family of each position of Gamma'_f, None at the rupture
+    position r.
 
     The component of Gamma'_f minus e_0 whose terminal curve has
     multiplicity m underlies the (n)-arms upstairs; multiplicity n
@@ -209,18 +223,14 @@ def _downstairs_component_labels(
     intersection, present exactly when m and n are both odd) stays
     unlabeled. Each component is read once, by _arm_positions.
     """
-    ids, mult, degree = gp.ids, gp.mult, _degrees(gp)
-    labels: dict[int, Optional[str]] = {}
-    for component in _arm_positions(gp, gp.pos(rupture)):
+    mult, degree = gp.mult, _degrees(gp)
+    families: list[Optional[str]] = [None] * len(mult)
+    for component in _arm_positions(gp, r):
         terminal_mults = {mult[p] for p in component if degree[p] == 1}
-        if m in terminal_mults:
-            family: Optional[str] = "n_arm"
-        elif n in terminal_mults:
-            family = "m_arm"
-        else:
-            family = None
-        labels.update(dict.fromkeys(map(ids.__getitem__, component), family))
-    return labels
+        family = "n_arm" if m in terminal_mults else "m_arm" if n in terminal_mults else None
+        for p in component:
+            families[p] = family
+    return families
 
 
 def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
@@ -230,31 +240,37 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
 
     There are gcd(m,2) arms over the (n)-arm component, gcd(n,2) over the
     (m)-arm component, and e^0 has exactly 3 arms, each a bamboo. With one
-    even exponent the deck-fixed curves (real_locus of conj_plus) must be
-    the rupture curve and the arm named after the even exponent.
+    even exponent the deck-fixed curves (the real column of conj_plus) must
+    be the rupture curve and the arm named after the even exponent.
+    The pipeline numbers the curves of gp and of its lift 0 .. V-1, so an
+    id is its position: the families, the labels and the curves named real
+    are kept as lists by position, over the one read of e^0's arms.
     """
     g, m, n = cg.graph, cg.m, cg.n
     e0 = cg.e0_lift
     if e0 is None:
         raise StructureMismatch("cannot label arms without the rupture lift")
+    if not (_numbered_by_position(g) and _numbered_by_position(gp)):
+        raise StructureMismatch("label_arms needs graphs whose ids are their positions")
     below = _column(g, cg.downstairs)
-    family_of_down = _downstairs_component_labels(gp, below[g.pos(e0)], m, n)
-    family_of = dict(zip(g.ids, map(family_of_down.get, below)))
+    family_below = _downstairs_families(gp, below[e0], m, n)
 
-    labels = {e0: RUPTURE_LABEL}
-    expected = {"n_arm": math.gcd(m, 2), "m_arm": math.gcd(n, 2)}
     e0_arms = arms(g, e0)
     if len(e0_arms) != 3:
         raise StructureMismatch(
             f"e^0 has {len(e0_arms)} arms, expected 3"
         )
+    labels = list(g.arm_label)
+    labels[e0] = RUPTURE_LABEL
+    named_real = [False] * len(labels)
+    named_real[e0] = True
+    expected = {"n_arm": math.gcd(m, 2), "m_arm": math.gcd(n, 2)}
     counts = {"n_arm": 0, "m_arm": 0, None: 0}
-    named_real = {e0}
     even_family = "m_arm" if m % 2 == 0 else "n_arm"
     for arm in e0_arms:
         if not arm.is_bamboo:
             raise StructureMismatch("an arm of e^0 is not a bamboo")
-        families = set(map(family_of.__getitem__, arm.vertices))
+        families = set(map(family_below.__getitem__, map(below.__getitem__, arm.vertices)))
         if len(families) != 1:
             raise StructureMismatch(
                 "one upstairs arm mixes downstairs arm components"
@@ -264,9 +280,12 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
         counts[family] += 1
         if family is None:
             continue
+        label = f"{family}({index})"
+        for p in arm.vertices:
+            labels[p] = label
         if family == even_family:
-            named_real.update(arm.vertices)
-        labels.update(dict.fromkeys(arm.vertices, f"{family}({index})"))
+            for p in arm.vertices:
+                named_real[p] = True
     # With 3 arms these counts leave 3 - gcd(m,2) - gcd(n,2) branch-side
     # arms: one when m and n are both odd, else none.
     for family, want in expected.items():
@@ -274,12 +293,11 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
             raise StructureMismatch(
                 f"{counts[family]} {family} arms, expected {want}"
             )
-    if (m + n) % 2 and named_real != real_locus(cg, SIGN_PLUS):
+    if (m + n) % 2 and tuple(named_real) != _real_column(cg, SIGN_PLUS):
         raise StructureMismatch(
             "real locus by arm naming disagrees with the deck-fixed locus"
         )
-    column = tuple(map(labels.get, g.ids, g.arm_label))
-    return cg._replace(graph=g._replace(arm_label=column))
+    return cg._replace(graph=g._replace(arm_label=tuple(labels)))
 
 
 def minimize_and_label(cg: CoverGraph) -> CoverGraph:
@@ -291,6 +309,7 @@ def minimize_and_label(cg: CoverGraph) -> CoverGraph:
     exponent pairs) e0_lift becomes None. When nothing blows down, cg
     itself is returned; otherwise the minimal graph, walked from e0_lift
     when it survives, with the survivors' deck and downstairs as columns.
+    It keeps cg, privately, so that its characteristic reuses cg's solve.
     """
     g, removed = blow_down_minimize(cg.graph)
     if not removed:
@@ -315,8 +334,10 @@ def minimize_and_label(cg: CoverGraph) -> CoverGraph:
             raise StructureMismatch(
                 "minimized rupture vertex lost its 3-bamboo-arm shape"
             )
-    return cg._replace(graph=g, e0_lift=e0, deck=VertexMap(g, deck),
-                       downstairs=VertexMap(g, below))
+    minimal = cg._replace(graph=g, e0_lift=e0, deck=VertexMap(g, deck),
+                          downstairs=VertexMap(g, below))
+    vars(minimal)["_lift"] = cg
+    return minimal
 
 
 def _real_column(cg: CoverGraph, sign: str) -> tuple[bool, ...]:
@@ -337,12 +358,16 @@ def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
     return frozenset(compress(cg.graph.ids, _real_column(cg, sign)))
 
 
-def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
+def mark_real_structure(
+    cg: CoverGraph, sign: str, real: Optional[tuple[bool, ...]] = None
+) -> CoverGraph:
     """cg marked with the real structure of the given sign, as a new frozen
     value: the real column, and conj as the deck column when some curve is
     imaginary (the real curves are then the deck-fixed ones), else the
-    identity. cg is left as it is."""
-    real = _real_column(cg, sign)
+    identity. real, when given, is _real_column(cg, sign) already read.
+    cg is left as it is."""
+    if real is None:
+        real = _real_column(cg, sign)
     g = cg.graph
     marked = g._replace(real=real)
     conj = VertexMap(marked, g.ids if all(real) else _column(g, cg.deck))

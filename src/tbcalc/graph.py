@@ -376,6 +376,11 @@ def _column(g: FrozenGraph, values: Mapping) -> Sequence:
     return tuple(map(values.get, g.ids))
 
 
+def _numbered_by_position(g: FrozenGraph) -> bool:
+    """Whether the ids of g are 0 .. V-1, so that each id is its position."""
+    return g.ids[:1] == (0,) and g.ids[-1] == len(g.ids) - 1
+
+
 def _breadth_first(
     adj: tuple[int, ...], start: tuple[int, ...], first: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -472,7 +477,18 @@ def _degrees(g: FrozenGraph) -> list[int]:
 
 
 def _neighbour_sums(g: FrozenGraph, values: Sequence) -> list:
-    """For each position p, the sum of values over the neighbours of p."""
+    """For each position p, the sum of values over the neighbours of p. On
+    a tree every edge joins a position to its parent in the stored walk, so
+    one pass over the walk adds across each edge; otherwise prefix sums run
+    over the neighbour lists."""
+    parent = g.parent
+    if len(g.adj) == 2 * len(parent) - 2 and parent.count(-1) == 1:
+        sums = [0] * len(parent)
+        for c in islice(g.order, 1, None):
+            p = parent[c]
+            sums[p] += values[c]
+            sums[c] += values[p]
+        return sums
     through = list(accumulate(map(values.__getitem__, g.adj), initial=0))
     ends = list(map(through.__getitem__, g.adj_start))
     return list(map(sub, islice(ends, 1, None), ends))

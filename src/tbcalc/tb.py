@@ -33,7 +33,6 @@ from .cover import (
     CoverGraph,
     _real_column,
     build_cover,
-    has_conj_adjacent_pair,
     mark_real_structure,
 )
 from .errors import (
@@ -80,14 +79,18 @@ def evaluation_graph(
     """The graph tb(m, n, sign) is evaluated on, marked (a new frozen value),
     its characteristic data (the unmarked graph's, shared by both signs)
     and its level: "minimal", or "lift" when the plus structure has
-    imaginary curves and some curve of Gamma(m,n) meets its conjugate."""
+    imaginary curves and some curve of Gamma(m,n) meets its conjugate.
+    Whether one does is found once per cached Gamma(m,n), and the real
+    column is read once and handed to the marking."""
     if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     cover = build_cover(m, n)
     source, level = cover.minimal, EVAL_MINIMAL
-    if not all(_real_column(source, sign)) and has_conj_adjacent_pair(source):
+    real = _real_column(source, sign)
+    if not all(real) and source._meets_conjugate:
         source, level = cover.lift, EVAL_LIFT
-    return mark_real_structure(source, sign), source.characteristic, level
+        real = _real_column(source, sign)
+    return mark_real_structure(source, sign, real), source.characteristic, level
 
 
 def _assemble(

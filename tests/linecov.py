@@ -32,21 +32,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tbcalc"
 
 # (module, function, message) -> why tier-1 leaves the site unrun.
-_CHECK = "a post-condition of build_gamma_f; firing it needs a patched cascade"
 _INPUT = "an input check that no tier-1 test feeds yet"
 ALLOWED: dict[tuple[str, str, str], str] = {
-    ("embedres", "_cascade", "StructureMismatch: the cascade lost the edge through its center"):
-        _CHECK,
-    ("embedres", "_check_gamma_f", "StructureMismatch: Gamma_f({},{}) has {} vertices, "
-     "expected sum of Euclid quotients {}"): _CHECK,
-    ("embedres", "_check_gamma_f", "StructureMismatch: the arrow must sit on the rupture vertex"):
-        _CHECK,
-    ("embedres", "_check_gamma_f", "StructureMismatch: rupture multiplicity {} != m*n = {}"):
-        _CHECK,
-    ("embedres", "_check_gamma_f",
-     "StructureMismatch: rupture vertex of Gamma_f must have 2 neighbors"): _CHECK,
-    ("embedres", "_check_gamma_f", "StructureMismatch: terminal multiplicities {} != {m, n}"):
-        _CHECK,
     ("embedres", "multiplicities", "NonIntegralMultiplicity: multiplicity of vertex {} is {}, "
      "not an integer; the graph is not a branch resolution graph"):
         "needs a graph whose balance law has no integral solution",

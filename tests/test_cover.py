@@ -10,6 +10,7 @@ from tbcalc import (
     CoverGraph,
     DecoratedGraph,
     FrozenGraph,
+    InternalInvariantError,
     VertexData,
     OddSelfIntOnBranch,
     StructureMismatch,
@@ -25,6 +26,7 @@ from tbcalc import (
     real_locus,
     tb,
 )
+from tbcalc import charclass
 from tbcalc import cover as cover_module
 from conftest import build_star12_graph, lifts_of, neighbours
 from oracles import canonical_form
@@ -407,6 +409,14 @@ class TestSelfChecks:
         assert self.raised(label_arms, raw._replace(e0_lift=None), down) == (
             "cannot label arms without the rupture lift")
 
+    def test_labelling_reads_ids_as_positions(self):
+        raw, down = TestArmNamingCheck.fresh_lift(11, 6)
+        moved = raw._replace(graph=raw.graph._replace(ids=tuple(v + 1 for v in raw.graph.ids)))
+        gapped = down._replace(ids=(*down.ids[:-1], down.ids[-1] + 1))
+        for cg, gp in ((moved, down), (raw, gapped)):
+            assert self.raised(label_arms, cg, gp) == (
+                "label_arms needs graphs whose ids are their positions")
+
     def test_rupture_has_three_arms(self, monkeypatch):
         assert self.label_with_arms(monkeypatch, lambda found: found[:2]) == (
             "e^0 has 2 arms, expected 3")
@@ -641,3 +651,70 @@ class TestLiftCanonicalClass:
                 minimal = cover.minimal
                 assert dict(minimal.characteristic.a.items()) == {
                     v: a[v] for v in minimal.graph.ids}, (m, n)
+
+    def test_blown_down_graph_takes_the_solved_lift_coefficients(self, monkeypatch):
+        # A Gamma(m,n) linked to a solved lift makes no solve, and its
+        # characteristic data is what a fresh solve of Gamma(m,n) gives.
+        solves = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            solves.append(len(g.ids))
+            return inner(g, rhs)
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        for m in range(2, 31):
+            for n in range(2, 201):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                if cover.minimal is cover.lift:
+                    continue
+                cover.lift.characteristic
+                minimal = minimize_and_label(cover.lift)
+                solves.clear()
+                inherited = minimal.characteristic
+                assert solves == [], (m, n)
+                assert inherited == canonical_coefficients(cover.minimal), (m, n)
+
+    @staticmethod
+    def planted(rewrite):
+        """Gamma(3, 10) read off a copy of its lift whose characteristic
+        data is rewrite(the solved data)."""
+        lift = build_cover(3, 10).lift
+        copy = lift._replace()
+        vars(copy)["characteristic"] = rewrite(lift.characteristic)
+        return minimize_and_label(copy)
+
+    def test_a_wrong_lift_coefficient_is_caught(self):
+        # An even change at e^0, which survives, keeps W, so only the
+        # re-multiplication sees it.
+        lift = build_cover(3, 10).lift
+
+        def rewrite(cd):
+            a = dict(cd.a.items())
+            a[lift.e0_lift] += 2
+            return cd._replace(a=VertexMap(lift.graph, a.values()))
+
+        with pytest.raises(InternalInvariantError, match=r"fail Q a = n \+ 2"):
+            self.planted(rewrite).characteristic
+
+    def test_a_wrong_lift_determinant_is_caught(self):
+        with pytest.raises(InternalInvariantError, match="after 1 blow-downs"):
+            self.planted(lambda cd: cd._replace(det=cd.det + 2)).characteristic
+
+    def test_the_solved_graph_is_numbered_by_position(self):
+        cover = build_cover(3, 10)
+        lift = cover.lift
+        moved = lift._replace(graph=lift.graph._replace(ids=tuple(v + 1 for v in lift.graph.ids)))
+        vars(moved)["characteristic"] = lift.characteristic
+        with pytest.raises(InternalInvariantError, match="ids as its positions"):
+            charclass.blown_down_characteristic(cover.minimal, moved)
+
+    def test_a_replaced_minimal_graph_solves_afresh(self):
+        cover = build_cover(3, 10)
+        cover.lift.characteristic
+        assert "_lift" in vars(cover.minimal)
+        for value in (cover.minimal._replace(), mark_real_structure(cover.minimal, "plus")):
+            assert "_lift" not in vars(value)
+            assert value.characteristic == canonical_coefficients(cover.minimal)

@@ -283,3 +283,61 @@ class TestLongChains:
         monkeypatch.setattr(embedres, "_cascade", off_by_one)
         with pytest.raises(StructureMismatch, match="rupture c1 coefficient"):
             build_gamma_f(m, n)
+
+
+class TestGammaFChecks:
+    """Each post-condition of the cascade raises StructureMismatch, so it
+    holds under python -O too. (5, 8) cascades to the curves 0..4: the
+    terminals 0 and 1 (multiplicities 5 and 8), then 2 and 3, and e_0 = 4,
+    which meets 2 and 3."""
+
+    @staticmethod
+    def raised(call, *args):
+        with pytest.raises(StructureMismatch) as info:
+            call(*args)
+        return str(info.value)
+
+    def build_with(self, monkeypatch, rewrite):
+        cascade = embedres._cascade
+
+        def patched(m, n):
+            self_int, mult, c1, edges = cascade(m, n)
+            rewrite(mult, edges)
+            return self_int, mult, c1, edges
+
+        monkeypatch.setattr(embedres, "_cascade", patched)
+        return self.raised(build_gamma_f, 5, 8)
+
+    def test_rupture_multiplicity(self, monkeypatch):
+        assert self.build_with(monkeypatch, lambda mult, edges: mult.__setitem__(4, 41)) == (
+            "rupture multiplicity 41 != m*n = 40")
+
+    def test_rupture_degree(self, monkeypatch):
+        assert self.build_with(monkeypatch, lambda mult, edges: edges.append((0, 4))) == (
+            "rupture vertex of Gamma_f must have 2 neighbors")
+
+    def test_terminal_multiplicities(self, monkeypatch):
+        assert self.build_with(monkeypatch, lambda mult, edges: mult.__setitem__(0, 6)) == (
+            "terminal multiplicities [6, 8] != {m, n}")
+
+    # build_gamma_f sets the vertex count and the arrow from the cascade's
+    # own length, so these two checks are handed a crafted Gamma_f.
+    def test_vertex_count(self):
+        g, _rupture = build_gamma_f(5, 8)
+        data = euclid_data(5, 8)
+        assert self.raised(embedres._check_gamma_f, g,
+                           data._replace(quotients=(*data.quotients, 1))) == (
+            "Gamma_f(5,8) has 5 vertices, expected sum of Euclid quotients 6")
+
+    def test_arrow_on_the_rupture_vertex(self):
+        g, _rupture = build_gamma_f(5, 8)
+        assert self.raised(embedres._check_gamma_f, g._replace(arrows=(0,)),
+                           euclid_data(5, 8)) == "the arrow must sit on the rupture vertex"
+
+    def test_edge_through_the_center(self, monkeypatch):
+        # The check compares the edge a run pops with the sorted pair of the
+        # curves through the center, inside _cascade; a max that returns its
+        # first argument misnames that pair.
+        monkeypatch.setattr(embedres, "max", lambda a, b: a, raising=False)
+        assert self.raised(embedres._cascade, 5, 8) == (
+            "the cascade lost the edge through its center")

@@ -36,6 +36,7 @@ from tbcalc import (
     verify_identities,
 )
 from tbcalc import charclass
+from tbcalc import cover as cover_module
 from conftest import make_chain, make_star, make_zero_arm
 
 
@@ -132,11 +133,10 @@ class TestTbValues:
 
 
 class TestEvaluationGraph:
-    @pytest.mark.parametrize("m,n,solved", [(11, 6, ("minimal",)),
-                                            (3, 2, ("lift", "minimal"))])
-    def test_one_adjunction_solve_per_graph(self, monkeypatch, m, n, solved):
-        # Both signs, and repeated calls, share the solve of each graph
-        # they evaluate on; (3, 2) plus falls back to the lift.
+    @staticmethod
+    def solved_sizes(monkeypatch, m, n, signs):
+        """The vertex counts of the graphs a cold tb(m, n, sign) over signs
+        solves, in order."""
         sizes = []
         inner = charclass.solve_intersection_system
 
@@ -146,11 +146,47 @@ class TestEvaluationGraph:
 
         monkeypatch.setattr(charclass, "solve_intersection_system", counting)
         build_cover.cache_clear()
-        for sign in ("plus", "minus", "minus"):
+        for sign in signs:
             tb(m, n, sign)
+        return sizes
+
+    @pytest.mark.parametrize("m,n,solved", [(11, 6, ("minimal",)),
+                                            (3, 2, ("lift",)),
+                                            (2, 1599, ("lift",))])
+    def test_one_adjunction_solve_per_graph(self, monkeypatch, m, n, solved):
+        # Both signs, and repeated calls, share one solve. Where plus falls
+        # back to the lift, (3, 2) and (2, 1599), Gamma(m,n) then takes the
+        # solved lift's coefficients instead of solving.
+        sizes = self.solved_sizes(monkeypatch, m, n, ("plus", "minus", "minus"))
         cover = build_cover(m, n)
         assert sizes == [len(getattr(cover, level).graph.vertices)
                          for level in solved]
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (2, 1599)])
+    def test_minus_first_solves_both_graphs(self, monkeypatch, m, n):
+        # Gamma(m,n) read first has no solved lift to take from, and the
+        # lift does not take from the graph it blows down to.
+        sizes = self.solved_sizes(monkeypatch, m, n, ("minus", "plus", "plus"))
+        cover = build_cover(m, n)
+        assert sizes == [len(cover.minimal.graph.vertices), len(cover.lift.graph.vertices)]
+
+    def test_conj_adjacency_is_found_once_per_cover(self, monkeypatch):
+        # Warm plus calls reuse what the first found on the cached Gamma(m,n).
+        calls = []
+        inner = cover_module.has_conj_adjacent_pair
+
+        def counting(cg):
+            calls.append(cg)
+            return inner(cg)
+
+        monkeypatch.setattr(cover_module, "has_conj_adjacent_pair", counting)
+        build_cover.cache_clear()
+        for _ in range(3):
+            assert tb(2, 1599, "plus").level == "lift"
+        minimal = build_cover(2, 1599).minimal
+        assert len(calls) == 1 and calls[0] is minimal
+        assert minimal._meets_conjugate
+        assert "_meets_conjugate" not in vars(minimal._replace())
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
         # A cold build_cover makes no copy, neither where odd-odd separation
