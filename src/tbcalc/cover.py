@@ -358,16 +358,12 @@ def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
     return frozenset(compress(cg.graph.ids, _real_column(cg, sign)))
 
 
-def mark_real_structure(
-    cg: CoverGraph, sign: str, real: Optional[tuple[bool, ...]] = None
-) -> CoverGraph:
+def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
     """cg marked with the real structure of the given sign, as a new frozen
     value: the real column, and conj as the deck column when some curve is
     imaginary (the real curves are then the deck-fixed ones), else the
-    identity. real, when given, is _real_column(cg, sign) already read.
-    cg is left as it is."""
-    if real is None:
-        real = _real_column(cg, sign)
+    identity. cg is left as it is."""
+    real = _real_column(cg, sign)
     g = cg.graph
     marked = g._replace(real=real)
     conj = VertexMap(marked, g.ids if all(real) else _column(g, cg.deck))

@@ -477,18 +477,7 @@ def _degrees(g: FrozenGraph) -> list[int]:
 
 
 def _neighbour_sums(g: FrozenGraph, values: Sequence) -> list:
-    """For each position p, the sum of values over the neighbours of p. On
-    a tree every edge joins a position to its parent in the stored walk, so
-    one pass over the walk adds across each edge; otherwise prefix sums run
-    over the neighbour lists."""
-    parent = g.parent
-    if len(g.adj) == 2 * len(parent) - 2 and parent.count(-1) == 1:
-        sums = [0] * len(parent)
-        for c in islice(g.order, 1, None):
-            p = parent[c]
-            sums[p] += values[c]
-            sums[c] += values[p]
-        return sums
+    """For each position p, the sum of values over the neighbours of p."""
     through = list(accumulate(map(values.__getitem__, g.adj), initial=0))
     ends = list(map(through.__getitem__, g.adj_start))
     return list(map(sub, islice(ends, 1, None), ends))

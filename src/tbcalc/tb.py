@@ -80,17 +80,14 @@ def evaluation_graph(
     its characteristic data (the unmarked graph's, shared by both signs)
     and its level: "minimal", or "lift" when the plus structure has
     imaginary curves and some curve of Gamma(m,n) meets its conjugate.
-    Whether one does is found once per cached Gamma(m,n), and the real
-    column is read once and handed to the marking."""
+    Whether one does is found once per cached Gamma(m,n)."""
     if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     cover = build_cover(m, n)
     source, level = cover.minimal, EVAL_MINIMAL
-    real = _real_column(source, sign)
-    if not all(real) and source._meets_conjugate:
+    if not all(_real_column(source, sign)) and source._meets_conjugate:
         source, level = cover.lift, EVAL_LIFT
-        real = _real_column(source, sign)
-    return mark_real_structure(source, sign, real), source.characteristic, level
+    return mark_real_structure(source, sign), source.characteristic, level
 
 
 def _assemble(
