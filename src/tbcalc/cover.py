@@ -47,7 +47,6 @@ from .graph import (
 )
 
 _NO_CONJ: Mapping[int, int] = MappingProxyType({})
-_NOBODY = object()  # the parent of a root
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"
 RUPTURE_LABEL = "rupture"
@@ -74,14 +73,17 @@ class CoverGraph(_CoverFields):
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
-    A NamedTuple whose extra attributes are cached on first use (the
-    characteristic, and whether some curve meets its conjugate); no
+    A NamedTuple whose characteristic is cached on first use; no
     attribute can be assigned, and graph is a FrozenGraph. Gamma(m,n) as
     minimize_and_label returns it also keeps its lift, privately, to share
-    the lift's adjunction solve. The stages
-    emit read-only cover graphs, with deck and downstairs (and conj, once
-    marked) as columns (VertexMap). A caller may build one with dict maps
-    for tb_from_graph, freezing a builder once before handing it over.
+    the lift's adjunction solve. No curve of a lift meets its conjugate,
+    and neither does one of Gamma(m,n) while e0_lift survives: e^0 is the
+    real centre of three bamboo arms, and deck swaps the two arms it does
+    not fix as wholes. So e0_lift and the sign decide whether tb falls
+    back to the lift. The stages emit read-only cover graphs, with deck
+    and downstairs (and conj, once marked) as columns (VertexMap). A
+    caller may build one with dict maps for tb_from_graph, freezing a
+    builder once before handing it over.
     """
 
     def __setattr__(self, name: str, value) -> None:
@@ -99,12 +101,6 @@ class CoverGraph(_CoverFields):
         if lift is not None and "characteristic" in vars(lift):
             return blown_down_characteristic(self, lift)
         return canonical_coefficients(self)
-
-    @cached_property
-    def _meets_conjugate(self) -> bool:
-        """has_conj_adjacent_pair of this value, found on first use and
-        kept; a replaced cover graph finds it afresh."""
-        return has_conj_adjacent_pair(self)
 
 
 class CoverData(NamedTuple):
@@ -368,22 +364,6 @@ def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
     marked = g._replace(real=real)
     conj = VertexMap(marked, g.ids if all(real) else _column(g, cg.deck))
     return cg._replace(graph=marked, conj=conj, sign=sign)
-
-
-def has_conj_adjacent_pair(cg: CoverGraph) -> bool:
-    """True when some curve meets its own conjugate.
-
-    In that configuration the intersection point count of conjugate pairs
-    on the graph no longer matches the geometric count used by the weight
-    bookkeeping, so callers evaluate on the unminimized lift instead.
-    cg.graph is a tree, so every edge joins a vertex to its parent in the
-    stored walk, and conj (or deck, unmarked) is read as a column.
-    """
-    g = cg.graph
-    conj = _column(g, cg.conj or cg.deck)
-    above = (*g.ids, _NOBODY).__getitem__
-    return (any(map(eq, conj, map(above, g.parent)))
-            or any(map(eq, map((*conj, _NOBODY).__getitem__, g.parent), g.ids)))
 
 
 @lru_cache(maxsize=1024, typed=True)

@@ -249,11 +249,12 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
     branch (arrow, multiplicity 1) the new curve has multiplicity m_u + 1
     and the arrow moves onto it. Either way both incident self-intersections
     drop by 1 and the inserted curve starts at -1. Inserted multiplicities
-    are even, so one sweep leaves no odd-odd incidence; a post-condition
-    checks that. The inserted curves take the next ids at new positions,
-    and each appends its c1 to g's column, -1 plus the entries of the
-    curves through its center, so g's entries are shared. With nothing to
-    separate, g itself is returned.
+    are even and each odd host's arrow moves to its insert, so one sweep
+    leaves no odd-odd incidence; check_mini certifies the result. The
+    inserted curves take the next ids at new positions, and each appends
+    its c1 to g's column, -1 plus the entries of the curves through its
+    center, so g's entries are shared. With nothing to separate, g itself
+    is returned.
     """
     if None in g.mult:
         raise StructureMismatch(f"vertex {g.ids[g.mult.index(None)]} has no multiplicity")
@@ -285,7 +286,5 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
         arm_label=g.arm_label + (None,) * added, real=g.real + (None,) * added,
         arrows=arrows, next_id=g.next_id + added,
     )
-    if _odd_odd_edges(out) or _odd_arrow_hosts(out):
-        raise StructureMismatch("an odd-odd incidence survived separation")
     check_mini(out)
     return out

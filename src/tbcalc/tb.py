@@ -10,13 +10,13 @@ fully imaginary arms. tb and tb_from_graph share one assembly over a
 marked graph, evaluation_graph's or the caller's. The sum runs in
 integers, over the lcm of the n' denominators, and builds one Fraction.
 
-The evaluation normally runs on the minimal graph Gamma(m,n). For the plus
-structure on very small exponent pairs, minimization can contract the
-chain between a conjugate pair of curves until the pair meets; on such
-graphs the arm bookkeeping under the real structure no longer reflects the
-geometry, so the evaluation falls back to the unminimized lift, where
-conjugate curves are never adjacent. The minus structure fixes every
-curve and never needs the fallback.
+The evaluation runs on Gamma(m,n) unless the plus structure has imaginary
+curves and the rupture curve e^0 has blown down; then it runs on the lift,
+where conjugate curves never meet. A surviving e^0 is the real centre of
+three bamboo arms and conj swaps the two imaginary arms as wholes, so no
+curve meets its conjugate across it; once e^0 blows down (some pairs with
+an exponent 2), a conjugate pair can meet, and the arm bookkeeping under
+the real structure no longer reflects the geometry.
 """
 
 from __future__ import annotations
@@ -78,14 +78,16 @@ def evaluation_graph(
 ) -> tuple[CoverGraph, CharacteristicData, str]:
     """The graph tb(m, n, sign) is evaluated on, marked (a new frozen value),
     its characteristic data (the unmarked graph's, shared by both signs)
-    and its level: "minimal", or "lift" when the plus structure has
-    imaginary curves and some curve of Gamma(m,n) meets its conjugate.
-    Whether one does is found once per cached Gamma(m,n)."""
+    and its level: "minimal", or "lift" when e^0 has blown down and the
+    sign's real column marks some curve imaginary. Only then can a curve
+    of Gamma(m,n) meet its conjugate: e^0 separates the two conjugate arms
+    while it survives."""
     if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     cover = build_cover(m, n)
     source, level = cover.minimal, EVAL_MINIMAL
-    if not all(_real_column(source, sign)) and source._meets_conjugate:
+    # A surviving e^0 keeps every curve off its conjugate.
+    if source.e0_lift is None and not all(_real_column(source, sign)):
         source, level = cover.lift, EVAL_LIFT
     return mark_real_structure(source, sign), source.characteristic, level
 

@@ -32,24 +32,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tbcalc"
 
 # (module, function, message) -> why tier-1 leaves the site unrun.
-_INPUT = "an input check that no tier-1 test feeds yet"
 ALLOWED: dict[tuple[str, str, str], str] = {
-    ("embedres", "multiplicities", "NonIntegralMultiplicity: multiplicity of vertex {} is {}, "
-     "not an integer; the graph is not a branch resolution graph"):
-        "needs a graph whose balance law has no integral solution",
-    ("embedres", "separate_odd_odd", "StructureMismatch: an odd-odd incidence survived separation"):
-        "a post-condition of separation; firing it needs a patched separation step",
-    ("graph", "DecoratedGraph.add_edge", "ValueError: edge endpoint is not a vertex"): _INPUT,
-    ("graph", "DecoratedGraph.add_vertex", "ValueError: vertex id {} already in use"): _INPUT,
-    ("graph", "FrozenGraph.validate", "InvalidDocument: arrow attached to unknown vertex {}"):
-        _INPUT,
-    ("graph", "FrozenGraph.validate", "InvalidDocument: graph is not connected"):
-        "a tree's edge count is checked first; needs a cycle plus a separate vertex",
-    ("numeric", "parse_rational", "ValueError: zero denominator: {}"): _INPUT,
-    ("numeric", "solve_gf2", "ValueError: solve_gf2 needs a square system"): _INPUT,
     ("numeric", "solve_rational", "InternalInvariantError: solver self-check failed in row {}"):
         "exact elimination satisfies its own system; firing it needs a patched solve",
-    ("numeric", "solve_rational", "ValueError: solve_rational needs a square system"): _INPUT,
 }
 
 

@@ -6,7 +6,8 @@ canonical_form encodes a decorated tree up to relabelling its ids;
 is_negative_definite and det_exact are dense exact routines on an integer
 matrix such as intersection_matrix returns; restrict_to_real gives W_R on a
 marked graph; stepwise_gamma_f runs the blow-up cascade of Gamma_f one
-curve at a time.
+curve at a time; meets_its_conjugate looks for an edge between a curve
+and its conjugate.
 """
 
 from __future__ import annotations
@@ -123,6 +124,13 @@ def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
             "mark the real structure first"
         )
     return cd.w & frozenset(compress(g.ids, g.real))
+
+
+def meets_its_conjugate(cg) -> bool:
+    """Whether some edge of cg.graph joins a curve to its image under conj,
+    or under deck while cg is unmarked, read edge by edge from dicts."""
+    conj = dict((cg.conj or cg.deck).items())
+    return any(conj.get(u) == v or conj.get(v) == u for u, v in cg.graph.edges())
 
 
 def stepwise_gamma_f(m: int, n: int):

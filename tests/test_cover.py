@@ -17,7 +17,6 @@ from tbcalc import (
     build_cover,
     VertexMap,
     canonical_coefficients,
-    has_conj_adjacent_pair,
     arms,
     label_arms,
     lift_double_cover,
@@ -29,7 +28,7 @@ from tbcalc import (
 from tbcalc import charclass
 from tbcalc import cover as cover_module
 from conftest import build_star12_graph, lifts_of, neighbours
-from oracles import canonical_form
+from oracles import canonical_form, meets_its_conjugate
 
 
 def star_shape(cg):
@@ -247,16 +246,54 @@ class TestConjAdjacentFallback:
     def test_degenerate_small_pairs(self):
         # on (3,2) plus, minimization brings a conjugate pair together
         marked = mark_real_structure(build_cover(3, 2).minimal, "plus")
-        assert has_conj_adjacent_pair(marked)
+        assert meets_its_conjugate(marked)
 
     def test_generic_pairs_are_clean(self):
         marked = mark_real_structure(build_cover(11, 6).minimal, "plus")
-        assert not has_conj_adjacent_pair(marked)
+        assert not meets_its_conjugate(marked)
 
     def test_lift_never_degenerate(self):
         for m, n in [(3, 2), (2, 7), (5, 2)]:
             marked = mark_real_structure(build_cover(m, n).lift, "plus")
-            assert not has_conj_adjacent_pair(marked)
+            assert not meets_its_conjugate(marked)
+
+    GRID = [(m, n) for m in range(2, 31) for n in range(2, 201) if math.gcd(m, n) == 1]
+
+    def test_lift_level_exactly_where_a_curve_meets_its_conjugate(self):
+        # tb decides the fallback by e0_lift and the sign; the oracle looks
+        # at every edge of Gamma(m,n) and of the lift.
+        lifts = 0
+        for m, n in self.GRID:
+            cover = build_cover(m, n)
+            meets = meets_its_conjugate(cover.minimal)
+            assert not meets_its_conjugate(cover.lift), (m, n)
+            for sign in ("plus", "minus"):
+                level = tb(m, n, sign).level
+                assert (level == "lift") == (sign == "plus" and meets), (m, n, sign)
+                lifts += level == "lift"
+        assert lifts == 113
+
+    def test_deck_swaps_the_two_moving_arms_of_e0(self):
+        # The premise of the rule: with one even exponent, deck maps each arm
+        # of e^0 that it does not fix onto the other, curve by curve from the
+        # head, on the lift and on Gamma(m,n) while e^0 survives.
+        graphs = 0
+        for m, n in self.GRID:
+            if m % 2 and n % 2:
+                continue
+            cover = build_cover(m, n)
+            for cg in (cover.lift, cover.minimal):
+                if cg.e0_lift is None:
+                    continue
+                deck = dict(cg.deck.items())
+                moving = [arm.vertices for arm in arms(cg.graph, cg.e0_lift)
+                          if any(deck[v] != v for v in arm.vertices)]
+                assert len(moving) == 2, (m, n)
+                first, second = moving
+                assert tuple(map(deck.get, first)) == second, (m, n)
+                assert tuple(map(deck.get, second)) == first, (m, n)
+                graphs += 1
+        assert graphs == 4579
 
 
 class TestPositionColumns:
@@ -269,24 +306,6 @@ class TestPositionColumns:
     def as_dicts(cg):
         return cg._replace(deck=dict(cg.deck.items()), downstairs=dict(cg.downstairs.items()),
                            conj=dict(cg.conj.items()))
-
-    @staticmethod
-    def meets_its_conjugate(cg):
-        conj = dict((cg.conj or cg.deck).items())
-        return any(conj.get(u) == v or conj.get(v) == u for u, v in cg.graph.edges())
-
-    def test_has_conj_adjacent_pair(self):
-        found = set()
-        for m, n in self.PAIRS:
-            cover = build_cover(m, n)
-            for cg in (cover.minimal, cover.lift):
-                for marked in (cg, mark_real_structure(cg, "plus"),
-                               mark_real_structure(cg, "minus")):
-                    want = self.meets_its_conjugate(marked)
-                    assert has_conj_adjacent_pair(marked) == want, (m, n)
-                    assert has_conj_adjacent_pair(self.as_dicts(marked)) == want, (m, n)
-                    found.add(want)
-        assert found == {False, True}
 
     def test_real_structure(self):
         for m, n in self.PAIRS:

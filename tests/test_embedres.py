@@ -5,6 +5,7 @@ import pytest
 from tbcalc import (
     BadExponents,
     FrozenGraph,
+    NonIntegralMultiplicity,
     StructureMismatch,
     build_cover,
     build_gamma_f,
@@ -137,6 +138,12 @@ class TestMultiplicities:
             solved = multiplicities(g)
             for v in g.vertex_ids():
                 assert solved[v] == g.vertices[v].mult
+
+    def test_non_integral_solution_is_rejected(self):
+        # One (-2)-curve with an arrow: -2 m + 1 = 0 gives m = 1/2.
+        g = FrozenGraph.from_columns([-2], [], arrows=(0,))
+        with pytest.raises(NonIntegralMultiplicity, match="vertex 0 is 1/2"):
+            multiplicities(g)
 
 
 class TestUnimodularityCertificate:

@@ -63,6 +63,29 @@ class TestGraphBasics:
         with pytest.raises(InvalidDocument):
             b.freeze().validate()
 
+    def test_validate_rejects_tree_edge_count_without_connection(self):
+        # A triangle and a separate vertex: as many edges as a tree has.
+        g = FrozenGraph.from_columns([-2] * 4, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(InvalidDocument, match="not connected"):
+            g.validate()
+
+    def test_validate_rejects_arrow_on_unknown_vertex(self):
+        g = FrozenGraph.from_columns([-2, -2], [(0, 1)], arrows=(5,))
+        with pytest.raises(InvalidDocument, match="unknown vertex 5"):
+            g.validate()
+
+    def test_no_edge_to_missing_vertex(self):
+        g = DecoratedGraph()
+        v = g.add_vertex(-2)
+        with pytest.raises(ValueError, match="not a vertex"):
+            g.add_edge(v, v + 1)
+
+    def test_no_reused_vertex_id(self):
+        g = DecoratedGraph()
+        v = g.add_vertex(-2)
+        with pytest.raises(ValueError, match=f"vertex id {v} already in use"):
+            g.add_vertex(-2, vid=v)
+
     def test_copy_is_deep(self):
         g, ids = make_chain([-2, -2])
         b = g.copy()

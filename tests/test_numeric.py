@@ -69,6 +69,10 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational("x/y")
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
+
 
 class TestSolveRational:
     def test_identity(self):
@@ -85,6 +89,10 @@ class TestSolveRational:
         a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
         with pytest.raises(SingularMatrix):
             solve_rational(a, [Fraction(0), Fraction(1)])
+
+    def test_needs_square_system(self):
+        with pytest.raises(ValueError, match="square system"):
+            solve_rational([[1, 0]], [1])
 
 
 class TestDetExact:
@@ -117,6 +125,10 @@ class TestSolveGf2:
         res = solve_gf2([[1, 1], [1, 1]], [0, 1])
         assert res.status == GF2_INCONSISTENT
         assert res.solution is None
+
+    def test_needs_square_system(self):
+        with pytest.raises(ValueError, match="square system"):
+            solve_gf2([[1, 0]], [1])
 
     def test_adjunction_mod_two(self):
         # A2 chain with both self-ints -2: Q = [[-2,1],[1,-2]], diag is

@@ -36,7 +36,6 @@ from tbcalc import (
     verify_identities,
 )
 from tbcalc import charclass
-from tbcalc import cover as cover_module
 from conftest import make_chain, make_star, make_zero_arm
 
 
@@ -170,23 +169,17 @@ class TestEvaluationGraph:
         cover = build_cover(m, n)
         assert sizes == [len(cover.minimal.graph.vertices), len(cover.lift.graph.vertices)]
 
-    def test_conj_adjacency_is_found_once_per_cover(self, monkeypatch):
-        # Warm plus calls reuse what the first found on the cached Gamma(m,n).
-        calls = []
-        inner = cover_module.has_conj_adjacent_pair
-
-        def counting(cg):
-            calls.append(cg)
-            return inner(cg)
-
-        monkeypatch.setattr(cover_module, "has_conj_adjacent_pair", counting)
+    @pytest.mark.parametrize("m,n", [(2, 1599), (3, 2), (3, 10), (11, 6)])
+    @pytest.mark.parametrize("signs", [("plus", "minus"), ("minus", "plus")],
+                             ids=["plus_then_minus", "minus_then_plus"])
+    def test_minimal_graph_keeps_only_its_solve_and_lift(self, m, n, signs):
+        # Deciding the fallback caches nothing on Gamma(m,n): its instance
+        # dict holds at most its characteristic and, where curves blew down,
+        # its lift.
         build_cover.cache_clear()
-        for _ in range(3):
-            assert tb(2, 1599, "plus").level == "lift"
-        minimal = build_cover(2, 1599).minimal
-        assert len(calls) == 1 and calls[0] is minimal
-        assert minimal._meets_conjugate
-        assert "_meets_conjugate" not in vars(minimal._replace())
+        for sign in signs:
+            tb(m, n, sign)
+            assert set(vars(build_cover(m, n).minimal)) <= {"characteristic", "_lift"}
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
         # A cold build_cover makes no copy, neither where odd-odd separation
