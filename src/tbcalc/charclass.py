@@ -102,70 +102,3 @@ def blown_down_characteristic(cg, solved) -> CharacteristicData:
 def _wu_status(det: int) -> str:
     return WU_CONFIRMED_UNIQUE if det % 2 else WU_CONFIRMED_CONSISTENT
 
-
-def parity_checks(cd: CharacteristicData, cg, downstairs: FrozenGraph) -> dict:
-    """Membership laws for W on the pre-minimization lift.
-
-    Checks, for each lifted vertex over a downstairs curve E_j with
-    multiplicity m_j and c1 coefficient b_j:
-
-    odd_mult_not_in_w:    m_j odd implies the lift is not in W;
-    even_mult_parity_law: for even m_j, the lift is in W iff
-                          (m_j = 2 mod 4 and b_j even) or (m_j = 0 mod 4
-                          and b_j odd);
-    rupture_membership:   with exactly one even exponent, e^0 is in W iff
-                          that exponent is 2 mod 4 (skipped otherwise).
-
-    The lift is read by position, which is id order, with downstairs as a
-    column. Returns a report dict: each check maps to {"checked": int,
-    "violations": [...]}; a missing precondition marks the check skipped.
-    """
-    report: dict[str, dict] = {}
-
-    odd_violations = []
-    odd_checked = 0
-    even_violations = []
-    even_checked = 0
-    at = dict(zip(downstairs.ids, range(len(downstairs.ids))))
-    for v, down in zip(cg.graph.ids, _column(cg.graph, cg.downstairs)):
-        p = at[down]
-        mult, b = downstairs.mult[p], downstairs.c1_coeff[p]
-        in_w = v in cd.w
-        if mult % 2 == 1:
-            odd_checked += 1
-            if in_w:
-                odd_violations.append(
-                    {"vertex": v, "downstairs": down, "mult": mult}
-                )
-        else:
-            even_checked += 1
-            expected = (mult % 4 == 2 and b % 2 == 0) or (
-                mult % 4 == 0 and b % 2 == 1
-            )
-            if in_w != expected:
-                even_violations.append(
-                    {"vertex": v, "downstairs": down, "mult": mult,
-                     "b": b, "in_w": in_w}
-                )
-    report["odd_mult_not_in_w"] = {
-        "checked": odd_checked, "violations": odd_violations,
-    }
-    report["even_mult_parity_law"] = {
-        "checked": even_checked, "violations": even_violations,
-    }
-
-    m, n = cg.m, cg.n
-    one_even = (m % 2 == 0) != (n % 2 == 0)
-    if one_even and cg.e0_lift is not None:
-        even_exp = m if m % 2 == 0 else n
-        in_w = cg.e0_lift in cd.w
-        expected = even_exp % 4 == 2
-        violations = []
-        if in_w != expected:
-            violations.append(
-                {"vertex": cg.e0_lift, "even_exponent": even_exp, "in_w": in_w}
-            )
-        report["rupture_membership"] = {"checked": 1, "violations": violations}
-    else:
-        report["rupture_membership"] = {"checked": 0, "violations": []}
-    return report

@@ -39,9 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .charclass import parity_checks
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
-from .graph import FrozenGraph, _arm_positions
+from .graph import FrozenGraph, _arm_positions, _column
 # arms stays bound here: the benchmark's tracer tests wrap verify.arms.
 from .graph import arms  # noqa: F401
 from .numeric import format_rational
@@ -228,15 +227,45 @@ def _run_symmetry(m_max: int, n_max: int, k_max: int) -> SuiteResult:
 
 
 def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
+    """The membership laws for W on the lift, over each lifted curve of a
+    Gamma'_f curve with multiplicity m_j and c1 coefficient b_j:
+
+    odd_mult_not_in_w:    m_j odd implies the lift is not in W;
+    even_mult_parity_law: for even m_j, the lift is in W iff
+                          (m_j = 2 mod 4 and b_j even) or (m_j = 0 mod 4
+                          and b_j odd);
+    rupture_membership:   with one even exponent, e^0 is in W iff that
+                          exponent is 2 mod 4.
+
+    label_arms has checked that the lift and Gamma'_f are numbered
+    0 .. V-1, so both are read by position.
+    """
     result = SuiteResult("parity")
     for m, n in _pairs(m_max, n_max, result):
         cover = build_cover(m, n)
-        report = parity_checks(cover.lift.characteristic, cover.lift,
-                               cover.gamma_f_prime)
-        for check_name, data in report.items():
-            result.checked += data["checked"]
-            for item in data["violations"]:
-                _violation(result, check_name, str(item), m=m, n=n)
+        lift, down = cover.lift, cover.gamma_f_prime
+        w, below_column = lift.characteristic.w, _column(lift.graph, lift.downstairs)
+        # Each lifted curve is checked by the law of its multiplicity's parity.
+        result.checked += len(below_column)
+        odd, even = [], []
+        for v, below in enumerate(below_column):
+            mult, b, in_w = down.mult[below], down.c1_coeff[below], v in w
+            if mult % 2:
+                if in_w:
+                    odd.append({"vertex": v, "downstairs": below, "mult": mult})
+            elif in_w != (mult % 4 == 2 and b % 2 == 0 or mult % 4 == 0 and b % 2 == 1):
+                even.append({"vertex": v, "downstairs": below, "mult": mult,
+                             "b": b, "in_w": in_w})
+        for identity, items in (("odd_mult_not_in_w", odd), ("even_mult_parity_law", even)):
+            for item in items:
+                _violation(result, identity, str(item), m=m, n=n)
+        if (m + n) % 2:
+            even_exp, in_w = m if m % 2 == 0 else n, lift.e0_lift in w
+            result.checked += 1
+            if in_w != (even_exp % 4 == 2):
+                _violation(result, "rupture_membership",
+                           str({"vertex": lift.e0_lift, "even_exponent": even_exp,
+                                "in_w": in_w}), m=m, n=n)
     return result
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tbcalc import CoverGraph, DecoratedGraph
+from tbcalc import CoverGraph, DecoratedGraph, build_cover
 
 
 def make_chain(selfs, arrow_on=None):
@@ -92,6 +92,24 @@ def build_star12_graph(sign):
         graph=g.freeze(), m=None, n=None, e0_lift=center, deck={},
         downstairs={}, conj=conj, sign=sign,
     ), w
+
+
+@pytest.fixture
+def plant_w():
+    """plant(m, n, flip) builds the cover of (m, n) afresh and puts W ^ flip
+    (every curve when flip is None) on its lift as the characteristic set,
+    where the parity suite reads it; it returns the lift. The cover cache is
+    cleared before and after, so no planted W reaches another test."""
+    def plant(m, n, flip=None):
+        lift = build_cover(m, n).lift
+        cd = lift.characteristic
+        flip = lift.graph.ids if flip is None else flip
+        vars(lift)["characteristic"] = cd._replace(w=cd.w ^ frozenset(flip))
+        return lift
+
+    build_cover.cache_clear()
+    yield plant
+    build_cover.cache_clear()
 
 
 @pytest.fixture

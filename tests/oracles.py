@@ -7,7 +7,8 @@ is_negative_definite and det_exact are dense exact routines on an integer
 matrix such as intersection_matrix returns; restrict_to_real gives W_R on a
 marked graph; stepwise_gamma_f runs the blow-up cascade of Gamma_f one
 curve at a time; meets_its_conjugate looks for an edge between a curve
-and its conjugate.
+and its conjugate; blow_up makes one equivariant blow-up of a marked
+graph, at a site blow_up_sites lists.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from tbcalc.charclass import CharacteristicData
+from tbcalc.cover import CoverGraph
 from tbcalc.errors import InconsistentAnnotation
 from tbcalc.graph import FrozenGraph
 
@@ -131,6 +133,80 @@ def meets_its_conjugate(cg) -> bool:
     or under deck while cg is unmarked, read edge by edge from dicts."""
     conj = dict((cg.conj or cg.deck).items())
     return any(conj.get(u) == v or conj.get(v) == u for u, v in cg.graph.edges())
+
+
+# The equivariant blow-ups of a marked graph, each at a point or a
+# conjugate pair of points that conj keeps as a whole: where is a curve for
+# the three point kinds and an edge (u, v) of curves for the two edge kinds.
+#   real_point:           a real point on the real curve v;
+#   real_edge:            the point u meet v, where u and v are both real or
+#                         swapped by conj;
+#   real_curve_pair:      a conjugate pair of points on the real curve v;
+#   imaginary_curve_pair: a point on the imaginary curve v and its conjugate
+#                         on conj v;
+#   edge_pair:            u meet v, for u real and v imaginary, and its
+#                         conjugate u meet conj v.
+BLOW_UP_KINDS = ("real_point", "real_edge", "real_curve_pair", "imaginary_curve_pair",
+                 "edge_pair")
+
+
+def _centres(conj: dict, kind: str, where):
+    """The centres of the blow-up of kind at where, each the curves through
+    one point, or None when where is no site of kind."""
+    if kind in ("real_point", "real_curve_pair", "imaginary_curve_pair"):
+        v = where
+        if (conj[v] == v) == (kind == "imaginary_curve_pair"):
+            return None
+        return [(v,)] if kind == "real_point" else [(v,), (conj[v],)]
+    u, v = where
+    if kind == "real_edge":
+        return [(u, v)] if {conj[u], conj[v]} == {u, v} else None
+    if conj[u] != u:
+        u, v = v, u
+    return [(u, v), (u, conj[v])] if conj[u] == u and conj[v] != v else None
+
+
+def blow_up(cg, kind: str, where) -> CoverGraph:
+    """The marked cover graph cg blown up once, equivariantly, at where
+    (see BLOW_UP_KINDS): one new real (-1)-curve, or two new (-1)-curves
+    that conj swaps, with the ids next_id on. Each curve through a centre
+    loses 1 on its self-intersection, once per centre on it, and meets the
+    new curve instead of the other curve through the centre. The result
+    has the real column, conj, self-intersections and edges only: no deck,
+    downstairs, multiplicities or labels."""
+    g = cg.graph
+    conj = dict(cg.conj.items())
+    centres = _centres(conj, kind, where)
+    if centres is None:
+        raise ValueError(f"{where!r} is no site of {kind}")
+    ids = list(g.ids)
+    self_int, real = dict(zip(ids, g.self_int)), dict(zip(ids, g.real))
+    edges = set(g.edges())
+    new = list(range(g.next_id, g.next_id + len(centres)))
+    for e, centre in zip(new, centres):
+        self_int[e], real[e] = -1, len(centres) == 1
+        for v in centre:
+            self_int[v] -= 1
+            edges.add((v, e))
+        if len(centre) == 2:
+            edges.remove(tuple(sorted(centre)))
+    conj.update(zip(new, reversed(new)))
+    ids += new
+    at = dict(zip(ids, range(len(ids))))
+    blown = FrozenGraph.from_columns(
+        [self_int[v] for v in ids], [(at[u], at[v]) for u, v in edges], ids=tuple(ids),
+        real=[real[v] for v in ids], arrows=g.arrows, next_id=new[-1] + 1)
+    return CoverGraph(graph=blown, m=None, n=None, e0_lift=None, deck={}, downstairs={},
+                      conj=conj, sign=cg.sign)
+
+
+def blow_up_sites(cg, kind: str) -> list:
+    """Every site of kind on the marked cover graph cg: curves in id order
+    for the point kinds, edges in sorted order for the edge kinds."""
+    conj = dict(cg.conj.items())
+    g = cg.graph
+    candidates = g.edges() if kind in ("real_edge", "edge_pair") else g.ids
+    return [where for where in candidates if _centres(conj, kind, where) is not None]
 
 
 def stepwise_gamma_f(m: int, n: int):

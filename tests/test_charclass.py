@@ -10,7 +10,7 @@ from tbcalc import (
     build_cover,
     canonical_coefficients,
     mark_real_structure,
-    parity_checks,
+    verify_identities,
 )
 from conftest import build_star12_graph, make_chain, neighbours
 from oracles import restrict_to_real
@@ -131,34 +131,47 @@ class TestRestrictToReal:
         assert restrict_to_real(cd, cg) == frozenset({cg.e0_lift})
 
 
-class TestParityChecks:
-    def test_report_shape(self):
-        cover = build_cover(5, 8)
-        cd = canonical_coefficients(cover.lift)
-        report = parity_checks(cd, cover.lift, cover.gamma_f_prime)
-        assert set(report) == {"odd_mult_not_in_w", "even_mult_parity_law",
-                               "rupture_membership"}
-        for data in report.values():
-            assert data["violations"] == []
-            assert data["checked"] >= 0
+def parity_records(m, n):
+    """The parity suite's violation records for (m, n), from a run over
+    the grid up to it, with the suite's checked count."""
+    (suite,) = verify_identities(m, n, 1, suites=("parity",)).suites
+    return [r for r in suite.violations if (r["m"], r["n"]) == (m, n)], suite.checked
 
-    def test_rupture_membership_cases(self):
+
+class TestParityChecks:
+    """canonical_coefficients' W on the lift obeys the parity suite's laws,
+    which fire on a W planted by plant_w."""
+
+    def test_report_shape(self, plant_w):
+        records, checked = parity_records(5, 8)
+        assert records == [] and checked > 0
+        plant_w(5, 8)
+        records, _checked = parity_records(5, 8)
+        assert {r["identity"] for r in records} == {
+            "odd_mult_not_in_w", "even_mult_parity_law", "rupture_membership"}
+
+    def test_rupture_membership_cases(self, plant_w):
         # e0 in W iff the unique even exponent is 2 mod 4
         for m, n, expected in [(6, 5, True), (4, 3, False), (11, 6, True),
                                (3, 8, False)]:
             cover = build_cover(m, n)
             cd = canonical_coefficients(cover.lift)
-            report = parity_checks(cd, cover.lift, cover.gamma_f_prime)
-            assert report["rupture_membership"]["checked"] == 1
-            assert report["rupture_membership"]["violations"] == []
+            assert parity_records(m, n)[0] == []
             e0 = cover.lift.e0_lift
             assert (e0 in cd.w) is expected
+            # The law is checked on e^0: flipped alone, e^0 (over e_0 of
+            # even multiplicity mn) breaks it and the even law.
+            plant_w(m, n, flip={e0})
+            assert [r["identity"] for r in parity_records(m, n)[0]] == [
+                "even_mult_parity_law", "rupture_membership"]
 
-    def test_both_odd_skips_rupture_law(self):
+    def test_both_odd_skips_rupture_law(self, plant_w):
+        # Flipped alone, e^0 breaks only the law of its odd multiplicity 15.
         cover = build_cover(3, 5)
-        cd = canonical_coefficients(cover.lift)
-        report = parity_checks(cd, cover.lift, cover.gamma_f_prime)
-        assert report["rupture_membership"]["checked"] == 0
+        plant_w(3, 5, flip={cover.lift.e0_lift})
+        detail = {"vertex": cover.lift.e0_lift, "downstairs": cover.rupture, "mult": 15}
+        assert parity_records(3, 5)[0] == [
+            {"identity": "odd_mult_not_in_w", "detail": str(detail), "m": 3, "n": 5}]
 
     def test_odd_mult_never_in_w(self):
         for m, n in [(5, 8), (11, 6), (3, 5)]:

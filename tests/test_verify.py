@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tbcalc import (FrozenGraph, SUITE_NAMES, build_cover, parity_checks, tb,
-                    verify_identities)
+from tbcalc import FrozenGraph, SUITE_NAMES, build_cover, tb, verify_identities
 from tbcalc import graph, verify
 from tbcalc.cli import main
 from tbcalc.numeric import format_rational
@@ -78,6 +77,28 @@ def value(m, n, sign):
 def coprime_pairs(m_max, n_max):
     return [(m, n) for m in range(2, m_max + 1) for n in range(2, n_max + 1)
             if math.gcd(m, n) == 1]
+
+
+def flipped_parity_records(m, n):
+    """The parity suite's records for (m, n), law by law, once plant_w has
+    flipped W on the whole lift: every lifted curve breaks the law of its
+    multiplicity's parity, and e^0 the rupture law with one even exponent.
+    Read by id, through the maps."""
+    lift, down = build_cover(m, n).lift, build_cover(m, n).gamma_f_prime
+    w = lift.characteristic.w
+    laws = {"odd_mult_not_in_w": [], "even_mult_parity_law": [], "rupture_membership": []}
+    for v, below in sorted(lift.downstairs.items()):
+        mult, b = down.vertices[below].mult, down.vertices[below].c1_coeff
+        if mult % 2:
+            laws["odd_mult_not_in_w"].append({"vertex": v, "downstairs": below, "mult": mult})
+        else:
+            laws["even_mult_parity_law"].append({"vertex": v, "downstairs": below, "mult": mult,
+                                                 "b": b, "in_w": v in w})
+    if (m + n) % 2:
+        laws["rupture_membership"].append({"vertex": lift.e0_lift,
+                                           "even_exponent": m if m % 2 == 0 else n,
+                                           "in_w": lift.e0_lift in w})
+    return laws
 
 
 @pytest.fixture
@@ -160,43 +181,33 @@ class TestViolations:
                 if 2 * m - t >= 2]
         assert suite.violations == odd + even
 
-    def test_parity_checks_report_each_law(self):
-        for m, n in [(11, 6), (3, 10), (5, 8), (3, 5)]:
-            lift, down = build_cover(m, n).lift, build_cover(m, n).gamma_f_prime
-            cd = lift.characteristic
-            wrong = cd._replace(w=cd.w ^ frozenset(lift.graph.ids))
-            report = parity_checks(wrong, lift, down)
-            odd, even = [], []
-            for v, below in sorted(lift.downstairs.items()):
-                mult, b = down.vertices[below].mult, down.vertices[below].c1_coeff
-                if mult % 2:
-                    odd.append({"vertex": v, "downstairs": below, "mult": mult})
-                else:
-                    even.append({"vertex": v, "downstairs": below, "mult": mult,
-                                 "b": b, "in_w": v in wrong.w})
-            assert odd and even
-            assert report["odd_mult_not_in_w"] == {"checked": len(odd), "violations": odd}
-            assert report["even_mult_parity_law"] == {"checked": len(even), "violations": even}
-            one_even = (m + n) % 2 == 1
-            assert report["rupture_membership"] == {
-                "checked": int(one_even),
-                "violations": [{"vertex": lift.e0_lift, "even_exponent": m if m % 2 == 0 else n,
-                                "in_w": lift.e0_lift in wrong.w}] if one_even else []}
+    def test_parity_checks_report_each_law(self, plant_w):
+        pairs = [(11, 6), (3, 10), (5, 8), (3, 5)]
+        for m, n in pairs:
+            plant_w(m, n)
+        (suite,) = verify_identities(11, 10, 1, suites=("parity",)).suites
+        for m, n in pairs:
+            laws = flipped_parity_records(m, n)
+            assert laws["odd_mult_not_in_w"] and laws["even_mult_parity_law"]
+            assert len(laws["rupture_membership"]) == (m + n) % 2
+            assert [r for r in suite.violations if (r["m"], r["n"]) == (m, n)] == [
+                {"identity": name, "detail": str(item), "m": m, "n": n}
+                for name, items in laws.items() for item in items]
+        assert {(r["m"], r["n"]) for r in suite.violations} == set(pairs)
+        # Every curve of a lift is checked by one of the two multiplicity
+        # laws, and e^0 once more with one even exponent.
+        assert suite.checked == sum(len(build_cover(m, n).lift.graph.ids) + (m + n) % 2
+                                    for m, n in coprime_pairs(11, 10))
 
-    def test_parity_suite(self, monkeypatch):
-        def flipped(cd, cg, down):
-            return parity_checks(cd._replace(w=cd.w ^ frozenset(cg.graph.ids)), cg, down)
-
-        monkeypatch.setattr(verify, "parity_checks", flipped)
+    def test_parity_suite(self, plant_w):
+        for m, n in coprime_pairs(4, 5):
+            plant_w(m, n)
         (suite,) = verify_identities(4, 5, 1, suites=("parity",)).suites
         assert len(suite.violations) == suite.checked > 0
-        expected = []
-        for m, n in coprime_pairs(4, 5):
-            cover = build_cover(m, n)
-            for name, data in flipped(cover.lift.characteristic, cover.lift,
-                                      cover.gamma_f_prime).items():
-                expected += [{"identity": name, "detail": str(item), "m": m, "n": n}
-                             for item in data["violations"]]
+        expected = [{"identity": name, "detail": str(item), "m": m, "n": n}
+                    for m, n in coprime_pairs(4, 5)
+                    for name, items in flipped_parity_records(m, n).items()
+                    for item in items]
         assert {record["identity"] for record in expected} == {
             "odd_mult_not_in_w", "even_mult_parity_law", "rupture_membership"}
         assert suite.violations == expected
@@ -292,8 +303,8 @@ class TestViolations:
 
 class TestReadsByPosition:
     def test_verify_makes_few_id_lookups(self, monkeypatch):
-        # The arm readers and the parity checks keep one id -> position
-        # map per graph instead of a bisect per arm vertex.
+        # The arm readers keep one id -> position map per graph instead of
+        # a bisect per arm vertex, and the parity suite reads by position.
         calls = []
         pos = FrozenGraph.pos
         monkeypatch.setattr(FrozenGraph, "pos", lambda g, v: calls.append(v) or pos(g, v))
