@@ -50,8 +50,9 @@ class ZeroDenominator(UserInputError):
 
 
 class SingularMatrix(UserInputError):
-    """The intersection form is singular over the rationals, so the graph
-    is not the resolution of a rational homology sphere singularity."""
+    """The intersection form is singular over the rationals, or not
+    negative definite, so the graph is not the resolution of a rational
+    homology sphere singularity."""
 
 
 class NonIntegralCanonicalClass(UserInputError):

@@ -20,14 +20,15 @@ the vertices view and VertexMap serve the same values by id to a caller.
 
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, and O(V) exact routines on
-frozen trees: a solver for intersection systems and the determinant of
-the intersection form. All of these run one integer recurrence on subtree
-determinants over the stored order and build a Fraction only for a final
-value that is not an integer; an arm weighs D/E of its head, and
-_imaginary_arms holds the one n' rule that n_prime and tb share. Every
-arm reader takes the arms of a vertex from _arm_positions, breadth-first
-from each head whatever root g is walked from, and blow-down rebuilds its
-result through one mask of the kept positions, so each is one O(V) pass.
+frozen trees: a solver for intersection systems, which refuses a form
+that is not negative definite, and the determinant of the intersection
+form. All of these run one integer recurrence on subtree determinants
+over the stored order and build a Fraction only for a final value that is
+not an integer; an arm weighs D/E of its head, and _imaginary_arms holds
+the one n' rule that n_prime and tb share. Every arm reader takes the
+arms of a vertex from _arm_positions, breadth-first from each head
+whatever root g is walked from, and blow-down rebuilds its result through
+one mask of the kept positions, so each is one O(V) pass.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .errors import (
     SingularMatrix,
     ZeroDenominator,
 )
-from .numeric import solve_rational
 
 
 class VertexData:
@@ -570,6 +570,7 @@ def n_prime(g: FrozenGraph, e: int) -> Fraction:
 def intersection_matrix(g: FrozenGraph) -> tuple[list[int], list[list[int]]]:
     """The symmetric intersection form over vertices sorted by id, read
     from the columns by position."""
+    # No package code calls this: bench/tracer.py wraps it, tests read the dense form.
     q = [[0] * len(g.ids) for _ in g.ids]
     for p, self_int in enumerate(g.self_int):
         q[p][p] = self_int
@@ -687,9 +688,10 @@ def solve_intersection_system(
     child c into its parent p as D_p, E_p and N_p <- N_p*D_c - E_p*N_c.
     Root to leaves the divisions stay in ints while they are exact, and
     Q x = L*rhs is re-multiplied over every edge of g as a self-check.
-    det Q is D at the root. Falls back to dense elimination when some D_v
-    vanishes. Raises SingularMatrix when the form is singular or g is
-    disconnected.
+    det Q is D at the root. A tree form is negative definite exactly when
+    every pivot D_v/E_v is negative, as on every resolution graph; raises
+    SingularMatrix, naming the first vertex in order whose pivot is not,
+    when the form is not negative definite or g is disconnected.
     """
     ids, order, parent = g.ids, g.order, g.parent
     if not ids:
@@ -711,11 +713,9 @@ def solve_intersection_system(
         det[p] = det[p] * d - e * rest[c]
         rest[p] = e * d
         num[p] = num[p] * d - e * num[c]
-    if 0 in det:
-        matrix_ids, q = intersection_matrix(g)
-        dense = solve_rational(q, list(values))
-        return VertexMap(g, [_quotient(value, 1) for value in dense]), det[order[0]]
-
+    if max(map(mul, det, rest)) >= 0:
+        bad = next(v for v in order if det[v] * rest[v] >= 0)
+        raise SingularMatrix(f"intersection form is not negative definite at vertex {ids[bad]}")
     x: list = [0] * len(ids)
     for v in order:
         p = parent[v]

@@ -1,12 +1,11 @@
-"""Exact rational arithmetic: p/q formatting and parsing, and dense solvers.
+"""Exact rational arithmetic: p/q formatting and parsing, continued
+fractions, and a dense GF(2) solver.
 
 Every quantity in this package (arm weights, canonical coefficients, tb
 values, linking matrix entries) is an exact fractions.Fraction and no
-float ever appears. solve_rational is the dense fallback of the tree
-solver in graph for a vanishing subtree determinant; solve_gf2 and
-cf_eval are independent oracles the tests check the tree routines
-against. The solvers are plain dense eliminations, where exactness
-matters more than speed.
+float ever appears. solve_gf2 and cf_eval are independent oracles the
+tests check the tree routines against; solve_gf2 is a plain dense
+elimination, where exactness matters more than speed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InternalInvariantError, SingularMatrix, ZeroDenominator
+from .errors import ZeroDenominator
 
 GF2_UNIQUE = "unique"
 GF2_MULTIPLE = "multiple"
@@ -68,39 +67,6 @@ def cf_eval(entries: Sequence[int]) -> Fraction:
             )
         value = Fraction(entry) - Fraction(1, 1) / value
     return value
-
-
-def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction]:
-    """Solve the square system matrix * x = rhs exactly over the rationals.
-
-    Raises SingularMatrix when no unique solution exists. The result is
-    re-multiplied against the input as a self-check.
-    """
-    size = len(matrix)
-    if len(rhs) != size or any(len(row) != size for row in matrix):
-        raise ValueError("solve_rational needs a square system")
-    a = [[Fraction(x) for x in row] for row in matrix]
-    b = [Fraction(x) for x in rhs]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular over the rationals")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
-        for r in range(size):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, size):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    solution = [b[r] / a[r][r] for r in range(size)]
-    for r in range(size):
-        total = sum(Fraction(matrix[r][c]) * solution[c] for c in range(size))
-        if total != Fraction(rhs[r]):
-            raise InternalInvariantError(f"solver self-check failed in row {r}")
-    return solution
 
 
 class Gf2Result(NamedTuple):

@@ -32,10 +32,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tbcalc"
 
 # (module, function, message) -> why tier-1 leaves the site unrun.
-ALLOWED: dict[tuple[str, str, str], str] = {
-    ("numeric", "solve_rational", "InternalInvariantError: solver self-check failed in row {}"):
-        "exact elimination satisfies its own system; firing it needs a patched solve",
-}
+ALLOWED: dict[tuple[str, str, str], str] = {}
 
 
 def _message(exc: ast.expr | None) -> str:

@@ -3,12 +3,14 @@ form for isomorphism tests, kept out of the package, which never reads
 them.
 
 canonical_form encodes a decorated tree up to relabelling its ids;
-is_negative_definite and det_exact are dense exact routines on an integer
-matrix such as intersection_matrix returns; restrict_to_real gives W_R on a
-marked graph; stepwise_gamma_f runs the blow-up cascade of Gamma_f one
-curve at a time; meets_its_conjugate looks for an edge between a curve
-and its conjugate; blow_up makes one equivariant blow-up of a marked
-graph, at a site blow_up_sites lists.
+is_negative_definite, det_exact and solve_rational are dense exact
+routines on an integer matrix such as intersection_matrix returns, and
+solve_rational is the oracle for the package's tree solver on the forms
+that solver accepts, the negative definite ones; restrict_to_real gives
+W_R on a marked graph; stepwise_gamma_f runs the blow-up cascade of
+Gamma_f one curve at a time; meets_its_conjugate looks for an edge
+between a curve and its conjugate; blow_up makes one equivariant blow-up
+of a marked graph, at a site blow_up_sites lists.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 
 from tbcalc.charclass import CharacteristicData
 from tbcalc.cover import CoverGraph
-from tbcalc.errors import InconsistentAnnotation
+from tbcalc.errors import InconsistentAnnotation, InternalInvariantError, SingularMatrix
 from tbcalc.graph import FrozenGraph
 
 
@@ -115,6 +117,39 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[size - 1][size - 1]
+
+
+def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction]:
+    """Solve the square system matrix * x = rhs exactly over the rationals.
+
+    Raises SingularMatrix when no unique solution exists. The result is
+    re-multiplied against the input as a self-check.
+    """
+    size = len(matrix)
+    if len(rhs) != size or any(len(row) != size for row in matrix):
+        raise ValueError("solve_rational needs a square system")
+    a = [[Fraction(x) for x in row] for row in matrix]
+    b = [Fraction(x) for x in rhs]
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrix("matrix is singular over the rationals")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        pivot = a[col][col]
+        for r in range(size):
+            if r == col or a[r][col] == 0:
+                continue
+            factor = a[r][col] / pivot
+            for c in range(col, size):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    solution = [b[r] / a[r][r] for r in range(size)]
+    for r in range(size):
+        total = sum(Fraction(matrix[r][c]) * solution[c] for c in range(size))
+        if total != Fraction(rhs[r]):
+            raise InternalInvariantError(f"solver self-check failed in row {r}")
+    return solution
 
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:

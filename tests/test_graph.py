@@ -25,10 +25,10 @@ from tbcalc import (
     solve_intersection_system,
     VertexMap,
 )
-from tbcalc import graph, numeric
+from tbcalc import graph
 from tbcalc.graph import Arm, _tree_det
 from conftest import make_chain, make_star, make_zero_arm, neighbours
-from oracles import canonical_form, det_exact, is_negative_definite
+from oracles import canonical_form, det_exact, is_negative_definite, solve_rational
 
 
 class TestGraphBasics:
@@ -451,65 +451,52 @@ class TestSolveIntersectionSystem:
         v = b.add_vertex(-1)
         assert solve_intersection_system(b.freeze(), {v: Fraction(-1)}) == ({v: 1}, -1)
 
-    def test_matches_dense_solver(self):
-        rng = random.Random(20260815)
-        for _ in range(25):
-            size = rng.randrange(2, 9)
-            b = DecoratedGraph()
-            ids = [b.add_vertex(-rng.randrange(1, 6)) for _ in range(size)]
-            for i in range(1, size):
-                b.add_edge(ids[rng.randrange(i)], ids[i])
-            g = b.freeze()
-            rhs = {v: Fraction(rng.randrange(-5, 6)) for v in ids}
-            x, det = solve_intersection_system(g, rhs)
-            _ids, rows = intersection_matrix(g)
-            assert det == det_exact(rows)
-            for r, v in enumerate(_ids):
-                total = sum(
-                    Fraction(rows[r][c]) * x[u] for c, u in enumerate(_ids))
-                assert total == rhs[v]
-
-    def test_indefinite_singular_and_fractional(self, monkeypatch):
-        # Self-intersections in -4..2 give indefinite and singular forms
-        # and vanishing subtree determinants; right-hand sides have
-        # non-unit denominators. Dense solve_rational is the oracle, and
-        # the solver's own fallback to it must run and agree.
-        fallbacks = []
-
-        def counting(matrix, rhs):
-            fallbacks.append(len(matrix))
-            return numeric.solve_rational(matrix, rhs)
-
-        monkeypatch.setattr(graph, "solve_rational", counting)
-        rng = random.Random(20261018)
-        singular = solved = 0
-        for _ in range(300):
-            size = rng.randrange(1, 9)
+    @staticmethod
+    def _sweep(seed, trees, denominators):
+        """Solve trees random trees of 1-9 curves with self-intersections in
+        -4..2 against the dense oracles. A tree is refused exactly when its
+        form is not negative definite; otherwise the solution is the dense
+        one, an int wherever it is integral, and det is det Q. Returns how
+        many forms were refused as singular, refused as nonsingular but
+        indefinite, and solved."""
+        rng = random.Random(seed)
+        singular = indefinite = solved = 0
+        for _ in range(trees):
+            size = rng.randrange(1, 10)
             b = DecoratedGraph()
             ids = [b.add_vertex(rng.randrange(-4, 3)) for _ in range(size)]
             for i in range(1, size):
                 b.add_edge(ids[rng.randrange(i)], ids[i])
             g = b.freeze()
-            rhs = {v: Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+            rhs = {v: Fraction(rng.randrange(-9, 10), rng.choice(denominators))
                    for v in ids}
             _ids, rows = intersection_matrix(g)
-            if det_exact(rows) == 0:
-                with pytest.raises(SingularMatrix):
+            if not is_negative_definite(rows):
+                with pytest.raises(SingularMatrix, match="not negative definite"):
                     solve_intersection_system(g, rhs)
-                singular += 1
+                if det_exact(rows) == 0:
+                    singular += 1
+                else:
+                    indefinite += 1
                 continue
             x, det = solve_intersection_system(g, rhs)
-            dense = numeric.solve_rational(rows, [rhs[v] for v in _ids])
-            assert x == dict(zip(_ids, dense))
+            assert x == dict(zip(_ids, solve_rational(rows, [rhs[v] for v in _ids])))
             assert det == det_exact(rows)
-            # An int wherever the value is integral, else a Fraction.
             assert all(type(value) is (int if value.denominator == 1 else Fraction)
                        for value in x.values())
             solved += 1
-        assert singular and solved
-        # Each singular form reaches the fallback (its root has D = det Q
-        # = 0); at least one nonsingular form must reach it as well.
-        assert len(fallbacks) > singular
+        return singular, indefinite, solved
+
+    def test_matches_dense_solver(self):
+        # Integral right-hand sides skip the lcm scaling.
+        singular, indefinite, solved = self._sweep(20260815, 1000, [1])
+        assert singular and indefinite and solved >= 100
+
+    def test_indefinite_singular_and_fractional(self):
+        # Right-hand sides with non-unit denominators go through the lcm
+        # scaling; singular and nonsingular indefinite forms are both refused.
+        singular, indefinite, solved = self._sweep(20261018, 1000, range(1, 7))
+        assert singular and indefinite and solved >= 100
 
     def test_disconnected_is_singular(self):
         g, _ids = make_chain([-2])

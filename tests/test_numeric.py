@@ -10,10 +10,9 @@ from tbcalc import (
     format_rational,
     parse_rational,
     solve_gf2,
-    solve_rational,
 )
 from tbcalc.numeric import GF2_INCONSISTENT, GF2_MULTIPLE, GF2_UNIQUE
-from oracles import det_exact
+from oracles import det_exact, solve_rational
 
 
 class TestCfEval:

@@ -19,12 +19,14 @@ from tbcalc import (
     InconsistentAnnotation,
     InternalInvariantError,
     NonIntegralCanonicalClass,
+    SingularMatrix,
     UserInputError,
     VertexMap,
     ZeroDenominator,
     arm_weight,
     arms,
     build_cover,
+    canonical_coefficients,
     cf_eval,
     evaluation_graph,
     graph_to_document,
@@ -290,6 +292,22 @@ class TestTbFromGraph:
         cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj={}, sign=None)
         assert tb_from_graph(cg, wr=[]).value == Fraction(2)
+
+    @pytest.mark.parametrize("selfs", [[1], [-2, 0]])
+    def test_form_that_is_not_negative_definite_refused(self, selfs):
+        # No resolution graph has such a form: a lone (+1)-curve fails at
+        # the tree solver's pivot, and the chain (-2, 0) at a vanishing
+        # subtree determinant. Each once gave tb 1.
+        chain, ids = make_chain(selfs)
+        g = chain.copy()
+        for v in ids:
+            g.vertices[v].real = True
+        cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj={}, sign=None)
+        with pytest.raises(SingularMatrix, match="not negative definite"):
+            canonical_coefficients(cg)
+        with pytest.raises(SingularMatrix, match="not negative definite"):
+            tb_from_graph(cg)
 
     def test_missing_real_flags_rejected(self):
         g, _ids = make_chain([-2, -2])
