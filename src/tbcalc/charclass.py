@@ -14,12 +14,9 @@ that solution is unique, and then equals a mod 2, exactly when det Q is
 odd. The Wu status is therefore the parity of det Q, which the solve's own
 pass over the tree returns.
 
-A graph blown down from a solved one is not solved again. Blow-up pulls
-the canonical class back with the exceptional curve added, so the
-blown-down graph keeps the solved graph's coefficients on its curves
-(blown_down_characteristic). Its certificate is Q a = n + 2 re-multiplied
-over every row, with det Q = (-1)^k det Q of the solved graph for its k
-blow-downs, which gives the Wu status.
+Gamma(m,n), where curves blew down, is not solved: pulled_back_characteristic
+reads its coefficients off Gamma'_f and certifies them by Q a = n + 2 over
+every row, on a form whose pivots are all negative, so that a is unique.
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, NotNumericallyGorenstein, StructureMismatch
-from .graph import (FrozenGraph, VertexMap, _column, _neighbour_sums, _numbered_by_position,
-                    _tree_det, solve_intersection_system)
+from .graph import (FrozenGraph, VertexMap, _column, _indefinite_at, _neighbour_sums,
+                    _subtree_dets, solve_intersection_system)
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
@@ -63,42 +60,33 @@ def canonical_coefficients(cg) -> CharacteristicData:
             f"c1 coefficient of vertex {v} is {value}; the graph is not "
             "numerically Gorenstein"
         )
-    odd = list(map((1).__and__, coeffs))
+    return _with_w(g, deck, a, det)
+
+
+def pulled_back_characteristic(cg, gp: FrozenGraph) -> CharacteristicData:
+    """The characteristic data of the cover graph cg without a solve. Over
+    the curve of gp with c1 coefficient c and multiplicity mu that downstairs
+    names by position, the double cover's canonical class pi^*(K + L)
+    (Barth-Hulek-Peters-Van de Ven, Compact Complex Surfaces, I.17) has
+    coefficient 2c + mu - 1 for odd mu and c + mu/2 for even mu. A failed
+    check raises InternalInvariantError; W is extracted as by canonical_coefficients."""
+    g, below = cg.graph, _column(cg.graph, cg.downstairs)
+    pulled = [2 * c + mu - 1 if mu % 2 else c + mu // 2 for c, mu in zip(gp.c1_coeff, gp.mult)]
+    coeffs = list(map(pulled.__getitem__, below))
+    if list(map(add, map(mul, g.self_int, coeffs), _neighbour_sums(g, coeffs))) != list(
+            map((2).__add__, g.self_int)):
+        raise InternalInvariantError("the pulled-back c1 coefficients fail Q a = n + 2")
+    det, rest = _subtree_dets(g)
+    if (bad := _indefinite_at(g, det, rest)) is not None:
+        raise InternalInvariantError(f"the form is not negative definite at vertex {g.ids[bad]}")
+    return _with_w(g, cg.deck, VertexMap(g, coeffs), det[g.order[0]])
+
+
+def _with_w(g: FrozenGraph, deck, a: VertexMap, det: int) -> CharacteristicData:
+    """Integral a with its odd set W, checked deck-invariant if deck is given, Wu status, det."""
+    odd = list(map((1).__and__, _column(g, a)))
     w = frozenset(compress(g.ids, odd))
     if deck and frozenset(compress(_column(g, deck), odd)) != w:
         raise StructureMismatch("W is not invariant under the deck transformation")
-    return CharacteristicData(a=a, w=w, wu_status=_wu_status(det), det=det)
-
-
-def blown_down_characteristic(cg, solved) -> CharacteristicData:
-    """The characteristic data of the cover graph cg, which blow-downs made
-    from the cover graph solved, taken from solved.characteristic: the
-    coefficients on the curves of cg, without a solve. The curves of
-    solved are numbered by position, as label_arms requires of a lift, and
-    cg keeps their ids.
-
-    Two exact checks certify them, and each raises InternalInvariantError:
-    Q a = n + 2 re-multiplied over every row of cg, and det Q(cg) =
-    (-1)^k det Q(solved) for its k blow-downs; det Q(cg) gives the Wu
-    status. W is solved's W on the curves of cg, so it stays invariant
-    under the deck transformation, which restricts to cg.
-    """
-    g, up, cd = cg.graph, solved.graph, solved.characteristic
-    if not _numbered_by_position(up):
-        raise InternalInvariantError("a blow-down reads the solved graph's ids as its positions")
-    coeffs = list(map(_column(up, cd.a).__getitem__, g.ids))
-    if list(map(add, map(mul, g.self_int, coeffs), _neighbour_sums(g, coeffs))) != list(
-            map((2).__add__, g.self_int)):
-        raise InternalInvariantError(
-            "the solved graph's c1 coefficients fail Q a = n + 2 on its blow-down")
-    det, k = _tree_det(g), len(up.ids) - len(g.ids)
-    if det != (-1) ** k * cd.det:
-        raise InternalInvariantError(
-            f"det Q = {det} after {k} blow-downs of a graph with det Q = {cd.det}")
-    return CharacteristicData(a=VertexMap(g, coeffs), w=cd.w.intersection(g.ids),
-                              wu_status=_wu_status(det), det=det)
-
-
-def _wu_status(det: int) -> str:
-    return WU_CONFIRMED_UNIQUE if det % 2 else WU_CONFIRMED_CONSISTENT
-
+    wu_status = WU_CONFIRMED_UNIQUE if det % 2 else WU_CONFIRMED_CONSISTENT
+    return CharacteristicData(a=a, w=w, wu_status=wu_status, det=det)

@@ -27,7 +27,7 @@ from operator import eq
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .charclass import CharacteristicData, blown_down_characteristic, canonical_coefficients
+from .charclass import CharacteristicData, canonical_coefficients, pulled_back_characteristic
 from .errors import (
     BadOddNeighborCount,
     OddSelfIntOnBranch,
@@ -73,10 +73,9 @@ class CoverGraph(_CoverFields):
     points. downstairs maps each vertex to the Gamma'_f curve below it;
     e0_lift is the lift of the rupture vertex e_0 when it survives.
 
-    A NamedTuple whose characteristic is cached on first use; no
-    attribute can be assigned, and graph is a FrozenGraph. Gamma(m,n) as
-    minimize_and_label returns it also keeps its lift, privately, to share
-    the lift's adjunction solve. No curve of a lift meets its conjugate,
+    A NamedTuple whose characteristic is cached on first use, or given at
+    build where curves blew down; no attribute can be assigned, and graph
+    is a FrozenGraph. No curve of a lift meets its conjugate,
     and neither does one of Gamma(m,n) while e0_lift survives: e^0 is the
     real centre of three bamboo arms, and deck swaps the two arms it does
     not fix as wholes. So e0_lift and the sign decide whether tb falls
@@ -91,15 +90,10 @@ class CoverGraph(_CoverFields):
 
     @cached_property
     def characteristic(self) -> CharacteristicData:
-        """The adjunction solution, found on first use and kept. Marking
-        writes the real column and conj, which the adjunction system does
-        not read, so both signs share the unmarked graph's solution.
-        Gamma(m,n) takes the coefficients of its lift when the lift is
-        already solved (blown_down_characteristic), and solves otherwise.
-        A marked or otherwise replaced cover graph solves afresh."""
-        lift = vars(self).get("_lift")
-        if lift is not None and "characteristic" in vars(lift):
-            return blown_down_characteristic(self, lift)
+        """The adjunction solution, solved on first use and kept unless
+        minimize_and_label gave it. Marking leaves the adjunction system as it
+        is, so both signs share the unmarked graph's; a marked or otherwise
+        replaced cover graph solves afresh."""
         return canonical_coefficients(self)
 
 
@@ -296,16 +290,17 @@ def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
     return cg._replace(graph=g._replace(arm_label=tuple(labels)))
 
 
-def minimize_and_label(cg: CoverGraph) -> CoverGraph:
-    """Blow the lift down to Gamma(m,n), carrying labels and provenance.
+def minimize_and_label(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
+    """Blow the lift cg down to Gamma(m,n), carrying labels and provenance.
 
     cg must already carry label_arms' labels (the arm laws are provable on
     the lift); they survive on the vertices that remain. The deck map must
     restrict to the survivors; when e^0 itself gets contracted (small
     exponent pairs) e0_lift becomes None. When nothing blows down, cg
     itself is returned; otherwise the minimal graph, walked from e0_lift
-    when it survives, with the survivors' deck and downstairs as columns.
-    It keeps cg, privately, so that its characteristic reuses cg's solve.
+    when it survives, with the survivors' deck and downstairs as columns,
+    and with its characteristic read off gp, the Gamma'_f below cg, and
+    certified (pulled_back_characteristic): it holds no reference to cg.
     """
     g, removed = blow_down_minimize(cg.graph)
     if not removed:
@@ -332,7 +327,7 @@ def minimize_and_label(cg: CoverGraph) -> CoverGraph:
             )
     minimal = cg._replace(graph=g, e0_lift=e0, deck=VertexMap(g, deck),
                           downstairs=VertexMap(g, below))
-    vars(minimal)["_lift"] = cg
+    vars(minimal)["characteristic"] = pulled_back_characteristic(minimal, gp)
     return minimal
 
 
@@ -380,5 +375,5 @@ def build_cover(m: int, n: int) -> CoverData:
     gamma_f, rupture = build_gamma_f(m, n)
     gamma_f_prime = separate_odd_odd(gamma_f)
     lift = label_arms(lift_double_cover(gamma_f_prime, rupture, m, n), gamma_f_prime)
-    return CoverData(m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime,
-                     rupture=rupture, lift=lift, minimal=minimize_and_label(lift))
+    return CoverData(m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime, rupture=rupture,
+                     lift=lift, minimal=minimize_and_label(lift, gamma_f_prime))

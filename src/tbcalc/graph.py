@@ -688,10 +688,10 @@ def solve_intersection_system(
     child c into its parent p as D_p, E_p and N_p <- N_p*D_c - E_p*N_c.
     Root to leaves the divisions stay in ints while they are exact, and
     Q x = L*rhs is re-multiplied over every edge of g as a self-check.
-    det Q is D at the root. A tree form is negative definite exactly when
-    every pivot D_v/E_v is negative, as on every resolution graph; raises
-    SingularMatrix, naming the first vertex in order whose pivot is not,
-    when the form is not negative definite or g is disconnected.
+    det Q is D at the root. The form must be negative definite, as on every
+    resolution graph (_indefinite_at); raises SingularMatrix, naming the
+    first vertex in order whose pivot is not negative, when it is not, or
+    when g is disconnected.
     """
     ids, order, parent = g.ids, g.order, g.parent
     if not ids:
@@ -713,8 +713,7 @@ def solve_intersection_system(
         det[p] = det[p] * d - e * rest[c]
         rest[p] = e * d
         num[p] = num[p] * d - e * num[c]
-    if max(map(mul, det, rest)) >= 0:
-        bad = next(v for v in order if det[v] * rest[v] >= 0)
+    if (bad := _indefinite_at(g, det, rest)) is not None:
         raise SingularMatrix(f"intersection form is not negative definite at vertex {ids[bad]}")
     x: list = [0] * len(ids)
     for v in order:
@@ -745,6 +744,13 @@ def _subtree_dets(g: FrozenGraph) -> tuple[list[int], list[int]]:
         if p >= 0:
             det[p], rest[p] = det[p] * det[c] - rest[p] * rest[c], rest[p] * det[c]
     return det, rest
+
+
+def _indefinite_at(g: FrozenGraph, det: Sequence[int], rest: Sequence[int]) -> Optional[int]:
+    """The first position in g's order whose pivot D_p/E_p (_subtree_dets) is
+    not negative, or None: a tree's form is negative definite exactly when none is."""
+    if max(map(mul, det, rest), default=-1) >= 0:
+        return next(p for p in g.order if det[p] * rest[p] >= 0)
 
 
 def _tree_det(g: FrozenGraph) -> int:

@@ -39,8 +39,9 @@ from .errors import (
     InconsistentAnnotation,
     NonIntegralCanonicalClass,
     NotNumericallyGorenstein,
+    SingularMatrix,
 )
-from .graph import FrozenGraph, _branches, _column, _imaginary_arms
+from .graph import FrozenGraph, _branches, _column, _imaginary_arms, _indefinite_at, _subtree_dets
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
 from .graph import arms  # noqa: F401
 
@@ -173,9 +174,9 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     cg.graph must be a FrozenGraph; a caller freezes a builder first.
     Real flags must be present; a nonempty
     conj must be an involutive automorphism whose fixed points are the
-    real vertices. When wr is omitted it is computed from the adjunction
-    system of the given graph, and a graph whose adjunction system has no
-    integral solution raises NonIntegralCanonicalClass.
+    real vertices. A form that is not negative definite raises
+    SingularMatrix. When wr is omitted it is computed from the adjunction
+    system, and one with no integral solution raises NonIntegralCanonicalClass.
     """
     g = cg.graph
     _check_annotations(cg, g)
@@ -197,5 +198,8 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
             if not g.real[p]:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus")
+        if (bad := _indefinite_at(g, *_subtree_dets(g))) is not None:
+            raise SingularMatrix(
+                f"intersection form is not negative definite at vertex {g.ids[bad]}")
         w = frozenset(wr)
     return _assemble(g, w, cg.sign, cg.m, cg.n, EVAL_GRAPH)

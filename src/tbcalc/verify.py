@@ -238,7 +238,9 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                           exponent is 2 mod 4.
 
     label_arms has checked that the lift and Gamma'_f are numbered
-    0 .. V-1, so both are read by position.
+    0 .. V-1, so both are read by position. W is the lift's solved W: the
+    laws are, mod 2, the pull-back formula that gives Gamma(m,n) its
+    coefficients, so a pulled-back W would check that formula against itself.
     """
     result = SuiteResult("parity")
     for m, n in _pairs(m_max, n_max, result):

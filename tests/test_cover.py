@@ -463,11 +463,12 @@ class TestSelfChecks:
 
     def minimize_with(self, monkeypatch, rewrite):
         # (3, 10): one curve blows down and e^0 survives.
-        lift = build_cover(3, 10).lift
+        cover = build_cover(3, 10)
+        lift = cover.lift
         blow_down = cover_module.blow_down_minimize
         monkeypatch.setattr(cover_module, "blow_down_minimize",
                             lambda g: rewrite(lift, *blow_down(g)))
-        return self.raised(minimize_and_label, lift)
+        return self.raised(minimize_and_label, lift, cover.gamma_f_prime)
 
     def test_deck_restricts_to_the_minimal_graph(self, monkeypatch):
         def rewrite(lift, g, removed):
@@ -672,8 +673,9 @@ class TestLiftCanonicalClass:
                     v: a[v] for v in minimal.graph.ids}, (m, n)
 
     def test_blown_down_graph_takes_the_solved_lift_coefficients(self, monkeypatch):
-        # A Gamma(m,n) linked to a solved lift makes no solve, and its
-        # characteristic data is what a fresh solve of Gamma(m,n) gives.
+        # A cold build of Gamma(m,n) where curves blew down makes no solve,
+        # and its characteristic data is what a fresh solve of Gamma(m,n)
+        # gives.
         solves = []
         inner = charclass.solve_intersection_system
 
@@ -686,54 +688,40 @@ class TestLiftCanonicalClass:
             for n in range(2, 201):
                 if math.gcd(m, n) != 1:
                     continue
+                build_cover.cache_clear()
                 cover = build_cover(m, n)
                 if cover.minimal is cover.lift:
                     continue
-                cover.lift.characteristic
-                minimal = minimize_and_label(cover.lift)
-                solves.clear()
-                inherited = minimal.characteristic
+                pulled_back = cover.minimal.characteristic
                 assert solves == [], (m, n)
-                assert inherited == canonical_coefficients(cover.minimal), (m, n)
-
-    @staticmethod
-    def planted(rewrite):
-        """Gamma(3, 10) read off a copy of its lift whose characteristic
-        data is rewrite(the solved data)."""
-        lift = build_cover(3, 10).lift
-        copy = lift._replace()
-        vars(copy)["characteristic"] = rewrite(lift.characteristic)
-        return minimize_and_label(copy)
+                assert pulled_back == canonical_coefficients(cover.minimal), (m, n)
+                solves.clear()
 
     def test_a_wrong_lift_coefficient_is_caught(self):
-        # An even change at e^0, which survives, keeps W, so only the
-        # re-multiplication sees it.
-        lift = build_cover(3, 10).lift
-
-        def rewrite(cd):
-            a = dict(cd.a.items())
-            a[lift.e0_lift] += 2
-            return cd._replace(a=VertexMap(lift.graph, a.values()))
-
-        with pytest.raises(InternalInvariantError, match=r"fail Q a = n \+ 2"):
-            self.planted(rewrite).characteristic
-
-    def test_a_wrong_lift_determinant_is_caught(self):
-        with pytest.raises(InternalInvariantError, match="after 1 blow-downs"):
-            self.planted(lambda cd: cd._replace(det=cd.det + 2)).characteristic
-
-    def test_the_solved_graph_is_numbered_by_position(self):
+        # +1 on the c1 entry of an odd-multiplicity Gamma'_f curve under a
+        # curve that survives the blow-down moves that curve's coefficient
+        # by 2: W stays as it is, so only the re-multiplication sees it.
         cover = build_cover(3, 10)
-        lift = cover.lift
-        moved = lift._replace(graph=lift.graph._replace(ids=tuple(v + 1 for v in lift.graph.ids)))
-        vars(moved)["characteristic"] = lift.characteristic
-        with pytest.raises(InternalInvariantError, match="ids as its positions"):
-            charclass.blown_down_characteristic(cover.minimal, moved)
+        down = cover.gamma_f_prime
+        below = next(d for d in cover.minimal.downstairs.values() if down.mult[d] % 2)
+        c1 = list(down.c1_coeff)
+        c1[below] += 1
+        with pytest.raises(InternalInvariantError, match=r"fail Q a = n \+ 2"):
+            minimize_and_label(cover.lift, down._replace(c1_coeff=tuple(c1)))
+
+    def test_a_form_that_is_not_negative_definite_is_caught(self):
+        # A lone (+2)-curve over a curve of multiplicity 2 with c1 entry 1
+        # takes the coefficient 1 + 2/2 = 2, which passes Q a = n + 2, but
+        # no resolution graph has a curve of positive self-intersection.
+        down = FrozenGraph.from_columns([-2], [], mult=[2], c1_coeff=[1])
+        up = CoverGraph(graph=FrozenGraph.from_columns([2], []), m=None, n=None,
+                        e0_lift=None, deck={}, downstairs={0: 0})
+        with pytest.raises(InternalInvariantError, match="not negative definite at vertex 0$"):
+            charclass.pulled_back_characteristic(up, down)
 
     def test_a_replaced_minimal_graph_solves_afresh(self):
         cover = build_cover(3, 10)
-        cover.lift.characteristic
-        assert "_lift" in vars(cover.minimal)
+        assert vars(cover.minimal) == {"characteristic": cover.minimal.characteristic}
         for value in (cover.minimal._replace(), mark_real_structure(cover.minimal, "plus")):
-            assert "_lift" not in vars(value)
+            assert vars(value) == {}
             assert value.characteristic == canonical_coefficients(cover.minimal)

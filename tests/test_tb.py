@@ -30,6 +30,7 @@ from tbcalc import (
     cf_eval,
     evaluation_graph,
     graph_to_document,
+    intersection_matrix,
     mark_real_structure,
     n_prime,
     tb,
@@ -39,6 +40,7 @@ from tbcalc import (
 )
 from tbcalc import charclass
 from conftest import make_chain, make_star, make_zero_arm
+from oracles import is_negative_definite
 
 
 def annotated(g, conj):
@@ -135,53 +137,83 @@ class TestTbValues:
 
 class TestEvaluationGraph:
     @staticmethod
-    def solved_sizes(monkeypatch, m, n, signs):
-        """The vertex counts of the graphs a cold tb(m, n, sign) over signs
-        solves, in order."""
-        sizes = []
+    def solved_graphs(monkeypatch, m, n, signs):
+        """The graphs a cold tb(m, n, sign) over signs solves, in order."""
+        graphs = []
         inner = charclass.solve_intersection_system
 
         def counting(g, rhs):
-            sizes.append(len(g.vertices))
+            graphs.append(g)
             return inner(g, rhs)
 
         monkeypatch.setattr(charclass, "solve_intersection_system", counting)
         build_cover.cache_clear()
         for sign in signs:
             tb(m, n, sign)
-        return sizes
+        return graphs
 
     @pytest.mark.parametrize("m,n,solved", [(11, 6, ("minimal",)),
                                             (3, 2, ("lift",)),
                                             (2, 1599, ("lift",))])
     def test_one_adjunction_solve_per_graph(self, monkeypatch, m, n, solved):
-        # Both signs, and repeated calls, share one solve. Where plus falls
-        # back to the lift, (3, 2) and (2, 1599), Gamma(m,n) then takes the
-        # solved lift's coefficients instead of solving.
-        sizes = self.solved_sizes(monkeypatch, m, n, ("plus", "minus", "minus"))
-        cover = build_cover(m, n)
-        assert sizes == [len(getattr(cover, level).graph.vertices)
-                         for level in solved]
+        # Both signs, in either order, and repeated calls, share one solve.
+        # Where plus falls back to the lift, (3, 2) and (2, 1599), Gamma(m,n)
+        # took its coefficients from Gamma'_f when it was built.
+        for signs in (("plus", "minus", "minus"), ("minus", "plus", "plus")):
+            sizes = [len(g.ids) for g in self.solved_graphs(monkeypatch, m, n, signs)]
+            cover = build_cover(m, n)
+            assert sizes == [len(getattr(cover, level).graph.ids) for level in solved], signs
 
     @pytest.mark.parametrize("m,n", [(3, 2), (2, 1599)])
-    def test_minus_first_solves_both_graphs(self, monkeypatch, m, n):
-        # Gamma(m,n) read first has no solved lift to take from, and the
-        # lift does not take from the graph it blows down to.
-        sizes = self.solved_sizes(monkeypatch, m, n, ("minus", "plus", "plus"))
-        cover = build_cover(m, n)
-        assert sizes == [len(cover.minimal.graph.vertices), len(cover.lift.graph.vertices)]
+    def test_each_sign_order_solves_only_the_lift(self, monkeypatch, m, n):
+        # Curves blow down here, so Gamma(m,n) is never solved: each sign
+        # order, from a cold cache, solves the lift that plus falls back to,
+        # and solves it once.
+        for signs in (("minus", "plus", "plus"), ("plus", "minus", "minus")):
+            graphs = self.solved_graphs(monkeypatch, m, n, signs)
+            cover = build_cover(m, n)
+            assert cover.minimal is not cover.lift
+            assert len(graphs) == 1 and graphs[0] is cover.lift.graph, signs
+
+    def test_only_lifts_are_solved_at_most_once_per_cover(self, monkeypatch):
+        # From a cold cache, in either sign order, the adjunction solver runs
+        # on the lift only, and at most once per cover: Gamma(m,n) is solved
+        # only where it is the lift itself.
+        solved = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            solved.append(g)
+            return inner(g, rhs)
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        for m in range(2, 31):
+            for n in range(2, 201):
+                if gcd(m, n) != 1:
+                    continue
+                for signs in (("minus", "plus"), ("plus", "minus")):
+                    build_cover.cache_clear()
+                    lift = build_cover(m, n).lift.graph
+                    for sign in signs:
+                        tb(m, n, sign)
+                    assert len(solved) <= 1 and all(g is lift for g in solved), (m, n, signs)
+                    solved.clear()
 
     @pytest.mark.parametrize("m,n", [(2, 1599), (3, 2), (3, 10), (11, 6)])
     @pytest.mark.parametrize("signs", [("plus", "minus"), ("minus", "plus")],
                              ids=["plus_then_minus", "minus_then_plus"])
     def test_minimal_graph_keeps_only_its_solve_and_lift(self, m, n, signs):
-        # Deciding the fallback caches nothing on Gamma(m,n): its instance
-        # dict holds at most its characteristic and, where curves blew down,
-        # its lift.
+        # Deciding the fallback caches nothing on Gamma(m,n), and Gamma(m,n)
+        # keeps no reference to its lift: its instance dict holds only its
+        # characteristic, given when it was built where curves blew down
+        # and solved on first use where nothing did, (11, 6).
         build_cover.cache_clear()
+        cover = build_cover(m, n)
+        blown_down = cover.minimal is not cover.lift
+        assert set(vars(cover.minimal)) == ({"characteristic"} if blown_down else set())
         for sign in signs:
             tb(m, n, sign)
-            assert set(vars(build_cover(m, n).minimal)) <= {"characteristic", "_lift"}
+            assert set(vars(build_cover(m, n).minimal)) == {"characteristic"}
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
         # A cold build_cover makes no copy, neither where odd-odd separation
@@ -296,8 +328,8 @@ class TestTbFromGraph:
     @pytest.mark.parametrize("selfs", [[1], [-2, 0]])
     def test_form_that_is_not_negative_definite_refused(self, selfs):
         # No resolution graph has such a form: a lone (+1)-curve fails at
-        # the tree solver's pivot, and the chain (-2, 0) at a vanishing
-        # subtree determinant. Each once gave tb 1.
+        # a positive pivot, and the chain (-2, 0) at a vanishing subtree
+        # determinant. Each once gave tb 1 without wr.
         chain, ids = make_chain(selfs)
         g = chain.copy()
         for v in ids:
@@ -306,8 +338,11 @@ class TestTbFromGraph:
                         downstairs={}, conj={}, sign=None)
         with pytest.raises(SingularMatrix, match="not negative definite"):
             canonical_coefficients(cg)
-        with pytest.raises(SingularMatrix, match="not negative definite"):
-            tb_from_graph(cg)
+        # With wr given no solve runs, and the lone (+1)-curve once gave 1
+        # with wr = [v] and 0 with wr = [].
+        for wr in (None, [], ids):
+            with pytest.raises(SingularMatrix, match="not negative definite"):
+                tb_from_graph(cg, wr=wr)
 
     def test_missing_real_flags_rejected(self):
         g, _ids = make_chain([-2, -2])
@@ -444,7 +479,9 @@ class TestTbFromGraph:
 
     def test_zero_imaginary_arm_weight_rejected(self):
         # a real (-2) center with two conjugate imaginary (0)-arms: the
-        # arm weight 0 has no reciprocal in n'
+        # arm weight 0 has no reciprocal in n', which n_prime reports; its
+        # zero subtree determinant makes the form singular, which
+        # tb_from_graph refuses before weighing an arm
         star, center, ((left,), (right,)) = make_star(-2, [(0,), (0,)])
         g = star.copy()
         g.vertices[center].real = True
@@ -454,16 +491,24 @@ class TestTbFromGraph:
         cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
         with pytest.raises(ZeroDenominator):
+            n_prime(cg.graph, center)
+        with pytest.raises(SingularMatrix, match="not negative definite"):
             tb_from_graph(cg, wr=[center])
 
     @pytest.mark.parametrize("selfs", [(-2, 0), (0,)], ids=["broken", "zero"])
     def test_zero_arm_messages(self, selfs):
+        # n_prime names the zero; tb_from_graph refuses the singular form
+        # first, at the first vertex of the walk whose pivot is not negative.
         g, center, arm = make_zero_arm(selfs)
         cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj={}, sign=None)
         message = (f"an arm weight through vertex {arm[1]} is zero" if len(arm) > 1
                    else f"an imaginary arm of vertex {center} has weight zero")
         with pytest.raises(ZeroDenominator, match=f"^{message}$"):
+            n_prime(g, center)
+        bad = arm[0] if len(arm) > 1 else center
+        with pytest.raises(SingularMatrix,
+                           match=f"^intersection form is not negative definite at vertex {bad}$"):
             tb_from_graph(cg, wr=[center])
 
     @pytest.mark.parametrize("wr", [None, []], ids=["solved", "given"])
@@ -531,8 +576,10 @@ class TestTbFromGraph:
         # Random trees with imaginary vertices, so tb folds their arms, each
         # walked from a random root, with W_R a random set of real vertices:
         # the n' denominators differ, and Fraction arithmetic is the oracle.
+        # A tree whose form the dense oracle finds not negative definite is
+        # refused instead.
         rng = random.Random(20261019)
-        denominators = set()
+        denominators, refused = set(), 0
         for _ in range(300):
             b = DecoratedGraph()
             ids = [b.add_vertex(-rng.randrange(2, 6), real=rng.random() < 0.4)
@@ -543,11 +590,17 @@ class TestTbFromGraph:
             real = [v for v in ids if b.vertices[v].real]
             g = b.freeze().freeze(root=rng.choice(ids))
             cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={}, downstairs={})
-            r = tb_from_graph(cg, wr=rng.sample(real, rng.randrange(len(real) + 1)))
+            wr = rng.sample(real, rng.randrange(len(real) + 1))
+            if not is_negative_definite(intersection_matrix(g)[1]):
+                refused += 1
+                with pytest.raises(SingularMatrix, match="not negative definite"):
+                    tb_from_graph(cg, wr=wr)
+                continue
+            r = tb_from_graph(cg, wr=wr)
             assert r.value == sum(r.n_prime_contrib.values(), Fraction(r.n_real - 1))
             denominators.update(term.denominator for term in r.n_prime_contrib.values())
             denominators.add(r.value.denominator)
-        assert len(denominators) > 20
+        assert len(denominators) > 20 and refused > 0
 
     def test_arms_found_when_the_first_vertex_is_imaginary(self):
         # The star12 plus graph with one imaginary arm built first, so the
