@@ -70,9 +70,9 @@ def pulled_back_characteristic(cg, gp: FrozenGraph) -> CharacteristicData:
     (Barth-Hulek-Peters-Van de Ven, Compact Complex Surfaces, I.17) has
     coefficient 2c + mu - 1 for odd mu and c + mu/2 for even mu. A failed
     check raises InternalInvariantError; W is extracted as by canonical_coefficients."""
-    g, below = cg.graph, _column(cg.graph, cg.downstairs)
-    pulled = [2 * c + mu - 1 if mu % 2 else c + mu // 2 for c, mu in zip(gp.c1_coeff, gp.mult)]
-    coeffs = list(map(pulled.__getitem__, below))
+    g, c1, mult = cg.graph, gp.c1_coeff, gp.mult
+    coeffs = [2 * c1[d] + mult[d] - 1 if mult[d] % 2 else c1[d] + mult[d] // 2
+              for d in _column(g, cg.downstairs)]
     if list(map(add, map(mul, g.self_int, coeffs), _neighbour_sums(g, coeffs))) != list(
             map((2).__add__, g.self_int)):
         raise InternalInvariantError("the pulled-back c1 coefficients fail Q a = n + 2")

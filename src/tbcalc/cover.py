@@ -294,26 +294,34 @@ def minimize_and_label(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
     """Blow the lift cg down to Gamma(m,n), carrying labels and provenance.
 
     cg must already carry label_arms' labels (the arm laws are provable on
-    the lift); they survive on the vertices that remain. The deck map must
-    restrict to the survivors; when e^0 itself gets contracted (small
-    exponent pairs) e0_lift becomes None. When nothing blows down, cg
-    itself is returned; otherwise the minimal graph, walked from e0_lift
-    when it survives, with the survivors' deck and downstairs as columns,
-    and with its characteristic read off gp, the Gamma'_f below cg, and
-    certified (pulled_back_characteristic): it holds no reference to cg.
+    the lift); they survive on the vertices that remain. label_arms also
+    makes the lift's ids its positions, so the removed ids mark the kept
+    positions in one mask, through which the deck map must restrict to the
+    survivors; when e^0 itself gets contracted (small exponent pairs)
+    e0_lift becomes None. When nothing blows down, cg itself is returned;
+    otherwise the minimal graph, walked from e0_lift when it survives, with
+    the survivors' deck and downstairs as columns, and with its
+    characteristic read off gp, the Gamma'_f below cg, and certified
+    (pulled_back_characteristic): it holds no reference to cg.
     """
     g, removed = blow_down_minimize(cg.graph)
     if not removed:
         return cg
-    lift, survivors = cg.graph, set(g.ids)
-    keep = list(map(survivors.__contains__, lift.ids))
+    lift = cg.graph
+    if not _numbered_by_position(lift):
+        raise StructureMismatch("minimize_and_label needs a lift whose ids are its positions")
+    keep = [True] * len(lift.ids)
+    for v in removed:
+        keep[v] = False
     deck = list(compress(_column(lift, cg.deck), keep))
-    below = list(compress(_column(lift, cg.downstairs), keep))
-    if not survivors.issuperset(deck):
+    below = compress(_column(lift, cg.downstairs), keep)
+    if not all(map(keep.__getitem__, deck)):
         raise StructureMismatch(
             "deck transformation does not restrict to the minimal graph"
         )
-    e0 = cg.e0_lift if cg.e0_lift in survivors else None
+    e0 = cg.e0_lift
+    if e0 is not None and not keep[e0]:
+        e0 = None
     if e0 is not None:
         # On the tree g, e^0 has 3 bamboo arms when it meets 3 curves and
         # no other vertex meets 3 or more, arrows included.

@@ -27,8 +27,10 @@ over the stored order and build a Fraction only for a final value that is
 not an integer; an arm weighs D/E of its head, and _imaginary_arms holds
 the one n' rule that n_prime and tb share. Every arm reader takes the
 arms of a vertex from _arm_positions, breadth-first from each head
-whatever root g is walked from, and blow-down rebuilds its result through
-one mask of the kept positions, so each is one O(V) pass.
+whatever root g is walked from, so each is one O(V) pass. Blow-down pays
+per curve it removes: a contraction touches only the one or two
+neighbours of the removed curve, and the result is built once, each
+column compressed through one mask of the kept positions.
 """
 
 from __future__ import annotations
@@ -597,74 +599,86 @@ def blow_down_minimize(
     the removed ids in contraction order; g is left alone, and returned
     itself when nothing is removable. The contraction runs on positions:
     the removable ones are kept sorted, largest first so that the next one
-    pops off the end, and a neighbour set is made only for a position a
-    contraction touches. The rebuild is one pass over each column.
+    pops off the end. A contraction reads the one or two neighbours of the
+    removed position, makes a neighbour list only for a position it touches,
+    and re-tests only those: one whose self-intersection rises to 0 leaves
+    the removable list, one that rises to -1 may join it. The rebuild
+    compresses each column through one mask of the kept positions and
+    builds the FrozenGraph directly, walked afresh from its root.
     """
-    ids, adj, start, real, arrowed = g.ids, g.adj, g.adj_start, g.real, set(g.arrows)
+    ids, adj, start, real = g.ids, g.adj, g.adj_start, g.real
+    arrowed = set(g.arrows)
     self_int = list(g.self_int)
-    near: dict[int, set[int]] = {}
-
-    def neighbours(p: int):
-        return near[p] if p in near else adj[start[p]:start[p + 1]]
-
-    def removable(p: int) -> bool:
-        return self_int[p] == -1 and len(neighbours(p)) <= 2 and ids[p] not in arrowed
-
     size = len(ids)
-    eligible = [-p for p in compress(range(size), map((-1).__eq__, self_int)) if removable(p)]
-    eligible.reverse()  # negated positions, ascending: the smallest position is last
+    eligible = [-p for p in range(size) if self_int[p] == -1
+                and start[p + 1] - start[p] <= 2 and ids[p] not in arrowed]
     if not eligible:
         return g, []
+    eligible.reverse()  # negated positions, ascending: the smallest position is last
+    near: dict[int, list[int]] = {}
     removed: list[int] = []
     while eligible:
         v = -eligible.pop(-1 - rng.randrange(len(eligible)) if rng is not None else -1)
-        nbrs = tuple(neighbours(v))
-        if real[v] is False and any(real[u] is True for u in nbrs):
-            raise InconsistentAnnotation(
-                f"cannot contract imaginary vertex {ids[v]} next to a real vertex"
-            )
+        nbrs = near.pop(v) if v in near else adj[start[v]:start[v + 1]]
         if not nbrs:
             raise IsolatedMinusOne(
                 f"vertex {ids[v]} is an isolated (-1)-sphere; the configuration "
                 "contracts to a smooth point"
             )
-        if len(nbrs) == 2 and nbrs[1] in neighbours(nbrs[0]):
-            raise InternalInvariantError("contraction would create a double edge in a tree")
-        for u in nbrs:
-            near.setdefault(u, set(adj[start[u]:start[u + 1]])).discard(v)
-            near[u].update(w for w in nbrs if w != u)
-            self_int[u] += 1
+        if real[v] is False and (real[nbrs[0]] is True or real[nbrs[-1]] is True):
+            raise InconsistentAnnotation(
+                f"cannot contract imaginary vertex {ids[v]} next to a real vertex"
+            )
+        u = nbrs[0]
+        at_u = near[u] if u in near else list(adj[start[u]:start[u + 1]])
+        if len(nbrs) == 2:
+            w = nbrs[1]
+            if w in at_u:
+                raise InternalInvariantError("contraction would create a double edge in a tree")
+            at_w = near[w] if w in near else list(adj[start[w]:start[w + 1]])
+            at_u[at_u.index(v)] = w
+            at_w[at_w.index(v)] = u
+            near[w] = at_w
+        else:
+            at_u.remove(v)
+        near[u] = at_u
         removed.append(v)
         for u in nbrs:
-            i = bisect_left(eligible, -u)
-            if i < len(eligible) and eligible[i] == -u:
-                del eligible[i]
-            if removable(u):
-                eligible.insert(i, -u)
-    # The rebuild keeps the columns and the neighbour lists of untouched
-    # positions through one mask and renumbers them: a kept position moves
-    # down by the removed ones before it.
+            value = self_int[u] = self_int[u] + 1
+            if value == 0:
+                i = bisect_left(eligible, -u)
+                if i < len(eligible) and eligible[i] == -u:
+                    del eligible[i]
+            elif value == -1 and len(near[u]) <= 2 and ids[u] not in arrowed:
+                eligible.insert(bisect_left(eligible, -u), -u)
+    # The kept columns and the neighbour lists of untouched positions pass
+    # through one mask and are renumbered: a kept position moves down by
+    # the removed ones before it.
     keep = [True] * size
     for p in removed:
         keep[p] = False
     index = list(accumulate(keep, initial=0))
     degree = _degrees(g)
     runs, done = [], 0
-    for p in sorted(near.keys() | set(removed)):
+    for p in sorted(chain(near, removed)):
         runs.append(adj[start[done]:start[p]])
         if keep[p]:
             degree[p] = len(near[p])
             runs.append(sorted(near[p]))
         done = p + 1
     runs.append(adj[start[done]:])
-    columns = {name: list(compress(getattr(g, name), keep)) for name in _COLUMNS[1:]}
+    kept = index[-1]
+    none = (None,) * kept
+    columns = [tuple(compress(column, keep))
+               for column in (g.mult, g.c1_coeff, g.arm_label, g.real)]
+    adj_start = tuple(accumulate(compress(degree, keep), initial=0))
+    adj = tuple(map(index.__getitem__, chain.from_iterable(runs)))
     root = g.order[0]
-    return FrozenGraph._from_adjacency(
-        list(compress(self_int, keep)),
-        list(accumulate(compress(degree, keep), initial=0)),
-        list(map(index.__getitem__, chain.from_iterable(runs))),
-        ids=tuple(compress(ids, keep)), **columns, arrows=g.arrows,
-        next_id=g.next_id, root=index[root] if keep[root] else 0,
+    return FrozenGraph(
+        tuple(compress(ids, keep)), tuple(compress(self_int, keep)),
+        *(none if column.count(None) == kept else column for column in columns),
+        *_breadth_first(adj, adj_start, index[root] if keep[root] else 0),
+        adj_start, adj, g.arrows, g.next_id,
     ), list(map(ids.__getitem__, removed))
 
 

@@ -436,6 +436,14 @@ class TestSelfChecks:
             assert self.raised(label_arms, cg, gp) == (
                 "label_arms needs graphs whose ids are their positions")
 
+    def test_minimizing_reads_ids_as_positions(self):
+        # (3, 10): one curve blows down; its removed id marks a position.
+        cover = build_cover(3, 10)
+        lift = cover.lift
+        moved = lift._replace(graph=lift.graph._replace(ids=tuple(v + 1 for v in lift.graph.ids)))
+        assert self.raised(minimize_and_label, moved, cover.gamma_f_prime) == (
+            "minimize_and_label needs a lift whose ids are its positions")
+
     def test_rupture_has_three_arms(self, monkeypatch):
         assert self.label_with_arms(monkeypatch, lambda found: found[:2]) == (
             "e^0 has 2 arms, expected 3")
