@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import compress
-from operator import add, mul
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, NotNumericallyGorenstein, StructureMismatch
-from .graph import (FrozenGraph, VertexMap, _column, _indefinite_at, _neighbour_sums,
-                    _subtree_dets, solve_intersection_system)
+from .graph import (FrozenGraph, VertexMap, _column, _form_times, _indefinite_at, _subtree_dets,
+                    solve_intersection_system)
 
 WU_CONFIRMED_UNIQUE = "confirmed-unique"
 WU_CONFIRMED_CONSISTENT = "confirmed-consistent"
@@ -73,8 +72,7 @@ def pulled_back_characteristic(cg, gp: FrozenGraph) -> CharacteristicData:
     g, c1, mult = cg.graph, gp.c1_coeff, gp.mult
     coeffs = [2 * c1[d] + mult[d] - 1 if mult[d] % 2 else c1[d] + mult[d] // 2
               for d in _column(g, cg.downstairs)]
-    if list(map(add, map(mul, g.self_int, coeffs), _neighbour_sums(g, coeffs))) != list(
-            map((2).__add__, g.self_int)):
+    if _form_times(g, coeffs) != list(map((2).__add__, g.self_int)):
         raise InternalInvariantError("the pulled-back c1 coefficients fail Q a = n + 2")
     det, rest = _subtree_dets(g)
     if (bad := _indefinite_at(g, det, rest)) is not None:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import (FrozenGraph, VertexMap, _degrees, _neighbour_sums, _tree_det,
+from .graph import (FrozenGraph, VertexMap, _degrees, _form_times, _tree_det,
                     solve_intersection_system)
 
 ARROW_MULT = 1
@@ -204,7 +203,7 @@ def _check_gamma_f(g: FrozenGraph, data: EuclidData) -> None:
 def check_mini(g: FrozenGraph) -> None:
     """Assert the balance law n_k m_k + sum of adjacent mults + arrows = 0,
     read from the columns and neighbour lists."""
-    totals = list(map(add, map(mul, g.self_int, g.mult), _neighbour_sums(g, g.mult)))
+    totals = _form_times(g, g.mult)
     for v in g.arrows:
         totals[g.pos(v)] += ARROW_MULT
     if any(totals):

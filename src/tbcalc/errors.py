@@ -46,13 +46,15 @@ class IsolatedMinusOne(UserInputError):
 
 
 class ZeroDenominator(UserInputError):
-    """A continued fraction tail evaluated to zero."""
+    """A continued fraction tail evaluated to zero (numeric.cf_eval). The
+    readers of a graph raise SingularMatrix instead: no tail vanishes on a
+    negative definite tree."""
 
 
 class SingularMatrix(UserInputError):
-    """The intersection form is singular over the rationals, or not
-    negative definite, so the graph is not the resolution of a rational
-    homology sphere singularity."""
+    """The graph is not a tree, or its intersection form is singular over
+    the rationals or not negative definite, so the graph is not the
+    resolution of a rational homology sphere singularity."""
 
 
 class NonIntegralCanonicalClass(UserInputError):

@@ -20,12 +20,17 @@ the vertices view and VertexMap serve the same values by id to a caller.
 
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, and O(V) exact routines on
-frozen trees: a solver for intersection systems, which refuses a form
-that is not negative definite, and the determinant of the intersection
-form. All of these run one integer recurrence on subtree determinants
-over the stored order and build a Fraction only for a final value that is
-not an integer; an arm weighs D/E of its head, and _imaginary_arms holds
-the one n' rule that n_prime and tb share. Every arm reader takes the
+frozen trees: a solver for intersection systems and the determinant of
+the intersection form. All of these run one integer recurrence on subtree
+determinants over the stored order and build a Fraction only for a final
+value that is not an integer; an arm weighs D/E of its head, and
+_imaginary_arms holds the one n' rule that n_prime and tb share. The
+readers of a tree form (the solver, n_prime, arm_weight) have one
+precondition, checked on that recurrence by _require_definite_tree: g is
+a tree and its form is negative definite, as on every resolution graph
+(Mumford, Publ. IHES 9, 1961); anything else raises SingularMatrix, so
+no weight they fold has a zero denominator. _form_times gives Q x for the
+certificates that re-multiply. Every arm reader takes the
 arms of a vertex from _arm_positions, breadth-first from each head
 whatever root g is walked from, so each is one O(V) pass. Blow-down pays
 per curve it removes: a contraction touches only the one or two
@@ -49,7 +54,6 @@ from .errors import (
     InvalidDocument,
     IsolatedMinusOne,
     SingularMatrix,
-    ZeroDenominator,
 )
 
 
@@ -485,57 +489,48 @@ def _neighbour_sums(g: FrozenGraph, values: Sequence) -> list:
     return list(map(sub, islice(ends, 1, None), ends))
 
 
-def _branches(
-    g: FrozenGraph, marked: list[bool]
-) -> tuple[list[int], list[int], list[bool], list[bool]]:
-    """Per position p of g as rooted: D_p and E_p (_subtree_dets), whether
-    the subtree of p holds a marked position, and whether some position
-    strictly below p has D = 0, where the continued fraction of the branch
-    at p breaks."""
+def _form_times(g: FrozenGraph, x: Sequence) -> list:
+    """Q x by position: n_p x_p plus the sum of x over the neighbours of p,
+    read from the neighbour lists, so that every edge of g counts."""
+    return list(map(add, map(mul, g.self_int, x), _neighbour_sums(g, x)))
+
+
+def _branches(g: FrozenGraph, marked: list[bool]) -> tuple[list[int], list[int], list[bool]]:
+    """Per position p of g as rooted: D_p and E_p (_subtree_dets), and
+    whether the subtree of p holds a marked position."""
     det, rest = _subtree_dets(g)
     holds = list(marked)
-    broken = [False] * len(det)
     parent = g.parent
     for c in reversed(g.order):
         p = parent[c]
         if p >= 0:
             holds[p] = holds[p] or holds[c]
-            broken[p] = broken[p] or broken[c] or det[c] == 0
-    return det, rest, holds, broken
+    return det, rest, holds
 
 
 def _branch_weight(
-    g: FrozenGraph, head: int, det: list[int], rest: list[int],
-    broken: list[bool], children: Iterable[int],
+    g: FrozenGraph, head: int, det: list[int], rest: list[int], children: Iterable[int],
 ) -> Fraction:
     """The weight of the branch at position head made of head and the
     subtrees of the given children: n_head folded with each child's D/E as
     in _subtree_dets, on a bamboo the negative continued fraction from the
-    head. Raises ZeroDenominator on a zero sub-branch."""
+    head. Every D is nonzero on a negative definite tree."""
     d, e = g.self_int[head], 1
     for c in children:
-        if broken[c] or det[c] == 0:
-            raise ZeroDenominator(f"an arm weight through vertex {g.ids[c]} is zero")
         d, e = d * det[c] - e * rest[c], e * det[c]
     return Fraction(d, e)
 
 
 def _imaginary_arms(
-    g: FrozenGraph, p: int, det: list[int], rest: list[int],
-    holds: list[bool], broken: list[bool],
+    g: FrozenGraph, p: int, det: list[int], rest: list[int], holds: list[bool],
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """The weights D_h/E_h of the children h of p whose subtrees hold no
     marked position, and n'_p = n_p - sum of E_h/D_h. With g rooted at p
     or at a marked vertex, these h head the arms of p that hold no marked
-    vertex. Raises ZeroDenominator on a broken or zero weight."""
+    vertex."""
     heads = [h for h in g._children(p) if not holds[h]]
-    for h in heads:
-        if broken[h]:  # raises, naming the zero sub-branch below h
-            _branch_weight(g, h, det, rest, broken, g._children(h))
-        if det[h] == 0:
-            raise ZeroDenominator(f"an imaginary arm of vertex {g.ids[p]} has weight zero")
     weights = tuple(Fraction(det[h], rest[h]) for h in heads)
-    return weights, _branch_weight(g, p, det, rest, broken, heads)
+    return weights, _branch_weight(g, p, det, rest, heads)
 
 
 def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
@@ -547,14 +542,16 @@ def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
     order-free and agrees with the continued fraction along any path of
     the arm. Side branches containing a vertex marked real are the
     business of the anchor vertex, not of this arm, and are skipped.
+    Raises SingularMatrix unless g is a negative definite tree.
     """
     g = g.freeze(root=e)
-    det, rest, holds, broken = _branches(g, [r is True for r in g.real])
+    det, rest, holds = _branches(g, [r is True for r in g.real])
+    _require_definite_tree(g, det, rest)
     head = g.pos(arm.head)
     children = g._children(head)
     if not arm.is_bamboo:
         children = [c for c in children if not holds[c]]
-    return _branch_weight(g, head, det, rest, broken, children)
+    return _branch_weight(g, head, det, rest, children)
 
 
 def n_prime(g: FrozenGraph, e: int) -> Fraction:
@@ -563,9 +560,11 @@ def n_prime(g: FrozenGraph, e: int) -> Fraction:
     n'_e = n_e - sum of 1/n^sigma over the fully imaginary arms sigma (all
     real=False), so with no imaginary vertex n'_e is the raw
     self-intersection. Two conjugate imaginary arms contribute separately.
+    Raises SingularMatrix unless g is a negative definite tree.
     """
     g = g.freeze(root=e)
     folds = _branches(g, [r is not False for r in g.real])
+    _require_definite_tree(g, *folds[:2])
     return _imaginary_arms(g, g.order[0], *folds)[1]
 
 
@@ -603,8 +602,8 @@ def blow_down_minimize(
     removed position, makes a neighbour list only for a position it touches,
     and re-tests only those: one whose self-intersection rises to 0 leaves
     the removable list, one that rises to -1 may join it. The rebuild
-    compresses each column through one mask of the kept positions and
-    builds the FrozenGraph directly, walked afresh from its root.
+    compresses each column through one mask of the kept positions and hands
+    them to FrozenGraph._from_adjacency, which walks them afresh from the root.
     """
     ids, adj, start, real = g.ids, g.adj, g.adj_start, g.real
     arrowed = set(g.arrows)
@@ -667,18 +666,12 @@ def blow_down_minimize(
             runs.append(sorted(near[p]))
         done = p + 1
     runs.append(adj[start[done]:])
-    kept = index[-1]
-    none = (None,) * kept
-    columns = [tuple(compress(column, keep))
-               for column in (g.mult, g.c1_coeff, g.arm_label, g.real)]
-    adj_start = tuple(accumulate(compress(degree, keep), initial=0))
-    adj = tuple(map(index.__getitem__, chain.from_iterable(runs)))
     root = g.order[0]
-    return FrozenGraph(
-        tuple(compress(ids, keep)), tuple(compress(self_int, keep)),
-        *(none if column.count(None) == kept else column for column in columns),
-        *_breadth_first(adj, adj_start, index[root] if keep[root] else 0),
-        adj_start, adj, g.arrows, g.next_id,
+    return FrozenGraph._from_adjacency(
+        tuple(compress(self_int, keep)), tuple(accumulate(compress(degree, keep), initial=0)),
+        tuple(map(index.__getitem__, chain.from_iterable(runs))), ids=tuple(compress(ids, keep)),
+        **{name: tuple(compress(getattr(g, name), keep)) for name in _COLUMNS[1:]},
+        arrows=g.arrows, next_id=g.next_id, root=index[root] if keep[root] else 0,
     ), list(map(ids.__getitem__, removed))
 
 
@@ -701,17 +694,14 @@ def solve_intersection_system(
     c of N_c*(E_v/D_c), all integers: one pass leaves to root folds each
     child c into its parent p as D_p, E_p and N_p <- N_p*D_c - E_p*N_c.
     Root to leaves the divisions stay in ints while they are exact, and
-    Q x = L*rhs is re-multiplied over every edge of g as a self-check.
-    det Q is D at the root. The form must be negative definite, as on every
-    resolution graph (_indefinite_at); raises SingularMatrix, naming the
-    first vertex in order whose pivot is not negative, when it is not, or
-    when g is disconnected.
+    Q x = L*rhs is re-multiplied (_form_times) as a self-check. det Q is D
+    at the root. g must be a negative definite tree, as every resolution
+    graph is (_require_definite_tree, which raises SingularMatrix); the
+    empty graph solves to ({}, 1).
     """
     ids, order, parent = g.ids, g.order, g.parent
     if not ids:
         return VertexMap(g, ()), 1
-    if parent.count(-1) > 1:
-        raise SingularMatrix("graph is not connected")
     values = _column(g, rhs)
     if None in values:
         values = [0 if r is None else r for r in values]
@@ -727,14 +717,13 @@ def solve_intersection_system(
         det[p] = det[p] * d - e * rest[c]
         rest[p] = e * d
         num[p] = num[p] * d - e * num[c]
-    if (bad := _indefinite_at(g, det, rest)) is not None:
-        raise SingularMatrix(f"intersection form is not negative definite at vertex {ids[bad]}")
+    _require_definite_tree(g, det, rest)
     x: list = [0] * len(ids)
     for v in order:
         p = parent[v]
         value, d = num[v] if p < 0 else num[v] - rest[v] * x[p], det[v]
         x[v] = value // d if value % d == 0 else Fraction(value, d)
-    check = list(map(add, map(mul, g.self_int, x), _neighbour_sums(g, x)))
+    check = _form_times(g, x)
     if check != target:
         bad = next(v for v, total in enumerate(check) if total != target[v])
         raise InternalInvariantError(f"tree solver self-check failed at vertex {ids[bad]}")
@@ -765,6 +754,17 @@ def _indefinite_at(g: FrozenGraph, det: Sequence[int], rest: Sequence[int]) -> O
     not negative, or None: a tree's form is negative definite exactly when none is."""
     if max(map(mul, det, rest), default=-1) >= 0:
         return next(p for p in g.order if det[p] * rest[p] >= 0)
+
+
+def _require_definite_tree(g: FrozenGraph, det: Sequence[int], rest: Sequence[int]) -> None:
+    """Raise SingularMatrix unless g is a tree whose form is negative
+    definite, det and rest being _subtree_dets over g's order. A graph with
+    one root and 2(V - 1) neighbour slots has no cycle, loop or doubled
+    edge; the empty graph passes."""
+    if g.ids and (g.parent.count(-1) > 1 or len(g.adj) != 2 * (len(g.ids) - 1)):
+        raise SingularMatrix("graph is not a tree")
+    if (bad := _indefinite_at(g, det, rest)) is not None:
+        raise SingularMatrix(f"intersection form is not negative definite at vertex {g.ids[bad]}")
 
 
 def _tree_det(g: FrozenGraph) -> int:

@@ -35,13 +35,9 @@ from .cover import (
     build_cover,
     mark_real_structure,
 )
-from .errors import (
-    InconsistentAnnotation,
-    NonIntegralCanonicalClass,
-    NotNumericallyGorenstein,
-    SingularMatrix,
-)
-from .graph import FrozenGraph, _branches, _column, _imaginary_arms, _indefinite_at, _subtree_dets
+from .errors import InconsistentAnnotation, NonIntegralCanonicalClass, NotNumericallyGorenstein
+from .graph import (FrozenGraph, _branches, _column, _imaginary_arms, _require_definite_tree,
+                    _subtree_dets)
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
 from .graph import arms  # noqa: F401
 
@@ -177,12 +173,13 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
     real vertices. A form that is not negative definite raises
     SingularMatrix. When wr is omitted it is computed from the adjunction
     system, and one with no integral solution raises NonIntegralCanonicalClass.
+    cg.deck is not read: tb depends on the real structure alone.
     """
     g = cg.graph
     _check_annotations(cg, g)
     if wr is None:
         try:
-            w = canonical_coefficients(cg).w
+            w = canonical_coefficients(g).w
         except NotNumericallyGorenstein as exc:
             raise NonIntegralCanonicalClass(str(exc)) from exc
     else:
@@ -198,8 +195,6 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
             if not g.real[p]:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus")
-        if (bad := _indefinite_at(g, *_subtree_dets(g))) is not None:
-            raise SingularMatrix(
-                f"intersection form is not negative definite at vertex {g.ids[bad]}")
+        _require_definite_tree(g, *_subtree_dets(g))
         w = frozenset(wr)
     return _assemble(g, w, cg.sign, cg.m, cg.n, EVAL_GRAPH)

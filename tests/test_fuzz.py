@@ -1,6 +1,8 @@
 """Fuzz tests of the error contract: random caller graphs may raise only
-the package's own errors, and random command lines exit 0, 1 or 2 without
-a traceback. The examples are derandomized, so a run is reproducible."""
+the package's user errors, each reader of a tree form refuses exactly the
+forms that are not negative definite, and random command lines exit 0, 1
+or 2 without a traceback. The examples are derandomized, so a run is
+reproducible."""
 
 import contextlib
 import io
@@ -12,9 +14,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from tbcalc import (CoverGraph, Decomposition, TbcalcError, graph_from_document,  # noqa: E402
-                    linking_form_from_decomposition, tb_from_graph)
+from tbcalc import (CoverGraph, Decomposition, FrozenGraph, SingularMatrix,  # noqa: E402
+                    TbcalcError, UserInputError, arm_weight, arms, cf_eval,
+                    graph_from_document, intersection_matrix, linking_form_from_decomposition,
+                    n_prime, solve_intersection_system, tb_from_graph)
 from tbcalc.cli import main  # noqa: E402
+from oracles import is_negative_definite  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "y-x5y4.json"
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
@@ -80,21 +85,84 @@ def annotated_documents(draw):
             draw(anything))
     wr = draw(st.one_of(st.none(), st.lists(st.sampled_from(ids + [99, "x", None, [0], {}]),
                                             max_size=3)))
-    return doc, conj, wr
+    return doc, conj, wr, draw(decks(ids))
+
+
+def decks(ids):
+    """No deck map, or one that permutes ids at random."""
+    return st.one_of(st.just({}), st.permutations(ids).map(lambda image: dict(zip(ids, image))))
+
+
+@st.composite
+def caller_trees(draw, defects=False):
+    """A FrozenGraph.from_columns tree of 1-9 curves with self-intersections
+    in -4..top for a random top in -2..2 (with top = -2 the form is negative
+    definite), a random real column, walked from a random root; with
+    defects, now and then one more edge between two random positions: a
+    loop, a doubled edge or a cycle."""
+    size, top = draw(st.integers(1, 9)), draw(st.integers(-2, 2))
+    self_int = [draw(st.integers(-4, top)) for _ in range(size)]
+    edges = [(draw(st.integers(0, p - 1)), p) for p in range(1, size)]
+    if defects and draw(st.integers(0, 3)) == 0:
+        edges.append((draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))))
+    real = [draw(st.booleans()) for _ in range(size)]
+    return FrozenGraph.from_columns(self_int, edges, real=real,
+                                    root=draw(st.integers(0, size - 1)))
+
+
+def form_readers(g, e, cg):
+    """Each public reader of g's form, as a call: the solver, n_prime and
+    arm_weight at e (on every arm), and tb_from_graph with W_R given empty."""
+    return [lambda: solve_intersection_system(g, {e: 1}), lambda: n_prime(g, e),
+            *(lambda arm=arm: arm_weight(g, e, arm) for arm in arms(g, e)),
+            lambda: tb_from_graph(cg, wr=[])]
 
 
 class TestCallerGraphs:
     @FUZZ
     @given(annotated_documents())
     def test_only_package_errors_escape(self, case):
-        doc, conj, wr = case
+        doc, conj, wr, deck = case
         try:
             g = graph_from_document(doc)
-            cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+            cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck=deck,
                             downstairs={}, conj=conj, sign=None)
             tb_from_graph(cg, wr=wr)
-        except TbcalcError:
+        except UserInputError:
             pass
+
+    @FUZZ
+    @given(caller_trees(defects=True), st.data())
+    def test_form_readers_raise_only_user_errors(self, g, data):
+        e = data.draw(st.sampled_from(g.ids))
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck=data.draw(decks(g.ids)),
+                        downstairs={}, conj={}, sign=None)
+        for read in [*form_readers(g, e, cg), lambda: tb_from_graph(cg)]:
+            try:
+                read()
+            except UserInputError:
+                pass
+
+
+class TestTreeReaders:
+    @FUZZ
+    @given(caller_trees(), st.data())
+    def test_refused_exactly_when_not_negative_definite(self, g, data):
+        e = data.draw(st.sampled_from(g.ids))
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
+                        downstairs={}, conj={}, sign=None)
+        definite = is_negative_definite(intersection_matrix(g)[1])
+        for read in form_readers(g, e, cg):
+            if definite:
+                read()
+                continue
+            with pytest.raises(SingularMatrix,
+                               match="^intersection form is not negative definite at vertex"):
+                read()
+        for arm in arms(g, e) if definite else ():
+            if arm.is_bamboo:
+                weights = [g.self_int[g.pos(v)] for v in arm.vertices]
+                assert arm_weight(g, e, arm) == cf_eval(weights)
 
 
 # Values a decomposition document may hold where a field belongs: wrong

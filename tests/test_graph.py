@@ -14,13 +14,14 @@ from tbcalc import (
     InvalidDocument,
     IsolatedMinusOne,
     SingularMatrix,
-    ZeroDenominator,
     arm_weight,
     arms,
     blow_down_minimize,
     build_cover,
+    canonical_coefficients,
     cf_eval,
     intersection_matrix,
+    multiplicities,
     n_prime,
     solve_intersection_system,
     VertexMap,
@@ -342,16 +343,22 @@ class TestArmWeight:
         assert arm_weight(g, ids[0], arm) == cf_eval([-2] * 3000)
 
     def test_zero_below_the_head_is_named(self):
-        g, center, (head, zero) = make_zero_arm((-2, 0))
+        # The (0)-curve makes the form singular; the walk from the center
+        # first meets a pivot that is not negative at the head.
+        g, center, (head, _zero) = make_zero_arm((-2, 0))
         (arm,) = [a for a in arms(g, center) if a.head == head]
-        with pytest.raises(ZeroDenominator,
-                           match=f"^an arm weight through vertex {zero} is zero$"):
+        with pytest.raises(SingularMatrix,
+                           match=f"^intersection form is not negative definite at vertex {head}$"):
             arm_weight(g, center, arm)
 
-    def test_zero_weight_is_returned(self):
+    def test_zero_head_is_refused(self):
+        # A (0)-curve head weighs 0; its form is singular, so there is no
+        # weight to return. The first pivot that is not negative is the center's.
         g, center, (head,) = make_zero_arm((0,))
         (arm,) = [a for a in arms(g, center) if a.head == head]
-        assert arm_weight(g, center, arm) == 0
+        with pytest.raises(SingularMatrix,
+                           match=f"^intersection form is not negative definite at vertex {center}$"):
+            arm_weight(g, center, arm)
 
 
 class TestNPrime:
@@ -396,10 +403,12 @@ class TestNPrime:
 
     @pytest.mark.parametrize("selfs", [(-2, 0), (0,)], ids=["broken", "zero"])
     def test_zero_arm_messages(self, selfs):
+        # A (0)-curve in an imaginary arm makes the form singular: n_prime
+        # names the first vertex from the center whose pivot is not negative.
         g, center, arm = make_zero_arm(selfs)
-        message = (f"an arm weight through vertex {arm[1]} is zero" if len(arm) > 1
-                   else f"an imaginary arm of vertex {center} has weight zero")
-        with pytest.raises(ZeroDenominator, match=f"^{message}$"):
+        bad = arm[0] if len(arm) > 1 else center
+        with pytest.raises(SingularMatrix,
+                           match=f"^intersection form is not negative definite at vertex {bad}$"):
             n_prime(g, center)
 
     def test_makes_no_arms_walk(self, monkeypatch):
@@ -502,18 +511,53 @@ class TestSolveIntersectionSystem:
         g, _ids = make_chain([-2])
         b = g.copy()
         b.add_vertex(-2)
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix, match="^graph is not a tree$"):
             solve_intersection_system(b.freeze(), {})
 
-    def test_cycle_fails_the_self_check(self):
-        # The elimination walks a spanning tree of the triangle; the
-        # re-multiplication runs over all three edges and catches it.
+    def test_cycle_is_not_a_tree(self):
+        # The elimination would walk a spanning tree of the triangle and
+        # miss its third edge; the triangle is refused before it solves.
         chain, (a, b, c) = make_chain([-2, -2, -2])
         triangle = chain.copy()
         triangle.add_edge(a, c)
         rhs = {a: Fraction(1), b: Fraction(2), c: Fraction(3)}
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(SingularMatrix, match="^graph is not a tree$"):
             solve_intersection_system(triangle.freeze(), rhs)
+
+    def test_self_check_catches_a_corrupt_row(self, monkeypatch):
+        # One row of Q x comes back off by one for one call: the self-check
+        # names its vertex, and the next call solves again.
+        inner, calls = graph._form_times, []
+
+        def corrupt(g, x):
+            rows = inner(g, x)
+            if not calls:
+                rows[1] += 1
+            calls.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(graph, "_form_times", corrupt)
+        g, ids = make_chain([-2, -3, -2])
+        with pytest.raises(InternalInvariantError,
+                           match=f"^tree solver self-check failed at vertex {ids[1]}$"):
+            solve_intersection_system(g, {ids[1]: 1})
+        assert solve_intersection_system(g, {ids[1]: 1})[1] == -8
+        assert calls == [3, 3]
+
+    @pytest.mark.parametrize("extra", ["cycle", "double"])
+    def test_every_reader_refuses_a_graph_that_is_not_a_tree(self, extra):
+        # A triangle of (-3)-curves, or two (-2)-curves joined twice: each
+        # form reader raises SingularMatrix, none a self-check's error.
+        if extra == "cycle":
+            g = FrozenGraph.from_columns([-3] * 3, [(0, 1), (1, 2), (0, 2)], real=[True] * 3)
+        else:
+            g = FrozenGraph.from_columns([-2] * 2, [(0, 1), (0, 1)], real=[True] * 2)
+        readers = [lambda: solve_intersection_system(g, {}), lambda: n_prime(g, 0),
+                   lambda: arm_weight(g, 0, arms(g, 0)[0]),
+                   lambda: canonical_coefficients(g), lambda: multiplicities(g)]
+        for read in readers:
+            with pytest.raises(SingularMatrix, match="^graph is not a tree$"):
+                read()
 
 
 class TestTreeDeterminant:

@@ -22,7 +22,6 @@ from tbcalc import (
     SingularMatrix,
     UserInputError,
     VertexMap,
-    ZeroDenominator,
     arm_weight,
     arms,
     build_cover,
@@ -325,6 +324,15 @@ class TestTbFromGraph:
                         downstairs={}, conj={}, sign=None)
         assert tb_from_graph(cg, wr=[]).value == Fraction(2)
 
+    @pytest.mark.parametrize("deck", [{}, {0: 2, 1: 1, 2: 0}], ids=["none", "swapped"])
+    def test_deck_is_not_read(self, deck):
+        # A caller's deck map, even one that moves W = {0} off itself,
+        # leaves tb = N - 1 + n_0 = 3 - 1 - 1 = 1 of the real chain.
+        g = FrozenGraph.from_columns([-1, -3, -2], [(0, 1), (1, 2)], real=[True] * 3)
+        cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck=deck,
+                        downstairs={}, conj={}, sign=None)
+        assert tb_from_graph(cg).value == 1
+
     @pytest.mark.parametrize("selfs", [[1], [-2, 0]])
     def test_form_that_is_not_negative_definite_refused(self, selfs):
         # No resolution graph has such a form: a lone (+1)-curve fails at
@@ -479,9 +487,9 @@ class TestTbFromGraph:
 
     def test_zero_imaginary_arm_weight_rejected(self):
         # a real (-2) center with two conjugate imaginary (0)-arms: the
-        # arm weight 0 has no reciprocal in n', which n_prime reports; its
-        # zero subtree determinant makes the form singular, which
-        # tb_from_graph refuses before weighing an arm
+        # arm weight 0 would have no reciprocal in n', but its zero subtree
+        # determinant makes the form singular, which n_prime and
+        # tb_from_graph both refuse before weighing an arm
         star, center, ((left,), (right,)) = make_star(-2, [(0,), (0,)])
         g = star.copy()
         g.vertices[center].real = True
@@ -490,25 +498,24 @@ class TestTbFromGraph:
         conj = {center: center, left: right, right: left}
         cg = CoverGraph(graph=g.freeze(), m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj=conj, sign=None)
-        with pytest.raises(ZeroDenominator):
+        message = f"^intersection form is not negative definite at vertex {center}$"
+        with pytest.raises(SingularMatrix, match=message):
             n_prime(cg.graph, center)
-        with pytest.raises(SingularMatrix, match="not negative definite"):
+        with pytest.raises(SingularMatrix, match=message):
             tb_from_graph(cg, wr=[center])
 
     @pytest.mark.parametrize("selfs", [(-2, 0), (0,)], ids=["broken", "zero"])
     def test_zero_arm_messages(self, selfs):
-        # n_prime names the zero; tb_from_graph refuses the singular form
-        # first, at the first vertex of the walk whose pivot is not negative.
+        # n_prime and tb_from_graph refuse the singular form alike, at the
+        # first vertex of the walk whose pivot is not negative.
         g, center, arm = make_zero_arm(selfs)
         cg = CoverGraph(graph=g, m=None, n=None, e0_lift=None, deck={},
                         downstairs={}, conj={}, sign=None)
-        message = (f"an arm weight through vertex {arm[1]} is zero" if len(arm) > 1
-                   else f"an imaginary arm of vertex {center} has weight zero")
-        with pytest.raises(ZeroDenominator, match=f"^{message}$"):
-            n_prime(g, center)
         bad = arm[0] if len(arm) > 1 else center
-        with pytest.raises(SingularMatrix,
-                           match=f"^intersection form is not negative definite at vertex {bad}$"):
+        message = f"^intersection form is not negative definite at vertex {bad}$"
+        with pytest.raises(SingularMatrix, match=message):
+            n_prime(g, center)
+        with pytest.raises(SingularMatrix, match=message):
             tb_from_graph(cg, wr=[center])
 
     @pytest.mark.parametrize("wr", [None, []], ids=["solved", "given"])
