@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, islice
 from operator import eq
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -50,6 +50,8 @@ _NO_CONJ: Mapping[int, int] = MappingProxyType({})
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"
 RUPTURE_LABEL = "rupture"
+# How many curves lift each kind of Gamma'_f curve (lift_double_cover).
+_LIFT_COUNT = (1, 1, 2, 1)
 
 
 class _CoverFields(NamedTuple):
@@ -121,8 +123,10 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
 
     Reads gp by position and returns the frozen lift, walked from
     e0_lift, with deck and downstairs as columns. The lifts of each curve
-    take the next positions in gp's position order, so the lifted
-    neighbour lists come out sorted and are built directly.
+    take the next positions in gp's position order. Each curve's kind,
+    read off the odd counts, fixes how many lifts it has, so where every
+    lift goes is known before one loop over gp's positions writes each
+    lifted neighbour list, sorted, and every column.
     Over a downstairs edge between two doubled curves the lifts are joined
     copy to copy; the crossed choice gives an isomorphic graph, so every
     computed invariant is independent of it.
@@ -135,62 +139,67 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
     for v in gp.arrows:
         odd_near[gp.pos(v)] += ARROW_MULT % 2
     # kind[p]: 1 for the one lift of an odd curve, 0 for the one lift of an
-    # even curve, 2 for the two lifts of an even curve; the lifts of
-    # position p are the positions first[p] to end[p] - 1.
-    self_int, kind, first, deck, downstairs = [], [], [], [], []
-    for p, (v, value) in enumerate(zip(ids, gp.self_int)):
-        a = len(self_int)
-        first.append(a)
-        if odd[p]:
-            if value % 2 != 0:
-                raise OddSelfIntOnBranch(
-                    f"odd-multiplicity vertex {v} has odd self-intersection "
-                    f"{value}; the cover cannot be normalized by these rules"
-                )
-            self_int.append(value // 2)
-            kind.append(1)
-        else:
-            count = odd_near[p]
-            if count == 2:
-                self_int.append(2 * value)
-                kind.append(0)
-            elif count == 0:
-                self_int += (value, value)
-                kind.append(2)
-                deck.append(a + 1)
-                downstairs.append(v)
-            else:
-                raise BadOddNeighborCount(
-                    f"even-multiplicity vertex {v} meets {count} odd components; "
-                    "the balance law forces 0 or 2"
-                )
-        deck.append(a)
-        downstairs.append(v)
+    # even curve meeting two odd ones, 2 for the two lifts of an even curve
+    # meeting none, and 3 for an even curve the loop refuses. The lifts of
+    # position p are the positions first[p] to last[p]. Each neighbour slot
+    # of gp has its own to_first, to_last and near_kind entry, so that the
+    # loop slices them.
+    kind = [1 if o else 0 if c == 2 else 2 if c == 0 else 3 for o, c in zip(odd, odd_near)]
+    first = list(accumulate(map(_LIFT_COUNT.__getitem__, kind), initial=0))
+    last = list(map((-1).__add__, islice(first, 1, None)))
+    to_first = list(map(first.__getitem__, adj))
+    to_last = list(map(last.__getitem__, adj))
+    near_kind = list(map(kind.__getitem__, adj))
 
     # A single lift meets every lift of each neighbour; copy c of a doubled
     # curve meets copy c of each doubled neighbour and the single lift of
     # each other one. Two single lifts of one kind must not meet: odd-odd
     # edges are separated, and two even single lifts would meet twice.
-    end = first[1:] + [len(self_int)]
-    last = list(map((-1).__add__, end))
+    self_int: list[int] = []
+    deck: list[int] = []
+    downstairs: list[int] = []
     up_adj: list[int] = []
     up_start = [0]
-    for p, near in enumerate(map(adj.__getitem__, map(slice, start, islice(start, 1, None)))):
-        if kind[p] == 2:
-            up_adj += map(first.__getitem__, near)
+    for v, value, own, a, s, e in zip(ids, gp.self_int, kind, first,
+                                      start, islice(start, 1, None)):
+        if own == 2:
+            self_int += (value, value)
+            deck += (a + 1, a)
+            downstairs += (v, v)
+            up_adj += to_first[s:e]
             up_start.append(len(up_adj))
-            up_adj += map(last.__getitem__, near)
-        elif kind[p] in map(kind.__getitem__, near):
-            q = next(q for q in near if kind[q] == kind[p])
-            if odd[p]:
-                raise StructureMismatch(f"odd-odd edge {ids[p]}-{ids[q]} survived separation")
-            raise StructureMismatch(
-                f"adjacent even-multiplicity vertices {ids[p]}, {ids[q]} both "
-                "lift connectedly; their lifts would meet twice"
-            )
+            up_adj += to_last[s:e]
         else:
-            up_adj += chain.from_iterable(map(range, map(first.__getitem__, near),
-                                              map(end.__getitem__, near)))
+            if own == 1:
+                if value % 2 != 0:
+                    raise OddSelfIntOnBranch(
+                        f"odd-multiplicity vertex {v} has odd self-intersection "
+                        f"{value}; the cover cannot be normalized by these rules"
+                    )
+                self_int.append(value // 2)
+            elif own == 0:
+                self_int.append(2 * value)
+            else:
+                raise BadOddNeighborCount(
+                    f"even-multiplicity vertex {v} meets {odd_near[gp.pos(v)]} odd "
+                    "components; the balance law forces 0 or 2"
+                )
+            kinds = near_kind[s:e]
+            if own in kinds:
+                q = adj[s + kinds.index(own)]
+                if own:
+                    raise StructureMismatch(f"odd-odd edge {v}-{ids[q]} survived separation")
+                raise StructureMismatch(
+                    f"adjacent even-multiplicity vertices {v}, {ids[q]} both "
+                    "lift connectedly; their lifts would meet twice"
+                )
+            deck.append(a)
+            downstairs.append(v)
+            if 2 in kinds:
+                up_adj += chain.from_iterable(map(range, to_first[s:e],
+                                                  map((1).__add__, to_last[s:e])))
+            else:
+                up_adj += to_first[s:e]
         up_start.append(len(up_adj))
 
     r = gp.pos(rupture)

@@ -14,13 +14,17 @@ the sum of the Euclid quotients, as for every embedded resolution of a
 plane branch (unimodular, negative definite of rank t). A nonzero det makes
 the balance law uniquely solvable, so the simulated multiplicities are its
 only solution, and a bookkeeping bug cannot produce a quietly wrong graph.
-Both stages here run on flat lists and emit FrozenGraph values.
+Both stages here run on flat lists and emit FrozenGraph values: the
+cascade keeps each curve's neighbour list sorted as it appends curves, and
+Gamma_f is those lists flattened, with no edge list to sort; only the
+odd-odd separation, which edits Gamma_f's edges, builds from an edge list.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from collections.abc import Sequence
+from itertools import accumulate, chain, compress
 from typing import NamedTuple, Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
@@ -86,24 +90,27 @@ def build_gamma_f(m: int, n: int) -> tuple[FrozenGraph, int]:
     Returns Gamma_f as a FrozenGraph (multiplicities and c1 coefficients
     filled in, one arrow on the rupture vertex) and the id of the rupture
     curve e_0, the last curve made. The cascade (_cascade) runs on flat
-    lists, curve i at position i; the rupture c1 entry is checked here.
+    lists, curve i at position i, and its sorted neighbour lists, flattened,
+    are the graph's own; the rupture c1 entry is checked here.
     """
     data = euclid_data(m, n)
-    self_int, mult, c1, edges = _cascade(m, n)
+    self_int, mult, c1, near = _cascade(m, n)
     rupture = len(self_int) - 1
     expected = -(m + n - 1)
     if c1[rupture] != expected:
         raise StructureMismatch(
             f"rupture c1 coefficient {c1[rupture]} != -(m+n-1) = {expected}"
         )
-    g = FrozenGraph.from_columns(self_int, edges, mult=mult, c1_coeff=c1, arrows=(rupture,))
+    g = FrozenGraph._from_adjacency(
+        self_int, tuple(accumulate(map(len, near), initial=0)), tuple(chain.from_iterable(near)),
+        mult=mult, c1_coeff=c1, arrows=(rupture,))
     _check_gamma_f(g, data)
     return g, rupture
 
 
-def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int], list[tuple[int, int]]]:
+def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int], list[Sequence[int]]]:
     """The columns self_int, mult and c1 of the blow-up cascade of
-    x^m + y^n and the edges as position pairs (p, q), p < q, the last
+    x^m + y^n and the neighbour list of each curve, sorted, the last
     curve being the rupture curve.
 
     The local model at the active center is x^a + y^b; the curve {x=0}
@@ -120,13 +127,16 @@ def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int], list[tupl
     and move the other, so they append as one run of k curves: a chain
     whose multiplicities and c1 coefficients step by constants, joined to
     the moving curve before the run at one end and to K at the other.
-    The edge through the center, between x_curve and y_curve, is always
-    the last edge a run appends, so the next run drops it from the end.
+    Each new curve's list starts with its older neighbours, in order
+    (through, the curves through the center, sorted, for a run of one),
+    and a later curve is appended, so every list stays sorted. Only the
+    last curve of a run comes back to the center, so its list and K's are
+    the ones a later run edits, through _cut_center.
     """
     self_int: list[int] = []
     mult: list[int] = []
     c1: list[int] = []
-    edges: list[tuple[int, int]] = []
+    near: list[Sequence[int]] = []
     a, b = m, n
     x_curve: Optional[int] = None
     y_curve: Optional[int] = None
@@ -148,24 +158,40 @@ def _cascade(m: int, n: int) -> tuple[list[int], list[int], list[int], list[tupl
         c1.extend(range(c1_first, c1_first + k * c1_step, c1_step))
         self_int.extend([-2] * (k - 1))
         self_int.append(-1)
-        if moving is not None and keep is not None:
-            if edges.pop() != (min(moving, keep), max(moving, keep)):
-                raise StructureMismatch("the cascade lost the edge through its center")
+        if moving is None or keep is None:
+            through = [p for p in (moving, keep) if p is not None]
+        else:
+            through = [moving, keep] if moving < keep else [keep, moving]
+            _cut_center(near, *through)
         if moving is not None:
             self_int[moving] -= 1
-            edges.append((moving, e))
-        edges += zip(range(e, e + k - 1), range(e + 1, e + k))
+            near[moving].append(e)
         if keep is not None:
             self_int[keep] -= k
-            edges.append((keep, e + k - 1))
+            near[keep].append(e + k - 1)
+        if k == 1:
+            near.append(through)
+        else:
+            near.append([e + 1] if moving is None else [moving, e + 1])
+            near += zip(range(e, e + k - 2), range(e + 2, e + k))
+            near.append([e + k - 2] if keep is None else [keep, e + k - 2])
         if (a, b) == (1, 1):
-            return self_int, mult, c1, edges
+            return self_int, mult, c1, near
         if x_moves:
             a -= k * b
             x_curve = e + k - 1
         else:
             b -= k * a
             y_curve = e + k - 1
+
+
+def _cut_center(near: list, p: int, q: int) -> None:
+    """Drop the edge through the center, p-q with p < q, from the cascade's
+    neighbour lists: q is the newest curve, so it ends p's list."""
+    if near[p][-1:] != [q]:
+        raise StructureMismatch("the cascade lost the edge through its center")
+    del near[p][-1]
+    near[q].remove(p)
 
 
 def _check_gamma_f(g: FrozenGraph, data: EuclidData) -> None:

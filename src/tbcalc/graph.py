@@ -6,11 +6,13 @@ Chern coefficient, real/imaginary flag, arm label) and arrows model
 transverse branches of the associated curve. Arrows are vertex
 attachments, not vertices.
 
-Every reader takes a FrozenGraph, built by from_columns: the immutable
-value every pipeline stage, blow-down included, emits. It keeps no
-per-vertex objects, only flat tuples: the sorted ids, one column per
-decoration, a breadth-first order with the parent of each position, and
-sorted neighbour lists. It is a NamedTuple: writing to it raises
+Every reader takes a FrozenGraph: the immutable value every pipeline
+stage, blow-down included, emits. from_columns builds one from flat
+columns and an edge list; Gamma_f and the lift, which keep their
+neighbour lists sorted as they build, hand them to _from_adjacency. A
+FrozenGraph keeps no per-vertex objects, only flat tuples: the sorted
+ids, one column per decoration, a breadth-first order with the parent of
+each position, and sorted neighbour lists. It is a NamedTuple: writing to it raises
 AttributeError, _replace gives a changed copy, and freeze(root) walks the
 same graph from another root. A DecoratedGraph only builds: a caller adds
 vertices and edges to it, or edits the one FrozenGraph.copy() returns, and
@@ -223,8 +225,8 @@ class FrozenGraph(NamedTuple):
         fill, slots = adj_start[:-1], [0] * adj_start[-1]
         for p, q in pairs:
             slots[fill[p]] = q
-            slots[fill[q]] = p
             fill[p] += 1
+            slots[fill[q]] = p
             fill[q] += 1
         return cls._from_adjacency(
             self_int, adj_start, slots, ids=ids, mult=mult, c1_coeff=c1_coeff,

@@ -10,11 +10,13 @@ that solver accepts, the negative definite ones; restrict_to_real gives
 W_R on a marked graph; stepwise_gamma_f runs the blow-up cascade of
 Gamma_f one curve at a time; meets_its_conjugate looks for an edge
 between a curve and its conjugate; blow_up makes one equivariant blow-up
-of a marked graph, at a site blow_up_sites lists.
+of a marked graph, at a site blow_up_sites lists; reference_lift lifts
+Gamma'_f through the double cover on a dict of neighbour sets.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
@@ -279,3 +281,65 @@ def stepwise_gamma_f(m: int, n: int):
         else:
             b -= a
             y_curve = e
+
+
+def reference_lift(gp: FrozenGraph, rupture: int) -> dict:
+    """The lift of Gamma'_f through the double cover branched over its odd
+    curves, by the three lifting rules applied on a dict of neighbour sets.
+
+    An odd curve lifts to one curve of half its self-intersection; an even
+    curve meeting two odd components (an arrow counts as one) to one curve
+    of twice it; an even curve meeting none to two curves of the same
+    self-intersection, swapped by deck. The lifts of each curve take the
+    next positions, in gp's position order. Over an edge between two
+    doubled curves copy c meets copy c; over any other edge every lift
+    meets every lift. Returns the columns self_int, deck and downstairs
+    by position, the sorted neighbour list of each position, e0_lift, and
+    the breadth-first order and parents (-1 at the root) from e0_lift.
+    """
+    ids = list(gp.ids)
+    mult = dict(zip(ids, gp.mult))
+    down_self = dict(zip(ids, gp.self_int))
+    near: dict[int, set[int]] = {v: set() for v in ids}
+    for u, v in gp.edges():
+        near[u].add(v)
+        near[v].add(u)
+    arrows = Counter(gp.arrows)
+    lifts: dict[int, list[int]] = {}
+    self_int, deck, downstairs = [], [], []
+    for v in ids:
+        meets = sum(mult[u] % 2 for u in near[v]) + arrows[v]
+        if mult[v] % 2:
+            assert down_self[v] % 2 == 0, v
+            values = [down_self[v] // 2]
+        elif meets == 2:
+            values = [2 * down_self[v]]
+        else:
+            assert meets == 0, v
+            values = [down_self[v]] * 2
+        lifts[v] = list(range(len(self_int), len(self_int) + len(values)))
+        self_int += values
+        deck += reversed(lifts[v])
+        downstairs += [v] * len(values)
+    up: dict[int, set[int]] = {p: set() for p in range(len(self_int))}
+    for u, v in gp.edges():
+        if len(lifts[u]) == len(lifts[v]) == 2:
+            pairs = zip(lifts[u], lifts[v])
+        else:
+            pairs = ((a, b) for a in lifts[u] for b in lifts[v])
+        for a, b in pairs:
+            up[a].add(b)
+            up[b].add(a)
+    (root,) = lifts[rupture]
+    parent = {root: -1}
+    order, queue = [], deque([root])
+    while queue:
+        p = queue.popleft()
+        order.append(p)
+        for q in sorted(up[p]):
+            if q not in parent:
+                parent[q] = p
+                queue.append(q)
+    return {"self_int": self_int, "deck": deck, "downstairs": downstairs,
+            "near": [sorted(up[p]) for p in range(len(self_int))], "e0_lift": root,
+            "order": order, "parent": [parent[p] for p in range(len(self_int))]}

@@ -28,7 +28,7 @@ from tbcalc import (
 from tbcalc import charclass
 from tbcalc import cover as cover_module
 from conftest import build_star12_graph, lifts_of, neighbours
-from oracles import canonical_form, meets_its_conjugate
+from oracles import canonical_form, meets_its_conjugate, reference_lift
 
 
 def star_shape(cg):
@@ -108,6 +108,28 @@ class TestLiftRules:
         g.add_edge(a, b)
         with pytest.raises(BadOddNeighborCount):
             lift_double_cover(g.freeze(), b, 3, 4)
+
+
+class TestReferenceLift:
+    # Every field of the lift against reference_lift, which applies the
+    # lifting rules on neighbour sets and shares no code with the package's
+    # lift: the columns, the neighbour lists, e0_lift and the stored walk.
+    PAIRS = [(m, n) for m in range(2, 17) for n in range(2, 81) if math.gcd(m, n) == 1]
+
+    def test_lift_matches_the_reference_lift(self):
+        assert len(self.PAIRS) == 696
+        for m, n in [*self.PAIRS, (2, 1599), (6, 4775)]:
+            cover = build_cover(m, n)
+            lift = lift_double_cover(cover.gamma_f_prime, cover.rupture, m, n)
+            up, ref = lift.graph, reference_lift(cover.gamma_f_prime, cover.rupture)
+            start = up.adj_start
+            assert list(up.ids) == list(range(len(ref["self_int"]))), (m, n)
+            assert list(up.self_int) == ref["self_int"], (m, n)
+            assert [list(up.adj[start[p]:start[p + 1]]) for p in up.ids] == ref["near"], (m, n)
+            assert [lift.deck[p] for p in up.ids] == ref["deck"], (m, n)
+            assert [lift.downstairs[p] for p in up.ids] == ref["downstairs"], (m, n)
+            assert lift.e0_lift == ref["e0_lift"], (m, n)
+            assert (list(up.order), list(up.parent)) == (ref["order"], ref["parent"]), (m, n)
 
 
 class TestGammaStructures:

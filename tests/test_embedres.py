@@ -283,9 +283,9 @@ class TestLongChains:
         cascade = embedres._cascade
 
         def off_by_one(m, n):
-            self_int, mult, c1, edges = cascade(m, n)
+            self_int, mult, c1, near = cascade(m, n)
             c1[-1] += 1
-            return self_int, mult, c1, edges
+            return self_int, mult, c1, near
 
         monkeypatch.setattr(embedres, "_cascade", off_by_one)
         with pytest.raises(StructureMismatch, match="rupture c1 coefficient"):
@@ -296,7 +296,8 @@ class TestGammaFChecks:
     """Each post-condition of the cascade raises StructureMismatch, so it
     holds under python -O too. (5, 8) cascades to the curves 0..4: the
     terminals 0 and 1 (multiplicities 5 and 8), then 2 and 3, and e_0 = 4,
-    which meets 2 and 3."""
+    which meets 2 and 3. The cascade hands back each curve's neighbour
+    list, sorted: [2], [3], [0, 4], [1, 4] and [2, 3]."""
 
     @staticmethod
     def raised(call, *args):
@@ -308,23 +309,28 @@ class TestGammaFChecks:
         cascade = embedres._cascade
 
         def patched(m, n):
-            self_int, mult, c1, edges = cascade(m, n)
-            rewrite(mult, edges)
-            return self_int, mult, c1, edges
+            self_int, mult, c1, near = cascade(m, n)
+            rewrite(mult, near)
+            return self_int, mult, c1, near
 
         monkeypatch.setattr(embedres, "_cascade", patched)
         return self.raised(build_gamma_f, 5, 8)
 
     def test_rupture_multiplicity(self, monkeypatch):
-        assert self.build_with(monkeypatch, lambda mult, edges: mult.__setitem__(4, 41)) == (
+        assert self.build_with(monkeypatch, lambda mult, near: mult.__setitem__(4, 41)) == (
             "rupture multiplicity 41 != m*n = 40")
 
     def test_rupture_degree(self, monkeypatch):
-        assert self.build_with(monkeypatch, lambda mult, edges: edges.append((0, 4))) == (
+        # An edge 0-4 entered in both neighbour lists, each kept sorted.
+        def join(mult, near):
+            near[0].append(4)
+            near[4].insert(0, 0)
+
+        assert self.build_with(monkeypatch, join) == (
             "rupture vertex of Gamma_f must have 2 neighbors")
 
     def test_terminal_multiplicities(self, monkeypatch):
-        assert self.build_with(monkeypatch, lambda mult, edges: mult.__setitem__(0, 6)) == (
+        assert self.build_with(monkeypatch, lambda mult, near: mult.__setitem__(0, 6)) == (
             "terminal multiplicities [6, 8] != {m, n}")
 
     # build_gamma_f sets the vertex count and the arrow from the cascade's
@@ -342,9 +348,16 @@ class TestGammaFChecks:
                            euclid_data(5, 8)) == "the arrow must sit on the rupture vertex"
 
     def test_edge_through_the_center(self, monkeypatch):
-        # The check compares the edge a run pops with the sorted pair of the
-        # curves through the center, inside _cascade; a max that returns its
-        # first argument misnames that pair.
-        monkeypatch.setattr(embedres, "max", lambda a, b: a, raising=False)
+        # Each run after the second cuts the edge between the two curves
+        # through its center, which ends the older curve's neighbour list;
+        # dropping that edge from both lists first leaves nothing to cut.
+        cut = embedres._cut_center
+
+        def lost(near, p, q):
+            near[p].remove(q)
+            near[q].remove(p)
+            cut(near, p, q)
+
+        monkeypatch.setattr(embedres, "_cut_center", lost)
         assert self.raised(embedres._cascade, 5, 8) == (
             "the cascade lost the edge through its center")

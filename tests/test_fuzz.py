@@ -33,14 +33,31 @@ JUNK = [99, -1, "x", None, [0], 1.5, True, {}]
 def annotated_documents(draw):
     """A graph document with a real structure, a conj map and a W_R: a
     real tree with conjugate pairs of imaginary branches hung on it, so
-    that many examples satisfy every law, then a few random defects."""
+    that many examples satisfy every law, then a few random defects.
+
+    Half the trees are blown up instead: a real tree of at most four
+    (-2)-curves (a Dynkin diagram, so its canonical class is 0) blown up
+    at points of its curves, each time a real (-1)-curve or a conjugate
+    pair of them. Each blow-up keeps the form negative definite and the
+    canonical class integral, and its new curve has coefficient 1, so
+    those that stay free of defects solve to a nonempty W."""
     selfs = st.integers(-4, 1)
+    blown_up = draw(st.booleans())
     n_real = draw(st.integers(0, 4))
-    self_int = [draw(selfs) for _ in range(n_real)]
+    self_int = [-2 if blown_up else draw(selfs) for _ in range(n_real)]
     real = [True] * n_real
     edges = [[draw(st.integers(0, p - 1)), p] for p in range(1, n_real)]
     conj = {p: p for p in range(n_real)}
-    for _ in range(draw(st.integers(0, 2)) if n_real else 0):
+    for _ in range(draw(st.integers(1, 3)) if n_real and blown_up else 0):
+        anchor = draw(st.integers(0, n_real - 1))
+        copies = draw(st.integers(1, 2))
+        first = len(self_int)
+        self_int[anchor] -= copies
+        self_int += [-1] * copies
+        real += [copies == 1] * copies
+        edges += [[anchor, q] for q in range(first, first + copies)]
+        conj.update({first: first + copies - 1, first + copies - 1: first})
+    for _ in range(draw(st.integers(0, 2)) if n_real and not blown_up else 0):
         anchor = draw(st.integers(0, n_real - 1))
         size = draw(st.integers(1, 3))
         branch = [draw(selfs) for _ in range(size)]

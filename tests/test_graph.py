@@ -524,6 +524,15 @@ class TestSolveIntersectionSystem:
         with pytest.raises(SingularMatrix, match="^graph is not a tree$"):
             solve_intersection_system(triangle.freeze(), rhs)
 
+    def test_loop_fills_its_own_two_slots(self):
+        # A loop at 2 lists 2 twice among 2's neighbours, and no phantom
+        # edge 0-2 appears; the 2(V - 1) slot count refuses the graph.
+        g = FrozenGraph.from_columns([-2] * 3, [(0, 1), (1, 2), (2, 2)])
+        assert g.adj == (1, 0, 2, 1, 2, 2)
+        assert g.adj[g.adj_start[2]:g.adj_start[3]] == (1, 2, 2)
+        with pytest.raises(SingularMatrix, match="^graph is not a tree$"):
+            solve_intersection_system(g, {})
+
     def test_self_check_catches_a_corrupt_row(self, monkeypatch):
         # One row of Q x comes back off by one for one call: the self-check
         # names its vertex, and the next call solves again.
