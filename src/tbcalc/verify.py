@@ -17,7 +17,7 @@ Suites:
   symmetry:    m odd: tb(m, 4km-t) + tb(m, t) = -2 for both signs;
                m even: tb_minus(m, 2km-t) + tb_minus(m, t) = -4 (4|m)
                or -4+4k (m = 2 mod 4).
-  parity:      membership laws for the characteristic set on the lift.
+  parity:      membership laws for W on the lift, the pull-back read mod 2.
   structure:   the growth patterns of Gamma_f under n -> n+m / n+2m and
                of Gamma(m,n) under n -> n + 4m/gcd(m,2).
 
@@ -141,88 +141,62 @@ def _run_integrality(m_max: int, n_max: int, k_max: int) -> SuiteResult:
 def _run_period(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("period")
     for m, n in _pairs(m_max, n_max, result):
-        if m % 2 == 1:
-            shift = 4 * m
-            equal_signs = (SIGN_MINUS, SIGN_PLUS)
-        elif m % 4 == 0:
-            shift = 2 * m
-            equal_signs = (SIGN_MINUS, SIGN_PLUS)
-        else:
-            shift = 2 * m
-            equal_signs = ()
-        n2 = n + shift
-        for sign in equal_signs:
-            a = _tb_value(m, n, sign)
-            b = _tb_value(m, n2, sign)
+        n2 = n + (4 * m if m % 2 else 2 * m)
+        if m % 4 != 2:
+            for sign in (SIGN_MINUS, SIGN_PLUS):
+                a, b = _tb_value(m, n, sign), _tb_value(m, n2, sign)
+                result.checked += 1
+                if a != b:
+                    _violation(result, f"period_equal_{sign}",
+                               f"tb({m},{n2}) = {format_rational(b)} != "
+                               f"tb({m},{n}) = {format_rational(a)}",
+                               m=m, n=n)
+            continue
+        for sign, mark, expected in ((SIGN_MINUS, "-", 4), (SIGN_PLUS, "+", Fraction(4, n * n2))):
+            step = _tb_value(m, n2, sign) - _tb_value(m, n, sign)
             result.checked += 1
-            if a != b:
-                _violation(result, f"period_equal_{sign}",
-                           f"tb({m},{n2}) = {format_rational(b)} != "
-                           f"tb({m},{n}) = {format_rational(a)}",
-                           m=m, n=n)
-        if not equal_signs:
-            a = _tb_value(m, n, SIGN_MINUS)
-            b = _tb_value(m, n2, SIGN_MINUS)
-            result.checked += 1
-            if b - a != 4:
-                _violation(result, "period_minus_shift",
-                           f"tb_-({m},{n2}) - tb_-({m},{n}) = "
-                           f"{format_rational(b - a)} != 4",
-                           m=m, n=n)
-            ap = _tb_value(m, n, SIGN_PLUS)
-            bp = _tb_value(m, n2, SIGN_PLUS)
-            expected = Fraction(4, n * n2)
-            result.checked += 1
-            if bp - ap != expected:
-                _violation(result, "period_plus_shift",
-                           f"tb_+({m},{n2}) - tb_+({m},{n}) = "
-                           f"{format_rational(bp - ap)} != "
-                           f"{format_rational(expected)}",
+            if step != expected:
+                _violation(result, f"period_{sign}_shift",
+                           f"tb_{mark}({m},{n2}) - tb_{mark}({m},{n}) = "
+                           f"{format_rational(step)} != {format_rational(expected)}",
                            m=m, n=n)
     return result
 
 
+def _symmetric_pairs(m_start: int, factor: int, m_max: int, n_max: int, k_max: int,
+                     result: SuiteResult):
+    """(m, k, t, factor*k*m - t) over m_start, m_start + 2, ... <= m_max, k <= k_max and
+    2 <= t <= n_max; a t not coprime to m or with partner below 2 is skipped and counted."""
+    for m in range(m_start, m_max + 1, 2):
+        for k in range(1, k_max + 1):
+            for t in range(2, n_max + 1):
+                partner = factor * k * m - t
+                if math.gcd(m, t) != 1 or partner < 2:
+                    result.skipped += 1
+                    continue
+                yield m, k, t, partner
+
+
 def _run_symmetry(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("symmetry")
-    for m in range(3, m_max + 1, 2):
-        for k in range(1, k_max + 1):
-            for t in range(2, n_max + 1):
-                if math.gcd(m, t) != 1:
-                    result.skipped += 1
-                    continue
-                partner = 4 * k * m - t
-                if partner < 2:
-                    result.skipped += 1
-                    continue
-                for sign in (SIGN_MINUS, SIGN_PLUS):
-                    total = _tb_value(m, t, sign) + _tb_value(m, partner, sign)
-                    result.checked += 1
-                    if total != -2:
-                        _violation(
-                            result, f"symmetry_odd_{sign}",
-                            f"tb({m},{partner}) + tb({m},{t}) = "
-                            f"{format_rational(total)} != -2",
-                            m=m, t=t, k=k)
-    for m in range(2, m_max + 1, 2):
-        expected_base = -4 if m % 4 == 0 else None
-        for k in range(1, k_max + 1):
-            expected = expected_base if expected_base is not None else -4 + 4 * k
-            for t in range(2, n_max + 1):
-                if math.gcd(m, t) != 1:
-                    result.skipped += 1
-                    continue
-                partner = 2 * k * m - t
-                if partner < 2:
-                    result.skipped += 1
-                    continue
-                total = _tb_value(m, t, SIGN_MINUS) + _tb_value(m, partner, SIGN_MINUS)
-                result.checked += 1
-                if total != expected:
-                    _violation(
-                        result, "symmetry_even_minus",
-                        f"tb_-({m},{partner}) + tb_-({m},{t}) = "
-                        f"{format_rational(total)} != {expected}",
-                        m=m, t=t, k=k)
+    for m, k, t, partner in _symmetric_pairs(3, 4, m_max, n_max, k_max, result):
+        for sign in (SIGN_MINUS, SIGN_PLUS):
+            total = _tb_value(m, t, sign) + _tb_value(m, partner, sign)
+            result.checked += 1
+            if total != -2:
+                _violation(result, f"symmetry_odd_{sign}",
+                           f"tb({m},{partner}) + tb({m},{t}) = "
+                           f"{format_rational(total)} != -2",
+                           m=m, t=t, k=k)
+    for m, k, t, partner in _symmetric_pairs(2, 2, m_max, n_max, k_max, result):
+        expected = -4 if m % 4 == 0 else -4 + 4 * k
+        total = _tb_value(m, t, SIGN_MINUS) + _tb_value(m, partner, SIGN_MINUS)
+        result.checked += 1
+        if total != expected:
+            _violation(result, "symmetry_even_minus",
+                       f"tb_-({m},{partner}) + tb_-({m},{t}) = "
+                       f"{format_rational(total)} != {expected}",
+                       m=m, t=t, k=k)
     return result
 
 
@@ -231,15 +205,14 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     Gamma'_f curve with multiplicity m_j and c1 coefficient b_j:
 
     odd_mult_not_in_w:    m_j odd implies the lift is not in W;
-    even_mult_parity_law: for even m_j, the lift is in W iff
-                          (m_j = 2 mod 4 and b_j even) or (m_j = 0 mod 4
-                          and b_j odd);
+    even_mult_parity_law: for even m_j, the lift is in W iff b_j + m_j/2 is odd;
     rupture_membership:   with one even exponent, e^0 is in W iff that
                           exponent is 2 mod 4.
 
-    label_arms has checked that the lift and Gamma'_f are numbered
-    0 .. V-1, so both are read by position. W is the lift's solved W: the
-    laws are, mod 2, the pull-back formula that gives Gamma(m,n) its
+    The first two are the pull-back coefficients 2b_j + m_j - 1 (odd m_j)
+    and b_j + m_j/2 (even m_j) read mod 2. label_arms has checked that the
+    lift and Gamma'_f are numbered 0 .. V-1, so both are read by position.
+    W is the lift's solved W: the pull-back formula gives Gamma(m,n) its
     coefficients, so a pulled-back W would check that formula against itself.
     """
     result = SuiteResult("parity")
@@ -255,7 +228,7 @@ def _run_parity(m_max: int, n_max: int, k_max: int) -> SuiteResult:
             if mult % 2:
                 if in_w:
                     odd.append({"vertex": v, "downstairs": below, "mult": mult})
-            elif in_w != (mult % 4 == 2 and b % 2 == 0 or mult % 4 == 0 and b % 2 == 1):
+            elif in_w != ((b + mult // 2) % 2 == 1):
                 even.append({"vertex": v, "downstairs": below, "mult": mult,
                              "b": b, "in_w": in_w})
         for identity, items in (("odd_mult_not_in_w", odd), ("even_mult_parity_law", even)):

@@ -11,7 +11,8 @@ W_R on a marked graph; stepwise_gamma_f runs the blow-up cascade of
 Gamma_f one curve at a time; meets_its_conjugate looks for an edge
 between a curve and its conjugate; blow_up makes one equivariant blow-up
 of a marked graph, at a site blow_up_sites lists; reference_lift lifts
-Gamma'_f through the double cover on a dict of neighbour sets.
+Gamma'_f through the double cover on a dict of neighbour sets;
+assemble_dense evaluates tb on a marked graph from its dense form.
 """
 
 from __future__ import annotations
@@ -152,6 +153,32 @@ def solve_rational(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fract
         if total != Fraction(rhs[r]):
             raise InternalInvariantError(f"solver self-check failed in row {r}")
     return solution
+
+
+def assemble_dense(g: FrozenGraph, w: frozenset[int]) -> Fraction:
+    """tb = N - 1 + sum of S_ee over the real members e of w, on the dense
+    form Q of the marked graph g, where S_ee = Q_ee - Q_eI Q_II^-1 Q_Ie is
+    the Schur complement onto e of the imaginary curves I (Neumann's
+    plumbing calculus reduces an imaginary arm to its continued fraction
+    this way). Q is read from g.edges() and g.self_int, and Q_II^-1 Q_Ie by
+    solve_rational, so no tree fold of the package is involved."""
+    ids = list(g.ids)
+    index = {v: i for i, v in enumerate(ids)}
+    q = [[0] * len(ids) for _ in ids]
+    for i, self_int in enumerate(g.self_int):
+        q[i][i] = self_int
+    for u, v in g.edges():
+        q[index[u]][index[v]] = q[index[v]][index[u]] = 1
+    real = [i for i, flag in enumerate(g.real) if flag]
+    imaginary = [i for i, flag in enumerate(g.real) if not flag]
+    q_ii = [[q[a][b] for b in imaginary] for a in imaginary]
+    total = Fraction(len(real) - 1)
+    for e in real:
+        if ids[e] in w:
+            q_ie = [q[a][e] for a in imaginary]
+            x = solve_rational(q_ii, q_ie) if any(q_ie) else [0] * len(q_ie)
+            total += q[e][e] - sum(c * y for c, y in zip(q_ie, x))
+    return total
 
 
 def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:

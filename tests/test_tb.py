@@ -39,7 +39,7 @@ from tbcalc import (
 )
 from tbcalc import charclass
 from conftest import make_chain, make_star, make_zero_arm
-from oracles import is_negative_definite
+from oracles import assemble_dense, is_negative_definite
 
 
 def annotated(g, conj):
@@ -125,6 +125,18 @@ class TestTbValues:
                     r = tb(m, n, sign)
                     want = sum(r.n_prime_contrib.values(), Fraction(r.n_real - 1))
                     assert type(r.value) is Fraction and r.value == want, (m, n)
+
+    def test_closed_forms_behind_the_long_chain_values(self):
+        # CI's long-chain step expects tb(2, 200001) = -1/200001 (plus) and
+        # 199999 (minus), and tb(3, 599993) = 7 in both signs. Those are
+        # tb(2, n) = -1/n and n - 2 for odd n, and the odd-m period
+        # n -> n + 12 applied to tb(3, 5) = 7, as 599993 = 5 mod 12.
+        for n in range(3, 402, 2):
+            assert tb(2, n, "plus").value == Fraction(-1, n), n
+            assert tb(2, n, "minus").value == n - 2, n
+        for n in range(5, 606, 12):
+            for sign in ("minus", "plus"):
+                assert tb(3, n, sign).value == 7, (n, sign)
 
     @pytest.mark.parametrize("m", [2.0, Fraction(2)], ids=["float", "fraction"])
     def test_exponents_that_are_not_ints_are_rejected_on_a_warm_cache(self, m):
@@ -293,6 +305,21 @@ class TestImaginaryArms:
                         bamboos += len(by_cf)
         assert checked
         assert bamboos == 346
+
+    def test_assembly_matches_the_dense_schur_complement(self):
+        # tb's n' sum over its tree folds against assemble_dense, which
+        # solves the dense form of the same marked graph and W.
+        evaluations = 0
+        for m in range(2, 12):
+            for n in range(2, 40):
+                if gcd(m, n) != 1:
+                    continue
+                for sign in ("minus", "plus"):
+                    marked, cd, _level = evaluation_graph(m, n, sign)
+                    assert assemble_dense(marked.graph, cd.w) == tb(m, n, sign).value, (
+                        m, n, sign)
+                    evaluations += 1
+        assert evaluations == 466
 
 
 class TestTbFromGraph:

@@ -22,6 +22,20 @@ class TestVerifyIdentities:
         for suite in report.suites:
             assert suite.checked > 0
 
+    def test_counts_at_bench_scale(self, capsys):
+        # The bench's verify workload runs at m_max 10, k_max 3 and n_max
+        # 60-63. Each suite's (checked, skipped) pins every check it makes,
+        # so a check that is dropped, doubled or counted twice fails here.
+        report = verify_identities(10, 62, 3)
+        assert report.total_violations == 0
+        assert [(s.name, s.checked, s.skipped) for s in report.suites] == [
+            ("integrality", 513, 231), ("period", 636, 231), ("symmetry", 840, 1164),
+            ("parity", 5572, 231), ("structure", 1378, 265)]
+        # README's example of the verify command.
+        assert main(["verify", "--suite", "symmetry", "--m-max", "8", "--n-max", "40",
+                     "--k-max", "2"]) == 0
+        assert capsys.readouterr().out == "symmetry: checked 278, skipped 388, violations 0\n"
+
     def test_suite_selection(self):
         report = verify_identities(m_max=4, n_max=10, suites=("integrality",))
         assert [s.name for s in report.suites] == ["integrality"]
