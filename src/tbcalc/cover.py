@@ -15,6 +15,11 @@ Any other odd-incidence count is an internal inconsistency (the balance
 law forces 0 or 2). The branch curve itself lifts to the surface's own
 z = 0 locus, so the upstairs graph carries no arrows. Every stage emits
 frozen values and every result is one, marked graphs included.
+
+Swapping x and y changes neither the surface nor its graphs, only which
+arms are named after which exponent, so build_cover runs the stages once
+per unordered pair, on m < n, and hands (n, m) the same values with the
+arm families renamed.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .errors import (
     OddSelfIntOnBranch,
     StructureMismatch,
 )
-from .embedres import ARROW_MULT, build_gamma_f, separate_odd_odd
+from .embedres import ARROW_MULT, build_gamma_f, euclid_data, separate_odd_odd
 from .graph import (
     FrozenGraph,
     VertexMap,
@@ -384,13 +389,44 @@ def build_cover(m: int, n: int) -> CoverData:
 
     Every stage emits a frozen value, so the cached result holds only
     immutable values, no builder is made, and writing to a cached graph
-    raises. The cache keeps the 1,024 most recently used pairs. tb reads
-    the values as they are; mark_real_structure returns a new marked
-    value. build_gamma_f hands on the id of e_0 with Gamma_f, and
-    separation leaves e_0 where it is.
+    raises. The cache keeps the 1,024 most recently used keys, (m, n) and
+    (n, m) counted apart. tb reads the values as they are;
+    mark_real_structure returns a new marked value. build_gamma_f hands on
+    the id of e_0 with Gamma_f, and separation leaves e_0 where it is.
+
+    The pipeline runs once per unordered pair, on m < n: swapping x and y
+    leaves the surface and every graph as they are. So once the exponents
+    pass euclid_data in the caller's order, the result for m > n is that of
+    (n, m) with m and n swapped and the arm families renamed (_transposed).
     """
+    euclid_data(m, n)
+    if m > n:
+        return _transposed(build_cover(n, m))
     gamma_f, rupture = build_gamma_f(m, n)
     gamma_f_prime = separate_odd_odd(gamma_f)
     lift = label_arms(lift_double_cover(gamma_f_prime, rupture, m, n), gamma_f_prime)
     return CoverData(m=m, n=n, gamma_f=gamma_f, gamma_f_prime=gamma_f_prime, rupture=rupture,
                      lift=lift, minimal=minimize_and_label(lift, gamma_f_prime))
+
+
+def _transposed(cover: CoverData) -> CoverData:
+    """cover for the exponents swapped: each n_arm label becomes the m_arm
+    label of the same index and back, one new string per distinct label,
+    and every other value is cover's own, characteristic data already
+    solved or pulled back included. minimal is lift, and gamma_f_prime is
+    gamma_f, exactly when they are in cover."""
+    labels = {label: label if label in (None, RUPTURE_LABEL) else
+              ("m_arm" if label.startswith("n_arm") else "n_arm") + label[5:]
+              for label in set(cover.lift.graph.arm_label)}
+
+    def swap(cg: CoverGraph) -> CoverGraph:
+        g = cg.graph
+        out = cg._replace(graph=g._replace(arm_label=tuple(map(labels.__getitem__, g.arm_label))),
+                          m=cg.n, n=cg.m)
+        if "characteristic" in vars(cg):
+            vars(out)["characteristic"] = cg.characteristic
+        return out
+
+    lift = swap(cover.lift)
+    minimal = lift if cover.minimal is cover.lift else swap(cover.minimal)
+    return cover._replace(m=cover.n, n=cover.m, lift=lift, minimal=minimal)

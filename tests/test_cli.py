@@ -77,6 +77,12 @@ class TestCompute:
         assert p.returncode == 1
         assert "gcd(m,n) must be 1" in p.stderr
 
+    def test_swapped_pair_is_refused_as_given(self):
+        p = run_cli("compute", "--m", "6", "--n", "4", "--sign", "plus")
+        assert (p.returncode, p.stdout) == (1, "")
+        assert p.stderr == ("tbcalc: error: gcd(m,n) must be 1 for an isolated Brieskorn "
+                            "double point, got gcd(6, 4) = 2\n")
+
     def test_bad_exponent_exits_one(self):
         p = run_cli("compute", "--m", "1", "--n", "4", "--sign", "minus")
         assert p.returncode == 1

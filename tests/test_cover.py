@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tbcalc import (
+    BadExponents,
     BadOddNeighborCount,
     CoverGraph,
     DecoratedGraph,
@@ -15,6 +16,7 @@ from tbcalc import (
     OddSelfIntOnBranch,
     StructureMismatch,
     build_cover,
+    build_gamma_f,
     VertexMap,
     canonical_coefficients,
     arms,
@@ -23,6 +25,7 @@ from tbcalc import (
     mark_real_structure,
     minimize_and_label,
     real_locus,
+    separate_odd_odd,
     tb,
 )
 from tbcalc import charclass
@@ -370,8 +373,11 @@ class TestCoverCache:
         misses = build_cover.cache_info().misses
         build_cover(*pairs[-1])
         assert build_cover.cache_info().misses == misses
+        # pairs[0] is (3, 2), built from (2, 3): both keys have left the
+        # cache, so the transposed pair misses once and its base once.
+        assert pairs[0] == (3, 2)
         build_cover(*pairs[0])
-        assert build_cover.cache_info().misses == misses + 1
+        assert build_cover.cache_info().misses == misses + 2
 
     def test_a_repeat_tb_is_a_cache_hit(self):
         tb(7, 60, "plus")
@@ -755,3 +761,76 @@ class TestLiftCanonicalClass:
         for value in (cover.minimal._replace(), mark_real_structure(cover.minimal, "plus")):
             assert vars(value) == {}
             assert value.characteristic == canonical_coefficients(cover.minimal)
+
+
+class TestTransposedPairs:
+    # build_cover runs the pipeline once per unordered pair, on m < n, and
+    # hands (n, m) those values with the exponents and arm families swapped.
+    PAIRS = [(m, n) for m in range(2, 17) for n in range(m + 1, 81)
+             if math.gcd(m, n) == 1] + [(2, 1599), (6, 4775)]
+
+    def test_swapped_cover_is_what_the_stages_give_on_the_swapped_pair(self):
+        build_cover.cache_clear()
+        for m, n in self.PAIRS:
+            gamma_f, rupture = build_gamma_f(n, m)
+            gp = separate_odd_odd(gamma_f)
+            lift = label_arms(lift_double_cover(gp, rupture, n, m), gp)
+            minimal = minimize_and_label(lift, gp)
+            cover = build_cover(n, m)
+            assert (cover.m, cover.n, cover.rupture) == (n, m, rupture), (m, n)
+            assert cover.gamma_f == gamma_f and cover.gamma_f_prime == gp, (m, n)
+            assert (cover.gamma_f_prime is cover.gamma_f) == (gp is gamma_f), (m, n)
+            assert (cover.minimal is cover.lift) == (minimal is lift), (m, n)
+            for got, want in ((cover.lift, lift), (cover.minimal, minimal)):
+                assert (got.m, got.n, got.e0_lift) == (n, m, want.e0_lift), (m, n)
+                assert got.graph.arm_label == want.graph.arm_label, (m, n)
+                assert got.graph == want.graph, (m, n)
+                assert dict(got.deck) == dict(want.deck), (m, n)
+                assert dict(got.downstairs) == dict(want.downstairs), (m, n)
+                assert got.characteristic == want.characteristic, (m, n)
+            # Only the arm labels are new: every other value is the base's.
+            base = build_cover(m, n)
+            assert cover.gamma_f is base.gamma_f and cover.gamma_f_prime is base.gamma_f_prime
+            for got, had in ((cover.lift, base.lift), (cover.minimal, base.minimal)):
+                assert got.deck is had.deck and got.downstairs is had.downstairs, (m, n)
+                assert all(getattr(got.graph, field) is getattr(had.graph, field)
+                           for field in FrozenGraph._fields if field != "arm_label"), (m, n)
+
+    def test_refusals_keep_the_callers_order(self):
+        # The exponents are checked as given before (n, m) is looked up, and
+        # a refused pair leaves nothing in the cache.
+        refusals = {
+            (6, 4): "gcd(m,n) must be 1 for an isolated Brieskorn double point, "
+                    "got gcd(6, 4) = 2",
+            (3, 1): "exponents must be integers >= 2, got (3, 1); x^m+y^n+/-z^2 "
+                    "is not an isolated double point otherwise",
+            (400001, 2): "(400001, 2) needs 200002 curves in its resolution of x^m+y^n "
+                         "(the sum of its Euclid quotients); the limit is 200000",
+        }
+        build_cover.cache_clear()
+        for (m, n), message in refusals.items():
+            for sign in ("plus", "minus"):
+                with pytest.raises(BadExponents) as caught:
+                    tb(m, n, sign)
+                assert str(caught.value) == message
+        assert build_cover.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (6, 11), (2, 1599)])
+    def test_the_swapped_pair_shares_the_solves(self, monkeypatch, m, n):
+        solves = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            solves.append(len(g.ids))
+            return inner(g, rhs)
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        counts = []
+        for keys in ([(m, n)], [(m, n), (n, m)]):
+            build_cover.cache_clear()
+            solves.clear()
+            for key in keys:
+                for sign in ("plus", "minus"):
+                    tb(*key, sign)
+            counts.append(len(solves))
+        assert counts[1] <= counts[0], counts
