@@ -353,14 +353,19 @@ def minimize_and_label(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
     return minimal
 
 
+def _require_sign(sign: str) -> None:
+    """Refuse a sign that names no real structure."""
+    if sign not in (SIGN_PLUS, SIGN_MINUS):
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+
+
 def _real_column(cg: CoverGraph, sign: str) -> tuple[bool, ...]:
     """Whether the real structure of the given sign fixes each curve, in
     position order: conj_minus fixes every curve, as does either structure
     when both exponents are odd; conj_plus with one even exponent fixes the
     deck-fixed curves, which label_arms checks to be the rupture curve and
     the arm named after the even exponent (the other two are swapped)."""
-    if sign not in (SIGN_PLUS, SIGN_MINUS):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    _require_sign(sign)
     if sign == SIGN_MINUS or (cg.m % 2 == 1 and cg.n % 2 == 1):
         return (True,) * len(cg.graph.ids)
     return tuple(map(eq, cg.graph.ids, _column(cg.graph, cg.deck)))

@@ -6,8 +6,10 @@ The invariant is evaluated on a resolution graph with its real column as
 
 where N counts real vertices, W_R is the real part of the characteristic
 set, and n'_e corrects the self-intersection of e by the weights of its
-fully imaginary arms. tb and tb_from_graph share one assembly over a
-marked graph, evaluation_graph's or the caller's. The sum runs in
+fully imaginary arms. tb and tb_from_graph share one assembly, which
+takes the real column apart from the graph: tb hands it the cached,
+unmarked graph with the real column of its sign, computed once, and
+tb_from_graph the caller's marked graph with its own. The sum runs in
 integers, over the lcm of the n' denominators, and builds one Fraction.
 
 The evaluation runs on Gamma(m,n) unless the plus structure has imaginary
@@ -28,13 +30,14 @@ from typing import NamedTuple, Optional
 
 from .charclass import CharacteristicData, canonical_coefficients
 from .cover import (
-    SIGN_MINUS,
-    SIGN_PLUS,
+    CoverData,
     CoverGraph,
     _real_column,
+    _require_sign,
     build_cover,
     mark_real_structure,
 )
+from .embedres import euclid_data
 from .errors import InconsistentAnnotation, NonIntegralCanonicalClass, NotNumericallyGorenstein
 from .graph import (FrozenGraph, _branches, _column, _imaginary_arms, _require_definite_tree,
                     _subtree_dets)
@@ -70,38 +73,46 @@ class TbResult(NamedTuple):
         return self.value.denominator == 1
 
 
+def _source(cover: CoverData, sign: str) -> tuple[CoverGraph, tuple[bool, ...], str]:
+    """The cached graph the formula is evaluated on for the sign, as it is,
+    with its real column and its level: Gamma(m,n), "minimal", or the lift,
+    "lift", when e^0 has blown down and the sign's real column marks some
+    curve imaginary. Only then can a curve of Gamma(m,n) meet its
+    conjugate: e^0 separates the two conjugate arms while it survives."""
+    source = cover.minimal
+    real = _real_column(source, sign)
+    if source.e0_lift is None and not all(real):
+        return cover.lift, _real_column(cover.lift, sign), EVAL_LIFT
+    return source, real, EVAL_MINIMAL
+
+
 def evaluation_graph(
     m: int, n: int, sign: str
 ) -> tuple[CoverGraph, CharacteristicData, str]:
-    """The graph tb(m, n, sign) is evaluated on, marked (a new frozen value),
-    its characteristic data (the unmarked graph's, shared by both signs)
-    and its level: "minimal", or "lift" when e^0 has blown down and the
-    sign's real column marks some curve imaginary. Only then can a curve
-    of Gamma(m,n) meet its conjugate: e^0 separates the two conjugate arms
-    while it survives."""
-    if sign not in (SIGN_PLUS, SIGN_MINUS):  # before a cover is built and cached
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    cover = build_cover(m, n)
-    source, level = cover.minimal, EVAL_MINIMAL
-    # A surviving e^0 keeps every curve off its conjugate.
-    if source.e0_lift is None and not all(_real_column(source, sign)):
-        source, level = cover.lift, EVAL_LIFT
+    """The graph tb(m, n, sign) is evaluated on, as build_cover(m, n) holds
+    it, marked with the sign's real structure (a new frozen value), its
+    characteristic data (the unmarked graph's, shared by both signs) and
+    its level, as _source chooses them. tb itself makes no marked value."""
+    _require_sign(sign)  # before a cover is built and cached
+    source, _real, level = _source(build_cover(m, n), sign)
     return mark_real_structure(source, sign), source.characteristic, level
 
 
 def _assemble(
     g: FrozenGraph,
+    real: tuple[Optional[bool], ...],
     w: frozenset[int],
     sign: Optional[str],
     m: Optional[int],
     n: Optional[int],
     level: str,
 ) -> TbResult:
-    """N - 1 plus n'_e over W_R, the vertices of w that g.real marks (by
-    truthiness), walked as positions, off one _branches pass over g rooted
-    at a real vertex; with no imaginary vertex n'_e = n_e. The sum runs in
+    """N - 1 plus n'_e over W_R, the vertices of w that the column real
+    marks (by truthiness, by position of g; g's own real column is not
+    read), walked as positions, off one _branches pass over g rooted at a
+    real vertex; with no imaginary vertex n'_e = n_e. The sum runs in
     integers over the lcm of the n' denominators and builds one Fraction."""
-    ids, real = g.ids, g.real
+    ids = g.ids
     at = [p for p in compress(range(len(ids)), map(w.__contains__, ids)) if real[p]]
     n_real = sum(map(bool, real))
     if at and n_real < len(ids):
@@ -128,9 +139,20 @@ def _assemble(
 
 
 def tb(m: int, n: int, sign: str) -> TbResult:
-    """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus)."""
-    marked, cd, level = evaluation_graph(m, n, sign)
-    return _assemble(marked.graph, cd.w, sign, m, n, level)
+    """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus).
+
+    Evaluated on the cached graph as it is, beside the sign's real column,
+    so no marked copy is made. For int exponents with m > n, once they are
+    refused as given, the cover of (n, m) is read: it differs only in arm
+    labels, which tb does not read, so one solve serves either order."""
+    _require_sign(sign)  # before a cover is built and cached
+    if isinstance(m, int) and isinstance(n, int) and m > n:
+        euclid_data(m, n)
+        cover = build_cover(n, m)
+    else:
+        cover = build_cover(m, n)
+    source, real, level = _source(cover, sign)
+    return _assemble(source.graph, real, source.characteristic.w, sign, m, n, level)
 
 
 def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:
@@ -197,4 +219,4 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus")
         _require_definite_tree(g, *_subtree_dets(g))
         w = frozenset(wr)
-    return _assemble(g, w, cg.sign, cg.m, cg.n, EVAL_GRAPH)
+    return _assemble(g, g.real, w, cg.sign, cg.m, cg.n, EVAL_GRAPH)

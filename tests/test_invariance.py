@@ -17,15 +17,16 @@ from collections import Counter
 
 from tbcalc import (CoverGraph, FrozenGraph, build_cover, canonical_coefficients,
                     evaluation_graph, mark_real_structure, tb, tb_from_graph)
-from oracles import BLOW_UP_KINDS, blow_up, blow_up_sites
+from oracles import BLOW_UP_KINDS, assemble_dense, blow_up, blow_up_sites
 
 GRID = [(m, n) for m in range(2, 16) for n in range(2, 60) if math.gcd(m, n) == 1]
 
 
-def blow_ups():
-    """Each evaluation graph of GRID, both signs, with its characteristic
-    data and its blow-ups: one per kind that has a site, at the first."""
-    for m, n in GRID:
+def blow_ups(pairs=GRID):
+    """Each evaluation graph of the pairs, both signs, with its
+    characteristic data and its blow-ups: one per kind that has a site, at
+    the first."""
+    for m, n in pairs:
         for sign in ("minus", "plus"):
             marked, cd, _level = evaluation_graph(m, n, sign)
             blown_up = []
@@ -47,6 +48,21 @@ def test_tb_is_invariant_under_each_kind_of_blow_up():
     # the plus structure of a pair with an even exponent.
     assert kinds == {"real_point": 972, "real_edge": 972, "real_curve_pair": 972,
                      "imaginary_curve_pair": 332, "edge_pair": 332}
+
+
+def test_assembly_matches_the_dense_schur_complement_on_blown_up_graphs():
+    # tb_from_graph's n' sum over its tree folds against assemble_dense,
+    # which reads the dense form of the same caller graph and its W; every
+    # fifth pair of GRID keeps the dense solves to about a second.
+    kinds = Counter()
+    for m, n, sign, _cd, blown_up in blow_ups(GRID[::5]):
+        for kind, blown in blown_up:
+            w = canonical_coefficients(blown).w
+            assert tb_from_graph(blown).value == assemble_dense(blown.graph, w), (
+                m, n, sign, kind)
+            kinds[kind] += 1
+    assert kinds == {"real_point": 196, "real_edge": 196, "real_curve_pair": 196,
+                     "imaginary_curve_pair": 65, "edge_pair": 65}
 
 
 def test_c1_follows_the_blow_up_rule():

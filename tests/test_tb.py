@@ -138,6 +138,32 @@ class TestTbValues:
             for sign in ("minus", "plus"):
                 assert tb(3, n, sign).value == 7, (n, sign)
 
+    @pytest.mark.parametrize("args,error,message", [
+        (("7", 3, "plus"), BadExponents, "exponents must be integers >= 2, got (7, 3); "
+         "x^m+y^n+/-z^2 is not an isolated double point otherwise"),
+        ((3.0, 2, "plus"), BadExponents, "exponents must be integers >= 2, got (3.0, 2); "
+         "x^m+y^n+/-z^2 is not an isolated double point otherwise"),
+        ((True, 3, "plus"), BadExponents, "exponents must be integers >= 2, got (True, 3); "
+         "x^m+y^n+/-z^2 is not an isolated double point otherwise"),
+        ((6, 4, "plus"), BadExponents,
+         "gcd(m,n) must be 1 for an isolated Brieskorn double point, got gcd(6, 4) = 2"),
+        ((3, 1, "plus"), BadExponents, "exponents must be integers >= 2, got (3, 1); "
+         "x^m+y^n+/-z^2 is not an isolated double point otherwise"),
+        ((400001, 2, "plus"), BadExponents, "(400001, 2) needs 200002 curves in its "
+         "resolution of x^m+y^n (the sum of its Euclid quotients); the limit is 200000"),
+        ((6, 11, "both"), ValueError, "sign must be 'plus' or 'minus', got 'both'"),
+        ((6, 4, "Plus"), ValueError, "sign must be 'plus' or 'minus', got 'Plus'"),
+    ], ids=["str", "float", "bool", "gcd", "one", "too_long", "sign", "sign_first"])
+    def test_refusals_keep_their_type_and_message(self, args, error, message):
+        # tb compares int exponents before any cover is built, to read the
+        # cover of the pair with m < n; each refusal is still the one the
+        # exponents get as given, for any argument type, and builds nothing.
+        build_cover.cache_clear()
+        with pytest.raises(error) as info:
+            tb(*args)
+        assert type(info.value) is error and str(info.value) == message
+        assert build_cover.cache_info().currsize == 0
+
     @pytest.mark.parametrize("m", [2.0, Fraction(2)], ids=["float", "fraction"])
     def test_exponents_that_are_not_ints_are_rejected_on_a_warm_cache(self, m):
         # The cache must not hand back the result of the int pair (2, 3).
@@ -179,17 +205,69 @@ class TestEvaluationGraph:
     def test_each_sign_order_solves_only_the_lift(self, monkeypatch, m, n):
         # Curves blow down here, so Gamma(m,n) is never solved: each sign
         # order, from a cold cache, solves the lift that plus falls back to,
-        # and solves it once.
+        # and solves it once. tb reads the cover of the pair with m < n, so
+        # for (3, 2) that is the lift of (2, 3).
         for signs in (("minus", "plus", "plus"), ("plus", "minus", "minus")):
             graphs = self.solved_graphs(monkeypatch, m, n, signs)
-            cover = build_cover(m, n)
+            cover = build_cover(min(m, n), max(m, n))
             assert cover.minimal is not cover.lift
             assert len(graphs) == 1 and graphs[0] is cover.lift.graph, signs
+
+    @pytest.mark.parametrize("m,n", [(1599, 2), (11, 6), (3, 2)])
+    def test_either_exponent_order_solves_once(self, monkeypatch, m, n):
+        # From a cold cache, tb in both signs on one order of the exponents
+        # and then on the other: both orders read the cover of the pair
+        # with m < n, so the one graph that needs a solve is solved once,
+        # whichever order comes first.
+        solved = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            solved.append(g)
+            return inner(g, rhs)
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        for first, second in (((n, m), (m, n)), ((m, n), (n, m))):
+            build_cover.cache_clear()
+            for pair in (first, second):
+                for sign in ("plus", "minus"):
+                    tb(*pair, sign)
+            assert len(solved) == 1, (first, second)
+            solved.clear()
+
+    def test_tb_builds_no_marked_value(self, monkeypatch):
+        # tb evaluates the cached graph in place, with the real column of
+        # its sign beside it: with marking made to raise, a cold tb gives
+        # the frozen values in both signs and both exponent orders.
+        tb_module = importlib.import_module("tbcalc.tb")
+        cover_module = importlib.import_module("tbcalc.cover")
+
+        def refuse(cg, sign):
+            raise AssertionError("tb marked a graph")
+
+        for module in (tb_module, cover_module):
+            monkeypatch.setattr(module, "mark_real_structure", refuse)
+        build_cover.cache_clear()
+        for (m, n), (minus, plus) in FROZEN.items():
+            for pair in ((m, n), (n, m)):
+                assert (tb(*pair, "minus").value, tb(*pair, "plus").value) == (minus, plus)
+        monkeypatch.undo()
+        # evaluation_graph still marks the graph tb reads: the same graph
+        # with the real column tb computed for it, and conj and sign set.
+        for m, n in FROZEN:
+            for sign in ("plus", "minus"):
+                marked, cd, level = evaluation_graph(m, n, sign)
+                source, real, got = tb_module._source(build_cover(m, n), sign)
+                assert (level, cd) == (got, source.characteristic)
+                assert marked.graph.real == real and marked.sign == sign
+                assert marked.graph._replace(real=source.graph.real) == source.graph
+                assert marked._replace(graph=source.graph, conj={}, sign=None) == source
 
     def test_only_lifts_are_solved_at_most_once_per_cover(self, monkeypatch):
         # From a cold cache, in either sign order, the adjunction solver runs
         # on the lift only, and at most once per cover: Gamma(m,n) is solved
-        # only where it is the lift itself.
+        # only where it is the lift itself. tb reads the cover of the pair
+        # with m < n, so for m > n that is the lift of (n, m).
         solved = []
         inner = charclass.solve_intersection_system
 
@@ -204,7 +282,7 @@ class TestEvaluationGraph:
                     continue
                 for signs in (("minus", "plus"), ("plus", "minus")):
                     build_cover.cache_clear()
-                    lift = build_cover(m, n).lift.graph
+                    lift = build_cover(min(m, n), max(m, n)).lift.graph
                     for sign in signs:
                         tb(m, n, sign)
                     assert len(solved) <= 1 and all(g is lift for g in solved), (m, n, signs)
@@ -217,14 +295,16 @@ class TestEvaluationGraph:
         # Deciding the fallback caches nothing on Gamma(m,n), and Gamma(m,n)
         # keeps no reference to its lift: its instance dict holds only its
         # characteristic, given when it was built where curves blew down
-        # and solved on first use where nothing did, (11, 6).
+        # and solved on first use where nothing did, (11, 6). tb reads the
+        # cover of the pair with m < n, so its Gamma(m,n) is the one checked.
         build_cover.cache_clear()
-        cover = build_cover(m, n)
+        base = min(m, n), max(m, n)
+        cover = build_cover(*base)
         blown_down = cover.minimal is not cover.lift
         assert set(vars(cover.minimal)) == ({"characteristic"} if blown_down else set())
         for sign in signs:
             tb(m, n, sign)
-            assert set(vars(build_cover(m, n).minimal)) == {"characteristic"}
+            assert set(vars(build_cover(*base).minimal)) == {"characteristic"}
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
         # A cold build_cover makes no copy, neither where odd-odd separation
@@ -262,9 +342,13 @@ class TestEvaluationGraph:
             assert cd is getattr(cover, level).characteristic
 
     def test_tb_is_tb_from_graph_of_its_evaluation_graph(self):
-        # One evaluation path: tb and tb_from_graph agree on every field of
-        # the record but the level, which names the caller-graph entry.
-        for m in range(2, 16):
+        # Two evaluation paths: tb reads the unmarked cached graph of the
+        # pair with m < n and the real column it computes, tb_from_graph the
+        # marked graph of evaluation_graph(m, n) and its real flags. They
+        # agree on every field of the record (value, n_real, wr, the n'
+        # terms, the arm weights, sign, m and n) but the level, which names
+        # the caller-graph entry; both exponent orders for m, n <= 30.
+        for m in range(2, 31):
             for n in range(2, 60):
                 if gcd(m, n) != 1:
                     continue
@@ -689,24 +773,29 @@ class TestReadsByPosition:
 
     def test_assemble_makes_no_id_lookup(self, monkeypatch, star12_plus):
         # W_R is walked as positions and its ids are read once for TbResult,
-        # also when the fold has to move the walk to a real root.
+        # also when the fold has to move the walk to a real root: on the
+        # unmarked cached graph with the real column tb computes for it, and
+        # on marked graphs with their own real column.
         tb_module = importlib.import_module("tbcalc.tb")
         cases = []
         for m, n in [(11, 6), (3, 2), (6, 4789)]:
             for sign in ("plus", "minus"):
+                source, real, level = tb_module._source(build_cover(m, n), sign)
+                cases.append((source.graph, real, source.characteristic.w, level,
+                              tb(m, n, sign)))
                 marked, cd, level = evaluation_graph(m, n, sign)
-                cases.append((marked.graph, cd.w, level, tb(m, n, sign)))
+                cases.append((marked.graph, marked.graph.real, cd.w, level, tb(m, n, sign)))
         cg, w = star12_plus
-        g = cg.graph
-        imaginary = min(v for v, flag in zip(g.ids, g.real) if not flag)
-        cases.append((g.freeze(root=imaginary), w, "graph", tb_from_graph(cg)))
+        g = cg.graph.freeze(root=min(v for v, flag in zip(cg.graph.ids, cg.graph.real)
+                                     if not flag))
+        cases.append((g, g.real, w, "graph", tb_from_graph(cg)))
 
         def no_lookup(g, v):
             raise AssertionError(f"pos({v}) called")
 
         monkeypatch.setattr(FrozenGraph, "pos", no_lookup)
-        for g, w, level, want in cases:
-            assert tb_module._assemble(g, w, want.sign, want.m, want.n, level) == want
+        for g, real, w, level, want in cases:
+            assert tb_module._assemble(g, real, w, want.sign, want.m, want.n, level) == want
 
     def test_no_vertex_record_is_built(self, monkeypatch):
         marked = mark_real_structure(build_cover(6, 4789).minimal, "plus")
