@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 
 from .cover import SIGN_MINUS, SIGN_PLUS
 from .errors import InternalInvariantError, MalformedDecomposition, UserInputError
@@ -154,7 +155,10 @@ def cmd_linkform(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first main call, not at
+    import: parse_args keeps no state in it between calls."""
     parser = _Parser(prog="tbcalc",
                      description="Exact Thurston-Bennequin invariants of "
                                  "Brieskorn double point links")

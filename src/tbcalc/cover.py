@@ -403,9 +403,11 @@ def build_cover(m: int, n: int) -> CoverData:
     leaves the surface and every graph as they are. So once the exponents
     pass euclid_data in the caller's order, the result for m > n is that of
     (n, m) with m and n swapped and the arm families renamed (_transposed).
+    For int exponents with m <= n the refusal is build_gamma_f's own
+    euclid_data, which runs first and computes the pair's one chain.
     """
-    euclid_data(m, n)
-    if m > n:
+    if not (isinstance(m, int) and isinstance(n, int) and m <= n):
+        euclid_data(m, n)  # passes only int exponents, so here m > n
         return _transposed(build_cover(n, m))
     gamma_f, rupture = build_gamma_f(m, n)
     gamma_f_prime = separate_odd_odd(gamma_f)

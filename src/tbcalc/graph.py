@@ -33,8 +33,10 @@ a tree and its form is negative definite, as on every resolution graph
 (Mumford, Publ. IHES 9, 1961); anything else raises SingularMatrix, so
 no weight they fold has a zero denominator. _form_times gives Q x for the
 certificates that re-multiply. Every arm reader takes the
-arms of a vertex from _arm_positions, breadth-first from each head
-whatever root g is walked from, so each is one O(V) pass. Blow-down pays
+arms of a vertex from _arm_positions, so each is one O(V) pass: on a tree
+stored walked from that vertex, as the lift and Gamma(m,n) are from e^0,
+it reads the stored walk; on any other graph it walks breadth-first from
+each head. Blow-down pays
 per curve it removes: a contraction touches only the one or two
 neighbours of the removed curve, and the result is built once, each
 column compressed through one mask of the kept positions.
@@ -432,9 +434,28 @@ def _arm_positions(g: FrozenGraph, p: int) -> list[list[int]]:
     """For each neighbour h of position p, in position order, the positions
     of the component of g - p holding h, read breadth-first from h along
     the neighbour lists. Each position is taken once, so a cyclic graph
-    cannot make it loop; on a bamboo the read is the path from h."""
+    cannot make it loop; on a bamboo the read is the path from h.
+
+    When g is a tree stored walked from p (one root, 2(V - 1) neighbour
+    slots), the read is one pass over the stored order: each position joins
+    the arm of its parent, and the heads come first, in position order.
+    The breadth-first walk from p restricted to one component is the walk
+    from its head, so the result is the same. Any other graph (a forest, a
+    cyclic caller graph, a tree walked from elsewhere) is walked from each
+    head."""
     adj, start = g.adj, g.adj_start
     heads = adj[start[p]:start[p + 1]]
+    order, parent = g.order, g.parent
+    if order[0] == p and len(adj) == 2 * (len(order) - 1) and parent.count(-1) == 1:
+        arm = [0] * len(order)
+        out = []
+        for i, h in enumerate(heads):
+            arm[h] = i
+            out.append([h])
+        for q in islice(order, len(heads) + 1, None):
+            i = arm[q] = arm[parent[q]]
+            out[i].append(q)
+        return out
     seen = [False] * len(g.ids)
     for q in (p, *heads):
         seen[q] = True

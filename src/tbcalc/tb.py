@@ -37,8 +37,8 @@ from .cover import (
     build_cover,
     mark_real_structure,
 )
-from .embedres import euclid_data
-from .errors import InconsistentAnnotation, NonIntegralCanonicalClass, NotNumericallyGorenstein
+from .errors import (BadExponents, InconsistentAnnotation, NonIntegralCanonicalClass,
+                     NotNumericallyGorenstein)
 from .graph import (FrozenGraph, _branches, _column, _imaginary_arms, _require_definite_tree,
                     _subtree_dets)
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
@@ -86,16 +86,34 @@ def _source(cover: CoverData, sign: str) -> tuple[CoverGraph, tuple[bool, ...], 
     return source, real, EVAL_MINIMAL
 
 
+def _ordered_cover(m: int, n: int) -> CoverData:
+    """build_cover of the pair with the smaller exponent first, which holds
+    the same graphs and ids as build_cover(m, n), with only the arm labels
+    swapped. For int exponents with m > n, build_cover(n, m) is read first;
+    only when it refuses does build_cover(m, n) run, whose euclid_data
+    refuses too, the laws being symmetric, but words it as given."""
+    if isinstance(m, int) and isinstance(n, int) and m > n:
+        try:
+            return build_cover(n, m)
+        except BadExponents:
+            pass
+    return build_cover(m, n)
+
+
 def evaluation_graph(
     m: int, n: int, sign: str
 ) -> tuple[CoverGraph, CharacteristicData, str]:
     """The graph tb(m, n, sign) is evaluated on, as build_cover(m, n) holds
     it, marked with the sign's real structure (a new frozen value), its
     characteristic data (the unmarked graph's, shared by both signs) and
-    its level, as _source chooses them. tb itself makes no marked value."""
+    its level, as _source chooses them. tb itself makes no marked value.
+    The characteristic data are those of the graph tb reads, in the cover
+    of the pair with the smaller exponent first, so either call solves the
+    graph for both."""
     _require_sign(sign)  # before a cover is built and cached
-    source, _real, level = _source(build_cover(m, n), sign)
-    return mark_real_structure(source, sign), source.characteristic, level
+    solved, _real, level = _source(_ordered_cover(m, n), sign)
+    source = _source(build_cover(m, n), sign)[0] if m > n else solved
+    return mark_real_structure(source, sign), solved.characteristic, level
 
 
 def _assemble(
@@ -142,16 +160,13 @@ def tb(m: int, n: int, sign: str) -> TbResult:
     """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus).
 
     Evaluated on the cached graph as it is, beside the sign's real column,
-    so no marked copy is made. For int exponents with m > n, once they are
-    refused as given, the cover of (n, m) is read: it differs only in arm
-    labels, which tb does not read, so one solve serves either order."""
+    so no marked copy is made. For int exponents with m > n the cover of
+    (n, m) is read (_ordered_cover): it differs only in arm labels, which tb
+    does not read, so one solve serves either order. A refusal is worded
+    as the exponents are given, and a cold call computes one Euclid chain,
+    build_gamma_f's."""
     _require_sign(sign)  # before a cover is built and cached
-    if isinstance(m, int) and isinstance(n, int) and m > n:
-        euclid_data(m, n)
-        cover = build_cover(n, m)
-    else:
-        cover = build_cover(m, n)
-    source, real, level = _source(cover, sign)
+    source, real, level = _source(_ordered_cover(m, n), sign)
     return _assemble(source.graph, real, source.characteristic.w, sign, m, n, level)
 
 

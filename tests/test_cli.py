@@ -134,6 +134,49 @@ class TestTable:
         assert p.returncode == 1
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        # main builds its parser on its first call and reads every later
+        # argument list with it: a second table writes the same CSV.
+        from tbcalc import cli
+
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli._build_parser.cache_clear()
+        try:
+            tables = []
+            for name in ("first.csv", "second.csv"):
+                out = tmp_path / name
+                assert cli.main(["table", "--m-range", "2:9", "--n-range", "2:30",
+                                 "--sign", "plus", "--out", str(out)]) == 0
+                tables.append(out.read_bytes())
+        finally:
+            cli._build_parser.cache_clear()
+        assert tables[0] == tables[1]
+        assert built.count("tbcalc") == 1
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(kwargs.get('prog'))\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import tbcalc.cli\n"
+                "print(len(built))\n")
+        p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           cwd=ROOT)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.split() == ["0"]
+
+
 class TestVerifyCommand:
     def test_clean_run_exits_zero(self):
         p = run_cli("verify", "--suite", "integrality", "--m-max", "4",

@@ -229,13 +229,18 @@ class TestArms:
                 b.add_edge(ids[rng.randrange(max(0, i - 4), i)], ids[i])
             b.arrows += rng.sample(ids, min(len(ids), rng.randrange(3)))
             graphs.append(b.freeze())
-        walked = 0
+        # Every vertex is also read walked from itself: a tree then takes
+        # the stored walk, a forest the walk from each head.
+        walked = stored = 0
         for f in graphs:
             for g in (f, f.freeze(root=rng.choice(f.ids))):
                 for e in g.ids:
                     assert arms(g, e) == reference_arms(g, e)
                     walked += g.ids[g.order[0]] != e
-        assert walked > 1000
+            for e in f.ids:
+                assert arms(f.freeze(root=e), e) == reference_arms(f, e)
+                stored += f.parent.count(-1) == 1
+        assert walked > 1000 and stored > 500
         walked = 0
         for m in range(2, 13):
             for n in range(2, 61):
@@ -251,17 +256,42 @@ class TestArms:
                         walked += g.ids[g.order[0]] != e
         assert walked > 500
 
+    def test_stored_walk_reads_like_a_walk_from_each_head(self):
+        # The lift is stored walked from e^0, and so is Gamma(m,n) while
+        # e^0 survives: _arm_positions reads their stored walk, and must
+        # give each arm's positions in the order a breadth-first walk from
+        # its head gives them, heads in position order.
+        stored = 0
+        for m in range(2, 17):
+            for n in range(2, 81):
+                if math.gcd(m, n) != 1:
+                    continue
+                cover = build_cover(m, n)
+                for cg in (cover.lift, cover.minimal):
+                    if cg.e0_lift is None:
+                        continue
+                    g = cg.graph
+                    p = g.pos(cg.e0_lift)
+                    stored += g.order[0] == p
+                    assert graph._arm_positions(g, p) == reference_arm_positions(g, p), (m, n)
+        assert stored > 1000
+
     def test_a_cycle_is_read_once(self):
         # A caller's graph with a cycle 0-1-2-3 and a tail 2-4 beside an
-        # isolated vertex 5: each vertex of e's component is listed once,
-        # and the heads are e's neighbours.
+        # isolated vertex 5, so V - 1 edges: each vertex of e's component is
+        # listed once, in the arm of the first head whose walk reaches it,
+        # and the heads are e's neighbours; walked from e or not, the arms
+        # are the same.
         g = FrozenGraph.from_columns([-2] * 6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
         near = neighbours(g)
+        expected = {0: [(1, (1, 2, 4)), (3, (3,))], 1: [(0, (0, 3)), (2, (2, 4))],
+                    2: [(1, (1, 0)), (3, (3,)), (4, (4,))], 3: [(0, (0, 1)), (2, (2, 4))],
+                    4: [(2, (2, 1, 3, 0))]}
         for e in range(5):
-            got = arms(g, e)
-            assert [arm.head for arm in got] == near[e]
-            assert sorted(v for arm in got for v in arm.vertices) == [
-                v for v in range(5) if v != e]
+            for h in (g, g.freeze(root=e)):
+                got = arms(h, e)
+                assert [arm.head for arm in got] == near[e]
+                assert [(arm.head, arm.vertices) for arm in got] == expected[e]
 
     def test_is_rupture(self):
         # A rupture vertex meets at least three other curves, arrows
@@ -271,6 +301,24 @@ class TestArms:
         b = g.copy()
         b.arrows.append(center)
         assert [a.is_bamboo for a in arms(b.freeze(), left)] == [False]
+
+
+def reference_arm_positions(g, p):
+    """_arm_positions as a breadth-first walk from each head of position p
+    in turn, one seen mark shared by all, set on p and on every head."""
+    adj, start = g.adj, g.adj_start
+    heads = adj[start[p]:start[p + 1]]
+    seen = {p, *heads}
+    out = []
+    for h in heads:
+        where = [h]
+        for q in where:
+            for r in adj[start[q]:start[q + 1]]:
+                if r not in seen:
+                    seen.add(r)
+                    where.append(r)
+        out.append(where)
+    return out
 
 
 def reference_arms(g, e):

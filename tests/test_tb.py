@@ -37,7 +37,7 @@ from tbcalc import (
     to_dot,
     verify_identities,
 )
-from tbcalc import charclass
+from tbcalc import charclass, embedres
 from conftest import make_chain, make_star, make_zero_arm
 from oracles import assemble_dense, is_negative_definite
 
@@ -163,6 +163,31 @@ class TestTbValues:
             tb(*args)
         assert type(info.value) is error and str(info.value) == message
         assert build_cover.cache_info().currsize == 0
+
+    def test_one_euclid_chain_per_cold_call(self, monkeypatch):
+        # The pair's Euclid chain is computed once by a cold tb in either
+        # order, in build_gamma_f, and not at all by a warm one: euclid_data
+        # is counted wherever a module of the package binds it.
+        chains = []
+        inner = embedres.euclid_data
+
+        def counting(m, n):
+            chains.append((m, n))
+            return inner(m, n)
+
+        for name in ("embedres", "cover", "tb"):
+            module = importlib.import_module(f"tbcalc.{name}")
+            monkeypatch.setattr(module, "euclid_data", counting, raising=False)
+        for m, n in ((2, 3), (6, 11), (2, 1599)):
+            for first, second in (((m, n), (n, m)), ((n, m), (m, n))):
+                build_cover.cache_clear()
+                tb(*first, "plus")
+                assert chains == [(m, n)], first
+                chains.clear()
+                for pair in (first, second):
+                    for sign in ("plus", "minus"):
+                        tb(*pair, sign)
+                assert chains == [], second
 
     @pytest.mark.parametrize("m", [2.0, Fraction(2)], ids=["float", "fraction"])
     def test_exponents_that_are_not_ints_are_rejected_on_a_warm_cache(self, m):
@@ -334,12 +359,36 @@ class TestEvaluationGraph:
                 assert cg.conj == {} and cg.sign is None
 
     def test_marked_graph_and_shared_data(self):
-        cover = build_cover(3, 2)
+        # The marked graph is (3, 2)'s, with its arm labels; the data are
+        # those of the graph tb reads, in the cover of (2, 3).
+        cover, base = build_cover(3, 2), build_cover(2, 3)
         for sign, level in (("plus", "lift"), ("minus", "minimal")):
             marked, cd, got = evaluation_graph(3, 2, sign)
             assert got == level == tb(3, 2, sign).level
             assert marked.sign == sign
-            assert cd is getattr(cover, level).characteristic
+            assert marked.graph.arm_label == getattr(cover, level).graph.arm_label
+            assert cd is getattr(base, level).characteristic
+            assert cd == getattr(cover, level).characteristic
+
+    @pytest.mark.parametrize("m,n", [(11, 6), (3, 2), (1599, 2)])
+    def test_evaluation_graph_then_tb_solves_once(self, monkeypatch, m, n):
+        # From a cold cache, evaluation_graph(m, n) with m > n and then tb
+        # in plus: the data evaluation_graph hands back are those of the
+        # graph tb reads, in the cover of (n, m), so the two calls make one
+        # solve between them.
+        solved = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            solved.append(g)
+            return inner(g, rhs)
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        build_cover.cache_clear()
+        marked, cd, level = evaluation_graph(m, n, "plus")
+        assert tb(m, n, "plus").wr == cd.w & {
+            v for v, d in marked.graph.vertices.items() if d.real}
+        assert len(solved) == 1 and cd is getattr(build_cover(n, m), level).characteristic
 
     def test_tb_is_tb_from_graph_of_its_evaluation_graph(self):
         # Two evaluation paths: tb reads the unmarked cached graph of the
