@@ -18,8 +18,8 @@ frozen values and every result is one, marked graphs included.
 
 Swapping x and y changes neither the surface nor its graphs, only which
 arms are named after which exponent, so build_cover runs the stages once
-per unordered pair, on m < n, and hands (n, m) the same values with the
-arm families renamed.
+per unordered pair, on m < n, and hands (n, m) a view of those values
+with the arm families renamed; tb reads the key with m < n.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import NamedTuple, Optional
 
 from .charclass import CharacteristicData, canonical_coefficients, pulled_back_characteristic
 from .errors import (
+    BadExponents,
     BadOddNeighborCount,
     OddSelfIntOnBranch,
     StructureMismatch,
@@ -82,11 +83,9 @@ class CoverGraph(_CoverFields):
 
     A NamedTuple whose characteristic is cached on first use, or given at
     build where curves blew down; no attribute can be assigned, and graph
-    is a FrozenGraph. No curve of a lift meets its conjugate,
-    and neither does one of Gamma(m,n) while e0_lift survives: e^0 is the
-    real centre of three bamboo arms, and deck swaps the two arms it does
-    not fix as wholes. So e0_lift and the sign decide whether tb falls
-    back to the lift. The stages emit read-only cover graphs, with deck
+    is a FrozenGraph. characteristic, the one value in the instance dict,
+    reads neither arm_label nor the exponents' order, so the swapped pair's
+    view shares that dict. The stages emit read-only cover graphs, with deck
     and downstairs (and conj, once marked) as columns (VertexMap). A
     caller may build one with dict maps for tb_from_graph, freezing a
     builder once before handing it over.
@@ -401,8 +400,8 @@ def build_cover(m: int, n: int) -> CoverData:
 
     The pipeline runs once per unordered pair, on m < n: swapping x and y
     leaves the surface and every graph as they are. So once the exponents
-    pass euclid_data in the caller's order, the result for m > n is that of
-    (n, m) with m and n swapped and the arm families renamed (_transposed).
+    pass euclid_data in the caller's order, the result for m > n is a view
+    of (n, m), m and n swapped and the arm families renamed (_transposed).
     For int exponents with m <= n the refusal is build_gamma_f's own
     euclid_data, which runs first and computes the pair's one chain.
     """
@@ -419,9 +418,9 @@ def build_cover(m: int, n: int) -> CoverData:
 def _transposed(cover: CoverData) -> CoverData:
     """cover for the exponents swapped: each n_arm label becomes the m_arm
     label of the same index and back, one new string per distinct label,
-    and every other value is cover's own, characteristic data already
-    solved or pulled back included. minimal is lift, and gamma_f_prime is
-    gamma_f, exactly when they are in cover."""
+    and every other value is cover's own, each cover graph's instance dict
+    included, so one solve serves both pairs in either order. minimal is
+    lift, and gamma_f_prime is gamma_f, exactly when they are in cover."""
     labels = {label: label if label in (None, RUPTURE_LABEL) else
               ("m_arm" if label.startswith("n_arm") else "n_arm") + label[5:]
               for label in set(cover.lift.graph.arm_label)}
@@ -430,10 +429,31 @@ def _transposed(cover: CoverData) -> CoverData:
         g = cg.graph
         out = cg._replace(graph=g._replace(arm_label=tuple(map(labels.__getitem__, g.arm_label))),
                           m=cg.n, n=cg.m)
-        if "characteristic" in vars(cg):
-            vars(out)["characteristic"] = cg.characteristic
+        object.__setattr__(out, "__dict__", vars(cg))
         return out
 
     lift = swap(cover.lift)
     minimal = lift if cover.minimal is cover.lift else swap(cover.minimal)
     return cover._replace(m=cover.n, n=cover.m, lift=lift, minimal=minimal)
+
+
+def _cover(m: int, n: int) -> CoverData:
+    """build_cover(m, n), a non-int exponent refused by euclid_data before
+    the cache hashes it, where an unhashable one raises TypeError."""
+    if not (isinstance(m, int) and isinstance(n, int)):
+        euclid_data(m, n)
+    return build_cover(m, n)
+
+
+def _ordered_cover(m: int, n: int) -> CoverData:
+    """The cover tb reads: for int m > n that of (n, m), which differs only
+    in arm labels; if it refuses, build_cover(m, n) refuses too (the laws
+    are symmetric) and words it as given."""
+    if isinstance(m, int) and isinstance(n, int):
+        if m > n:
+            try:
+                return build_cover(n, m)
+            except BadExponents:
+                pass
+        return build_cover(m, n)
+    return _cover(m, n)

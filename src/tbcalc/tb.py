@@ -9,8 +9,7 @@ set, and n'_e corrects the self-intersection of e by the weights of its
 fully imaginary arms. tb and tb_from_graph share one assembly, which
 takes the real column apart from the graph: tb hands it the cached,
 unmarked graph with the real column of its sign, computed once, and
-tb_from_graph the caller's marked graph with its own. The sum runs in
-integers, over the lcm of the n' denominators, and builds one Fraction.
+tb_from_graph the caller's marked graph with its own.
 
 The evaluation runs on Gamma(m,n) unless the plus structure has imaginary
 curves and the rupture curve e^0 has blown down; then it runs on the lift,
@@ -32,13 +31,13 @@ from .charclass import CharacteristicData, canonical_coefficients
 from .cover import (
     CoverData,
     CoverGraph,
+    _cover,
+    _ordered_cover,
     _real_column,
     _require_sign,
-    build_cover,
     mark_real_structure,
 )
-from .errors import (BadExponents, InconsistentAnnotation, NonIntegralCanonicalClass,
-                     NotNumericallyGorenstein)
+from .errors import InconsistentAnnotation, NonIntegralCanonicalClass, NotNumericallyGorenstein
 from .graph import (FrozenGraph, _branches, _column, _imaginary_arms, _require_definite_tree,
                     _subtree_dets)
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
@@ -77,8 +76,7 @@ def _source(cover: CoverData, sign: str) -> tuple[CoverGraph, tuple[bool, ...], 
     """The cached graph the formula is evaluated on for the sign, as it is,
     with its real column and its level: Gamma(m,n), "minimal", or the lift,
     "lift", when e^0 has blown down and the sign's real column marks some
-    curve imaginary. Only then can a curve of Gamma(m,n) meet its
-    conjugate: e^0 separates the two conjugate arms while it survives."""
+    curve imaginary."""
     source = cover.minimal
     real = _real_column(source, sign)
     if source.e0_lift is None and not all(real):
@@ -86,34 +84,17 @@ def _source(cover: CoverData, sign: str) -> tuple[CoverGraph, tuple[bool, ...], 
     return source, real, EVAL_MINIMAL
 
 
-def _ordered_cover(m: int, n: int) -> CoverData:
-    """build_cover of the pair with the smaller exponent first, which holds
-    the same graphs and ids as build_cover(m, n), with only the arm labels
-    swapped. For int exponents with m > n, build_cover(n, m) is read first;
-    only when it refuses does build_cover(m, n) run, whose euclid_data
-    refuses too, the laws being symmetric, but words it as given."""
-    if isinstance(m, int) and isinstance(n, int) and m > n:
-        try:
-            return build_cover(n, m)
-        except BadExponents:
-            pass
-    return build_cover(m, n)
-
-
 def evaluation_graph(
     m: int, n: int, sign: str
 ) -> tuple[CoverGraph, CharacteristicData, str]:
     """The graph tb(m, n, sign) is evaluated on, as build_cover(m, n) holds
     it, marked with the sign's real structure (a new frozen value), its
-    characteristic data (the unmarked graph's, shared by both signs) and
-    its level, as _source chooses them. tb itself makes no marked value.
-    The characteristic data are those of the graph tb reads, in the cover
-    of the pair with the smaller exponent first, so either call solves the
-    graph for both."""
+    characteristic data (the unmarked graph's, shared by both signs and by
+    the swapped pair) and its level, as _source chooses them. tb itself
+    makes no marked value."""
     _require_sign(sign)  # before a cover is built and cached
-    solved, _real, level = _source(_ordered_cover(m, n), sign)
-    source = _source(build_cover(m, n), sign)[0] if m > n else solved
-    return mark_real_structure(source, sign), solved.characteristic, level
+    source, _real, level = _source(_cover(m, n), sign)
+    return mark_real_structure(source, sign), source.characteristic, level
 
 
 def _assemble(
@@ -160,11 +141,9 @@ def tb(m: int, n: int, sign: str) -> TbResult:
     """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus).
 
     Evaluated on the cached graph as it is, beside the sign's real column,
-    so no marked copy is made. For int exponents with m > n the cover of
-    (n, m) is read (_ordered_cover): it differs only in arm labels, which tb
-    does not read, so one solve serves either order. A refusal is worded
-    as the exponents are given, and a cold call computes one Euclid chain,
-    build_gamma_f's."""
+    so no marked copy is made, in the cover _ordered_cover reads. A refusal
+    is worded as the exponents are given, and a cold call computes one
+    Euclid chain, build_gamma_f's."""
     _require_sign(sign)  # before a cover is built and cached
     source, real, level = _source(_ordered_cover(m, n), sign)
     return _assemble(source.graph, real, source.characteristic.w, sign, m, n, level)

@@ -25,7 +25,7 @@ The suites ask for the same tb value many times: a pair's period partner
 is another pair's base, and the symmetry suite revisits the whole grid.
 They read values through _tb_value, a process-wide memo of
 tb(m, n, sign).value bounded like build_cover's cache (the 2,048 most
-recently used keys, both signs of its 1,024 pairs), so a process
+recently used keys, both signs of the 1,024 keys it keeps), so a process
 evaluates each (m, n, sign) once. It holds Fractions only, and tb itself
 stays uncached. On a miss it calls the module global tb, so code that
 rebinds tbcalc.verify.tb must call _tb_value.cache_clear() before and

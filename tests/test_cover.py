@@ -19,6 +19,7 @@ from tbcalc import (
     build_gamma_f,
     VertexMap,
     canonical_coefficients,
+    evaluation_graph,
     arms,
     label_arms,
     lift_double_cover,
@@ -798,25 +799,33 @@ class TestTransposedPairs:
 
     def test_refusals_keep_the_callers_order(self):
         # The exponents are checked as given before (n, m) is looked up, and
-        # a refused pair leaves nothing in the cache.
-        refusals = {
-            (6, 4): "gcd(m,n) must be 1 for an isolated Brieskorn double point, "
-                    "got gcd(6, 4) = 2",
-            (3, 1): "exponents must be integers >= 2, got (3, 1); x^m+y^n+/-z^2 "
-                    "is not an isolated double point otherwise",
-            (400001, 2): "(400001, 2) needs 200002 curves in its resolution of x^m+y^n "
-                         "(the sum of its Euclid quotients); the limit is 200000",
-        }
+        # a refused pair leaves nothing in the cache. A non-int exponent is
+        # refused before the cache hashes it, unhashable ones included.
+        refusals = [
+            ((6, 4), "gcd(m,n) must be 1 for an isolated Brieskorn double point, "
+                     "got gcd(6, 4) = 2"),
+            ((3, 1), "exponents must be integers >= 2, got (3, 1); x^m+y^n+/-z^2 "
+                     "is not an isolated double point otherwise"),
+            ((400001, 2), "(400001, 2) needs 200002 curves in its resolution of x^m+y^n "
+                          "(the sum of its Euclid quotients); the limit is 200000"),
+            (([7], 3), "exponents must be integers >= 2, got ([7], 3); x^m+y^n+/-z^2 "
+                       "is not an isolated double point otherwise"),
+        ]
         build_cover.cache_clear()
-        for (m, n), message in refusals.items():
+        for (m, n), message in refusals:
             for sign in ("plus", "minus"):
-                with pytest.raises(BadExponents) as caught:
-                    tb(m, n, sign)
-                assert str(caught.value) == message
+                for read in (tb, evaluation_graph):
+                    with pytest.raises(BadExponents) as caught:
+                        read(m, n, sign)
+                    assert str(caught.value) == message
         assert build_cover.cache_info().currsize == 0
 
     @pytest.mark.parametrize("m, n", [(2, 3), (6, 11), (2, 1599)])
     def test_the_swapped_pair_shares_the_solves(self, monkeypatch, m, n):
+        # From a cold cache, tb(m, n) in both signs solves exactly as often
+        # alone as with (n, m) read after it by tb, or before it by tb,
+        # evaluation_graph or build_cover (both characteristics): the swapped
+        # covers share their base's characteristic, whichever is read first.
         solves = []
         inner = charclass.solve_intersection_system
 
@@ -824,13 +833,45 @@ class TestTransposedPairs:
             solves.append(len(g.ids))
             return inner(g, rhs)
 
+        def by_tb(*key):
+            for sign in ("plus", "minus"):
+                tb(*key, sign)
+
+        def by_evaluation_graph(*key):
+            for sign in ("plus", "minus"):
+                evaluation_graph(*key, sign)
+
+        def by_build_cover(*key):
+            cover = build_cover(*key)
+            return cover.lift.characteristic, cover.minimal.characteristic
+
         monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        alone = [(by_tb, (m, n))]
+        orders = [alone, alone + [(by_tb, (n, m))]] + [
+            [(first, (n, m))] + alone for first in (by_tb, by_evaluation_graph, by_build_cover)]
         counts = []
-        for keys in ([(m, n)], [(m, n), (n, m)]):
+        for reads in orders:
             build_cover.cache_clear()
             solves.clear()
-            for key in keys:
-                for sign in ("plus", "minus"):
-                    tb(*key, sign)
+            for read, key in reads:
+                read(*key)
             counts.append(len(solves))
-        assert counts[1] <= counts[0], counts
+        assert counts == [counts[0]] * len(orders), counts
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (6, 11), (2, 1599)])
+    def test_the_shared_characteristic_cannot_be_poisoned(self, m, n):
+        # The swapped cover graphs share their base's instance dict, but a
+        # _replace'd or marked one starts from an empty dict and solves afresh,
+        # to the cached graph's values; either read order shares one solve.
+        for first, second in (((m, n), (n, m)), ((n, m), (m, n))):
+            build_cover.cache_clear()
+            solved = build_cover(*first).lift.characteristic
+            assert build_cover(*second).lift.characteristic is solved
+            swapped = build_cover(n, m)
+            for cached in (swapped.lift, swapped.minimal):
+                for fresh in (cached._replace(), mark_real_structure(cached, "plus"),
+                              mark_real_structure(cached, "minus")):
+                    assert vars(fresh) == {}
+                    assert fresh.characteristic == canonical_coefficients(cached)
+                    assert fresh.characteristic is not cached.characteristic
+            assert build_cover(m, n).lift.characteristic is solved
