@@ -83,12 +83,12 @@ class CoverGraph(_CoverFields):
 
     A NamedTuple whose characteristic is cached on first use, or given at
     build where curves blew down; no attribute can be assigned, and graph
-    is a FrozenGraph. characteristic, the one value in the instance dict,
-    reads neither arm_label nor the exponents' order, so the swapped pair's
-    view shares that dict. The stages emit read-only cover graphs, with deck
-    and downstairs (and conj, once marked) as columns (VertexMap). A
-    caller may build one with dict maps for tb_from_graph, freezing a
-    builder once before handing it over.
+    is a FrozenGraph. The instance dict holds characteristic and, on a
+    cover's Gamma(m,n), tb's record per sign read; neither reads arm_label
+    nor the exponents' order, so the swapped pair's view shares that dict.
+    The stages emit read-only cover graphs, with deck and downstairs (and
+    conj, once marked) as columns (VertexMap); a caller may build one with
+    dict maps for tb_from_graph, freezing a builder first.
     """
 
     def __setattr__(self, name: str, value) -> None:

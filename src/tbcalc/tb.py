@@ -8,8 +8,9 @@ where N counts real vertices, W_R is the real part of the characteristic
 set, and n'_e corrects the self-intersection of e by the weights of its
 fully imaginary arms. tb and tb_from_graph share one assembly, which
 takes the real column apart from the graph: tb hands it the cached,
-unmarked graph with the real column of its sign, computed once, and
-tb_from_graph the caller's marked graph with its own.
+unmarked graph with the real column of its sign, once per pair and sign
+while build_cover keeps the pair, and tb_from_graph the caller's marked
+graph with its own.
 
 The evaluation runs on Gamma(m,n) unless the plus structure has imaginary
 curves and the rupture curve e^0 has blown down; then it runs on the lift,
@@ -140,13 +141,23 @@ def _assemble(
 def tb(m: int, n: int, sign: str) -> TbResult:
     """Exact tb of the real link of x^m + y^n + z^2 (plus) or - z^2 (minus).
 
-    Evaluated on the cached graph as it is, beside the sign's real column,
-    so no marked copy is made, in the cover _ordered_cover reads. A refusal
-    is worded as the exponents are given, and a cold call computes one
-    Euclid chain, build_gamma_f's."""
+    Evaluated once per sign on the cached graph as it is, beside the sign's
+    real column, in the cover _ordered_cover reads, so no marked copy is
+    made. The record, without m and n, is kept under the sign in the
+    instance dict of that cover's Gamma(m,n), also at level "lift", since
+    choosing the level costs a real column, and is never handed out: each
+    call returns a new record with the exponents as given and copies of
+    its two dicts. A refusal is worded as the exponents are given, and a
+    cold call computes one Euclid chain, build_gamma_f's."""
     _require_sign(sign)  # before a cover is built and cached
-    source, real, level = _source(_ordered_cover(m, n), sign)
-    return _assemble(source.graph, real, source.characteristic.w, sign, m, n, level)
+    cover = _ordered_cover(m, n)
+    kept = vars(cover.minimal)
+    if sign not in kept:
+        cg, real, level = _source(cover, sign)
+        kept[sign] = _assemble(cg.graph, real, cg.characteristic.w, sign, None, None, level)
+    r = kept[sign]
+    return TbResult(r.value, r.n_real, r.wr, dict(r.n_prime_contrib), dict(r.arm_weights),
+                    sign, m, n, r.level)
 
 
 def _check_annotations(cg: CoverGraph, g: FrozenGraph) -> None:

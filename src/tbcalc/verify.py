@@ -23,20 +23,15 @@ Suites:
 
 The suites ask for the same tb value many times: a pair's period partner
 is another pair's base, and the symmetry suite revisits the whole grid.
-They read values through _tb_value, a process-wide memo of
-tb(m, n, sign).value bounded like build_cover's cache (the 2,048 most
-recently used keys, both signs of the 1,024 keys it keeps), so a process
-evaluates each (m, n, sign) once. It holds Fractions only, and tb itself
-stays uncached. On a miss it calls the module global tb, so code that
-rebinds tbcalc.verify.tb must call _tb_value.cache_clear() before and
-after. The structure suite reads each cover's arms once per run.
+tb keeps each sign's evaluation on the cached cover, so a process
+evaluates each unordered pair once per sign while build_cover keeps it.
+The structure suite reads each cover's arms once per run.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
@@ -88,13 +83,6 @@ class VerifyReport(NamedTuple):
         }
 
 
-@lru_cache(maxsize=2048, typed=True)
-def _tb_value(m: int, n: int, sign: str) -> Fraction:
-    """tb(m, n, sign).value, evaluated once per process while it stays
-    among the 2,048 most recently used keys."""
-    return tb(m, n, sign).value
-
-
 def _pairs(m_max: int, n_max: int, result: SuiteResult):
     for m in range(2, m_max + 1):
         for n in range(2, n_max + 1):
@@ -113,7 +101,7 @@ def _violation(result: SuiteResult, identity: str, detail: str, **instance) -> N
 def _run_integrality(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("integrality")
     for m, n in _pairs(m_max, n_max, result):
-        minus = _tb_value(m, n, SIGN_MINUS)
+        minus = tb(m, n, SIGN_MINUS).value
         result.checked += 1
         if minus.denominator != 1:
             _violation(result, "tb_minus_integer",
@@ -121,14 +109,14 @@ def _run_integrality(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                        m=m, n=n)
         four_case = (m % 4 == 0 and n % 2 == 1) or (n % 4 == 0 and m % 2 == 1)
         if four_case:
-            plus = _tb_value(m, n, SIGN_PLUS)
+            plus = tb(m, n, SIGN_PLUS).value
             result.checked += 1
             if plus.denominator != 1:
                 _violation(result, "tb_plus_integer",
                            f"tb_+({m},{n}) = {format_rational(plus)}",
                            m=m, n=n)
         if m % 2 == 1 and n % 2 == 1:
-            plus = _tb_value(m, n, SIGN_PLUS)
+            plus = tb(m, n, SIGN_PLUS).value
             result.checked += 1
             if plus != minus:
                 _violation(result, "tb_signs_agree_odd_odd",
@@ -144,7 +132,7 @@ def _run_period(m_max: int, n_max: int, k_max: int) -> SuiteResult:
         n2 = n + (4 * m if m % 2 else 2 * m)
         if m % 4 != 2:
             for sign in (SIGN_MINUS, SIGN_PLUS):
-                a, b = _tb_value(m, n, sign), _tb_value(m, n2, sign)
+                a, b = tb(m, n, sign).value, tb(m, n2, sign).value
                 result.checked += 1
                 if a != b:
                     _violation(result, f"period_equal_{sign}",
@@ -153,7 +141,7 @@ def _run_period(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                                m=m, n=n)
             continue
         for sign, mark, expected in ((SIGN_MINUS, "-", 4), (SIGN_PLUS, "+", Fraction(4, n * n2))):
-            step = _tb_value(m, n2, sign) - _tb_value(m, n, sign)
+            step = tb(m, n2, sign).value - tb(m, n, sign).value
             result.checked += 1
             if step != expected:
                 _violation(result, f"period_{sign}_shift",
@@ -181,7 +169,7 @@ def _run_symmetry(m_max: int, n_max: int, k_max: int) -> SuiteResult:
     result = SuiteResult("symmetry")
     for m, k, t, partner in _symmetric_pairs(3, 4, m_max, n_max, k_max, result):
         for sign in (SIGN_MINUS, SIGN_PLUS):
-            total = _tb_value(m, t, sign) + _tb_value(m, partner, sign)
+            total = tb(m, t, sign).value + tb(m, partner, sign).value
             result.checked += 1
             if total != -2:
                 _violation(result, f"symmetry_odd_{sign}",
@@ -190,7 +178,7 @@ def _run_symmetry(m_max: int, n_max: int, k_max: int) -> SuiteResult:
                            m=m, t=t, k=k)
     for m, k, t, partner in _symmetric_pairs(2, 2, m_max, n_max, k_max, result):
         expected = -4 if m % 4 == 0 else -4 + 4 * k
-        total = _tb_value(m, t, SIGN_MINUS) + _tb_value(m, partner, SIGN_MINUS)
+        total = tb(m, t, SIGN_MINUS).value + tb(m, partner, SIGN_MINUS).value
         result.checked += 1
         if total != expected:
             _violation(result, "symmetry_even_minus",

@@ -757,8 +757,13 @@ class TestLiftCanonicalClass:
             charclass.pulled_back_characteristic(up, down)
 
     def test_a_replaced_minimal_graph_solves_afresh(self):
+        # The cached Gamma(m,n) holds its characteristic and tb's record of
+        # each sign read, here one; a replaced or marked one holds nothing.
+        build_cover.cache_clear()
         cover = build_cover(3, 10)
         assert vars(cover.minimal) == {"characteristic": cover.minimal.characteristic}
+        tb(3, 10, "minus")
+        assert set(vars(cover.minimal)) == {"characteristic", "minus"}
         for value in (cover.minimal._replace(), mark_real_structure(cover.minimal, "plus")):
             assert vars(value) == {}
             assert value.characteristic == canonical_coefficients(cover.minimal)

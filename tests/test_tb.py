@@ -317,19 +317,20 @@ class TestEvaluationGraph:
     @pytest.mark.parametrize("signs", [("plus", "minus"), ("minus", "plus")],
                              ids=["plus_then_minus", "minus_then_plus"])
     def test_minimal_graph_keeps_only_its_solve_and_lift(self, m, n, signs):
-        # Deciding the fallback caches nothing on Gamma(m,n), and Gamma(m,n)
-        # keeps no reference to its lift: its instance dict holds only its
-        # characteristic, given when it was built where curves blew down
-        # and solved on first use where nothing did, (11, 6). tb reads the
-        # cover of the pair with m < n, so its Gamma(m,n) is the one checked.
+        # Deciding the fallback caches nothing on Gamma(m,n) but the sign's
+        # evaluation, and Gamma(m,n) keeps no reference to its lift: its
+        # instance dict holds its characteristic, given when it was built
+        # where curves blew down and solved on first use where nothing did,
+        # (11, 6), and one record under each sign read. tb reads the cover
+        # of the pair with m < n, so its Gamma(m,n) is the one checked.
         build_cover.cache_clear()
         base = min(m, n), max(m, n)
         cover = build_cover(*base)
         blown_down = cover.minimal is not cover.lift
         assert set(vars(cover.minimal)) == ({"characteristic"} if blown_down else set())
-        for sign in signs:
+        for read, sign in enumerate(signs, 1):
             tb(m, n, sign)
-            assert set(vars(build_cover(*base).minimal)) == {"characteristic"}
+            assert set(vars(build_cover(*base).minimal)) == {"characteristic", *signs[:read]}
 
     def test_tb_reads_cached_graphs_without_copying(self, monkeypatch):
         # A cold build_cover makes no copy, neither where odd-odd separation
@@ -404,6 +405,63 @@ class TestEvaluationGraph:
                 for sign in ("plus", "minus"):
                     got = tb_from_graph(evaluation_graph(m, n, sign)[0])
                     assert got == tb(m, n, sign)._replace(level="graph"), (m, n, sign)
+
+
+class TestWarmCalls:
+    # tb keeps each sign's evaluation on the cached Gamma(m,n), whose
+    # instance dict the swapped pair shares.
+    @pytest.mark.parametrize("m,n", [(2, 1593), (11, 6), (3, 2)])
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_a_warm_call_neither_assembles_nor_solves(self, monkeypatch, m, n, sign):
+        # After one tb, a second in either exponent order reaches neither
+        # _source nor _assemble and solves nothing. With an exponent 2 the
+        # plus structure is evaluated on the lift.
+        tb_module = importlib.import_module("tbcalc.tb")
+        solved = []
+        inner = charclass.solve_intersection_system
+
+        def counting(g, rhs):
+            solved.append(g)
+            return inner(g, rhs)
+
+        def unreached(*args):
+            raise AssertionError("a warm tb evaluated afresh")
+
+        monkeypatch.setattr(charclass, "solve_intersection_system", counting)
+        for first in ((m, n), (n, m)):
+            build_cover.cache_clear()
+            want = tb(*first, sign)
+            assert want.level == ("lift" if sign == "plus" and 2 in (m, n) else "minimal")
+            solved.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(tb_module, "_source", unreached)
+                patch.setattr(tb_module, "_assemble", unreached)
+                for second in ((m, n), (n, m)):
+                    assert tb(*second, sign) == want._replace(m=second[0], n=second[1])
+            assert solved == []
+
+    @pytest.mark.parametrize("m,n,sign", [(11, 6, "plus"), (11, 6, "minus"),
+                                          (6, 4789, "plus"), (3, 2, "plus")])
+    def test_editing_a_result_changes_no_later_one(self, m, n, sign):
+        # A caller who adds, deletes or overwrites entries of either dict of
+        # a result, the first one included, changes no later result, in
+        # either exponent order.
+        build_cover.cache_clear()
+        got = tb(m, n, sign)
+        want = got._replace(n_prime_contrib=dict(got.n_prime_contrib),
+                            arm_weights=dict(got.arm_weights))
+        for edit in ("add", "delete", "overwrite"):
+            for terms in (got.n_prime_contrib, got.arm_weights):
+                v = next(iter(terms))
+                if edit == "add":
+                    terms[max(terms) + 1] = terms[v]
+                elif edit == "delete":
+                    del terms[v]
+                else:
+                    terms[v] = None
+            assert tb(m, n, sign) == want
+            assert tb(n, m, sign) == want._replace(m=n, n=m)
+            got = tb(m, n, sign)
 
 
 class TestImaginaryArms:
@@ -857,7 +915,7 @@ class TestReadsByPosition:
         tb_from_graph(marked)
         graph_to_document(marked.graph)
         to_dot(marked.graph, marked.characteristic.w)
-        tbcalc.verify._tb_value.cache_clear()  # so verify's reads reach tb
+        build_cover.cache_clear()  # so verify's reads reach the assembly
         verify_identities(6, 30, 2)
         assert built == []
         assert marked.graph.vertices[marked.e0_lift].self_int < 0 and built

@@ -1,10 +1,12 @@
+import importlib
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tbcalc import FrozenGraph, SUITE_NAMES, build_cover, tb, verify_identities
+from tbcalc import (FrozenGraph, SUITE_NAMES, build_cover, evaluation_graph, tb, tb_from_graph,
+                    verify_identities)
 from tbcalc import graph, verify
 from tbcalc.cli import main
 from tbcalc.numeric import format_rational
@@ -117,13 +119,8 @@ def flipped_parity_records(m, n):
 
 @pytest.fixture
 def shifted(monkeypatch):
-    """verify reads tb through shifted_tb. Its tb-value memo is cleared
-    before, so no value evaluated earlier hides the patch, and after, so no
-    shifted value outlives the test."""
+    """verify reads tb through shifted_tb."""
     monkeypatch.setattr(verify, "tb", shifted_tb)
-    verify._tb_value.cache_clear()
-    yield
-    verify._tb_value.cache_clear()
 
 
 class TestViolations:
@@ -331,7 +328,6 @@ class TestReadsByPosition:
         pos = FrozenGraph.pos
         monkeypatch.setattr(FrozenGraph, "pos", lambda g, v: calls.append(v) or pos(g, v))
         build_cover.cache_clear()
-        verify._tb_value.cache_clear()
         verify_identities(6, 30, 2)
         assert len(calls) < 2200
 
@@ -350,32 +346,46 @@ class TestReadsByPosition:
 
 class TestReadsOnce:
     def test_each_tb_input_is_evaluated_once(self, monkeypatch):
-        # The suites read tb values through one process-wide memo, so each
-        # (m, n, sign) reaches tb once however the suites are split over
-        # calls, and the reports are those of a run without the memo.
-        calls = Counter()
+        # tb keeps each sign's evaluation on the cached cover, which (m, n)
+        # and (n, m) share, so each pair is assembled once per sign however
+        # the suites are split over calls, and the reports are those of a
+        # run that evaluates every read afresh. The assembled graphs are
+        # held, so no two of them can share an id.
+        tb_module = importlib.import_module("tbcalc.tb")
+        read, assembled = set(), []
+        inner_tb, inner_assemble = verify.tb, tb_module._assemble
 
-        def counting_tb(m, n, sign):
-            calls[m, n, sign] += 1
-            return tb(m, n, sign)
+        def reading_tb(m, n, sign):
+            read.add((min(m, n), max(m, n), sign))
+            return inner_tb(m, n, sign)
 
-        monkeypatch.setattr(verify, "tb", counting_tb)
-        verify._tb_value.cache_clear()
+        def counting_assemble(g, real, w, sign, *rest):
+            assembled.append((g, sign))
+            return inner_assemble(g, real, w, sign, *rest)
+
+        def assembled_once():
+            assert read and len(assembled) == len(read)
+            assert len({(id(g), sign) for g, sign in assembled}) == len(assembled)
+            keys = set(read)
+            read.clear()
+            assembled.clear()
+            return keys
+
+        monkeypatch.setattr(verify, "tb", reading_tb)
+        monkeypatch.setattr(tb_module, "_assemble", counting_assemble)
+        build_cover.cache_clear()
         together = verify_identities(6, 30, 2)
-        evaluated = dict(calls)
-        assert evaluated and set(evaluated.values()) == {1}
-        verify._tb_value.cache_clear()
-        calls.clear()
+        evaluated = assembled_once()
+        build_cover.cache_clear()
         split = [verify_identities(6, 30, 2, suites=[name])
                  for _ in range(2) for name in SUITE_NAMES]
-        assert calls == evaluated
-        with monkeypatch.context() as patch:
-            patch.setattr(verify, "_tb_value", lambda m, n, sign: tb(m, n, sign).value)
-            unmemoised = verify_identities(6, 30, 2).to_dict()
-        assert together.to_dict() == unmemoised
+        assert assembled_once() == evaluated
+        monkeypatch.setattr(verify, "tb", lambda m, n, sign: tb_from_graph(
+            evaluation_graph(m, n, sign)[0]))
+        afresh = verify_identities(6, 30, 2).to_dict()
+        assert together.to_dict() == afresh
         assert [report.to_dict()["suites"] for report in split] == [
-            [suite] for suite in unmemoised["suites"] * 2]
-        verify._tb_value.cache_clear()
+            [suite] for suite in afresh["suites"] * 2]
 
     def test_structure_reads_each_covers_arms_once(self, monkeypatch):
         # A cover's arms are read once per structure run: the sides of its
