@@ -25,13 +25,7 @@ from .errors import (
     UserInputError,
     ZeroDenominator,
 )
-from .numeric import (
-    Gf2Result,
-    cf_eval,
-    format_rational,
-    parse_rational,
-    solve_gf2,
-)
+from .numeric import format_rational, parse_rational
 from .graph import (
     Arm,
     DecoratedGraph,
@@ -39,20 +33,11 @@ from .graph import (
     FrozenVertex,
     VertexData,
     VertexMap,
-    arm_weight,
     arms,
     blow_down_minimize,
-    intersection_matrix,
-    n_prime,
     solve_intersection_system,
 )
-from .embedres import (
-    EuclidData,
-    build_gamma_f,
-    euclid_data,
-    multiplicities,
-    separate_odd_odd,
-)
+from .embedres import EuclidData, build_gamma_f, euclid_data, separate_odd_odd
 from .cover import (
     SIGN_MINUS,
     SIGN_PLUS,
@@ -63,7 +48,6 @@ from .cover import (
     lift_double_cover,
     mark_real_structure,
     minimize_and_label,
-    real_locus,
 )
 from .charclass import (
     WU_CONFIRMED_CONSISTENT,
@@ -102,7 +86,6 @@ __all__ = [
     "FrozenGraph",
     "FrozenVertex",
     "FORMAT_VERSION",
-    "Gf2Result",
     "InconsistentAnnotation",
     "InternalInvariantError",
     "InvalidDocument",
@@ -133,31 +116,24 @@ __all__ = [
     "WU_CONFIRMED_CONSISTENT",
     "WU_CONFIRMED_UNIQUE",
     "ZeroDenominator",
-    "arm_weight",
     "arms",
     "blow_down_minimize",
     "build_cover",
     "build_gamma_f",
     "canonical_coefficients",
-    "cf_eval",
     "contraction_linking_matrix",
     "euclid_data",
     "evaluation_graph",
     "format_rational",
     "graph_from_document",
     "graph_to_document",
-    "intersection_matrix",
     "label_arms",
     "lift_double_cover",
     "linking_form_from_decomposition",
     "mark_real_structure",
     "minimize_and_label",
-    "multiplicities",
-    "n_prime",
     "parse_rational",
-    "real_locus",
     "separate_odd_odd",
-    "solve_gf2",
     "solve_intersection_system",
     "tb",
     "tb_from_graph",

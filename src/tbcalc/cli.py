@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success, 1 user-input error (bad
-flags, malformed documents, invalid exponents), 2 internal invariant
-violation (a pipeline self-check failed, or a verify run found a
-violation of one of the identities).
+flags, malformed documents, invalid exponents, a verify grid on which a
+requested suite checks nothing), 2 internal invariant violation (a
+pipeline self-check failed, or a verify run found a violation of one of
+the identities).
 """
 
 from __future__ import annotations
@@ -133,7 +134,13 @@ def cmd_verify(args) -> int:
                   f"skipped {suite.skipped}, violations {len(suite.violations)}")
             for item in suite.violations:
                 print(f"  {item['identity']}: {item['detail']}")
-    return 0 if report.total_violations == 0 else 2
+    if report.total_violations:
+        return 2
+    empty = [suite.name for suite in report.suites if suite.checked == 0]
+    if empty:
+        raise UserInputError(f"suites that checked nothing: {', '.join(empty)} "
+                             "(widen --m-max, --n-max or --k-max)")
+    return 0
 
 
 def cmd_linkform(args) -> int:

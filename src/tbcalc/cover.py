@@ -370,11 +370,6 @@ def _real_column(cg: CoverGraph, sign: str) -> tuple[bool, ...]:
     return tuple(map(eq, cg.graph.ids, _column(cg.graph, cg.deck)))
 
 
-def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
-    """The ids of the curves fixed by the real structure of the given sign."""
-    return frozenset(compress(cg.graph.ids, _real_column(cg, sign)))
-
-
 def mark_real_structure(cg: CoverGraph, sign: str) -> CoverGraph:
     """cg marked with the real structure of the given sign, as a new frozen
     value: the real column, and conj as the deck column when some curve is

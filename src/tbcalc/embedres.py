@@ -241,6 +241,7 @@ def multiplicities(g: FrozenGraph) -> dict[int, int]:
     """Solve the balance law for all multiplicities, independently of the
     simulation. The system is the intersection form against minus the
     arrow counts; the solution must be integral."""
+    # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     rhs = VertexMap(g, [-ARROW_MULT * count for count in map(g.arrows.count, g.ids)])
     solution, _det = solve_intersection_system(g, rhs)
     out = {}

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
 from operator import add, attrgetter, mul, sub
@@ -208,7 +208,7 @@ class FrozenGraph(NamedTuple):
         ids: Optional[tuple[int, ...]] = None, mult: Optional[Sequence] = None,
         c1_coeff: Optional[Sequence] = None, arm_label: Optional[Sequence] = None,
         real: Optional[Sequence] = None, arrows: Iterable[int] = (),
-        next_id: Optional[int] = None, root: int = 0,
+        next_id: Optional[int] = None,
     ) -> "FrozenGraph":
         """The graph over positions 0..V-1 (V = len(self_int)) with these
         columns, edges given as position pairs and ids naming the positions
@@ -216,7 +216,7 @@ class FrozenGraph(NamedTuple):
         or holding only None share one (None,) * V tuple. The neighbour
         lists come from a counting sort of the edges in lexicographic order,
         which fills each list sorted; order and parent walk breadth-first
-        from the position root."""
+        from position 0."""
         size = len(self_int)
         pairs = sorted([(p, q) if p < q else (q, p) for p, q in edges])
         degree = [0] * size
@@ -232,7 +232,7 @@ class FrozenGraph(NamedTuple):
             fill[q] += 1
         return cls._from_adjacency(
             self_int, adj_start, slots, ids=ids, mult=mult, c1_coeff=c1_coeff,
-            arm_label=arm_label, real=real, arrows=arrows, next_id=next_id, root=root)
+            arm_label=arm_label, real=real, arrows=arrows, next_id=next_id)
 
     @classmethod
     def _from_adjacency(
@@ -348,19 +348,8 @@ class _ByPosition(Mapping):
     def __len__(self) -> int:
         return len(self._graph.ids)
 
-    def items(self) -> "_PositionItems":
-        return _PositionItems(self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _PositionItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        m = self._mapping
-        return zip(m._graph.ids, map(m._at, range(len(m))))
 
 
 class VertexMap(_ByPosition):
@@ -567,6 +556,7 @@ def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
     business of the anchor vertex, not of this arm, and are skipped.
     Raises SingularMatrix unless g is a negative definite tree.
     """
+    # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     g = g.freeze(root=e)
     det, rest, holds = _branches(g, [r is True for r in g.real])
     _require_definite_tree(g, det, rest)
@@ -585,6 +575,7 @@ def n_prime(g: FrozenGraph, e: int) -> Fraction:
     self-intersection. Two conjugate imaginary arms contribute separately.
     Raises SingularMatrix unless g is a negative definite tree.
     """
+    # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     g = g.freeze(root=e)
     folds = _branches(g, [r is not False for r in g.real])
     _require_definite_tree(g, *folds[:2])
@@ -594,7 +585,7 @@ def n_prime(g: FrozenGraph, e: int) -> Fraction:
 def intersection_matrix(g: FrozenGraph) -> tuple[list[int], list[list[int]]]:
     """The symmetric intersection form over vertices sorted by id, read
     from the columns by position."""
-    # No package code calls this: bench/tracer.py wraps it, tests read the dense form.
+    # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     q = [[0] * len(g.ids) for _ in g.ids]
     for p, self_int in enumerate(g.self_int):
         q[p][p] = self_int

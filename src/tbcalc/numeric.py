@@ -57,6 +57,7 @@ def cf_eval(entries: Sequence[int]) -> Fraction:
     of any sign are accepted; callers validating final resolution graphs
     are expected to reject non-negative self-intersections themselves.
     """
+    # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     if not entries:
         raise ZeroDenominator("continued fraction needs at least one entry")
     value = Fraction(entries[-1])
@@ -75,6 +76,7 @@ class Gf2Result(NamedTuple):
     For the "multiple" status the returned solution is the one with every
     free variable set to zero.
     """
+    # Only solve_gf2 builds this; tests import it from here.
 
     status: str
     solution: Optional[tuple[int, ...]]
@@ -87,6 +89,7 @@ def solve_gf2(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> Gf2Result:
     solution, several, or none, so callers know how decisive a mod 2
     cross-check is.
     """
+    # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     size = len(matrix)
     if len(rhs) != size or any(len(row) != size for row in matrix):
         raise ValueError("solve_gf2 needs a square system")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .cover import SIGN_MINUS, SIGN_PLUS, CoverGraph, build_cover
 from .graph import FrozenGraph, _arm_positions, _column
@@ -49,10 +49,8 @@ class SuiteResult:
 
     __slots__ = ("name", "checked", "skipped", "violations")
 
-    def __init__(self, name: str, checked: int = 0, skipped: int = 0,
-                 violations: Optional[list] = None) -> None:
-        self.name, self.checked, self.skipped = name, checked, skipped
-        self.violations = [] if violations is None else violations
+    def __init__(self, name: str) -> None:
+        self.name, self.checked, self.skipped, self.violations = name, 0, 0, []
 
     def to_dict(self) -> dict:
         return {

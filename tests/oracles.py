@@ -7,7 +7,8 @@ is_negative_definite, det_exact and solve_rational are dense exact
 routines on an integer matrix such as intersection_matrix returns, and
 solve_rational is the oracle for the package's tree solver on the forms
 that solver accepts, the negative definite ones; restrict_to_real gives
-W_R on a marked graph; stepwise_gamma_f runs the blow-up cascade of
+W_R on a marked graph; real_locus gives the curves a sign's real structure
+fixes; stepwise_gamma_f runs the blow-up cascade of
 Gamma_f one curve at a time; meets_its_conjugate looks for an edge
 between a curve and its conjugate; blow_up makes one equivariant blow-up
 of a marked graph, at a site blow_up_sites lists; reference_lift lifts
@@ -23,7 +24,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from tbcalc.charclass import CharacteristicData
-from tbcalc.cover import CoverGraph
+from tbcalc.cover import CoverGraph, mark_real_structure
 from tbcalc.errors import InconsistentAnnotation, InternalInvariantError, SingularMatrix
 from tbcalc.graph import FrozenGraph
 
@@ -190,6 +191,12 @@ def restrict_to_real(cd: CharacteristicData, cg) -> frozenset[int]:
             "mark the real structure first"
         )
     return cd.w & frozenset(compress(g.ids, g.real))
+
+
+def real_locus(cg: CoverGraph, sign: str) -> frozenset[int]:
+    """The ids of the curves fixed by the real structure of the given sign,
+    read off the real column mark_real_structure sets."""
+    return frozenset(compress(cg.graph.ids, mark_real_structure(cg, sign).graph.real))
 
 
 def meets_its_conjugate(cg) -> bool:

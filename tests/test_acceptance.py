@@ -27,11 +27,11 @@ from tbcalc import (
     build_cover,
     build_gamma_f,
     canonical_coefficients,
-    intersection_matrix,
     mark_real_structure,
     tb,
     verify_identities,
 )
+from tbcalc.graph import intersection_matrix
 from oracles import (canonical_form, det_exact, is_negative_definite, restrict_to_real,
                      stepwise_gamma_f)
 

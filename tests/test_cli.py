@@ -201,6 +201,25 @@ class TestVerifyCommand:
                     "--n-max", "8")
         assert p.returncode == 1
 
+    @pytest.mark.parametrize("args", [
+        ("--m-max", "1", "--n-max", "5"),
+        ("--suite", "symmetry", "--m-max", "4", "--n-max", "10", "--k-max", "0"),
+    ], ids=["empty_grid", "symmetry_k0"])
+    def test_a_suite_that_checks_nothing_exits_one(self, args):
+        p = run_cli("verify", *args)
+        assert p.returncode == 1
+        assert "checked 0" in p.stdout
+        assert p.stderr.startswith("tbcalc: error: suites that checked nothing: ")
+        assert len(p.stderr.splitlines()) == 1
+        assert "Traceback" not in p.stdout + p.stderr
+
+    def test_acceptance_scale_exits_zero(self):
+        p = run_cli("verify", "--m-max", "10", "--n-max", "120", "--k-max", "3", "--json")
+        assert p.returncode == 0, p.stderr
+        doc = json.loads(p.stdout)
+        assert doc["total_violations"] == 0
+        assert all(suite["checked"] > 0 for suite in doc["suites"])
+
 
 class TestLinkform:
     def test_fixture_matrix(self):

@@ -25,14 +25,13 @@ from tbcalc import (
     lift_double_cover,
     mark_real_structure,
     minimize_and_label,
-    real_locus,
     separate_odd_odd,
     tb,
 )
 from tbcalc import charclass
 from tbcalc import cover as cover_module
 from conftest import build_star12_graph, lifts_of, neighbours
-from oracles import canonical_form, meets_its_conjugate, reference_lift
+from oracles import canonical_form, meets_its_conjugate, real_locus, reference_lift
 
 
 def star_shape(cg):

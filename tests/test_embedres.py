@@ -11,11 +11,10 @@ from tbcalc import (
     build_gamma_f,
     canonical_coefficients,
     euclid_data,
-    multiplicities,
     separate_odd_odd,
 )
 from tbcalc import embedres
-from tbcalc.embedres import check_mini
+from tbcalc.embedres import check_mini, multiplicities
 from conftest import neighbours
 from oracles import stepwise_gamma_f
 

@@ -15,9 +15,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from tbcalc import (CoverGraph, Decomposition, FrozenGraph, SingularMatrix,  # noqa: E402
-                    TbcalcError, UserInputError, arm_weight, arms, cf_eval,
-                    graph_from_document, intersection_matrix, linking_form_from_decomposition,
-                    n_prime, solve_intersection_system, tb_from_graph)
+                    TbcalcError, UserInputError, arms, graph_from_document,
+                    linking_form_from_decomposition, solve_intersection_system, tb_from_graph)
+from tbcalc.graph import arm_weight, intersection_matrix, n_prime  # noqa: E402
+from tbcalc.numeric import cf_eval  # noqa: E402
 from tbcalc.cli import main  # noqa: E402
 from oracles import is_negative_definite  # noqa: E402
 
@@ -123,8 +124,8 @@ def caller_trees(draw, defects=False):
     if defects and draw(st.integers(0, 3)) == 0:
         edges.append((draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))))
     real = [draw(st.booleans()) for _ in range(size)]
-    return FrozenGraph.from_columns(self_int, edges, real=real,
-                                    root=draw(st.integers(0, size - 1)))
+    return FrozenGraph.from_columns(self_int, edges, real=real).freeze(
+        root=draw(st.integers(0, size - 1)))
 
 
 def form_readers(g, e, cg):

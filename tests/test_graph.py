@@ -14,20 +14,17 @@ from tbcalc import (
     InvalidDocument,
     IsolatedMinusOne,
     SingularMatrix,
-    arm_weight,
     arms,
     blow_down_minimize,
     build_cover,
     canonical_coefficients,
-    cf_eval,
-    intersection_matrix,
-    multiplicities,
-    n_prime,
     solve_intersection_system,
     VertexMap,
 )
 from tbcalc import graph
-from tbcalc.graph import Arm, _tree_det
+from tbcalc.embedres import multiplicities
+from tbcalc.graph import Arm, _tree_det, arm_weight, intersection_matrix, n_prime
+from tbcalc.numeric import cf_eval
 from conftest import make_chain, make_star, make_zero_arm, neighbours
 from oracles import canonical_form, det_exact, is_negative_definite, solve_rational
 

@@ -3,15 +3,13 @@ from fractions import Fraction
 import pytest
 
 from tbcalc import (
-    Gf2Result,
     SingularMatrix,
     ZeroDenominator,
-    cf_eval,
     format_rational,
     parse_rational,
-    solve_gf2,
 )
-from tbcalc.numeric import GF2_INCONSISTENT, GF2_MULTIPLE, GF2_UNIQUE
+from tbcalc.numeric import (GF2_INCONSISTENT, GF2_MULTIPLE, GF2_UNIQUE, Gf2Result, cf_eval,
+                            solve_gf2)
 from oracles import det_exact, solve_rational
 
 

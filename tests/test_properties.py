@@ -8,11 +8,10 @@ from tbcalc import (
     blow_down_minimize,
     build_cover,
     canonical_coefficients,
-    intersection_matrix,
     mark_real_structure,
-    solve_gf2,
 )
-from tbcalc.numeric import GF2_INCONSISTENT, GF2_UNIQUE
+from tbcalc.graph import intersection_matrix
+from tbcalc.numeric import GF2_INCONSISTENT, GF2_UNIQUE, solve_gf2
 from conftest import lifts_of
 from oracles import canonical_form, det_exact, is_negative_definite
 

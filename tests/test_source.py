@@ -86,6 +86,17 @@ def test_benchmark_tracer_bindings_resolve():
     assert tbcalc.arms is arms
 
 
+def test_package_exports_no_test_oracle():
+    # The oracles that only tests and the benchmark's tracer call stay in
+    # their modules, and real_locus lives in tests/oracles.py; every name
+    # the package does export resolves.
+    oracles = {"cf_eval", "solve_gf2", "Gf2Result", "n_prime", "arm_weight",
+               "intersection_matrix", "multiplicities", "real_locus"}
+    assert sorted(oracles & set(dir(tbcalc))) == []
+    assert sorted(oracles & set(tbcalc.__all__)) == []
+    assert [name for name in tbcalc.__all__ if not hasattr(tbcalc, name)] == []
+
+
 def test_readers_take_frozen_graphs():
     # Every reader takes a FrozenGraph: no annotation admits both graph
     # types, and only the builder's own methods freeze without a root.

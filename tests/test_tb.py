@@ -22,22 +22,20 @@ from tbcalc import (
     SingularMatrix,
     UserInputError,
     VertexMap,
-    arm_weight,
     arms,
     build_cover,
     canonical_coefficients,
-    cf_eval,
     evaluation_graph,
     graph_to_document,
-    intersection_matrix,
     mark_real_structure,
-    n_prime,
     tb,
     tb_from_graph,
     to_dot,
     verify_identities,
 )
 from tbcalc import charclass, embedres
+from tbcalc.graph import arm_weight, intersection_matrix, n_prime
+from tbcalc.numeric import cf_eval
 from conftest import make_chain, make_star, make_zero_arm
 from oracles import assemble_dense, is_negative_definite
 
