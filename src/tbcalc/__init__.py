@@ -23,7 +23,6 @@ from .errors import (
     StructureMismatch,
     TbcalcError,
     UserInputError,
-    ZeroDenominator,
 )
 from .numeric import format_rational, parse_rational
 from .graph import (
@@ -115,7 +114,6 @@ __all__ = [
     "VertexMap",
     "WU_CONFIRMED_CONSISTENT",
     "WU_CONFIRMED_UNIQUE",
-    "ZeroDenominator",
     "arms",
     "blow_down_minimize",
     "build_cover",

@@ -43,9 +43,9 @@ from .embedres import ARROW_MULT, build_gamma_f, euclid_data, separate_odd_odd
 from .graph import (
     FrozenGraph,
     VertexMap,
-    _arm_positions,
     _column,
     _degrees,
+    _gather,
     _neighbour_sums,
     _numbered_by_position,
     arms,
@@ -146,14 +146,12 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
     # even curve meeting two odd ones, 2 for the two lifts of an even curve
     # meeting none, and 3 for an even curve the loop refuses. The lifts of
     # position p are the positions first[p] to last[p]. Each neighbour slot
-    # of gp has its own to_first, to_last and near_kind entry, so that the
-    # loop slices them.
+    # of gp has its own to_first, to_last and near_kind entry, gathered
+    # through one reader of adj, so that the loop slices them.
     kind = [1 if o else 0 if c == 2 else 2 if c == 0 else 3 for o, c in zip(odd, odd_near)]
     first = list(accumulate(map(_LIFT_COUNT.__getitem__, kind), initial=0))
     last = list(map((-1).__add__, islice(first, 1, None)))
-    to_first = list(map(first.__getitem__, adj))
-    to_last = list(map(last.__getitem__, adj))
-    near_kind = list(map(kind.__getitem__, adj))
+    to_first, to_last, near_kind = map(_gather(adj), (first, last, kind))
 
     # A single lift meets every lift of each neighbour; copy c of a doubled
     # curve meets copy c of each doubled neighbour and the single lift of
@@ -224,16 +222,33 @@ def _downstairs_families(gp: FrozenGraph, r: int, m: int, n: int) -> list[Option
     multiplicity m underlies the (n)-arms upstairs; multiplicity n
     underlies the (m)-arms. A third component (the moved branch
     intersection, present exactly when m and n are both odd) stays
-    unlabeled. Each component is read once, by _arm_positions.
+    unlabeled, as does every position of a component that holds no
+    neighbour of r. The components are labelled in one pass over the walk
+    gp stores: a position joins the component of its parent, and each
+    child of r and each root of the walk starts a new one.
     """
-    mult, degree = gp.mult, _degrees(gp)
-    families: list[Optional[str]] = [None] * len(mult)
-    for component in _arm_positions(gp, r):
-        terminal_mults = {mult[p] for p in component if degree[p] == 1}
-        family = "n_arm" if m in terminal_mults else "m_arm" if n in terminal_mults else None
-        for p in component:
-            families[p] = family
-    return families
+    mult, parent, start = gp.mult, gp.parent, gp.adj_start
+    component = [-1] * len(mult)
+    count = 0
+    for p in gp.order:
+        if p == r:
+            continue
+        up = parent[p]
+        if up < 0 or up == r:
+            component[p] = count
+            count += 1
+        else:
+            component[p] = component[up]
+    # r is in component -1, which names the spare last slot; it stays
+    # None, as does the name of every component no head of r is in.
+    names: list[Optional[str]] = [None] * (count + 1)
+    terminal_mults = {component[h]: set() for h in gp.adj[start[r]:start[r + 1]]}
+    for p in compress(range(len(mult)), map((1).__eq__, _degrees(gp))):
+        if component[p] in terminal_mults:
+            terminal_mults[component[p]].add(mult[p])
+    for c, mults in terminal_mults.items():
+        names[c] = "n_arm" if m in mults else "m_arm" if n in mults else None
+    return list(map(names.__getitem__, component))
 
 
 def label_arms(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:

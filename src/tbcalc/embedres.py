@@ -14,10 +14,11 @@ the sum of the Euclid quotients, as for every embedded resolution of a
 plane branch (unimodular, negative definite of rank t). A nonzero det makes
 the balance law uniquely solvable, so the simulated multiplicities are its
 only solution, and a bookkeeping bug cannot produce a quietly wrong graph.
-Both stages here run on flat lists and emit FrozenGraph values: the
-cascade keeps each curve's neighbour list sorted as it appends curves, and
-Gamma_f is those lists flattened, with no edge list to sort; only the
-odd-odd separation, which edits Gamma_f's edges, builds from an edge list.
+Both stages here run on flat lists and emit FrozenGraph values with no
+edge list to sort: the cascade keeps each curve's neighbour list sorted
+as it appends curves, and Gamma_f is those lists flattened; the odd-odd
+separation rewrites only the lists its inserted curves join and passes
+Gamma_f's other lists through as they are.
 """
 
 from __future__ import annotations
@@ -281,6 +282,12 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
     its c1 to g's column, -1 plus the entries of the curves through its
     center, so g's entries are shared. With nothing to separate, g itself
     is returned.
+
+    The edits are local: an insert takes the next position, larger than
+    every old one, so it ends each neighbour list it joins, which stays
+    sorted. Only the lists of the curves through a center are rewritten;
+    every other list is g's own, passed through in runs, and the result is
+    handed to FrozenGraph._from_adjacency, which walks it from position 0.
     """
     if None in g.mult:
         raise StructureMismatch(f"vertex {g.ids[g.mult.index(None)]} has no multiplicity")
@@ -289,9 +296,9 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
     if not cut and not hosts:
         return g
     ids, self_int, mult, c1 = list(g.ids), list(g.self_int), list(g.mult), list(g.c1_coeff)
+    adj, start = g.adj, g.adj_start
     arrows = list(g.arrows)
-    removed = set(cut)
-    edges = [pair for pair in g._position_edges() if pair not in removed]
+    near: dict[int, list[int]] = {}
     inserts = [((u, v), mult[u] + mult[v]) for u, v in cut]
     inserts += [((u,), mult[u] + ARROW_MULT) for u in hosts]
     for parents, new_mult in inserts:
@@ -301,16 +308,32 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
         mult.append(new_mult)
         c1.append(-1 + sum(c1[p] for p in parents))
         for p in parents:
-            edges.append((p, w))
+            if p not in near:
+                near[p] = list(adj[start[p]:start[p + 1]])
+            near[p].append(w)
             self_int[p] -= 1
-        if len(parents) == 1:
+        if len(parents) == 2:
+            u, v = parents
+            near[u].remove(v)
+            near[v].remove(u)
+        else:
             arrows.remove(ids[parents[0]])
             arrows.append(ids[w])
+    centres = [parents for parents, _mult in inserts]
+    degree = _degrees(g)
+    runs, done = [], 0
+    for p in sorted(near):
+        runs.append(adj[start[done]:start[p]])
+        runs.append(near[p])
+        degree[p] = len(near[p])
+        done = p + 1
+    runs.append(adj[start[done]:])
+    degree += map(len, centres)
     added = len(ids) - len(g.ids)
-    out = FrozenGraph.from_columns(
-        self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=c1,
-        arm_label=g.arm_label + (None,) * added, real=g.real + (None,) * added,
-        arrows=arrows, next_id=g.next_id + added,
+    out = FrozenGraph._from_adjacency(
+        self_int, tuple(accumulate(degree, initial=0)), tuple(chain.from_iterable(runs + centres)),
+        ids=tuple(ids), mult=mult, c1_coeff=c1, arm_label=g.arm_label + (None,) * added,
+        real=g.real + (None,) * added, arrows=arrows, next_id=g.next_id + added,
     )
     check_mini(out)
     return out

@@ -48,7 +48,8 @@ class IsolatedMinusOne(UserInputError):
 class ZeroDenominator(UserInputError):
     """A continued fraction tail evaluated to zero (numeric.cf_eval). The
     readers of a graph raise SingularMatrix instead: no tail vanishes on a
-    negative definite tree."""
+    negative definite tree. No entry point raises it, so the package does
+    not export it."""
 
 
 class SingularMatrix(UserInputError):

@@ -8,8 +8,9 @@ attachments, not vertices.
 
 Every reader takes a FrozenGraph: the immutable value every pipeline
 stage, blow-down included, emits. from_columns builds one from flat
-columns and an edge list; Gamma_f and the lift, which keep their
-neighbour lists sorted as they build, hand them to _from_adjacency. A
+columns and an edge list; Gamma_f, Gamma'_f and the lift, which keep their
+neighbour lists sorted as they build or edit them, hand them to
+_from_adjacency, which walks each once. A
 FrozenGraph keeps no per-vertex objects, only flat tuples: the sorted
 ids, one column per decoration, a breadth-first order with the parent of
 each position, and sorted neighbour lists. It is a NamedTuple: writing to it raises
@@ -26,13 +27,16 @@ frozen trees: a solver for intersection systems and the determinant of
 the intersection form. All of these run one integer recurrence on subtree
 determinants over the stored order and build a Fraction only for a final
 value that is not an integer; an arm weighs D/E of its head, and
-_imaginary_arms holds the one n' rule that n_prime and tb share. The
+_imaginary_arms holds the one n' rule that n_prime and tb share, off
+_branches, which folds D, E and the marked subtrees in one loop. The
 readers of a tree form (the solver, n_prime, arm_weight) have one
 precondition, checked on that recurrence by _require_definite_tree: g is
 a tree and its form is negative definite, as on every resolution graph
 (Mumford, Publ. IHES 9, 1961); anything else raises SingularMatrix, so
 no weight they fold has a zero denominator. _form_times gives Q x for the
-certificates that re-multiply. Every arm reader takes the
+certificates that re-multiply, its neighbour sums (_neighbour_sums)
+gathered over the neighbour lists by one operator.itemgetter (_gather),
+in C. Every arm reader takes the
 arms of a vertex from _arm_positions, so each is one O(V) pass: on a tree
 stored walked from that vertex, as the lift and Gamma(m,n) are from e^0,
 it reads the stored walk; on any other graph it walks breadth-first from
@@ -46,10 +50,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -494,10 +498,21 @@ def _degrees(g: FrozenGraph) -> list[int]:
     return list(map(sub, islice(start, 1, None), start))
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function taking a sequence to the tuple of its items at indices, in
+    order: one operator.itemgetter, which reads them all in C, when there are
+    two or more indices; with fewer it gives no tuple (one index) or cannot
+    be built (none), so a map reads them."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: tuple(map(values.__getitem__, indices))
+
+
 def _neighbour_sums(g: FrozenGraph, values: Sequence) -> list:
-    """For each position p, the sum of values over the neighbours of p."""
-    through = list(accumulate(map(values.__getitem__, g.adj), initial=0))
-    ends = list(map(through.__getitem__, g.adj_start))
+    """For each position p, the sum of values over the neighbours of p: the
+    running sum of values gathered over adj, read at each adj_start."""
+    through = list(accumulate(_gather(g.adj)(values), initial=0))
+    ends = _gather(g.adj_start)(through)
     return list(map(sub, islice(ends, 1, None), ends))
 
 
@@ -509,14 +524,18 @@ def _form_times(g: FrozenGraph, x: Sequence) -> list:
 
 def _branches(g: FrozenGraph, marked: list[bool]) -> tuple[list[int], list[int], list[bool]]:
     """Per position p of g as rooted: D_p and E_p (_subtree_dets), and
-    whether the subtree of p holds a marked position."""
-    det, rest = _subtree_dets(g)
+    whether the subtree of p holds a marked position, all three folded in
+    one pass over the stored order, leaves first."""
+    det = list(g.self_int)
+    rest = [1] * len(det)
     holds = list(marked)
     parent = g.parent
     for c in reversed(g.order):
         p = parent[c]
         if p >= 0:
-            holds[p] = holds[p] or holds[c]
+            det[p], rest[p] = det[p] * det[c] - rest[p] * rest[c], rest[p] * det[c]
+            if holds[c]:
+                holds[p] = True
     return det, rest, holds
 
 

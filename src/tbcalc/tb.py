@@ -110,11 +110,12 @@ def _assemble(
     """N - 1 plus n'_e over W_R, the vertices of w that the column real
     marks (by truthiness, by position of g; g's own real column is not
     read), walked as positions, off one _branches pass over g rooted at a
-    real vertex; with no imaginary vertex n'_e = n_e. The sum runs in
-    integers over the lcm of the n' denominators and builds one Fraction."""
+    real vertex; with no imaginary vertex n'_e = n_e. N is the length of
+    the truthy entries of real, filtered in C. The sum runs in integers
+    over the lcm of the n' denominators and builds one Fraction."""
     ids = g.ids
     at = [p for p in compress(range(len(ids)), map(w.__contains__, ids)) if real[p]]
-    n_real = sum(map(bool, real))
+    n_real = len(list(filter(None, real)))
     if at and n_real < len(ids):
         marked = list(map(bool, real))
         if not marked[g.order[0]]:

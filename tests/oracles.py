@@ -13,7 +13,10 @@ Gamma_f one curve at a time; meets_its_conjugate looks for an edge
 between a curve and its conjugate; blow_up makes one equivariant blow-up
 of a marked graph, at a site blow_up_sites lists; reference_lift lifts
 Gamma'_f through the double cover on a dict of neighbour sets;
-assemble_dense evaluates tb on a marked graph from its dense form.
+assemble_dense evaluates tb on a marked graph from its dense form;
+separation_by_edges rebuilds Gamma'_f from an edge list, and
+families_by_walks reads the arm families of Gamma'_f by a walk from each
+neighbour of e_0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterable, Sequence
 
 from tbcalc.charclass import CharacteristicData
 from tbcalc.cover import CoverGraph, mark_real_structure
+from tbcalc.embedres import ARROW_MULT, _odd_arrow_hosts, _odd_odd_edges, check_mini
 from tbcalc.errors import InconsistentAnnotation, InternalInvariantError, SingularMatrix
 from tbcalc.graph import FrozenGraph
 
@@ -377,3 +381,64 @@ def reference_lift(gp: FrozenGraph, rupture: int) -> dict:
     return {"self_int": self_int, "deck": deck, "downstairs": downstairs,
             "near": [sorted(up[p]) for p in range(len(self_int))], "e0_lift": root,
             "order": order, "parent": [parent[p] for p in range(len(self_int))]}
+
+
+def separation_by_edges(g: FrozenGraph) -> FrozenGraph:
+    """separate_odd_odd as a rebuild from an edge list: g's edges less the
+    odd-odd ones, plus an edge from each insert to each curve through its
+    center, sorted and laid out by FrozenGraph.from_columns; the columns
+    and arrows are edited as separate_odd_odd edits them."""
+    cut = _odd_odd_edges(g)
+    hosts = _odd_arrow_hosts(g)
+    if not cut and not hosts:
+        return g
+    ids, self_int, mult, c1 = list(g.ids), list(g.self_int), list(g.mult), list(g.c1_coeff)
+    arrows = list(g.arrows)
+    removed = set(cut)
+    edges = [pair for pair in g._position_edges() if pair not in removed]
+    inserts = [((u, v), mult[u] + mult[v]) for u, v in cut]
+    inserts += [((u,), mult[u] + ARROW_MULT) for u in hosts]
+    for parents, new_mult in inserts:
+        w = len(ids)
+        ids.append(g.next_id + w - len(g.ids))
+        self_int.append(-1)
+        mult.append(new_mult)
+        c1.append(-1 + sum(c1[p] for p in parents))
+        for p in parents:
+            edges.append((p, w))
+            self_int[p] -= 1
+        if len(parents) == 1:
+            arrows.remove(ids[parents[0]])
+            arrows.append(ids[w])
+    added = len(ids) - len(g.ids)
+    out = FrozenGraph.from_columns(
+        self_int, edges, ids=tuple(ids), mult=mult, c1_coeff=c1,
+        arm_label=g.arm_label + (None,) * added, real=g.real + (None,) * added,
+        arrows=arrows, next_id=g.next_id + added,
+    )
+    check_mini(out)
+    return out
+
+
+def families_by_walks(gp: FrozenGraph, r: int, m: int, n: int) -> list:
+    """The arm family of each position of Gamma'_f as cover's
+    _downstairs_families gives it, each component of Gamma'_f - r read by
+    a breadth-first walk from one neighbour of r (one seen mark shared by
+    all): "n_arm" where a terminal curve of it has multiplicity m, else
+    "m_arm" where one has n, else None, and None off every component."""
+    adj, start = gp.adj, gp.adj_start
+    heads = adj[start[r]:start[r + 1]]
+    seen = {r, *heads}
+    families = [None] * len(gp.ids)
+    for h in heads:
+        where = [h]
+        for q in where:
+            for x in adj[start[q]:start[q + 1]]:
+                if x not in seen:
+                    seen.add(x)
+                    where.append(x)
+        ends = {gp.mult[p] for p in where if start[p + 1] - start[p] == 1}
+        family = "n_arm" if m in ends else "m_arm" if n in ends else None
+        for p in where:
+            families[p] = family
+    return families

@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,8 +32,10 @@ from tbcalc import (
 )
 from tbcalc import charclass
 from tbcalc import cover as cover_module
+from tbcalc import graph as graph_module
 from conftest import build_star12_graph, lifts_of, neighbours
-from oracles import canonical_form, meets_its_conjugate, real_locus, reference_lift
+from oracles import (canonical_form, families_by_walks, meets_its_conjugate, real_locus,
+                     reference_lift)
 
 
 def star_shape(cg):
@@ -601,6 +605,63 @@ class TestUnchangedStages:
                 blown_down = (len(cover.minimal.graph.vertices)
                               < len(cover.lift.graph.vertices))
                 assert (cover.minimal is cover.lift) != blown_down, (m, n)
+
+
+class TestOnePassPerGraph:
+    # The bench grid window (5 <= m <= 16, 40 <= n <= 106): a cold
+    # build_cover walks each graph it stores once, as it lays the graph out,
+    # and reads the arms of e^0 off the lift's stored walk, so no stage
+    # walks a graph again from each head of a vertex. Every module that
+    # binds _arm_positions gets the recording one, so a stage that imports
+    # it is seen too.
+    WINDOW = [(m, n) for m in range(5, 17) for n in range(40, 107) if math.gcd(m, n) == 1]
+
+    def test_each_stored_graph_is_walked_once(self, monkeypatch):
+        walks = []
+        walk = graph_module._breadth_first
+        monkeypatch.setattr(graph_module, "_breadth_first",
+                            lambda *args: walks.append(args) or walk(*args))
+        build_cover.cache_clear()
+        for m, n in self.WINDOW:
+            walks.clear()
+            cover = build_cover(m, n)
+            stored = (2 + (cover.gamma_f_prime is not cover.gamma_f)
+                      + (cover.minimal is not cover.lift))
+            assert len(walks) == stored, (m, n)
+
+    def test_arms_are_read_off_the_stored_walk(self, monkeypatch):
+        from_stored = []
+        read = graph_module._arm_positions
+
+        def recording(g, p):
+            from_stored.append(g.order[0] == p and g.parent.count(-1) == 1
+                               and len(g.adj) == 2 * (len(g.ids) - 1))
+            return read(g, p)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "_arm_positions", None) is read:
+                monkeypatch.setattr(module, "_arm_positions", recording)
+        build_cover.cache_clear()
+        for m, n in self.WINDOW:
+            build_cover(m, n)
+        assert from_stored == [True] * len(self.WINDOW)
+
+
+class TestDownstairsFamilies:
+    PAIRS = [(m, n) for m in range(2, 41) for n in range(2, 41) if math.gcd(m, n) == 1]
+
+    def test_one_pass_labels_what_a_walk_from_each_head_labels(self):
+        # _downstairs_families labels the components of Gamma'_f - e_0 in
+        # one pass over its stored walk; oracles.families_by_walks walks
+        # from each neighbour of e_0. They agree on Gamma'_f as stored
+        # (walked from id 0), walked from e_0, and walked from a random root.
+        rng = random.Random(20261022)
+        for m, n in self.PAIRS:
+            cover = build_cover(m, n)
+            gp, r = cover.gamma_f_prime, cover.rupture
+            for g in (gp, gp.freeze(root=r), gp.freeze(root=rng.choice(gp.ids))):
+                assert (cover_module._downstairs_families(g, g.pos(r), m, n)
+                        == families_by_walks(g, g.pos(r), m, n)), (m, n)
 
 
 class TestFrozenStages:

@@ -16,7 +16,7 @@ from tbcalc import (
 from tbcalc import embedres
 from tbcalc.embedres import check_mini, multiplicities
 from conftest import neighbours
-from oracles import stepwise_gamma_f
+from oracles import separation_by_edges, stepwise_gamma_f
 
 
 def chain_of(g):
@@ -230,6 +230,19 @@ class TestSeparation:
                                      arrows=[2])
         with pytest.raises(StructureMismatch, match="vertex 0 has no multiplicity"):
             separate_odd_odd(g)
+
+    def test_equals_the_edge_list_rebuild(self):
+        # separate_odd_odd rewrites only the neighbour lists its inserts
+        # touch; oracles.separation_by_edges rebuilds Gamma'_f from an edge
+        # list through from_columns. Every field, the stored walk included,
+        # must agree, and each hands g itself on alike.
+        separated = 0
+        for m, n in SMALL_PAIRS:
+            g, _rupture = build_gamma_f(m, n)
+            got, want = separate_odd_odd(g), separation_by_edges(g)
+            assert got == want and (got is g) == (want is g), (m, n)
+            separated += got is not g
+        assert separated > 400
 
     def test_no_odd_odd_incidence_remains(self):
         for m, n in [(3, 2), (5, 8), (3, 5), (5, 28), (9, 8)]:

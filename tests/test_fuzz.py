@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from tbcalc import (CoverGraph, Decomposition, FrozenGraph, SingularMatrix,  # noqa: E402
                     TbcalcError, UserInputError, arms, graph_from_document,
-                    linking_form_from_decomposition, solve_intersection_system, tb_from_graph)
+                    linking_form_from_decomposition, separate_odd_odd, solve_intersection_system,
+                    tb_from_graph)
 from tbcalc.graph import arm_weight, intersection_matrix, n_prime  # noqa: E402
 from tbcalc.numeric import cf_eval  # noqa: E402
 from tbcalc.cli import main  # noqa: E402
-from oracles import is_negative_definite  # noqa: E402
+from oracles import is_negative_definite, separation_by_edges  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "y-x5y4.json"
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
@@ -181,6 +182,42 @@ class TestTreeReaders:
             if arm.is_bamboo:
                 weights = [g.self_int[g.pos(v)] for v in arm.vertices]
                 assert arm_weight(g, e, arm) == cf_eval(weights)
+
+
+@st.composite
+def balanced_trees(draw):
+    """A FrozenGraph tree of 1-9 curves that obeys the balance law, with
+    ids that are not its positions, walked from a random root. Each curve
+    gets a multiplicity in 1..4 and the fewest arrows, plus its
+    multiplicity once more or not, that make the sum of its neighbours'
+    multiplicities and its arrows a multiple of its own; its
+    self-intersection balances that sum. So odd-odd edges and arrows on
+    odd curves, the two things separation blows up, are common."""
+    size = draw(st.integers(1, 9))
+    mult = [draw(st.integers(1, 4)) for _ in range(size)]
+    edges = [(draw(st.integers(0, p - 1)), p) for p in range(1, size)]
+    near = [0] * size
+    for p, q in edges:
+        near[p] += mult[q]
+        near[q] += mult[p]
+    arrows_at = [-total % m + m * draw(st.integers(0, 1)) for total, m in zip(near, mult)]
+    ids = sorted(draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True)))
+    g = FrozenGraph.from_columns(
+        [-(total + a) // m for total, a, m in zip(near, arrows_at, mult)], edges,
+        ids=tuple(ids), mult=mult, c1_coeff=[draw(st.integers(-9, 0)) for _ in ids],
+        arrows=[v for v, count in zip(ids, arrows_at) for _ in range(count)],
+        next_id=ids[-1] + 1)
+    return g.freeze(root=draw(st.sampled_from(ids)))
+
+
+class TestSeparation:
+    @FUZZ
+    @given(balanced_trees())
+    def test_equals_the_edge_list_rebuild(self, g):
+        # separate_odd_odd's local edits give what oracles.separation_by_edges
+        # rebuilds from an edge list, on ids that are not positions.
+        got, want = separate_odd_odd(g), separation_by_edges(g)
+        assert got == want and (got is g) == (want is g)
 
 
 # Values a decomposition document may hold where a field belongs: wrong

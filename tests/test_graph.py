@@ -348,6 +348,48 @@ def reference_arms(g, e):
     return out
 
 
+class TestNeighbourSums:
+    # _neighbour_sums gathers the values over the neighbour slots through
+    # one operator.itemgetter when a graph has two or more slots, and by
+    # map when it has none (0 or 1 curve, or curves with no edge), where
+    # itemgetter cannot be built or gives no tuple. Either way it gives a
+    # list that agrees with sums read edge by edge; so does _form_times.
+
+    @staticmethod
+    def by_edges(g, x):
+        sums = [0] * len(g.ids)
+        for u, v in g.edges():
+            sums[g.pos(u)] += x[g.pos(v)]
+            sums[g.pos(v)] += x[g.pos(u)]
+        return sums
+
+    def check(self, g, x):
+        sums = graph._neighbour_sums(g, x)
+        assert type(sums) is list and sums == self.by_edges(g, x)
+        times = graph._form_times(g, x)
+        assert type(times) is list
+        assert times == [n * value + total for n, value, total in zip(g.self_int, x, sums)]
+
+    @pytest.mark.parametrize("self_int, edges", [
+        ([], []), ([-2], []), ([-2, -3], []), ([-2, -3], [(0, 1)]), ([-1, -2, -3], [(2, 0)])],
+        ids=["no_curve", "one_curve", "two_apart", "two_joined", "three"])
+    def test_small_graphs(self, self_int, edges):
+        g = FrozenGraph.from_columns(self_int, edges)
+        for x in ([5, -7, 11], [True, False, True], [Fraction(1, 3), 2, Fraction(-5, 2)]):
+            self.check(g, x[:len(self_int)])
+
+    def test_caller_forests(self):
+        # Forests with gaps in their ids, walked from a random root.
+        rng = random.Random(20261022)
+        forests = 0
+        for _ in range(100):
+            f = TestFrozenGraph.random_forest(rng).freeze()
+            g = f.freeze(root=rng.choice(f.ids))
+            forests += g.parent.count(-1) > 1
+            self.check(g, [rng.randrange(-9, 10) for _ in g.ids])
+        assert forests > 20
+
+
 class TestArmWeight:
     def test_bamboo_weight_is_continued_fraction(self):
         g, center, (ids,) = make_star(-2, [(-2, -2, -2, -2, -3)])

@@ -4,10 +4,10 @@ import pytest
 
 from tbcalc import (
     SingularMatrix,
-    ZeroDenominator,
     format_rational,
     parse_rational,
 )
+from tbcalc.errors import ZeroDenominator
 from tbcalc.numeric import (GF2_INCONSISTENT, GF2_MULTIPLE, GF2_UNIQUE, Gf2Result, cf_eval,
                             solve_gf2)
 from oracles import det_exact, solve_rational

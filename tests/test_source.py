@@ -88,10 +88,11 @@ def test_benchmark_tracer_bindings_resolve():
 
 def test_package_exports_no_test_oracle():
     # The oracles that only tests and the benchmark's tracer call stay in
-    # their modules, and real_locus lives in tests/oracles.py; every name
-    # the package does export resolves.
+    # their modules, as does ZeroDenominator, which only cf_eval raises, and
+    # real_locus lives in tests/oracles.py; every name the package does
+    # export resolves.
     oracles = {"cf_eval", "solve_gf2", "Gf2Result", "n_prime", "arm_weight",
-               "intersection_matrix", "multiplicities", "real_locus"}
+               "intersection_matrix", "multiplicities", "real_locus", "ZeroDenominator"}
     assert sorted(oracles & set(dir(tbcalc))) == []
     assert sorted(oracles & set(tbcalc.__all__)) == []
     assert [name for name in tbcalc.__all__ if not hasattr(tbcalc, name)] == []
