@@ -74,7 +74,7 @@ def pulled_back_characteristic(cg, gp: FrozenGraph) -> CharacteristicData:
               for d in _column(g, cg.downstairs)]
     if _form_times(g, coeffs) != list(map((2).__add__, g.self_int)):
         raise InternalInvariantError("the pulled-back c1 coefficients fail Q a = n + 2")
-    det, rest = _subtree_dets(g)
+    det, rest, _holds = _subtree_dets(g)
     if (bad := _indefinite_at(g, det, rest)) is not None:
         raise InternalInvariantError(f"the form is not negative definite at vertex {g.ids[bad]}")
     return _with_w(g, cg.deck, VertexMap(g, coeffs), det[g.order[0]])

@@ -44,8 +44,11 @@ from .graph import (
     FrozenGraph,
     VertexMap,
     _column,
+    _components,
     _degrees,
     _gather,
+    _is_tree,
+    _meets,
     _neighbour_sums,
     _numbered_by_position,
     arms,
@@ -206,7 +209,7 @@ def lift_double_cover(gp: FrozenGraph, rupture: int, m: int, n: int) -> CoverGra
 
     r = gp.pos(rupture)
     up = FrozenGraph._from_adjacency(self_int, up_start, up_adj, root=first[r])
-    if len(up_adj) != 2 * (len(self_int) - 1) or up.parent.count(-1) > 1:
+    if not _is_tree(up):
         raise StructureMismatch("lifted graph is not a tree")
     if kind[r] == 2:
         raise StructureMismatch("rupture vertex must have a unique lift")
@@ -223,25 +226,14 @@ def _downstairs_families(gp: FrozenGraph, r: int, m: int, n: int) -> list[Option
     underlies the (m)-arms. A third component (the moved branch
     intersection, present exactly when m and n are both odd) stays
     unlabeled, as does every position of a component that holds no
-    neighbour of r. The components are labelled in one pass over the walk
-    gp stores: a position joins the component of its parent, and each
-    child of r and each root of the walk starts a new one.
+    neighbour of r. The components are read off the walk gp stores by
+    _components, the read arms makes on the lift.
     """
-    mult, parent, start = gp.mult, gp.parent, gp.adj_start
-    component = [-1] * len(mult)
-    count = 0
-    for p in gp.order:
-        if p == r:
-            continue
-        up = parent[p]
-        if up < 0 or up == r:
-            component[p] = count
-            count += 1
-        else:
-            component[p] = component[up]
+    mult, start = gp.mult, gp.adj_start
+    component, members = _components(gp, r)
     # r is in component -1, which names the spare last slot; it stays
     # None, as does the name of every component no head of r is in.
-    names: list[Optional[str]] = [None] * (count + 1)
+    names: list[Optional[str]] = [None] * (len(members) + 1)
     terminal_mults = {component[h]: set() for h in gp.adj[start[r]:start[r + 1]]}
     for p in compress(range(len(mult)), map((1).__eq__, _degrees(gp))):
         if component[p] in terminal_mults:
@@ -352,11 +344,11 @@ def minimize_and_label(cg: CoverGraph, gp: FrozenGraph) -> CoverGraph:
         e0 = None
     if e0 is not None:
         # On the tree g, e^0 has 3 bamboo arms when it meets 3 curves and
-        # no other vertex meets 3 or more, arrows included.
-        meets, p0 = _degrees(g), g.pos(e0)
-        arm_count, meets[p0] = meets[p0], 0
-        for p in map(g.pos, g.arrows):
-            meets[p] += 1
+        # no other vertex meets 3 or more, arrows included; e^0's arrows
+        # are no arms, so they count only on their own.
+        meets, p0, start = _meets(g), g.pos(e0), g.adj_start
+        arm_count = start[p0 + 1] - start[p0]
+        meets[p0] -= arm_count
         if arm_count != 3 or max(meets) >= 3:
             raise StructureMismatch(
                 "minimized rupture vertex lost its 3-bamboo-arm shape"
@@ -459,11 +451,9 @@ def _ordered_cover(m: int, n: int) -> CoverData:
     """The cover tb reads: for int m > n that of (n, m), which differs only
     in arm labels; if it refuses, build_cover(m, n) refuses too (the laws
     are symmetric) and words it as given."""
-    if isinstance(m, int) and isinstance(n, int):
-        if m > n:
-            try:
-                return build_cover(n, m)
-            except BadExponents:
-                pass
-        return build_cover(m, n)
+    if isinstance(m, int) and isinstance(n, int) and m > n:
+        try:
+            return build_cover(n, m)
+        except BadExponents:
+            pass
     return _cover(m, n)

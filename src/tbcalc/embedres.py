@@ -17,8 +17,8 @@ only solution, and a bookkeeping bug cannot produce a quietly wrong graph.
 Both stages here run on flat lists and emit FrozenGraph values with no
 edge list to sort: the cascade keeps each curve's neighbour list sorted
 as it appends curves, and Gamma_f is those lists flattened; the odd-odd
-separation rewrites only the lists its inserted curves join and passes
-Gamma_f's other lists through as they are.
+separation rewrites only the lists its inserted curves join and splices
+them among Gamma_f's own, as blow-down does (graph._spliced).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import accumulate, chain, compress
 from typing import NamedTuple, Optional
 
 from .errors import BadExponents, NonIntegralMultiplicity, StructureMismatch
-from .graph import (FrozenGraph, VertexMap, _degrees, _form_times, _tree_det,
+from .graph import (FrozenGraph, VertexMap, _degrees, _form_times, _spliced, _tree_det,
                     solve_intersection_system)
 
 ARROW_MULT = 1
@@ -286,8 +286,8 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
     The edits are local: an insert takes the next position, larger than
     every old one, so it ends each neighbour list it joins, which stays
     sorted. Only the lists of the curves through a center are rewritten;
-    every other list is g's own, passed through in runs, and the result is
-    handed to FrozenGraph._from_adjacency, which walks it from position 0.
+    _spliced puts them among g's own, the inserts' lists follow, and
+    FrozenGraph._from_adjacency walks the result from position 0.
     """
     if None in g.mult:
         raise StructureMismatch(f"vertex {g.ids[g.mult.index(None)]} has no multiplicity")
@@ -320,14 +320,7 @@ def separate_odd_odd(g: FrozenGraph) -> FrozenGraph:
             arrows.remove(ids[parents[0]])
             arrows.append(ids[w])
     centres = [parents for parents, _mult in inserts]
-    degree = _degrees(g)
-    runs, done = [], 0
-    for p in sorted(near):
-        runs.append(adj[start[done]:start[p]])
-        runs.append(near[p])
-        degree[p] = len(near[p])
-        done = p + 1
-    runs.append(adj[start[done]:])
+    degree, runs = _spliced(g, near)
     degree += map(len, centres)
     added = len(ids) - len(g.ids)
     out = FrozenGraph._from_adjacency(

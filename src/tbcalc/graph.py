@@ -24,24 +24,25 @@ the vertices view and VertexMap serve the same values by id to a caller.
 This module also provides the arm machinery (arms, weights, corrected
 self-intersections), blow-down minimization, and O(V) exact routines on
 frozen trees: a solver for intersection systems and the determinant of
-the intersection form. All of these run one integer recurrence on subtree
-determinants over the stored order and build a Fraction only for a final
-value that is not an integer; an arm weighs D/E of its head, and
-_imaginary_arms holds the one n' rule that n_prime and tb share, off
-_branches, which folds D, E and the marked subtrees in one loop. The
+the intersection form. Each graph fact that these and the stages in
+cover, embedres, charclass and tb read is one private kernel here:
+_subtree_dets folds the subtree determinants D, E (and whether a subtree
+holds a marked position) leaves first in one integer loop, which only the
+solver repeats, to fold its right-hand side too; _is_tree is the tree
+test; _components reads the components of g - p off the stored walk, as
+arms does on a tree walked from its vertex, such as the lift from e^0;
+_meets counts the curves and arrows meeting each position; and _spliced
+puts a stage's edited neighbour lists among the others, which pass
+through as slices of adj. An arm weighs D/E of its head, and
+_imaginary_arms holds the one n' rule that n_prime and tb share. The
 readers of a tree form (the solver, n_prime, arm_weight) have one
-precondition, checked on that recurrence by _require_definite_tree: g is
-a tree and its form is negative definite, as on every resolution graph
-(Mumford, Publ. IHES 9, 1961); anything else raises SingularMatrix, so
-no weight they fold has a zero denominator. _form_times gives Q x for the
-certificates that re-multiply, its neighbour sums (_neighbour_sums)
-gathered over the neighbour lists by one operator.itemgetter (_gather),
-in C. Every arm reader takes the
-arms of a vertex from _arm_positions, so each is one O(V) pass: on a tree
-stored walked from that vertex, as the lift and Gamma(m,n) are from e^0,
-it reads the stored walk; on any other graph it walks breadth-first from
-each head. Blow-down pays
-per curve it removes: a contraction touches only the one or two
+precondition, checked on the fold by _require_definite_tree: g is a tree
+and its form is negative definite, as on every resolution graph
+(Mumford, Publ. IHES 9, 1961); anything else raises SingularMatrix, so no
+weight has a zero denominator. _form_times gives Q x for the
+certificates that re-multiply, its neighbour sums gathered over the
+neighbour lists by one operator.itemgetter (_gather), in C. Blow-down
+pays per curve it removes: a contraction touches only the one or two
 neighbours of the removed curve, and the result is built once, each
 column compressed through one mask of the kept positions.
 """
@@ -423,32 +424,49 @@ class Arm(NamedTuple):
     is_bamboo: bool
 
 
+def _is_tree(g: FrozenGraph) -> bool:
+    """Whether g is a tree or empty: one root and 2(V - 1) neighbour slots,
+    so no cycle, loop or doubled edge."""
+    return not g.ids or (g.parent.count(-1) == 1 and len(g.adj) == 2 * (len(g.ids) - 1))
+
+
+def _components(g: FrozenGraph, p: int) -> tuple[list[int], list[list[int]]]:
+    """The components of g - p read off the stored walk in one pass: the
+    index of each position's component (-1 at p) and the positions of each
+    component in walk order. A position joins the component of its parent,
+    and each child of p and each root of the walk starts a new one."""
+    parent = g.parent
+    component = [-1] * len(parent)
+    out: list[list[int]] = []
+    for q in g.order:
+        if q == p:
+            continue
+        up = parent[q]
+        if up < 0 or up == p:
+            component[q] = len(out)
+            out.append([q])
+        else:
+            i = component[q] = component[up]
+            out[i].append(q)
+    return component, out
+
+
 def _arm_positions(g: FrozenGraph, p: int) -> list[list[int]]:
     """For each neighbour h of position p, in position order, the positions
     of the component of g - p holding h, read breadth-first from h along
     the neighbour lists. Each position is taken once, so a cyclic graph
     cannot make it loop; on a bamboo the read is the path from h.
 
-    When g is a tree stored walked from p (one root, 2(V - 1) neighbour
-    slots), the read is one pass over the stored order: each position joins
-    the arm of its parent, and the heads come first, in position order.
-    The breadth-first walk from p restricted to one component is the walk
-    from its head, so the result is the same. Any other graph (a forest, a
+    When g is a tree stored walked from p, the read is _components over
+    the stored walk, whose heads come first, in position order. The
+    breadth-first walk from p restricted to one component is the walk from
+    its head, so the result is the same. Any other graph (a forest, a
     cyclic caller graph, a tree walked from elsewhere) is walked from each
     head."""
+    if g.order[0] == p and _is_tree(g):
+        return _components(g, p)[1]
     adj, start = g.adj, g.adj_start
     heads = adj[start[p]:start[p + 1]]
-    order, parent = g.order, g.parent
-    if order[0] == p and len(adj) == 2 * (len(order) - 1) and parent.count(-1) == 1:
-        arm = [0] * len(order)
-        out = []
-        for i, h in enumerate(heads):
-            arm[h] = i
-            out.append([h])
-        for q in islice(order, len(heads) + 1, None):
-            i = arm[q] = arm[parent[q]]
-            out[i].append(q)
-        return out
     seen = [False] * len(g.ids)
     for q in (p, *heads):
         seen[q] = True
@@ -473,10 +491,8 @@ def arms(g: FrozenGraph, e: int) -> list[Arm]:
         root = g.pos(e)
     except KeyError:
         raise ValueError(f"vertex {e} not in graph") from None
-    ids, meets = g.ids, _degrees(g)
+    ids, meets = g.ids, _meets(g)
     adj, start = g.adj, g.adj_start
-    for p in map(g.pos, g.arrows):
-        meets[p] += 1
     out = []
     for where in _arm_positions(g, root):
         bamboo = max(map(meets.__getitem__, where)) < 3
@@ -496,6 +512,34 @@ def _degrees(g: FrozenGraph) -> list[int]:
     """The degree of each position."""
     start = g.adj_start
     return list(map(sub, islice(start, 1, None), start))
+
+
+def _meets(g: FrozenGraph) -> list[int]:
+    """The number of curves and arrows meeting each position."""
+    meets = _degrees(g)
+    for p in map(g.pos, g.arrows):
+        meets[p] += 1
+    return meets
+
+
+def _spliced(
+    g: FrozenGraph, lists: Mapping[int, Sequence[int]], dropped: Iterable[int] = (),
+) -> tuple[list[int], list[Sequence[int]]]:
+    """The degree of each position and the runs of neighbour positions of g
+    with lists[p] in place of p's list and the dropped positions' lists
+    left out (their degrees stay g's); every other list passes through as
+    a slice of adj, so a stage pays only for the lists it edits."""
+    adj, start = g.adj, g.adj_start
+    degree = _degrees(g)
+    runs, done = [], 0
+    for p in sorted(chain(lists, dropped)):
+        runs.append(adj[start[done]:start[p]])
+        if p in lists:
+            degree[p] = len(lists[p])
+            runs.append(lists[p])
+        done = p + 1
+    runs.append(adj[start[done]:])
+    return degree, runs
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -522,50 +566,23 @@ def _form_times(g: FrozenGraph, x: Sequence) -> list:
     return list(map(add, map(mul, g.self_int, x), _neighbour_sums(g, x)))
 
 
-def _branches(g: FrozenGraph, marked: list[bool]) -> tuple[list[int], list[int], list[bool]]:
-    """Per position p of g as rooted: D_p and E_p (_subtree_dets), and
-    whether the subtree of p holds a marked position, all three folded in
-    one pass over the stored order, leaves first."""
-    det = list(g.self_int)
-    rest = [1] * len(det)
-    holds = list(marked)
-    parent = g.parent
-    for c in reversed(g.order):
-        p = parent[c]
-        if p >= 0:
-            det[p], rest[p] = det[p] * det[c] - rest[p] * rest[c], rest[p] * det[c]
-            if holds[c]:
-                holds[p] = True
-    return det, rest, holds
-
-
-def _branch_weight(
-    g: FrozenGraph, head: int, det: list[int], rest: list[int], children: Iterable[int],
-) -> Fraction:
-    """The weight of the branch at position head made of head and the
-    subtrees of the given children: n_head folded with each child's D/E as
-    in _subtree_dets, on a bamboo the negative continued fraction from the
-    head. Every D is nonzero on a negative definite tree."""
-    d, e = g.self_int[head], 1
-    for c in children:
-        d, e = d * det[c] - e * rest[c], e * det[c]
-    return Fraction(d, e)
-
-
 def _imaginary_arms(
     g: FrozenGraph, p: int, det: list[int], rest: list[int], holds: list[bool],
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """The weights D_h/E_h of the children h of p whose subtrees hold no
-    marked position, and n'_p = n_p - sum of E_h/D_h. With g rooted at p
-    or at a marked vertex, these h head the arms of p that hold no marked
-    vertex."""
+    marked position, and n'_p = n_p - sum of E_h/D_h: n_p with only those h
+    folded in, as _subtree_dets folds every child. With g rooted at p or at
+    a marked vertex, these h head the arms of p that hold no marked vertex.
+    Every D is nonzero on a negative definite tree."""
     heads = [h for h in g._children(p) if not holds[h]]
-    weights = tuple(Fraction(det[h], rest[h]) for h in heads)
-    return weights, _branch_weight(g, p, det, rest, heads)
+    d, e = g.self_int[p], 1
+    for h in heads:
+        d, e = d * det[h] - e * rest[h], e * det[h]
+    return tuple(Fraction(det[h], rest[h]) for h in heads), Fraction(d, e)
 
 
 def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
-    """The weight n^sigma of an arm of e, read off _branches rooted at e.
+    """The weight n^sigma of an arm of e, read off _subtree_dets rooted at e.
 
     On a bamboo this is the negative continued fraction of the raw
     self-intersections, nearest vertex first. On a branched arm the side
@@ -577,13 +594,12 @@ def arm_weight(g: FrozenGraph, e: int, arm: Arm) -> Fraction:
     """
     # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     g = g.freeze(root=e)
-    det, rest, holds = _branches(g, [r is True for r in g.real])
+    det, rest, holds = _subtree_dets(g, [r is True for r in g.real])
     _require_definite_tree(g, det, rest)
     head = g.pos(arm.head)
-    children = g._children(head)
-    if not arm.is_bamboo:
-        children = [c for c in children if not holds[c]]
-    return _branch_weight(g, head, det, rest, children)
+    if arm.is_bamboo:
+        return Fraction(det[head], rest[head])
+    return _imaginary_arms(g, head, det, rest, holds)[1]
 
 
 def n_prime(g: FrozenGraph, e: int) -> Fraction:
@@ -596,7 +612,7 @@ def n_prime(g: FrozenGraph, e: int) -> Fraction:
     """
     # No package code calls this: bench/tracer.py wraps it, tests import it from here.
     g = g.freeze(root=e)
-    folds = _branches(g, [r is not False for r in g.real])
+    folds = _subtree_dets(g, [r is not False for r in g.real])
     _require_definite_tree(g, *folds[:2])
     return _imaginary_arms(g, g.order[0], *folds)[1]
 
@@ -635,8 +651,9 @@ def blow_down_minimize(
     removed position, makes a neighbour list only for a position it touches,
     and re-tests only those: one whose self-intersection rises to 0 leaves
     the removable list, one that rises to -1 may join it. The rebuild
-    compresses each column through one mask of the kept positions and hands
-    them to FrozenGraph._from_adjacency, which walks them afresh from the root.
+    splices the edited lists, sorted, among the untouched ones (_spliced),
+    compresses them and each column through one mask of the kept positions
+    and hands them to FrozenGraph._from_adjacency, which walks them afresh.
     """
     ids, adj, start, real = g.ids, g.adj, g.adj_start, g.real
     arrowed = set(g.arrows)
@@ -683,22 +700,16 @@ def blow_down_minimize(
                     del eligible[i]
             elif value == -1 and len(near[u]) <= 2 and ids[u] not in arrowed:
                 eligible.insert(bisect_left(eligible, -u), -u)
-    # The kept columns and the neighbour lists of untouched positions pass
-    # through one mask and are renumbered: a kept position moves down by
-    # the removed ones before it.
+    # The kept columns and the spliced neighbour lists pass through one
+    # mask and are renumbered: a kept position moves down by the removed
+    # ones before it.
     keep = [True] * size
     for p in removed:
         keep[p] = False
     index = list(accumulate(keep, initial=0))
-    degree = _degrees(g)
-    runs, done = [], 0
-    for p in sorted(chain(near, removed)):
-        runs.append(adj[start[done]:start[p]])
-        if keep[p]:
-            degree[p] = len(near[p])
-            runs.append(sorted(near[p]))
-        done = p + 1
-    runs.append(adj[start[done]:])
+    for at in near.values():
+        at.sort()
+    degree, runs = _spliced(g, near, removed)
     root = g.order[0]
     return FrozenGraph._from_adjacency(
         tuple(compress(self_int, keep)), tuple(accumulate(compress(degree, keep), initial=0)),
@@ -765,21 +776,28 @@ def solve_intersection_system(
     return VertexMap(g, x), det[order[0]]
 
 
-def _subtree_dets(g: FrozenGraph) -> tuple[list[int], list[int]]:
+def _subtree_dets(
+    g: FrozenGraph, marked: Optional[Sequence[bool]] = None,
+) -> tuple[list[int], list[int], list[bool]]:
     """D_p = det Q(T_p) and E_p = det Q(T_p - p) for every subtree T_p of
-    g as rooted by its order, indexed by position, as in Eisenbud-Neumann.
-    A vertex starts from (D, E) = (n_p, 1) and folds in each child c as
-    D <- D*D_c - E*E_c, E <- E*D_c; no division occurs. D_p/E_p is the
+    g as rooted by its order, indexed by position, as in Eisenbud-Neumann,
+    and whether T_p holds a position that marked flags (none without
+    marked), all three folded in one pass over the stored order, leaves
+    first. A vertex starts from (D, E) = (n_p, 1) and folds in each child c
+    as D <- D*D_c - E*E_c, E <- E*D_c; no division occurs. D_p/E_p is the
     weight n_p - sum E_c/D_c of the branch at p.
     """
     det = list(g.self_int)
     rest = [1] * len(det)
+    holds = [False] * len(det) if marked is None else list(marked)
     parent = g.parent
     for c in reversed(g.order):
         p = parent[c]
         if p >= 0:
             det[p], rest[p] = det[p] * det[c] - rest[p] * rest[c], rest[p] * det[c]
-    return det, rest
+            if holds[c]:
+                holds[p] = True
+    return det, rest, holds
 
 
 def _indefinite_at(g: FrozenGraph, det: Sequence[int], rest: Sequence[int]) -> Optional[int]:
@@ -790,11 +808,10 @@ def _indefinite_at(g: FrozenGraph, det: Sequence[int], rest: Sequence[int]) -> O
 
 
 def _require_definite_tree(g: FrozenGraph, det: Sequence[int], rest: Sequence[int]) -> None:
-    """Raise SingularMatrix unless g is a tree whose form is negative
-    definite, det and rest being _subtree_dets over g's order. A graph with
-    one root and 2(V - 1) neighbour slots has no cycle, loop or doubled
-    edge; the empty graph passes."""
-    if g.ids and (g.parent.count(-1) > 1 or len(g.adj) != 2 * (len(g.ids) - 1)):
+    """Raise SingularMatrix unless g is a tree (_is_tree; the empty graph
+    passes) whose form is negative definite, det and rest being
+    _subtree_dets over g's order."""
+    if not _is_tree(g):
         raise SingularMatrix("graph is not a tree")
     if (bad := _indefinite_at(g, det, rest)) is not None:
         raise SingularMatrix(f"intersection form is not negative definite at vertex {g.ids[bad]}")
@@ -803,6 +820,6 @@ def _require_definite_tree(g: FrozenGraph, det: Sequence[int], rest: Sequence[in
 def _tree_det(g: FrozenGraph) -> int:
     """det Q of a forest in O(V) integer steps: the product of D at the
     root of each tree (_subtree_dets)."""
-    det, _rest = _subtree_dets(g)
+    det = _subtree_dets(g)[0]
     parent = g.parent
     return math.prod(det[p] for p in g.order if parent[p] < 0)

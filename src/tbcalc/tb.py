@@ -39,8 +39,7 @@ from .cover import (
     mark_real_structure,
 )
 from .errors import InconsistentAnnotation, NonIntegralCanonicalClass, NotNumericallyGorenstein
-from .graph import (FrozenGraph, _branches, _column, _imaginary_arms, _require_definite_tree,
-                    _subtree_dets)
+from .graph import FrozenGraph, _column, _imaginary_arms, _require_definite_tree, _subtree_dets
 # arms stays bound here: the benchmark's tracer tests wrap tb.arms.
 from .graph import arms  # noqa: F401
 
@@ -109,7 +108,7 @@ def _assemble(
 ) -> TbResult:
     """N - 1 plus n'_e over W_R, the vertices of w that the column real
     marks (by truthiness, by position of g; g's own real column is not
-    read), walked as positions, off one _branches pass over g rooted at a
+    read), walked as positions, off one _subtree_dets pass over g rooted at a
     real vertex; with no imaginary vertex n'_e = n_e. N is the length of
     the truthy entries of real, filtered in C. The sum runs in integers
     over the lcm of the n' denominators and builds one Fraction."""
@@ -120,7 +119,7 @@ def _assemble(
         marked = list(map(bool, real))
         if not marked[g.order[0]]:
             g = g._walked_from(marked.index(True))
-        folds = _branches(g, marked)
+        folds = _subtree_dets(g, marked)
         weights, contrib = {}, {}
         for p in at:
             weights[ids[p]], contrib[ids[p]] = _imaginary_arms(g, p, *folds)
@@ -223,6 +222,6 @@ def tb_from_graph(cg: CoverGraph, wr=None) -> TbResult:
             if not g.real[p]:
                 raise InconsistentAnnotation(
                     f"wr contains imaginary vertex {v}; W_R lies in the real locus")
-        _require_definite_tree(g, *_subtree_dets(g))
+        _require_definite_tree(g, *_subtree_dets(g)[:2])
         w = frozenset(wr)
     return _assemble(g, g.real, w, cg.sign, cg.m, cg.n, EVAL_GRAPH)

@@ -300,6 +300,14 @@ class TestArms:
         assert [a.is_bamboo for a in arms(b.freeze(), left)] == [False]
 
 
+def ancestors(g, q):
+    """q and the positions on its parent chain in g's stored walk."""
+    out = [q]
+    while g.parent[out[-1]] >= 0:
+        out.append(g.parent[out[-1]])
+    return out
+
+
 def reference_arm_positions(g, p):
     """_arm_positions as a breadth-first walk from each head of position p
     in turn, one seen mark shared by all, set on p and on every head."""
@@ -470,13 +478,13 @@ class TestNPrime:
 
     def test_one_pass_for_all_arms(self, monkeypatch):
         passes = []
-        inner = graph._branches
+        inner = graph._subtree_dets
 
-        def counting(g, marked):
+        def counting(g, marked=None):
             passes.append(len(marked))
             return inner(g, marked)
 
-        monkeypatch.setattr(graph, "_branches", counting)
+        monkeypatch.setattr(graph, "_subtree_dets", counting)
         star, center, arm_ids = make_star(-2, [(-2, -3), (-3,), (-2,), (-5,)])
         b = star.copy()
         b.vertices[center].real = True
@@ -499,7 +507,7 @@ class TestNPrime:
             n_prime(g, center)
 
     def test_makes_no_arms_walk(self, monkeypatch):
-        # n_prime reads its arms off the _branches fold it shares with tb.
+        # n_prime reads its arms off the _subtree_dets fold it shares with tb.
         monkeypatch.setattr(graph, "arms", None)
         star, center, arm_ids = make_star(-3, [(-2,), (-2, -2)])
         b = star.copy()
@@ -665,7 +673,11 @@ class TestTreeDeterminant:
 
     def test_matches_dense_determinant(self):
         # Self-intersections in -4..2 give singular and indefinite forms
-        # as well as definite ones; some graphs are forests.
+        # as well as definite ones; some graphs are forests. Besides the
+        # determinant, every pivot of the shared fold is checked, as the
+        # definiteness test and the pulled-back certificate read them all:
+        # D_p and E_p against the dense determinants of the subtree T_p and
+        # of T_p - p, and the marked-subtree flag under random marks.
         rng = random.Random(20261017)
         seen_zero = False
         for _ in range(300):
@@ -680,6 +692,15 @@ class TestTreeDeterminant:
             det = _tree_det(g)
             assert det == det_exact(rows)
             seen_zero = seen_zero or det == 0
+            marked = [rng.random() < 0.3 for _ in range(size)]
+            for marks in (None, marked):
+                dets, rests, holds = graph._subtree_dets(g, marks)
+                for p in range(size):
+                    subtree = [q for q in range(size) if p in ancestors(g, q)]
+                    below = [q for q in subtree if q != p]
+                    assert dets[p] == det_exact([[rows[q][r] for r in subtree] for q in subtree])
+                    assert rests[p] == det_exact([[rows[q][r] for r in below] for q in below])
+                    assert holds[p] == (marks is not None and any(marked[q] for q in subtree))
         assert seen_zero
 
 

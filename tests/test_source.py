@@ -120,3 +120,20 @@ def test_readers_take_frozen_graphs():
                   and not node.keywords and id(node) not in builder):
                 found.append(f"{path.name}:{node.lineno} freeze() without a root")
     assert found == []
+
+
+def test_private_helpers_are_called():
+    # Every top-level private function of the package is referenced in the
+    # package outside its own definition, as a name or an attribute, so
+    # that merging two kernels cannot leave the old one behind unused.
+    defined, used = {}, set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined[node.name] = path.name
+                names.discard(node.name)
+            used |= names
+    assert defined
+    assert sorted(f"{home}:{name}" for name, home in defined.items() if name not in used) == []
